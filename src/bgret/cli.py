@@ -9,6 +9,7 @@ failure. BGRET_WORKERS is the fallback for --workers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import __version__, harness, metrics, solvers
 from .io_formats import (DataFormatError, ExperimentConfig, manifest_now,
                          read_config, read_image, read_signal_csv, sha256_of,
                          write_image, write_results, write_signal_csv)
-from .model import Method, SolverConfig, SupportMask, assemble
+from .model import Method, SolverConfig, SupportMask, assemble, background_sizes_for
 from .rng import mix_seed
 from .spectral import intensity
 
@@ -62,18 +63,11 @@ def _load_config(args, required=True) -> ExperimentConfig | None:
     if getattr(args, "config", None):
         cfg = read_config(args.config)
         if args.seed is not None:
-            cfg = ExperimentConfig(**{**_cfg_kwargs(cfg), "seed": args.seed})
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         return cfg
     if required:
         raise SystemExit2("this subcommand needs --config PATH")
     return None
-
-
-def _cfg_kwargs(cfg: ExperimentConfig) -> dict:
-    return dict(method=cfg.method, n=cfg.n, trials=cfg.trials, seed=cfg.seed,
-                k_ratio=cfg.k_ratio, k=cfg.k, eps=cfg.eps, max_iter=cfg.max_iter,
-                beta=cfg.beta, lam=cfg.lam, noise_sigma=cfg.noise_sigma,
-                signal_type=cfg.signal_type, paths=cfg.paths)
 
 
 def _seed(args) -> int:
@@ -117,7 +111,7 @@ def _load_object(args):
         n = (x.size,)
     else:
         raise SystemExit2("need --signal or --image")
-    k = tuple(max(1, int(round(args.k_ratio * ni))) for ni in n)
+    k = background_sizes_for(args.k_ratio, n)
     shape = tuple(ni + ki for ni, ki in zip(n, k))
     mask = (SupportMask.centered(shape, n) if len(n) == 2
             else SupportMask.block(shape, n))
@@ -251,7 +245,7 @@ def cmd_image_bench(args) -> int:
 def cmd_location_bias(args) -> int:
     image = _bench_image(args)
     n = image.shape
-    k = tuple(max(1, int(round(args.k_ratio * ni))) for ni in n)
+    k = background_sizes_for(args.k_ratio, n)
     shape = tuple(ni + ki for ni, ki in zip(n, k))
     offsets = harness.default_bias_offsets(shape, n, args.positions)
     result = harness.location_bias_study(image, args.k_ratio, offsets, args.trials,

@@ -23,9 +23,10 @@ import numpy as np
 from . import analysis, solvers
 from .io_formats import ExperimentConfig, manifest_now, shape_token, write_results
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
-                    assemble, mirror_index)
+                    assemble, background_sizes_for, mirror_index)
 from .rng import Xoshiro256StarStar, mix_seed
-from .spectral import Autocorrelation, autocorrelation_from_intensity, intensity
+from .spectral import (Autocorrelation, autocorrelation_from_intensity, dft_inverse,
+                       intensity)
 from .metrics import evaluate
 
 SIGNAL_GAUSSIAN = 1
@@ -314,14 +315,14 @@ def sweep_specs(config: ExperimentConfig, ratios: Sequence[float],
     specs = []
     fixed = None
     for cell_id, (n, ratio) in enumerate((n, r) for n in n_values for r in ratios):
-        k = max(1, int(round(ratio * n)))
+        k = background_sizes_for(ratio, (n,))
         if config.signal_type != SIGNAL_GAUSSIAN:
             fixed = gen_signal(config.signal_type, n, values=signal_values) \
                 if config.signal_type == SIGNAL_CSV else harmonic_signal(n)
         for trial in range(config.trials):
             specs.append(TrialSpec(
                 master_seed=config.seed, cell_id=cell_id, trial_index=trial,
-                method=config.method, sample_shape=(n,), background_sizes=(k,),
+                method=config.method, sample_shape=(n,), background_sizes=k,
                 eps=config.eps, max_iter=config.max_iter, beta=config.beta,
                 lam=config.lam, noise_sigma=config.noise_sigma,
                 signal_type=config.signal_type, signal=fixed))
@@ -341,9 +342,8 @@ def sweep_phase_transition(config: ExperimentConfig, ratios: Sequence[float],
     per_cell = config.trials
     for cell_id, (n, ratio) in enumerate((n, r) for n in n_values for r in ratios):
         cell_rows = rows[cell_id * per_cell:(cell_id + 1) * per_cell]
-        k = max(1, int(round(ratio * n)))
         cells.append(CellSummary(
-            n=n, k=k, ratio=ratio, trials=per_cell,
+            n=n, k=specs[cell_id * per_cell].background_sizes[0], ratio=ratio, trials=per_cell,
             successes=sum(1 for r in cell_rows if r["success"]),
             aborted=sum(1 for r in cell_rows if r.get("aborted"))))
     return SweepGrid(n_values, ratios, per_cell, tuple(cells), tuple(rows))
@@ -386,7 +386,7 @@ def _image_specs(image: np.ndarray, k_ratio: float, methods: Sequence[Method],
     if image.ndim != 2:
         raise ValueError("image benchmarks need 2-D data")
     n = image.shape
-    k = tuple(max(1, int(round(k_ratio * ni))) for ni in n)
+    k = background_sizes_for(k_ratio, n)
     specs = []
     for trial in range(trials):
         for method in methods:
@@ -456,7 +456,7 @@ def location_bias_study(image: np.ndarray, k_ratio: float,
     computed in full; position symmetry is never used as a shortcut."""
     image = np.asarray(image, dtype=float)
     n = image.shape
-    k = tuple(max(1, int(round(k_ratio * ni))) for ni in n)
+    k = background_sizes_for(k_ratio, n)
     object_shape = tuple(ni + ki for ni, ki in zip(n, k))
     specs = []
     for cell_id, offset in enumerate(offsets):
@@ -585,7 +585,7 @@ def verify_robustness(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
         i_tilde = i_clean + _symmetrized_uniform(i_clean.shape, c1, rng)
         y_tilde = y + rng.uniform(-c2, c2, size=y.shape)
         y_tilde[mask.inside] = 0.0
-        r_tilde = Autocorrelation(np.fft.ifftn(i_tilde).real)
+        r_tilde = Autocorrelation(dft_inverse(i_tilde).real)
         system = analysis.build_linear_system(y_tilde, mask, r_tilde)
         solution = analysis.least_squares_recover(system)
         measured = float(np.linalg.norm(solution.values - x.reshape(-1)))

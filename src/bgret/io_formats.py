@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Method
+from .model import Method, background_sizes_for
 
 
 class DataFormatError(ValueError):
@@ -192,7 +192,7 @@ class ExperimentConfig:
             if self.k is not None:
                 return self.k
             ratio = self.k_ratio
-        return tuple(max(0, int(round(ratio * ni))) for ni in self.n)
+        return background_sizes_for(ratio, self.n)
 
     def echo(self) -> dict:
         return {

@@ -41,7 +41,7 @@ def measurement_error(x_hat, background, mask: SupportMask,
     if denom == 0.0:
         raise ValueError("measurement error undefined for zero measurements")
     z = assemble(x_hat, background, mask)
-    i_hat = np.abs(dft_forward(z.values, b.shape).values) ** 2
+    i_hat = np.abs(dft_forward(z.values, b.shape)) ** 2
     return float(np.linalg.norm((i_hat - b.values).reshape(-1))) / denom
 
 

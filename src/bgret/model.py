@@ -25,6 +25,12 @@ MAX_DIMS = 2
 SEED_MASK = (1 << 64) - 1
 
 
+def background_sizes_for(ratio: float, sizes: Sequence[int]) -> tuple[int, ...]:
+    """The one rule turning a ratio k/n into background sizes:
+    k_i = max(1, round(ratio * n_i)), rounding half to even."""
+    return tuple(max(1, int(round(ratio * n))) for n in sizes)
+
+
 def vec(a: np.ndarray) -> np.ndarray:
     """Canonical row-major vectorization shared by all matrix constructions."""
     return np.asarray(a).reshape(-1)

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import IntensityMeasurements, SupportMask, _readonly
+from .spectral import crop, dft_forward, dft_inverse
 
 
 class MagnitudeMode(Enum):
@@ -72,29 +73,15 @@ class MagnitudeTarget:
         return self.root_intensity.shape
 
 
-def _spectrum(z: np.ndarray, shape) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if len(shape) != z.ndim or any(s < a for s, a in zip(shape, z.shape)):
-        raise ValueError(f"array shape {z.shape} incompatible with target shape {tuple(shape)}")
-    return np.fft.fftn(z, s=shape, axes=tuple(range(z.ndim)))
-
-
-def _back(what: np.ndarray, object_shape) -> np.ndarray:
-    w = np.fft.ifftn(what).real
-    if w.shape != tuple(object_shape):
-        w = w[tuple(slice(0, s) for s in object_shape)].copy()
-    return w
-
-
 def project_magnitude(z: np.ndarray, target: MagnitudeTarget) -> np.ndarray:
     """Replace spectral magnitudes with b^{1/2}, keeping the phases of z."""
     if target.mode is not MagnitudeMode.EQUALITY:
         raise ValueError("project_magnitude expects an equality-mode target")
     z = np.asarray(z, dtype=float)
-    zhat = _spectrum(z, target.shape)
+    zhat = dft_forward(z, target.shape)
     mag = np.abs(zhat)
     phase = np.divide(zhat, mag, out=np.ones_like(zhat), where=mag > 0)
-    return _back(target.root_intensity * phase, z.shape)
+    return crop(dft_inverse(target.root_intensity * phase).real, z.shape)
 
 
 def project_magnitude_ball(z: np.ndarray, target: MagnitudeTarget) -> np.ndarray:
@@ -103,13 +90,13 @@ def project_magnitude_ball(z: np.ndarray, target: MagnitudeTarget) -> np.ndarray
     if target.mode is not MagnitudeMode.BALL:
         raise ValueError("project_magnitude_ball expects a ball-mode target")
     z = np.asarray(z, dtype=float)
-    zhat = _spectrum(z, target.shape)
+    zhat = dft_forward(z, target.shape)
     mag = np.abs(zhat)
     scale = np.divide(target.root_intensity, mag, out=np.ones_like(mag), where=mag > 0)
     what = zhat * np.minimum(1.0, scale)
     if target.dc is not None:
         what.flat[0] = target.dc.sign * target.dc.value
-    return _back(what, z.shape)
+    return crop(dft_inverse(what).real, z.shape)
 
 
 def project_background(z: np.ndarray, background: np.ndarray, mask: SupportMask) -> np.ndarray:

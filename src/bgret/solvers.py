@@ -16,86 +16,54 @@ Five methods share one loop skeleton:
            values): inside the support take the magnitude-projection output,
            outside z - beta*P_A(z).
 
-Every run starts from the deterministic spectral initializer
-z0 = P_B((1/prod m) * DFT(b^{1/2})) unless an explicit start is supplied, and
-stops when the iterate moves by at most eps in l2 norm or the iteration cap is
-reached. Non-finite iterates abort with a diagnostic rather than being
-clamped, so traces stay honest.
+Each step maps a plain float array z^{p-1} to z^p; ``_iterate`` is the one
+loop. Every run starts from the deterministic spectral initializer
+z0 = P_B((1/prod m) * DFT(b^{1/2})) unless an explicit start is supplied (HIO
+starts from the unprojected transform), and stops when the step norm
+||z^p - z^{p-1}|| is at most eps or the iteration cap is reached. Divergence
+is detected from that same step norm: a non-finite start or step norm raises
+DivergenceError rather than being clamped, so traces stay honest.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .metrics import measurement_error, relative_error
-from .model import (IntensityMeasurements, Method, SolverConfig, SolverRun,
-                    SupportMask, _readonly)
+from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask
 from .projections import (MagnitudeTarget, project_background,
                           project_magnitude, project_magnitude_ball)
+from .spectral import crop, dft_forward
 
 
 class DivergenceError(RuntimeError):
     """Iterate turned non-finite: divergence or corrupt input data."""
 
 
-@dataclass(frozen=True)
-class IterationState:
-    """One solver iterate z^p with its step number and last step norm."""
-
-    z: np.ndarray
-    iter: int
-    last_step_norm: float
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if not np.all(np.isfinite(z)):
-            raise DivergenceError(f"non-finite iterate at step {self.iter}")
-        if not (self.last_step_norm >= 0 or math.isinf(self.last_step_norm)):
-            raise ValueError("last_step_norm must be nonnegative")
-        object.__setattr__(self, "z", _readonly(z, float))
-
-
-def _advance(state: IterationState, z_new: np.ndarray) -> IterationState:
-    step = float(np.linalg.norm((z_new - state.z).reshape(-1)))
-    return IterationState(z_new, state.iter + 1, step)
-
-
-def _crop(a: np.ndarray, shape) -> np.ndarray:
-    if a.shape == tuple(shape):
-        return a
-    return a[tuple(slice(0, s) for s in shape)].copy()
-
-
-def _init_from_root(root: np.ndarray, background: np.ndarray,
-                    mask: SupportMask) -> IterationState:
-    z_full = np.fft.fftn(root).real / root.size
-    z0 = project_background(_crop(z_full, mask.shape), background, mask)
-    return IterationState(z0, 0, math.inf)
+def _spectral_start(root: np.ndarray, shape) -> np.ndarray:
+    # (1/prod m) * DFT(b^{1/2}) on the object grid, before any projection
+    return crop(dft_forward(root).real / root.size, shape)
 
 
 def init_spectral(b: IntensityMeasurements, background: np.ndarray,
-                  mask: SupportMask) -> IterationState:
+                  mask: SupportMask) -> np.ndarray:
     """Deterministic start z0 = P_B((1/prod m) * DFT(b^{1/2}))."""
-    return _init_from_root(b.root, background, mask)
+    return project_background(_spectral_start(b.root, mask.shape), background, mask)
 
 
-def pgd_step(state: IterationState, target: MagnitudeTarget, background: np.ndarray,
-             mask: SupportMask, lam: float = 1.0) -> IterationState:
+def pgd_step(z: np.ndarray, target: MagnitudeTarget, background: np.ndarray,
+             mask: SupportMask, lam: float = 1.0) -> np.ndarray:
     """Projected gradient step; the subgradient of the magnitude objective is
     z - P_A(z), so lam=1 reduces to the alternating projection P_B(P_A(z))."""
     if not lam > 0:
         raise ValueError("learning rate must be positive")
-    z = state.z
     ztilde = project_magnitude(z, target)
     if lam == 1.0:
-        z_new = project_background(ztilde, background, mask)
-    else:
-        z_new = project_background(z - lam * (z - ztilde), background, mask)
-    return _advance(state, z_new)
+        return project_background(ztilde, background, mask)
+    return project_background(z - lam * (z - ztilde), background, mask)
 
 
 def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
@@ -105,33 +73,29 @@ def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
     return np.where(mask.inside, ztilde, z - beta * (ztilde - background))
 
 
-def bdr_step(state: IterationState, target: MagnitudeTarget, background: np.ndarray,
-             mask: SupportMask, beta: float = 1.0) -> IterationState:
+def bdr_step(z: np.ndarray, target: MagnitudeTarget, background: np.ndarray,
+             mask: SupportMask, beta: float = 1.0) -> np.ndarray:
     """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1."""
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
-    ztilde = project_magnitude(state.z, target)
-    return _advance(state, _dr_update(state.z, ztilde, background, mask, beta))
+    return _dr_update(z, project_magnitude(z, target), background, mask, beta)
 
 
-def cbdr_step(state: IterationState, target: MagnitudeTarget, background: np.ndarray,
-              mask: SupportMask) -> IterationState:
+def cbdr_step(z: np.ndarray, target: MagnitudeTarget, background: np.ndarray,
+              mask: SupportMask) -> np.ndarray:
     """BDR coordinate update with the convex ball projection."""
-    ztilde = project_magnitude_ball(state.z, target)
-    return _advance(state, _dr_update(state.z, ztilde, background, mask, 1.0))
+    return _dr_update(z, project_magnitude_ball(z, target), background, mask, 1.0)
 
 
-def hio_step(state: IterationState, target: MagnitudeTarget, mask: SupportMask,
-             beta: float = 0.9) -> IterationState:
-    ztilde = project_magnitude(state.z, target)
-    z_new = np.where(mask.inside, ztilde, state.z - beta * ztilde)
-    return _advance(state, z_new)
+def hio_step(z: np.ndarray, target: MagnitudeTarget, mask: SupportMask,
+             beta: float = 0.9) -> np.ndarray:
+    ztilde = project_magnitude(z, target)
+    return np.where(mask.inside, ztilde, z - beta * ztilde)
 
 
 def magnitude_objective(z, target: MagnitudeTarget) -> float:
     """(1/(2m)) * sum_i (|DFT(z)_i| - b_i^{1/2})^2, the PGD objective."""
-    z = np.asarray(z, dtype=float)
-    zhat = np.fft.fftn(z, s=target.shape, axes=tuple(range(z.ndim)))
+    zhat = dft_forward(np.asarray(z, dtype=float), target.shape)
     diff = np.abs(zhat) - target.root_intensity
     return 0.5 * float(np.sum(diff * diff)) / target.root_intensity.size
 
@@ -146,25 +110,27 @@ def _trace_row(z: np.ndarray, mask: SupportMask, background: np.ndarray,
 def _iterate(b: IntensityMeasurements, target: MagnitudeTarget, background: np.ndarray,
              mask: SupportMask, config: SolverConfig, step: Callable,
              final_projector: Optional[Callable], x_true=None, z0=None) -> SolverRun:
-    if z0 is not None:
-        state = IterationState(np.asarray(z0, dtype=float), 0, math.inf)
-    else:
-        state = _init_from_root(target.root_intensity, background, mask)
+    z = init_spectral(b, background, mask) if z0 is None else np.asarray(z0, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise DivergenceError("non-finite start")
     xt = None if x_true is None else np.asarray(x_true, dtype=float).reshape(-1)
 
     trace = []
     converged = False
-    for _ in range(config.max_iter):
-        state = step(state)
-        trace.append(_trace_row(state.z, mask, background, b, xt))
-        if state.last_step_norm <= config.eps:
+    for p in range(1, config.max_iter + 1):
+        z_new = step(z)
+        step_norm = float(np.linalg.norm((z_new - z).reshape(-1)))
+        if not math.isfinite(step_norm):
+            raise DivergenceError(f"non-finite iterate at step {p}")
+        z = z_new
+        trace.append(_trace_row(z, mask, background, b, xt))
+        if step_norm <= config.eps:
             converged = True
             break
 
-    if final_projector is None:
-        final = state.z[mask.inside]
-    else:
-        final = final_projector(state.z)[mask.inside]
+    if final_projector is not None:
+        z = final_projector(z)
+    final = z[mask.inside]
     return SolverRun(final, len(trace), np.asarray(trace, dtype=float).reshape(-1, 2),
                      converged)
 
@@ -181,16 +147,16 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
 
     if method is Method.CBDR:
         target = MagnitudeTarget.ball(b)
-        step = lambda s: cbdr_step(s, target, background, mask)
+        step = lambda z: cbdr_step(z, target, background, mask)
         final = lambda z: project_magnitude_ball(z, target)
     elif method is Method.PGD:
         target = MagnitudeTarget.equality(b)
-        step = lambda s: pgd_step(s, target, background, mask, config.lam)
+        step = lambda z: pgd_step(z, target, background, mask, config.lam)
         final = None
     elif method in (Method.BDR, Method.BDR1):
         target = MagnitudeTarget.equality(b)
         beta = 1.0 if method is Method.BDR else config.beta
-        step = lambda s: bdr_step(s, target, background, mask, beta)
+        step = lambda z: bdr_step(z, target, background, mask, beta)
         final = lambda z: project_magnitude(z, target)
     else:  # pragma: no cover - Method is exhaustive
         raise ValueError(f"unhandled method {method}")
@@ -208,7 +174,7 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
     errors = []
     for sign in (1, -1):
         target = MagnitudeTarget.ball(b, dc_sign=sign)
-        step = lambda s, t=target: cbdr_step(s, t, background, mask)
+        step = lambda z, t=target: cbdr_step(z, t, background, mask)
         final = lambda z, t=target: project_magnitude_ball(z, t)
         result = _iterate(b, target, background, mask, config, step, final,
                           x_true=x_true, z0=z0)
@@ -222,10 +188,9 @@ def hio_run(b: IntensityMeasurements, mask: SupportMask, config: SolverConfig,
     """Fienup HIO on a bare support constraint (no background values)."""
     target = MagnitudeTarget.equality(b)
     zeros = np.zeros(mask.shape)
-    step = lambda s: hio_step(s, target, mask, config.beta)
+    step = lambda z: hio_step(z, target, mask, config.beta)
     final = lambda z: project_magnitude(z, target)
     if z0 is None:
-        z0 = _crop(np.fft.fftn(target.root_intensity).real / target.root_intensity.size,
-                   mask.shape)
+        z0 = _spectral_start(b.root, mask.shape)
     return _iterate(b, target, zeros, mask, config, step, final,
                     x_true=x_true, z0=z0)

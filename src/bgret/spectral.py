@@ -3,10 +3,13 @@ autocorrelation with its spectral bridge.
 
 Convention: the forward transform is unnormalized, entry i of ``dft_forward(z)``
 equals sum_t z_t exp(-2*pi*j*i*t/m); the inverse carries the 1/prod(m) factor,
-so ``dft_inverse(dft_forward(z)) == z``. Multi-axis transforms factor by
-separability. For real z the intensity |DFT z|^2 and the circular
-autocorrelation R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair, which
-the direct-summation oracle below pins down numerically.
+so ``dft_inverse(dft_forward(z)) == z``. Both return plain complex ndarrays,
+and ``crop`` cuts the object grid back out of an oversampled measurement
+grid. The forward model, the projectors, the solvers and the metrics all
+transform through this pair. Multi-axis transforms factor by separability.
+For real z the intensity |DFT z|^2 and the circular autocorrelation
+R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair, which the
+direct-summation oracle below pins down numerically.
 """
 
 from __future__ import annotations
@@ -17,16 +20,6 @@ from itertools import product
 import numpy as np
 
 from .model import CombinedObject, IntensityMeasurements, _readonly, mirror_index
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex Fourier coefficients on the measurement grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values, complex))
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,7 @@ def _as_array(z):
     return np.asarray(z)
 
 
-def dft_forward(z, measurement_sizes=None) -> Spectrum:
+def dft_forward(z, measurement_sizes=None) -> np.ndarray:
     """Unnormalized forward transform, zero-padding up to measurement_sizes."""
     a = _as_array(z)
     if measurement_sizes is not None:
@@ -65,20 +58,26 @@ def dft_forward(z, measurement_sizes=None) -> Spectrum:
             raise ValueError(f"cannot pad shape {a.shape} to measurement sizes {s}")
     else:
         s = a.shape
-    return Spectrum(np.fft.fftn(a, s=s, axes=tuple(range(a.ndim))))
+    return np.fft.fftn(a, s=s, axes=tuple(range(a.ndim)))
 
 
 def dft_inverse(s) -> np.ndarray:
     """Inverse transform with the 1/prod(m) normalization."""
-    a = s.values if isinstance(s, Spectrum) else np.asarray(s)
-    return np.fft.ifftn(a)
+    return np.fft.ifftn(np.asarray(s))
+
+
+def crop(a: np.ndarray, shape) -> np.ndarray:
+    """Leading block of ``a`` with the given shape: the object grid of an
+    oversampled measurement grid. Returns ``a`` itself when no crop is needed."""
+    if a.shape == tuple(shape):
+        return a
+    return a[tuple(slice(0, s) for s in shape)].copy()
 
 
 def intensity(z, measurement_sizes=None) -> IntensityMeasurements:
     """Forward intensity model I = |DFT z|^2."""
     a = _as_array(z)
-    spec = dft_forward(a, measurement_sizes)
-    return IntensityMeasurements(np.abs(spec.values) ** 2,
+    return IntensityMeasurements(np.abs(dft_forward(a, measurement_sizes)) ** 2,
                                  conj_symmetric=bool(np.isrealobj(a)))
 
 

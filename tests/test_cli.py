@@ -84,12 +84,16 @@ def test_sweep_cli_writes_outputs(tmp_path, capsys):
                                "trials": 4, "seed": 2, "max_iter": 120}))
     out = tmp_path / "sweep"
     rc = main(["sweep", "--config", str(cfg), "--ratio-min", "3.0",
-               "--ratio-max", "3.0", "--ratio-step", "0.5", "--out", str(out)])
+               "--ratio-max", "3.0", "--ratio-step", "0.5", "--seed", "9",
+               "--out", str(out)])
     assert rc == EXIT_OK
     capsys.readouterr()
     rows = read_results(out / "trials.csv")
     assert len(rows) == 4
-    assert (out / "trials.csv.manifest.json").exists()
+    echo = json.loads((out / "trials.csv.manifest.json").read_text())["config"]
+    # --seed overrides the config's seed and keeps every other field
+    assert echo["seed"] == 9
+    assert echo["max_iter"] == 120 and echo["k_ratio"] == 3
     rates_lines = (out / "rates.csv").read_text().splitlines()
     assert rates_lines[0] == "n,k,k_ratio,trials,successes,aborted,rate,stderr"
     # the aggregate file is re-derivable from the raw trial rows

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bgret.io_formats import (DataFormatError, RESULT_COLUMNS, format_float,
-                              manifest_now, parse_config, read_config, read_image,
-                              read_results, read_signal_csv, shape_token,
+from bgret.io_formats import (DataFormatError, ExperimentConfig, RESULT_COLUMNS,
+                              format_float, manifest_now, parse_config, read_config,
+                              read_image, read_results, read_signal_csv, shape_token,
                               write_image, write_results, write_signal_csv)
 from bgret.model import Method
 
@@ -81,6 +81,9 @@ def test_read_config_minimal_and_defaults(tmp_path):
     assert cfg.beta == 0.9 and cfg.lam == 1.0
     assert cfg.background_sizes() == (300,)
     assert cfg.background_sizes(2.0) == (200,)
+    # the same k rule as the sweep: a small ratio rounds up to one cell
+    small = ExperimentConfig(method=Method.BDR, n=(10,), trials=1, seed=0, k_ratio=0.04)
+    assert small.background_sizes() == (1,)
 
 
 def test_read_config_rejects_unknown_keys(tmp_path):

@@ -8,7 +8,7 @@ from bgret.model import (IntensityMeasurements, Method, SolverConfig,
                          SupportMask, assemble)
 from bgret.projections import (MagnitudeTarget, project_background,
                                project_magnitude, reflect)
-from bgret.solvers import (DivergenceError, IterationState, bdr_step, cbdr_step,
+from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
                            cbdr_parallel_real, hio_run, init_spectral,
                            magnitude_objective, pgd_step, run)
 from bgret.spectral import intensity
@@ -27,23 +27,19 @@ def make_instance(rng, n, k, two_d=False):
     return x, y, mask, b
 
 
-def state_of(z):
-    return IterationState(np.asarray(z, float), 0, math.inf)
-
-
 def test_init_spectral_two_point_example():
     # b=[4,0]: the pre-projection array is (1/2)*DFT([2,0]) = [1,1]
     mask = SupportMask.block((2,), (1,))
     y = np.array([0.0, 3.0])
-    state = init_spectral(IntensityMeasurements(np.array([4.0, 0.0])), y, mask)
-    assert state.z[0] == pytest.approx(1.0)
-    assert state.z[1] == 3.0  # background restored exactly
+    z = init_spectral(IntensityMeasurements(np.array([4.0, 0.0])), y, mask)
+    assert z[0] == pytest.approx(1.0)
+    assert z[1] == 3.0  # background restored exactly
 
 
 def test_init_spectral_zero_data():
     mask = SupportMask.block((3,), (1,))
-    state = init_spectral(IntensityMeasurements(np.zeros(3)), np.zeros(3), mask)
-    assert np.array_equal(state.z, np.zeros(3))
+    z = init_spectral(IntensityMeasurements(np.zeros(3)), np.zeros(3), mask)
+    assert np.array_equal(z, np.zeros(3))
 
 
 def test_pgd_lambda_one_equals_alternating_projection():
@@ -51,9 +47,9 @@ def test_pgd_lambda_one_equals_alternating_projection():
     x, y, mask, b = make_instance(rng, 6, 18)
     target = MagnitudeTarget.equality(b)
     z = rng.standard_normal(24)
-    stepped = pgd_step(state_of(z), target, y, mask, lam=1.0)
+    stepped = pgd_step(z, target, y, mask, lam=1.0)
     direct = project_background(project_magnitude(z, target), y, mask)
-    assert np.max(np.abs(stepped.z - direct)) == 0.0
+    assert np.max(np.abs(stepped - direct)) == 0.0
 
 
 def test_pgd_fixed_point_on_truth():
@@ -61,8 +57,8 @@ def test_pgd_fixed_point_on_truth():
     x, y, mask, b = make_instance(rng, 5, 15)
     truth = assemble(x, y, mask).values
     target = MagnitudeTarget.equality(b)
-    stepped = pgd_step(state_of(truth), target, y, mask, lam=1.0)
-    assert np.max(np.abs(stepped.z - truth)) <= 1e-12
+    stepped = pgd_step(truth, target, y, mask, lam=1.0)
+    assert np.max(np.abs(stepped - truth)) <= 1e-12
 
 
 def test_pgd_objective_monotone_at_lambda_one():
@@ -72,11 +68,11 @@ def test_pgd_objective_monotone_at_lambda_one():
         k = int(rng.integers(2, 20))
         x, y, mask, b = make_instance(rng, n, k)
         target = MagnitudeTarget.equality(b)
-        state = init_spectral(b, y, mask)
-        prev = magnitude_objective(state.z, target)
+        z = init_spectral(b, y, mask)
+        prev = magnitude_objective(z, target)
         for _ in range(5):
-            state = pgd_step(state, target, y, mask, lam=1.0)
-            now = magnitude_objective(state.z, target)
+            z = pgd_step(z, target, y, mask, lam=1.0)
+            now = magnitude_objective(z, target)
             assert now <= prev + 1e-12 * max(1.0, prev)
             prev = now
 
@@ -87,8 +83,8 @@ def test_bdr_step_worked_example():
     y = np.array([0.0, 5.0])
     b = intensity(np.array([2.0, 3.0]))
     target = MagnitudeTarget.equality(b)
-    stepped = bdr_step(state_of([2.0, 3.0]), target, y, mask, beta=1.0)
-    assert np.allclose(stepped.z, [2.0, 5.0], atol=1e-12)
+    stepped = bdr_step(np.array([2.0, 3.0]), target, y, mask, beta=1.0)
+    assert np.allclose(stepped, [2.0, 5.0], atol=1e-12)
 
 
 def test_bdr_step_equals_reflection_form():
@@ -97,10 +93,10 @@ def test_bdr_step_equals_reflection_form():
         x, y, mask, b = make_instance(rng, 4, 12)
         target = MagnitudeTarget.equality(b)
         z = rng.standard_normal(16)
-        stepped = bdr_step(state_of(z), target, y, mask, beta=1.0)
+        stepped = bdr_step(z, target, y, mask, beta=1.0)
         ra = reflect(z, lambda w: project_magnitude(w, target))
         rbra = reflect(ra, lambda w: project_background(w, y, mask))
-        assert np.max(np.abs(stepped.z - 0.5 * (rbra + z))) <= 1e-12
+        assert np.max(np.abs(stepped - 0.5 * (rbra + z))) <= 1e-12
 
 
 def test_bdr_step_on_magnitude_feasible_point():
@@ -110,8 +106,8 @@ def test_bdr_step_on_magnitude_feasible_point():
     truth = assemble(x, y, mask).values
     z = project_magnitude(rng.standard_normal(16), MagnitudeTarget.equality(b))
     target = MagnitudeTarget.equality(intensity(z))
-    stepped = bdr_step(state_of(z), target, y, mask)
-    assert np.max(np.abs(stepped.z - project_background(z, y, mask))) <= 1e-9
+    stepped = bdr_step(z, target, y, mask)
+    assert np.max(np.abs(stepped - project_background(z, y, mask))) <= 1e-9
 
 
 def test_bdr1_touches_only_background_coordinates():
@@ -121,12 +117,12 @@ def test_bdr1_touches_only_background_coordinates():
     z = rng.standard_normal(16)
     ztilde = project_magnitude(z, target)
     for beta in (1.0, 0.9, 0.5):
-        stepped = bdr_step(state_of(z), target, y, mask, beta=beta)
-        assert np.array_equal(stepped.z[mask.inside], ztilde[mask.inside])
+        stepped = bdr_step(z, target, y, mask, beta=beta)
+        assert np.array_equal(stepped[mask.inside], ztilde[mask.inside])
         off = ~mask.inside
-        assert np.allclose(stepped.z[off], z[off] - beta * (ztilde[off] - y[off]))
+        assert np.allclose(stepped[off], z[off] - beta * (ztilde[off] - y[off]))
         if beta == 1.0:
-            assert np.allclose(stepped.z[off], z[off] - ztilde[off] + y[off])
+            assert np.allclose(stepped[off], z[off] - ztilde[off] + y[off])
 
 
 def test_cbdr_step_fixed_on_feasible_point():
@@ -134,8 +130,8 @@ def test_cbdr_step_fixed_on_feasible_point():
     x, y, mask, b = make_instance(rng, 4, 12)
     truth = assemble(x, y, mask).values
     target = MagnitudeTarget.ball(b)
-    stepped = cbdr_step(state_of(truth), target, y, mask)
-    assert np.max(np.abs(stepped.z - truth)) <= 1e-12
+    stepped = cbdr_step(truth, target, y, mask)
+    assert np.max(np.abs(stepped - truth)) <= 1e-12
 
 
 def test_cbdr_interior_reduces_to_background_style_update():
@@ -143,8 +139,8 @@ def test_cbdr_interior_reduces_to_background_style_update():
     x, y, mask, b = make_instance(rng, 4, 12)
     z = 1e-3 * rng.standard_normal(16)  # spectrum well inside the ball
     target = MagnitudeTarget.ball(b)
-    stepped = cbdr_step(state_of(z), target, y, mask)
-    assert np.max(np.abs(stepped.z - project_background(z, y, mask))) <= 1e-12
+    stepped = cbdr_step(z, target, y, mask)
+    assert np.max(np.abs(stepped - project_background(z, y, mask))) <= 1e-12
 
 
 def test_cbdr_fejer_monotone_to_fixed_point():
@@ -152,17 +148,19 @@ def test_cbdr_fejer_monotone_to_fixed_point():
     x, y, mask, b = make_instance(rng, 4, 40)
     cfg = SolverConfig(method=Method.CBDR, max_iter=2000, eps=1e-13)
     target = MagnitudeTarget.ball(b)
-    state = init_spectral(b, y, mask)
+    z = init_spectral(b, y, mask)
     for _ in range(cfg.max_iter):
-        state = cbdr_step(state, target, y, mask)
-        if state.last_step_norm <= cfg.eps:
+        z_new = cbdr_step(z, target, y, mask)
+        step_norm = np.linalg.norm(z_new - z)
+        z = z_new
+        if step_norm <= cfg.eps:
             break
-    fixed = state.z
-    state = init_spectral(b, y, mask)
-    dist = np.linalg.norm(state.z - fixed)
+    fixed = z
+    z = init_spectral(b, y, mask)
+    dist = np.linalg.norm(z - fixed)
     for _ in range(200):
-        state = cbdr_step(state, target, y, mask)
-        new_dist = np.linalg.norm(state.z - fixed)
+        z = cbdr_step(z, target, y, mask)
+        new_dist = np.linalg.norm(z - fixed)
         assert new_dist <= dist + 1e-9
         dist = new_dist
 
@@ -235,11 +233,11 @@ def test_bdr_local_linear_convergence_statistical():
         target = MagnitudeTarget.equality(b)
         delta = rng.standard_normal(truth.shape)
         z0 = truth + 1e-3 * delta / np.linalg.norm(delta)
-        state = state_of(z0)
+        z = z0
         errs = []
         for _ in range(80):
-            state = bdr_step(state, target, y, mask)
-            err = np.linalg.norm(state.z - truth)
+            z = bdr_step(z, target, y, mask)
+            err = np.linalg.norm(z - truth)
             if err < 1e-13:
                 break
             errs.append(err)
@@ -361,15 +359,32 @@ def test_oversampled_theory_mode_runs():
     assert bdr_result.trace[-1, 0] < bdr_result.trace[0, 0]
 
 
-def test_divergence_guard():
+def test_divergence_guard(monkeypatch):
+    rng = np.random.default_rng(22)
+    x, y, mask, b = make_instance(rng, 4, 12)
+    z0 = np.zeros(16)
+    z0[5] = np.nan
+    for method in (Method.PGD, Method.BDR, Method.CBDR):
+        with pytest.raises(DivergenceError):
+            run(b, y, mask, SolverConfig(method=method), z0=z0)
     with pytest.raises(DivergenceError):
-        IterationState(np.array([1.0, np.nan]), 3, 0.0)
+        hio_run(b, mask, SolverConfig(method=Method.HIO), z0=z0)
+
+    # a step that turns the iterate non-finite is caught by the step norm,
+    # and run_trial reports it as an aborted row instead of raising
+    from bgret import harness, solvers
+    monkeypatch.setattr(solvers, "bdr_step", lambda z, *args: np.full_like(z, np.inf))
+    spec = harness.TrialSpec(master_seed=1, cell_id=0, trial_index=0, method=Method.BDR,
+                             sample_shape=(4,), background_sizes=(12,), max_iter=10)
+    row = harness.run_trial(spec)
+    assert row["aborted"] is True and row["iterations"] == 0
+    assert row["relative_error"] == math.inf
 
 
 def test_run_rejects_unknown_beta_lambda():
     rng = np.random.default_rng(20)
     x, y, mask, b = make_instance(rng, 4, 8)
     with pytest.raises(ValueError):
-        bdr_step(state_of(np.zeros(12)), MagnitudeTarget.equality(b), y, mask, beta=0.0)
+        bdr_step(np.zeros(12), MagnitudeTarget.equality(b), y, mask, beta=0.0)
     with pytest.raises(ValueError):
-        pgd_step(state_of(np.zeros(12)), MagnitudeTarget.equality(b), y, mask, lam=0.0)
+        pgd_step(np.zeros(12), MagnitudeTarget.equality(b), y, mask, lam=0.0)
