@@ -10,11 +10,11 @@ and a reproducible experiment harness with a CLI front end.
 
 __version__ = "0.1.0"
 
-from .model import (CombinedObject, Dims, IntensityMeasurements, Method,
-                    SolverConfig, SolverRun, SupportMask, assemble, extract, vec)
+from .model import (CombinedObject, IntensityMeasurements, Method, SolverConfig,
+                    SolverRun, SupportMask, assemble, extract)
 
 __all__ = [
     "__version__",
-    "CombinedObject", "Dims", "IntensityMeasurements", "Method",
-    "SolverConfig", "SolverRun", "SupportMask", "assemble", "extract", "vec",
+    "CombinedObject", "IntensityMeasurements", "Method",
+    "SolverConfig", "SolverRun", "SupportMask", "assemble", "extract",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,9 +21,8 @@ from . import __version__, harness, metrics, solvers
 from .io_formats import (DataFormatError, ExperimentConfig, manifest_now,
                          read_config, read_image, read_signal_csv, sha256_of,
                          write_image, write_results, write_signal_csv)
-from .model import Method, SolverConfig, SupportMask, assemble, background_sizes_for
+from .model import Method, SolverConfig, SupportMask, background_sizes_for
 from .rng import mix_seed
-from .spectral import intensity
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,54 +83,49 @@ def cmd_gen_signal(args) -> int:
     return EXIT_OK
 
 
+def _write_array(path: Path, values: np.ndarray) -> None:
+    """A 1-D array as a signal CSV, a 2-D one as an image."""
+    if values.ndim == 1:
+        write_signal_csv(path, values)
+    else:
+        write_image(path, values)
+
+
 def cmd_gen_background(args) -> int:
     shape = tuple(args.shape)
     sample = tuple(args.sample)
     mask = (SupportMask.centered(shape, sample) if args.placement == "center"
             else SupportMask.block(shape, sample))
     y = harness.gen_background(mask, mu=args.mu, sigma=args.sigma,
-                               seed=mix_seed(_seed(args), 1))
-    out = _out_dir(args)
-    if len(shape) == 1:
-        path = out / "background.csv"
-        write_signal_csv(path, y)
-    else:
-        path = out / "background.csv"
-        write_image(path, y)
+                               seed=mix_seed(_seed(args), harness.STREAM_BACKGROUND))
+    path = _out_dir(args) / "background.csv"
+    _write_array(path, y)
     print(path)
     return EXIT_OK
 
 
-def _load_object(args):
-    """Signal or image plus its mask geometry from CLI flags."""
+def _instance(args):
+    """Signal or image from CLI flags, its mask, and the background and
+    intensities drawn with --seed as the trial seed: the instance a harness
+    trial with that seed gets."""
     if args.image:
         x = read_image(args.image)
-        n = x.shape
     elif args.signal:
         x = read_signal_csv(args.signal)
-        n = (x.size,)
     else:
         raise SystemExit2("need --signal or --image")
+    n = x.shape
     k = background_sizes_for(args.k_ratio, n)
-    shape = tuple(ni + ki for ni, ki in zip(n, k))
-    mask = (SupportMask.centered(shape, n) if len(n) == 2
-            else SupportMask.block(shape, n))
-    return np.asarray(x, dtype=float), mask
+    mask = SupportMask.place(tuple(ni + ki for ni, ki in zip(n, k)), n)
+    y, b = harness.draw_instance(x, mask, _seed(args), args.noise_sigma)
+    return np.asarray(x, dtype=float), mask, y, b
 
 
 def cmd_forward(args) -> int:
-    x, mask = _load_object(args)
-    y = harness.gen_background(mask, seed=mix_seed(_seed(args), 1))
-    b = intensity(assemble(x.reshape(-1), y, mask))
-    if args.noise_sigma > 0:
-        b = harness.add_noise(b, harness.NoiseSpec(sigma=args.noise_sigma),
-                              seed=mix_seed(_seed(args), 2))
+    x, mask, y, b = _instance(args)
     out = _out_dir(args)
     write_image(out / "measurements.csv", np.atleast_2d(b.values))
-    if y.ndim == 1:
-        write_signal_csv(out / "background.csv", y)
-    else:
-        write_image(out / "background.csv", y)
+    _write_array(out / "background.csv", y)
     digests = {}
     for label in ("signal", "image"):
         path = getattr(args, label)
@@ -162,7 +157,7 @@ def cmd_solve(args) -> int:
             raise SystemExit2("--support dimension must match the spectrum")
         mask = SupportMask.centered(b.values.shape, support)
         config = SolverConfig(method=method, eps=args.eps, max_iter=args.max_iter,
-                              beta=args.beta, lam=args.lam, seed=_seed(args))
+                              beta=args.beta, lam=args.lam)
         result = solvers.hio_run(b, mask, config)
         out = _out_dir(args)
         write_image(out / "recovered.csv", mask.to_block(result.final_estimate))
@@ -171,28 +166,15 @@ def cmd_solve(args) -> int:
                "measurement_error": float(result.measurement_errors[-1]),
                "recovered": str(out / "recovered.csv")}, out / "solve_report.json")
         return EXIT_OK
-    x, mask = _load_object(args)
-    y = harness.gen_background(mask, seed=mix_seed(_seed(args), 1))
-    b = intensity(assemble(x.reshape(-1), y, mask))
-    if args.noise_sigma > 0:
-        b = harness.add_noise(b, harness.NoiseSpec(sigma=args.noise_sigma),
-                              seed=mix_seed(_seed(args), 2))
+    x, mask, y, b = _instance(args)
     config = SolverConfig(method=method, eps=args.eps, max_iter=args.max_iter,
-                          beta=args.beta, lam=args.lam, seed=_seed(args))
-    if method is Method.CBDR:
-        result = solvers.cbdr_parallel_real(b, y, mask, config, x_true=x.reshape(-1))
-    elif method is Method.HIO:
-        result = solvers.hio_run(b, mask, config, x_true=x.reshape(-1))
-    else:
-        result = solvers.run(b, y, mask, config, x_true=x.reshape(-1))
+                          beta=args.beta, lam=args.lam)
+    result = solvers.run(b, y, mask, config, x_true=x.reshape(-1))
     image_shape = x.shape if x.ndim == 2 else None
     report = metrics.evaluate(result.final_estimate, x.reshape(-1), y, mask, b,
                               image_shape=image_shape)
     out = _out_dir(args)
-    if image_shape:
-        write_image(out / "recovered.csv", result.final_estimate.reshape(image_shape))
-    else:
-        write_signal_csv(out / "recovered.csv", result.final_estimate)
+    _write_array(out / "recovered.csv", mask.to_block(result.final_estimate))
     _emit({"method": method.value, "iterations": result.iterations_used,
            "converged": result.converged, "relative_error": report.relative_error,
            "measurement_error": report.measurement_error, "psnr": report.psnr_db,
@@ -203,14 +185,19 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    ratios = np.arange(args.ratio_min, args.ratio_max + 1e-9, args.ratio_step)
+    if not args.ratio_step > 0:
+        raise SystemExit2("--ratio-step must be positive")
+    # ratio i from its index rather than a running sum, whose drift
+    # (0.25000000000000006 for 0.05 + 2 * 0.1) moves k at half-way points
+    count = math.ceil((args.ratio_max + 1e-9 - args.ratio_min) / args.ratio_step)
+    ratios = [round(args.ratio_min + i * args.ratio_step, 10) for i in range(count)]
     signal_values = None
     if cfg.signal_type == harness.SIGNAL_CSV:
         path = cfg.paths.get("signal")
         if not path:
             raise DataFormatError("signal_type 3 needs paths.signal in the config")
         signal_values = read_signal_csv(path)
-    grid = harness.sweep_phase_transition(cfg, [float(r) for r in ratios],
+    grid = harness.sweep_phase_transition(cfg, ratios,
                                           signal_values=signal_values,
                                           workers=harness.resolve_workers(args.workers))
     harness.write_sweep_outputs(_out_dir(args), grid, cfg, __version__)

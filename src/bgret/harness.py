@@ -2,6 +2,11 @@
 seeded trials, phase-transition sweeps, 2-D image benchmarks, location-bias
 and noise-robustness studies, plus the theory verification commands.
 
+One trial path: ``draw_instance`` turns a sample, its mask and a trial seed
+into the background and the measured intensities (``run_trial`` and the CLI's
+forward/solve both use it), ``SupportMask.place`` is the placement rule and
+``solvers.run`` is the only solver call.
+
 Determinism contract: a sweep is a pure function of (config, master seed),
 independent of the worker count. Per-trial seeds are
 mix_seed(master_seed, cell_index, trial_index) and the generator substreams
@@ -176,11 +181,20 @@ class TrialSpec:
         return tuple(n + k for n, k in zip(self.sample_shape, self.background_sizes))
 
     def make_mask(self) -> SupportMask:
-        if self.offset is not None:
-            return SupportMask.block(self.object_shape, self.sample_shape, self.offset)
-        if len(self.sample_shape) == 2:
-            return SupportMask.centered(self.object_shape, self.sample_shape)
-        return SupportMask.block(self.object_shape, self.sample_shape)
+        return SupportMask.place(self.object_shape, self.sample_shape, self.offset)
+
+
+def draw_instance(x: np.ndarray, mask: SupportMask, trial_seed: int,
+                  noise_sigma: float) -> tuple[np.ndarray, IntensityMeasurements]:
+    """Background (substream STREAM_BACKGROUND) and the intensities of the
+    combined object, noisy (substream STREAM_NOISE) when noise_sigma > 0."""
+    background = gen_background(
+        mask, rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_BACKGROUND)))
+    b = intensity(assemble(x, background, mask))
+    if noise_sigma > 0:
+        b = add_noise(b, NoiseSpec(sigma=noise_sigma),
+                      rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_NOISE)))
+    return background, b
 
 
 def run_trial(spec: TrialSpec) -> dict:
@@ -197,23 +211,15 @@ def run_trial(spec: TrialSpec) -> dict:
     else:
         x = gen_signal(spec.signal_type, n_total,
                        rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_SIGNAL)))
-    background = gen_background(
-        mask, rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_BACKGROUND)))
-    b = intensity(assemble(x, background, mask))
-    if spec.noise_sigma > 0:
-        b = add_noise(b, NoiseSpec(sigma=spec.noise_sigma),
-                      rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_NOISE)))
+    background, b = draw_instance(x, mask, trial_seed, spec.noise_sigma)
 
     config = SolverConfig(method=spec.method, eps=spec.eps, max_iter=spec.max_iter,
-                          beta=spec.beta, lam=spec.lam, seed=trial_seed)
+                          beta=spec.beta, lam=spec.lam)
     image_shape = spec.sample_shape if len(spec.sample_shape) == 2 else None
     start = time.perf_counter()
     aborted = False
     try:
-        if spec.method is Method.CBDR:
-            result = solvers.cbdr_parallel_real(b, background, mask, config, x_true=x)
-        else:
-            result = solvers.run(b, background, mask, config, x_true=x)
+        result = solvers.run(b, background, mask, config, x_true=x)
     except solvers.DivergenceError:
         aborted = True
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -378,8 +384,7 @@ def write_sweep_outputs(out_dir, grid: SweepGrid, config: ExperimentConfig,
 # -- 2-D studies ----------------------------------------------------------------
 
 def _image_specs(image: np.ndarray, k_ratio: float, methods: Sequence[Method],
-                 trials: int, seed: int, eps: float, max_iter: int, beta: float,
-                 lam: float, noise_sigma: float = 0.0,
+                 trials: int, seed: int, max_iter: int, noise_sigma: float = 0.0,
                  offset: Optional[tuple[int, ...]] = None,
                  cell_id: int = 0) -> list[TrialSpec]:
     image = np.asarray(image, dtype=float)
@@ -393,8 +398,8 @@ def _image_specs(image: np.ndarray, k_ratio: float, methods: Sequence[Method],
             specs.append(TrialSpec(
                 master_seed=seed, cell_id=cell_id, trial_index=trial,
                 method=Method.parse(method), sample_shape=n, background_sizes=k,
-                eps=eps, max_iter=max_iter, beta=beta, lam=lam,
-                noise_sigma=noise_sigma, signal=image.reshape(-1), offset=offset))
+                max_iter=max_iter, noise_sigma=noise_sigma, signal=image.reshape(-1),
+                offset=offset))
     return specs
 
 
@@ -419,15 +424,12 @@ def _method_summary(rows: list[dict], methods: Sequence[Method]) -> dict:
 
 def image_benchmark(image: np.ndarray, k_ratio: float, num_backgrounds: int,
                     methods: Sequence[Method] = (Method.PGD, Method.BDR),
-                    seed: int = 0, eps: float = 1e-12, max_iter: int = 300,
-                    beta: float = 0.9, lam: float = 1.0,
-                    workers: int = 1) -> dict:
+                    seed: int = 0, max_iter: int = 300, workers: int = 1) -> dict:
     """Repeat recovery of one centered image over random backgrounds; per
     method report the median and 25/75 quantiles of PSNR/SSIM plus timing.
     The background stream depends only on the trial index, so methods see
     identical instances."""
-    specs = _image_specs(image, k_ratio, methods, num_backgrounds, seed,
-                         eps, max_iter, beta, lam)
+    specs = _image_specs(image, k_ratio, methods, num_backgrounds, seed, max_iter)
     rows = run_trials(specs, workers=workers)
     return {"rows": rows, "summary": _method_summary(rows, methods),
             "k_ratio": k_ratio, "num_backgrounds": num_backgrounds}
@@ -449,9 +451,7 @@ def default_bias_offsets(object_shape: Sequence[int], sample_shape: Sequence[int
 def location_bias_study(image: np.ndarray, k_ratio: float,
                         offsets: Sequence[tuple[int, ...]], trials: int,
                         method: Method = Method.BDR, seed: int = 0,
-                        eps: float = 1e-12, max_iter: int = 300,
-                        beta: float = 0.9, lam: float = 1.0,
-                        workers: int = 1) -> dict:
+                        max_iter: int = 300, workers: int = 1) -> dict:
     """Mean PSNR/SSIM/relative error per support offset. Every offset is
     computed in full; position symmetry is never used as a shortcut."""
     image = np.asarray(image, dtype=float)
@@ -462,9 +462,8 @@ def location_bias_study(image: np.ndarray, k_ratio: float,
     for cell_id, offset in enumerate(offsets):
         offset = tuple(int(v) for v in offset)
         SupportMask.block(object_shape, n, offset)  # validates range
-        specs.extend(_image_specs(image, k_ratio, [method], trials, seed,
-                                  eps, max_iter, beta, lam, offset=offset,
-                                  cell_id=cell_id))
+        specs.extend(_image_specs(image, k_ratio, [method], trials, seed, max_iter,
+                                  offset=offset, cell_id=cell_id))
     rows = run_trials(specs, workers=workers)
     positions = []
     for cell_id, offset in enumerate(offsets):
@@ -483,13 +482,11 @@ def location_bias_study(image: np.ndarray, k_ratio: float,
 
 def noise_benchmark(image: np.ndarray, sigma: float, k_ratio: float, trials: int,
                     methods: Sequence[Method] = (Method.PGD, Method.BDR, Method.BDR1),
-                    seed: int = 0, eps: float = 1e-12, max_iter: int = 300,
-                    beta: float = 0.9, lam: float = 1.0,
-                    workers: int = 1) -> dict:
+                    seed: int = 0, max_iter: int = 300, workers: int = 1) -> dict:
     """Noisy-measurement comparison; per trial all methods share the same
     background and noise draw, so rows pair exactly."""
-    specs = _image_specs(image, k_ratio, methods, trials, seed, eps, max_iter,
-                         beta, lam, noise_sigma=sigma)
+    specs = _image_specs(image, k_ratio, methods, trials, seed, max_iter,
+                         noise_sigma=sigma)
     rows = run_trials(specs, workers=workers)
     summary = _method_summary(rows, methods)
     per_trial = {}

@@ -1,12 +1,12 @@
-"""Shared data model: problem dimensions, support masks, combined objects,
-intensity measurements and solver configuration.
+"""Shared data model: support masks, combined objects, intensity
+measurements and solver configuration.
 
 Conventions used by every module
 --------------------------------
 * Arrays are real float64 on the object grid of shape (n_i + k_i) per axis,
   1-D or 2-D. Dimensions above 2 are rejected.
-* Vectorization is row-major everywhere; :func:`vec` is the single canonical
-  ordering and boolean masks index in the same order.
+* Vectorization is row-major everywhere, and boolean masks index in the
+  same order.
 * Value types are frozen dataclasses holding read-only arrays, safe to share
   across workers.
 """
@@ -21,19 +21,11 @@ import numpy as np
 
 MAX_DIMS = 2
 
-#: Largest admissible RNG seed (64-bit unsigned).
-SEED_MASK = (1 << 64) - 1
-
 
 def background_sizes_for(ratio: float, sizes: Sequence[int]) -> tuple[int, ...]:
     """The one rule turning a ratio k/n into background sizes:
     k_i = max(1, round(ratio * n_i)), rounding half to even."""
     return tuple(max(1, int(round(ratio * n))) for n in sizes)
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Canonical row-major vectorization shared by all matrix constructions."""
-    return np.asarray(a).reshape(-1)
 
 
 def _readonly(a, dtype=None) -> np.ndarray:
@@ -49,61 +41,6 @@ def mirror_index(values: np.ndarray) -> np.ndarray:
         out = np.flip(out, axis=axis)
         out = np.roll(out, 1, axis=axis)
     return out
-
-
-@dataclass(frozen=True)
-class Dims:
-    """Per-axis sample sizes n_i, background sizes k_i and measurement sizes m_i."""
-
-    sizes: tuple[int, ...]
-    background_sizes: tuple[int, ...]
-    measurement_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        n, k, m = self.sizes, self.background_sizes, self.measurement_sizes
-        if not (len(n) == len(k) == len(m)):
-            raise ValueError("sizes, background_sizes and measurement_sizes must share length")
-        d = len(n)
-        if d < 1 or d > MAX_DIMS:
-            raise ValueError(f"dimension {d} not supported (1 <= d <= {MAX_DIMS})")
-        if any(ni < 1 for ni in n):
-            raise ValueError("sample sizes must be positive")
-        if any(ki < 0 for ki in k):
-            raise ValueError("background sizes must be nonnegative")
-        if any(mi < ni + ki for ni, ki, mi in zip(n, k, m)):
-            raise ValueError("measurement sizes must satisfy m_i >= n_i + k_i")
-
-    @classmethod
-    def create(cls, sizes: Sequence[int], background_sizes: Sequence[int],
-               measurement_sizes: Optional[Sequence[int]] = None) -> "Dims":
-        """Build dims; measurement sizes default to n_i + k_i (no oversampling)."""
-        n = tuple(int(v) for v in sizes)
-        k = tuple(int(v) for v in background_sizes)
-        if measurement_sizes is None:
-            m = tuple(ni + ki for ni, ki in zip(n, k))
-        else:
-            m = tuple(int(v) for v in measurement_sizes)
-        return cls(n, k, m)
-
-    @property
-    def d(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def object_shape(self) -> tuple[int, ...]:
-        return tuple(ni + ki for ni, ki in zip(self.sizes, self.background_sizes))
-
-    @property
-    def grid_size(self) -> int:
-        return int(np.prod(self.measurement_sizes))
-
-    @property
-    def sample_count(self) -> int:
-        return int(np.prod(self.sizes))
-
-    @property
-    def oversampled(self) -> bool:
-        return self.measurement_sizes != self.object_shape
 
 
 @dataclass(frozen=True)
@@ -150,6 +87,15 @@ class SupportMask:
     @classmethod
     def centered(cls, object_shape: Sequence[int], sample_shape: Sequence[int]) -> "SupportMask":
         offset = tuple((m - n) // 2 for m, n in zip(object_shape, sample_shape))
+        return cls.block(object_shape, sample_shape, offset)
+
+    @classmethod
+    def place(cls, object_shape: Sequence[int], sample_shape: Sequence[int],
+              offset: Optional[Sequence[int]] = None) -> "SupportMask":
+        """The experiments' placement rule: a block at an explicit offset,
+        otherwise centered in 2-D and at the corner in 1-D."""
+        if offset is None and len(sample_shape) == 2:
+            return cls.centered(object_shape, sample_shape)
         return cls.block(object_shape, sample_shape, offset)
 
     @property
@@ -228,6 +174,8 @@ class IntensityMeasurements:
         v = np.asarray(self.values, dtype=float)
         if v.ndim < 1 or v.ndim > MAX_DIMS:
             raise ValueError(f"measurement dimension {v.ndim} not supported")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("intensity measurements must be finite")
         if np.any(v < 0.0):
             raise ValueError("intensity measurements must be nonnegative")
         if self.conj_symmetric:
@@ -269,14 +217,13 @@ class Method(str, Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs: stopping tolerance eps, iteration cap, relaxation beta
-    (BDR1/HIO), PGD learning rate lam, and the 64-bit run seed."""
+    (BDR1/HIO) and PGD learning rate lam."""
 
     method: Method
     eps: float = 1e-12
     max_iter: int = 300
     beta: float = 0.9
     lam: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method.parse(self.method))
@@ -288,8 +235,6 @@ class SolverConfig:
             raise ValueError("beta must lie in (0, 1]")
         if not self.lam > 0:
             raise ValueError("lam must be positive")
-        if not (0 <= int(self.seed) <= SEED_MASK):
-            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)

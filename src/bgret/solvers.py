@@ -9,20 +9,21 @@ Five methods share one loop skeleton:
 * BDR1     the beta-damped background update z - beta*(ztilde - y); noise
            mode, background-consistent fixed points for every beta.
 * CBDR     same coordinate update with the convex ball projection replacing
-           the magnitude equality; a two-branch driver pins the DC sign for
-           real signals and keeps the branch with the smaller measurement
-           error.
+           the magnitude equality; it always runs as two branches that pin
+           the DC sign for real signals, keeping the branch with the smaller
+           measurement error.
 * HIO      classic hybrid input-output on a bare support (no background
            values): inside the support take the magnitude-projection output,
            outside z - beta*P_A(z).
 
-Each step maps a plain float array z^{p-1} to z^p; ``_iterate`` is the one
-loop. Every run starts from the deterministic spectral initializer
-z0 = P_B((1/prod m) * DFT(b^{1/2})) unless an explicit start is supplied (HIO
-starts from the unprojected transform), and stops when the step norm
-||z^p - z^{p-1}|| is at most eps or the iteration cap is reached. Divergence
-is detected from that same step norm: a non-finite start or step norm raises
-DivergenceError rather than being clamped, so traces stay honest.
+``run`` is the one entry point: it sends HIO to ``hio_run`` and CBDR to the
+two-branch ``cbdr_parallel_real``. Each step maps a plain float array z^{p-1}
+to z^p; ``_iterate`` is the one loop. Every run starts from the deterministic
+spectral initializer z0 = P_B((1/prod m) * DFT(b^{1/2})) unless an explicit
+start is supplied (HIO starts from the unprojected transform), and stops when
+the step norm ||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
+Divergence is detected from that same step norm: a non-finite start or step
+norm raises DivergenceError rather than being clamped, so traces stay honest.
 """
 
 from __future__ import annotations
@@ -144,12 +145,10 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
     method = config.method
     if method is Method.HIO:
         return hio_run(b, mask, config, x_true=x_true, z0=z0)
-
     if method is Method.CBDR:
-        target = MagnitudeTarget.ball(b)
-        step = lambda z: cbdr_step(z, target, background, mask)
-        final = lambda z: project_magnitude_ball(z, target)
-    elif method is Method.PGD:
+        return cbdr_parallel_real(b, background, mask, config, x_true=x_true, z0=z0)
+
+    if method is Method.PGD:
         target = MagnitudeTarget.equality(b)
         step = lambda z: pgd_step(z, target, background, mask, config.lam)
         final = None

@@ -3,7 +3,11 @@ import json
 import numpy as np
 
 from bgret.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from bgret.io_formats import read_results, read_signal_csv, write_image, write_signal_csv
+from bgret.io_formats import (read_image, read_results, read_signal_csv, write_image,
+                              write_signal_csv)
+from bgret.model import IntensityMeasurements, Method, SolverConfig, SupportMask, assemble
+from bgret.solvers import cbdr_parallel_real
+from bgret.spectral import intensity
 
 
 def test_usage_error_exit_code(capsys):
@@ -35,6 +39,44 @@ def test_gen_background_cli(tmp_path, capsys):
     capsys.readouterr()
     y = read_signal_csv(out / "background.csv")
     assert y.size == 12 and np.all(y[:4] == 0.0)
+
+
+def _forward_instance(tmp_path, capsys, n=8, k_ratio="5", seed="5"):
+    # one 1-D signal through `bgret forward`; returns its inputs and outputs
+    x = np.random.default_rng(1).standard_normal(n)
+    sig = tmp_path / "x.csv"
+    write_signal_csv(sig, x)
+    out = tmp_path / "fwd"
+    assert main(["forward", "--signal", str(sig), "--k-ratio", k_ratio,
+                 "--seed", seed, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    return sig, x, out
+
+
+def test_forward_cli_matches_gen_background_and_intensity(tmp_path, capsys):
+    sig, x, out = _forward_instance(tmp_path, capsys)
+    bg_out = tmp_path / "bg"
+    assert main(["gen-background", "--shape", "48", "--sample", "8", "--seed", "5",
+                 "--out", str(bg_out)]) == EXIT_OK
+    capsys.readouterr()
+    assert (out / "background.csv").read_bytes() == (bg_out / "background.csv").read_bytes()
+    y = read_signal_csv(out / "background.csv")
+    expected = intensity(assemble(x, y, SupportMask.block((48,), (8,)))).values
+    assert np.array_equal(read_image(out / "measurements.csv"), np.atleast_2d(expected))
+
+
+def test_solve_cli_cbdr_runs_two_branch_driver(tmp_path, capsys):
+    sig, x, out = _forward_instance(tmp_path, capsys)
+    rc = main(["solve", "--method", "cbdr", "--signal", str(sig), "--k-ratio", "5",
+               "--seed", "5", "--max-iter", "200", "--out", str(tmp_path / "s")])
+    assert rc == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    y = read_signal_csv(out / "background.csv")
+    b = IntensityMeasurements(read_image(out / "measurements.csv").reshape(-1))
+    direct = cbdr_parallel_real(b, y, SupportMask.block((48,), (8,)),
+                                SolverConfig(method=Method.CBDR, max_iter=200), x_true=x)
+    assert payload["iterations"] == direct.iterations_used
+    assert payload["converged"] == direct.converged
 
 
 def test_solve_cli_round_trip(tmp_path, capsys):
@@ -100,6 +142,21 @@ def test_sweep_cli_writes_outputs(tmp_path, capsys):
     recount = sum(r["success"] for r in rows)
     assert int(rates_lines[1].split(",")[4]) == recount
     assert (out / "transitions.csv").exists()
+
+
+def test_sweep_cli_ratio_grid_has_no_drift(tmp_path, capsys):
+    # an accumulated grid reaches 0.25000000000000006 at the third step and
+    # rounds k = 2.5000000000000004 up to 3; the typed 0.25 gives k = 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "BDR", "n": 10, "k_ratio": 3,
+                               "trials": 1, "seed": 2, "max_iter": 5}))
+    out = tmp_path / "grid"
+    rc = main(["sweep", "--config", str(cfg), "--ratio-min", "0.05",
+               "--ratio-max", "0.95", "--ratio-step", "0.1", "--out", str(out)])
+    assert rc == EXIT_OK
+    capsys.readouterr()
+    rates = [line.split(",") for line in (out / "rates.csv").read_text().splitlines()[1:]]
+    assert [int(r[1]) for r in rates] == [1, 2, 2, 4, 4, 6, 6, 8, 8, 10]
 
 
 def test_verify_cli_exit_codes(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgret.model import (Dims, IntensityMeasurements, Method, SolverConfig,
-                         SolverRun, SupportMask, assemble, extract, mirror_index, vec)
+from bgret.model import (IntensityMeasurements, Method, SolverConfig, SolverRun,
+                         SupportMask, assemble, extract, mirror_index)
 
 
 def test_assemble_1d_example():
@@ -78,24 +78,6 @@ def test_assemble_rejects_bad_inputs():
         assemble([1.0], bad_y, mask)
 
 
-def test_vec_is_row_major():
-    a = np.arange(6.0).reshape(2, 3)
-    assert vec(a).tolist() == [0, 1, 2, 3, 4, 5]
-
-
-def test_dims_validation():
-    d = Dims.create((3, 4), (6, 8))
-    assert d.measurement_sizes == (9, 12)
-    assert d.object_shape == (9, 12)
-    assert not d.oversampled
-    with pytest.raises(ValueError):
-        Dims.create((3, 4, 5), (1, 1, 1))  # d > 2 rejected
-    with pytest.raises(ValueError):
-        Dims.create((0,), (3,))
-    with pytest.raises(ValueError):
-        Dims.create((3,), (2,), measurement_sizes=(4,))  # m < n + k
-
-
 def test_mask_validation():
     with pytest.raises(ValueError):
         SupportMask.block((4,), (2,), offset=(3,))  # does not fit
@@ -104,6 +86,16 @@ def test_mask_validation():
     m = SupportMask.centered((10,), (4,))
     assert m.offset == (3,)
     assert m.sample_count == 4
+
+
+def test_placement_rule():
+    # no offset: corner in 1-D, centered in 2-D; an explicit offset wins in both
+    assert SupportMask.place((10,), (4,)).offset == (0,)
+    assert SupportMask.place((10, 9), (4, 4)).offset == (3, 2)
+    assert SupportMask.place((10,), (4,), (5,)).offset == (5,)
+    assert SupportMask.place((10, 9), (4, 4), (0, 1)).offset == (0, 1)
+    with pytest.raises(ValueError):
+        SupportMask.place((10,), (4,), (7,))
 
 
 def test_intensity_measurements_validation():
@@ -115,6 +107,16 @@ def test_intensity_measurements_validation():
     assert np.array_equal(b.root, [2.0, 1.0, 1.0])
     # asymmetric data is fine when flagged complex
     IntensityMeasurements(np.array([1.0, 2.0, 3.0]), conj_symmetric=False)
+
+
+def test_intensity_measurements_reject_non_finite():
+    # NaN passes both the sign and the symmetry comparison, so it needs its own check
+    with pytest.raises(ValueError):
+        IntensityMeasurements(np.array([np.nan, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        IntensityMeasurements(np.array([np.inf, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        IntensityMeasurements(np.array([1.0, np.nan, 2.0]), conj_symmetric=False)
 
 
 def test_mirror_index():

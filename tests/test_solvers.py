@@ -281,6 +281,18 @@ def test_cbdr_parallel_real_monte_carlo_rate():
     assert hits >= 8
 
 
+def test_run_cbdr_is_the_two_branch_driver():
+    rng = np.random.default_rng(18)
+    x, y, mask, b = make_instance(rng, 10, 60)
+    cfg = SolverConfig(method=Method.CBDR, max_iter=150)
+    via_run = run(b, y, mask, cfg, x_true=x)
+    direct = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
+    assert via_run.iterations_used == direct.iterations_used
+    assert via_run.converged == direct.converged
+    assert np.array_equal(via_run.final_estimate, direct.final_estimate)
+    assert np.array_equal(via_run.trace, direct.trace)
+
+
 def test_cbdr_parallel_real_tie_break_is_plus_branch():
     # integer-valued truth with exactly zero sum: b_1 = 0 exactly, both
     # branches coincide and the + branch wins by documented order
