@@ -16,10 +16,18 @@ from typing import Optional
 import numpy as np
 
 from .model import IntensityMeasurements, SupportMask
-from .spectral import dft_forward
+from .spectral import Workspace, dft_forward, spectrum_buffers
 
 #: Relative errors strictly below this threshold count as successful recovery.
 SUCCESS_THRESHOLD = 1e-5
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """sqrt(v . v) over the flattened float array: the arithmetic of
+    np.linalg.norm for a vector (one BLAS dot), without its argument handling."""
+    if v.ndim != 1:
+        v = v.reshape(-1)
+    return math.sqrt(v.dot(v))
 
 
 def relative_error(x_hat, x) -> float:
@@ -35,17 +43,24 @@ def relative_error(x_hat, x) -> float:
 
 
 def measurement_error(x_hat, background, mask: SupportMask,
-                      b: IntensityMeasurements) -> float:
-    """|| |DFT([x_hat; y])|^2 - b ||_2 / ||b||_2."""
-    denom = float(np.linalg.norm(b.values.reshape(-1)))
+                      b: IntensityMeasurements, out: Optional[Workspace] = None) -> float:
+    """|| |DFT([x_hat; y])|^2 - b ||_2 / ||b||_2.
+
+    ``out`` is an optional ``spectral.Workspace`` built for this background
+    and mask: x_hat is written onto the support of its combined object, whose
+    background was placed once, and the transform runs in its buffers.
+    """
+    denom = b.norm
     if denom == 0.0:
         raise ValueError("measurement error undefined for zero measurements")
     # called on every solver iteration, so x_hat goes onto the support
     # directly rather than through a validated CombinedObject
-    z = np.array(background, dtype=float)
+    z = np.array(background, dtype=float) if out is None else out.combined
     z[mask.inside] = np.asarray(x_hat, dtype=float).reshape(-1)
-    i_hat = np.abs(dft_forward(z, b.shape)) ** 2
-    return float(np.linalg.norm((i_hat - b.values).reshape(-1))) / denom
+    spectrum, i_hat = spectrum_buffers(out, b.shape)
+    np.abs(dft_forward(z, b.shape, out=spectrum), out=i_hat)
+    np.square(i_hat, out=i_hat)
+    return l2_norm(np.subtract(i_hat, b.values, out=i_hat)) / denom
 
 
 def _default_peak(reference: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -194,6 +195,11 @@ class IntensityMeasurements:
     def root(self) -> np.ndarray:
         """Elementwise square root b^{1/2}."""
         return np.sqrt(self.values)
+
+    @cached_property
+    def norm(self) -> float:
+        """||b||_2, the measurement error's denominator, computed once."""
+        return float(np.linalg.norm(self.values.reshape(-1)))
 
 
 class Method(str, Enum):

@@ -6,6 +6,13 @@ conjugate-symmetric spectrum is real up to rounding, and the real part is
 taken so iterates stay in R^{n+k}. When a spectral coefficient vanishes the
 magnitude projection is not unique; phase 1 is used, which keeps runs
 reproducible.
+
+The projectors take ``out=``: either a ``spectral.Workspace``, whose spectrum
+and magnitude buffers the projection is computed in, or None, for new ones.
+The code is the same either way; the projection returned is the real part of
+the spectrum buffer on the object grid (a copy when the measurement grid is
+oversampled), so with a workspace it is a view, valid until its next use.
+``project_background`` takes an ordinary ``out`` array.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import IntensityMeasurements, SupportMask, _readonly
-from .spectral import crop, dft_forward, dft_inverse
+from .spectral import Workspace, crop, dft_forward, dft_inverse, spectrum_buffers
 
 
 class MagnitudeMode(Enum):
@@ -73,40 +80,58 @@ class MagnitudeTarget:
         return self.root_intensity.shape
 
 
-def project_magnitude(z: np.ndarray, target: MagnitudeTarget) -> np.ndarray:
+def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # num / mag where mag > 0, and 1 where the magnitude vanishes (or is NaN);
+    # the mask is only built when some magnitude is not positive
+    if mag.min() > 0.0:
+        return np.divide(num, mag, out=out)
+    nonzero = mag > 0
+    np.divide(num, mag, out=out, where=nonzero)
+    out[~nonzero] = 1.0
+    return out
+
+
+def project_magnitude(z: np.ndarray, target: MagnitudeTarget,
+                      out: Optional[Workspace] = None) -> np.ndarray:
     """Replace spectral magnitudes with b^{1/2}, keeping the phases of z."""
     if target.mode is not MagnitudeMode.EQUALITY:
         raise ValueError("project_magnitude expects an equality-mode target")
     z = np.asarray(z, dtype=float)
-    zhat = dft_forward(z, target.shape)
-    mag = np.abs(zhat)
-    phase = np.divide(zhat, mag, out=np.ones_like(zhat), where=mag > 0)
-    return crop(dft_inverse(target.root_intensity * phase).real, z.shape)
+    spectrum, mag = spectrum_buffers(out, target.shape)
+    zhat = dft_forward(z, target.shape, out=spectrum)
+    phase = _divide_nonzero(zhat, np.abs(zhat, out=mag), out=zhat)
+    what = np.multiply(target.root_intensity, phase, out=zhat)
+    return crop(dft_inverse(what, out=what).real, z.shape)
 
 
-def project_magnitude_ball(z: np.ndarray, target: MagnitudeTarget) -> np.ndarray:
+def project_magnitude_ball(z: np.ndarray, target: MagnitudeTarget,
+                           out: Optional[Workspace] = None) -> np.ndarray:
     """Radially clamp spectral magnitudes to at most b^{1/2}; coefficients
     already inside the ball are untouched. A pinned DC is set exactly."""
     if target.mode is not MagnitudeMode.BALL:
         raise ValueError("project_magnitude_ball expects a ball-mode target")
     z = np.asarray(z, dtype=float)
-    zhat = dft_forward(z, target.shape)
-    mag = np.abs(zhat)
-    scale = np.divide(target.root_intensity, mag, out=np.ones_like(mag), where=mag > 0)
-    what = zhat * np.minimum(1.0, scale)
+    spectrum, mag = spectrum_buffers(out, target.shape)
+    zhat = dft_forward(z, target.shape, out=spectrum)
+    scale = _divide_nonzero(target.root_intensity, np.abs(zhat, out=mag), out=mag)
+    what = np.multiply(zhat, np.minimum(1.0, scale, out=scale), out=zhat)
     if target.dc is not None:
         what.flat[0] = target.dc.sign * target.dc.value
-    return crop(dft_inverse(what).real, z.shape)
+    return crop(dft_inverse(what, out=what).real, z.shape)
 
 
-def project_background(z: np.ndarray, background: np.ndarray, mask: SupportMask) -> np.ndarray:
-    """Nearest point of the affine set B: keep z on Ω, restore y elsewhere."""
+def project_background(z: np.ndarray, background: np.ndarray, mask: SupportMask,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Nearest point of the affine set B: keep z on Ω, restore y elsewhere.
+    ``out`` is an optional array of the object grid that does not overlap z."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(background, dtype=float)
     if z.shape != mask.shape or y.shape != mask.shape:
         raise ValueError("shapes do not match the support mask")
-    out = y.copy()
-    out[mask.inside] = z[mask.inside]
+    if out is None:
+        out = np.empty(mask.shape)
+    np.copyto(out, y)
+    np.copyto(out, z, where=mask.inside)
     return out
 
 

@@ -24,6 +24,14 @@ start is supplied (HIO starts from the unprojected transform), and stops when
 the step norm ||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
 Divergence is detected from that same step norm: a non-finite start or step
 norm raises DivergenceError rather than being clamped, so traces stay honest.
+
+Each ``_iterate`` call (so each CBDR branch) builds one ``spectral.Workspace``
+and passes it as ``out=`` to the step, which writes z^p into the iterate
+buffer that does not hold z^{p-1}, and to ``metrics.measurement_error`` for
+the trace row. The norms of b and of the ground truth are computed once per
+run; the arithmetic is that of the allocating path, so the bytes are the
+same. The estimate and the trace a run returns are copies, never views of
+its workspace, and the caller's z0, background and measurements are only read.
 """
 
 from __future__ import annotations
@@ -33,11 +41,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import measurement_error, relative_error
+from .metrics import l2_norm, measurement_error
 from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask
 from .projections import (MagnitudeTarget, project_background,
                           project_magnitude, project_magnitude_ball)
-from .spectral import crop, dft_forward
+from .spectral import Workspace, crop, dft_forward
 
 
 class DivergenceError(RuntimeError):
@@ -55,43 +63,64 @@ def init_spectral(b: IntensityMeasurements, background: np.ndarray,
     return project_background(_spectral_start(b.root, mask.shape), background, mask)
 
 
+def _destination(out: Optional[Workspace], z: np.ndarray) -> Optional[np.ndarray]:
+    # where a step writes z^p: the workspace iterate buffer not holding z, or
+    # a new array without a workspace
+    return None if out is None else out.next_iterate(z)
+
+
 def pgd_step(z: np.ndarray, target: MagnitudeTarget, background: np.ndarray,
-             mask: SupportMask, lam: float = 1.0) -> np.ndarray:
+             mask: SupportMask, lam: float = 1.0,
+             out: Optional[Workspace] = None) -> np.ndarray:
     """Projected gradient step; the subgradient of the magnitude objective is
     z - P_A(z), so lam=1 reduces to the alternating projection P_B(P_A(z))."""
     if not lam > 0:
         raise ValueError("learning rate must be positive")
-    ztilde = project_magnitude(z, target)
-    if lam == 1.0:
-        return project_background(ztilde, background, mask)
-    return project_background(z - lam * (z - ztilde), background, mask)
+    ztilde = project_magnitude(z, target, out)
+    if lam != 1.0:
+        # z - lam * (z - ztilde), formed in the projection's own buffer
+        np.subtract(z, ztilde, out=ztilde)
+        np.multiply(lam, ztilde, out=ztilde)
+        np.subtract(z, ztilde, out=ztilde)
+    return project_background(ztilde, background, mask, out=_destination(out, z))
 
 
 def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
-               mask: SupportMask, beta: float) -> np.ndarray:
+               mask: SupportMask, beta: float, out: Optional[np.ndarray]) -> np.ndarray:
     # beta damps the background correction; fixed points keep ztilde = y off
     # the support for every beta in (0, 1], and beta = 1 is z - ztilde + y.
-    return np.where(mask.inside, ztilde, z - beta * (ztilde - background))
+    update = np.subtract(ztilde, background, out=out)
+    if beta != 1.0:  # 1.0 * v is v, bit for bit
+        np.multiply(beta, update, out=update)
+    np.subtract(z, update, out=update)
+    np.copyto(update, ztilde, where=mask.inside)
+    return update
 
 
 def bdr_step(z: np.ndarray, target: MagnitudeTarget, background: np.ndarray,
-             mask: SupportMask, beta: float = 1.0) -> np.ndarray:
+             mask: SupportMask, beta: float = 1.0,
+             out: Optional[Workspace] = None) -> np.ndarray:
     """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1."""
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
-    return _dr_update(z, project_magnitude(z, target), background, mask, beta)
+    return _dr_update(z, project_magnitude(z, target, out), background, mask, beta,
+                      _destination(out, z))
 
 
 def cbdr_step(z: np.ndarray, target: MagnitudeTarget, background: np.ndarray,
-              mask: SupportMask) -> np.ndarray:
+              mask: SupportMask, out: Optional[Workspace] = None) -> np.ndarray:
     """BDR coordinate update with the convex ball projection."""
-    return _dr_update(z, project_magnitude_ball(z, target), background, mask, 1.0)
+    return _dr_update(z, project_magnitude_ball(z, target, out), background, mask, 1.0,
+                      _destination(out, z))
 
 
 def hio_step(z: np.ndarray, target: MagnitudeTarget, mask: SupportMask,
-             beta: float = 0.9) -> np.ndarray:
-    ztilde = project_magnitude(z, target)
-    return np.where(mask.inside, ztilde, z - beta * ztilde)
+             beta: float = 0.9, out: Optional[Workspace] = None) -> np.ndarray:
+    ztilde = project_magnitude(z, target, out)
+    update = np.multiply(beta, ztilde, out=_destination(out, z))
+    np.subtract(z, update, out=update)
+    np.copyto(update, ztilde, where=mask.inside)
+    return update
 
 
 def magnitude_objective(z, target: MagnitudeTarget) -> float:
@@ -101,30 +130,36 @@ def magnitude_objective(z, target: MagnitudeTarget) -> float:
     return 0.5 * float(np.sum(diff * diff)) / target.root_intensity.size
 
 
-def _trace_row(z: np.ndarray, mask: SupportMask, background: np.ndarray,
-               b: IntensityMeasurements, x_true) -> tuple[float, float]:
-    x_hat = z[mask.inside]
-    rel = math.nan if x_true is None else relative_error(x_hat, x_true)
-    return rel, measurement_error(x_hat, background, mask, b)
-
-
 def _iterate(b: IntensityMeasurements, target: MagnitudeTarget, background: np.ndarray,
              mask: SupportMask, config: SolverConfig, step: Callable,
              final_projector: Optional[Callable], x_true=None, z0=None) -> SolverRun:
     z = init_spectral(b, background, mask) if z0 is None else np.asarray(z0, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DivergenceError("non-finite start")
-    xt = None if x_true is None else np.asarray(x_true, dtype=float).reshape(-1)
+    if x_true is not None:
+        xt = np.asarray(x_true, dtype=float).reshape(-1)
+        if xt.size != mask.sample_count:
+            raise ValueError(f"shape mismatch: {(mask.sample_count,)} vs {xt.shape}")
+        xt_norm = l2_norm(xt)
+        if xt_norm == 0.0:
+            raise ValueError("relative error undefined for zero ground truth")
 
+    # step(z, work) maps z^{p-1} to z^p inside the run's workspace, built
+    # after the start so that the start's temporaries are freed first
+    work = Workspace(background, mask, b.shape)
     trace = []
     converged = False
     for p in range(1, config.max_iter + 1):
-        z_new = step(z)
-        step_norm = float(np.linalg.norm((z_new - z).reshape(-1)))
+        z_new = step(z, work)
+        step_norm = l2_norm(z_new - z)
         if not math.isfinite(step_norm):
             raise DivergenceError(f"non-finite iterate at step {p}")
         z = z_new
-        trace.append(_trace_row(z, mask, background, b, xt))
+        x_hat = z[mask.inside]
+        # the trace row: relative error (as metrics.relative_error) and
+        # measurement error of the current iterate
+        rel = math.nan if x_true is None else l2_norm(x_hat - xt) / xt_norm
+        trace.append((rel, measurement_error(x_hat, background, mask, b, work)))
         if step_norm <= config.eps:
             converged = True
             break
@@ -150,12 +185,12 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
 
     if method is Method.PGD:
         target = MagnitudeTarget.equality(b)
-        step = lambda z: pgd_step(z, target, background, mask, config.lam)
+        step = lambda z, work: pgd_step(z, target, background, mask, config.lam, work)
         final = None
     elif method in (Method.BDR, Method.BDR1):
         target = MagnitudeTarget.equality(b)
         beta = 1.0 if method is Method.BDR else config.beta
-        step = lambda z: bdr_step(z, target, background, mask, beta)
+        step = lambda z, work: bdr_step(z, target, background, mask, beta, work)
         final = lambda z: project_magnitude(z, target)
     else:  # pragma: no cover - Method is exhaustive
         raise ValueError(f"unhandled method {method}")
@@ -173,7 +208,7 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
     errors = []
     for sign in (1, -1):
         target = MagnitudeTarget.ball(b, dc_sign=sign)
-        step = lambda z, t=target: cbdr_step(z, t, background, mask)
+        step = lambda z, work, t=target: cbdr_step(z, t, background, mask, work)
         final = lambda z, t=target: project_magnitude_ball(z, t)
         result = _iterate(b, target, background, mask, config, step, final,
                           x_true=x_true, z0=z0)
@@ -187,7 +222,7 @@ def hio_run(b: IntensityMeasurements, mask: SupportMask, config: SolverConfig,
     """Fienup HIO on a bare support constraint (no background values)."""
     target = MagnitudeTarget.equality(b)
     zeros = np.zeros(mask.shape)
-    step = lambda z: hio_step(z, target, mask, config.beta)
+    step = lambda z, work: hio_step(z, target, mask, config.beta, work)
     final = lambda z: project_magnitude(z, target)
     if z0 is None:
         z0 = _spectral_start(b.root, mask.shape)

@@ -7,19 +7,29 @@ so ``dft_inverse(dft_forward(z)) == z``. Both return plain complex ndarrays,
 and ``crop`` cuts the object grid back out of an oversampled measurement
 grid. The forward model, the projectors, the solvers and the metrics all
 transform through this pair. Multi-axis transforms factor by separability.
+
 For real z the intensity |DFT z|^2 and the circular autocorrelation
 R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair, which the
 direct-summation oracle below pins down numerically.
+
+Both transforms take ``out=`` as numpy does: the result is written into that
+complex array and returned. numpy cannot zero-pad two axes into ``out``, so a
+padded forward transform places z in the leading block of the zeroed ``out``
+and transforms it in place, which gives the same bits. A solver run keeps its
+buffers in one ``Workspace``, built once per run and passed as ``out=`` to
+the projectors, the solver steps and the measurement error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
 import numpy as np
 
-from .model import CombinedObject, IntensityMeasurements, _readonly, mirror_index
+from .model import (CombinedObject, IntensityMeasurements, SupportMask, _readonly,
+                    mirror_index)
 
 
 @dataclass(frozen=True)
@@ -49,21 +59,31 @@ def _as_array(z):
     return np.asarray(z)
 
 
-def dft_forward(z, measurement_sizes=None) -> np.ndarray:
-    """Unnormalized forward transform, zero-padding up to measurement_sizes."""
+def _lead(shape) -> tuple:
+    return tuple(slice(0, n) for n in shape)
+
+
+def dft_forward(z, measurement_sizes=None, out=None) -> np.ndarray:
+    """Unnormalized forward transform, zero-padding up to measurement_sizes;
+    ``out`` is an optional complex array of the measurement shape."""
     a = _as_array(z)
-    if measurement_sizes is not None:
-        s = tuple(int(v) for v in measurement_sizes)
-        if len(s) != a.ndim or any(si < ai for si, ai in zip(s, a.shape)):
-            raise ValueError(f"cannot pad shape {a.shape} to measurement sizes {s}")
+    s = a.shape if measurement_sizes is None else tuple(map(int, measurement_sizes))
+    if s != a.shape and (len(s) != a.ndim or any(si < ai for si, ai in zip(s, a.shape))):
+        raise ValueError(f"cannot pad shape {a.shape} to measurement sizes {s}")
+    if out is None:
+        return np.fft.fftn(a, s=s, axes=tuple(range(a.ndim)))
+    if s == a.shape:
+        out[...] = a
     else:
-        s = a.shape
-    return np.fft.fftn(a, s=s, axes=tuple(range(a.ndim)))
+        out.fill(0.0)
+        out[_lead(a.shape)] = a
+    return np.fft.fftn(out, out=out)
 
 
-def dft_inverse(s) -> np.ndarray:
-    """Inverse transform with the 1/prod(m) normalization."""
-    return np.fft.ifftn(np.asarray(s))
+def dft_inverse(s, out=None) -> np.ndarray:
+    """Inverse transform with the 1/prod(m) normalization; ``out`` (a complex
+    array of the same shape) may be ``s`` itself."""
+    return np.fft.ifftn(np.asarray(s), out=out)
 
 
 def crop(a: np.ndarray, shape) -> np.ndarray:
@@ -71,7 +91,38 @@ def crop(a: np.ndarray, shape) -> np.ndarray:
     oversampled measurement grid. Returns ``a`` itself when no crop is needed."""
     if a.shape == tuple(shape):
         return a
-    return a[tuple(slice(0, s) for s in shape)].copy()
+    return a[_lead(shape)].copy()
+
+
+class Workspace:
+    """The arrays one solver run reuses on every iteration.
+
+    Built once per run (so once per CBDR branch) for one background, support
+    mask and measurement grid: the two iterate buffers, used in turn; the
+    complex spectrum and real magnitude buffers of the measurement grid; and
+    the combined object [x; y] with the background placed once, so that each
+    measurement error rewrites only the support. An array returned through
+    ``out=`` a workspace lives in it, overwritten by its next use.
+    """
+
+    def __init__(self, background: np.ndarray, mask: SupportMask, measurement_shape):
+        self.iterates = (np.empty(mask.shape), np.empty(mask.shape))
+        self.spectrum = np.empty(measurement_shape, dtype=complex)
+        self.magnitude = np.empty(measurement_shape)
+        self.combined = np.array(background, dtype=float)
+
+    def next_iterate(self, z: np.ndarray) -> np.ndarray:
+        """The iterate buffer that does not hold z."""
+        first, second = self.iterates
+        return second if np.may_share_memory(z, first) else first
+
+
+def spectrum_buffers(out: Optional[Workspace], shape) -> tuple[np.ndarray, np.ndarray]:
+    """The (complex spectrum, real magnitude) pair of the workspace, or a new
+    pair of the given shape without one."""
+    if out is None:
+        return np.empty(shape, dtype=complex), np.empty(shape)
+    return out.spectrum, out.magnitude
 
 
 def intensity(z, measurement_sizes=None) -> IntensityMeasurements:

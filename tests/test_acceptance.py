@@ -1,9 +1,10 @@
 """Acceptance gate: one test per criterion, each recording a PASS/FAIL line
 that the conftest terminal-summary hook prints after the run.
 
-Run with  pytest tests/test_acceptance.py -v . Everything is driven by one
-fixed master seed; worker count comes from BGRET_WORKERS and never changes
-the scientific output (criterion 16 checks exactly that).
+Run with  pytest tests/test_acceptance.py -v ; every test here carries the
+``acceptance`` marker, so  pytest -m "not acceptance"  skips them. Everything
+is driven by one fixed master seed; worker count comes from BGRET_WORKERS and
+never changes the scientific output (criterion 16 checks exactly that).
 """
 
 import math
@@ -24,6 +25,8 @@ from bgret.projections import (MagnitudeTarget, project_background,
 from bgret.rng import mix_seed
 from bgret.spectral import (autocorrelation_direct, autocorrelation_from_intensity,
                             dft_forward, dft_inverse, intensity)
+
+pytestmark = pytest.mark.acceptance
 
 ACCEPTANCE_SEED = 20260808
 WORKERS = harness.resolve_workers(None)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from bgret.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from bgret.io_formats import (read_image, read_results, read_signal_csv, write_image,
@@ -200,9 +201,10 @@ def test_location_bias_cli_small(tmp_path, capsys):
     from bgret.harness import synthetic_test_image
     write_image(img, synthetic_test_image(8))
     out = tmp_path / "bias"
-    rc = main(["location-bias", "--image", str(img), "--k-ratio", "2.0",
-               "--positions", "3", "--trials", "1", "--max-iter", "40",
-               "--seed", "1", "--out", str(out)])
+    with pytest.warns(RuntimeWarning, match="SSIM window"):
+        rc = main(["location-bias", "--image", str(img), "--k-ratio", "2.0",
+                   "--positions", "3", "--trials", "1", "--max-iter", "40",
+                   "--seed", "1", "--out", str(out)])
     assert rc == EXIT_OK
     capsys.readouterr()
     summary = json.loads((out / "location_summary.json").read_text())
@@ -215,9 +217,10 @@ def test_noise_bench_cli_small(tmp_path, capsys):
     from bgret.harness import synthetic_test_image
     write_image(img, synthetic_test_image(8))
     out = tmp_path / "noise"
-    rc = main(["noise-bench", "--image", str(img), "--sigma", "0.001",
-               "--k-ratio", "3.0", "--trials", "2", "--max-iter", "40",
-               "--seed", "1", "--out", str(out)])
+    with pytest.warns(RuntimeWarning, match="SSIM window"):
+        rc = main(["noise-bench", "--image", str(img), "--sigma", "0.001",
+                   "--k-ratio", "3.0", "--trials", "2", "--max-iter", "40",
+                   "--seed", "1", "--out", str(out)])
     assert rc == EXIT_OK
     capsys.readouterr()
     summary = json.loads((out / "noise_summary.json").read_text())

@@ -201,7 +201,8 @@ def test_location_bias_offsets_and_validation():
 
 def test_location_bias_study_small():
     img = synthetic_test_image(8)
-    res = location_bias_study(img, 3.0, [(0, 0), (12, 12)], 2, seed=3, max_iter=400)
+    with pytest.warns(RuntimeWarning, match="SSIM window"):
+        res = location_bias_study(img, 3.0, [(0, 0), (12, 12)], 2, seed=3, max_iter=400)
     assert len(res["positions"]) == 2
     for pos in res["positions"]:
         assert pos["trials"] == 2

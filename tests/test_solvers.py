@@ -7,7 +7,7 @@ from bgret.metrics import measurement_error, relative_error
 from bgret.model import (IntensityMeasurements, Method, SolverConfig,
                          SupportMask, assemble)
 from bgret.projections import (MagnitudeTarget, project_background,
-                               project_magnitude, reflect)
+                               project_magnitude, project_magnitude_ball, reflect)
 from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
                            cbdr_parallel_real, hio_run, init_spectral,
                            magnitude_objective, pgd_step, run)
@@ -313,7 +313,7 @@ def test_cbdr_parallel_real_tie_break_is_plus_branch():
     from bgret.solvers import _iterate, cbdr_step
     plus = MagnitudeTarget.ball(b, dc_sign=1)
     plus_run = _iterate(b, plus, y, mask, cfg,
-                        lambda s: cbdr_step(s, plus, y, mask),
+                        lambda s, work: cbdr_step(s, plus, y, mask, work),
                         lambda z: project_magnitude_ball(z, plus), x_true=x)
     assert np.array_equal(winner.final_estimate, plus_run.final_estimate)
     again = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
@@ -400,3 +400,29 @@ def test_run_rejects_unknown_beta_lambda():
         bdr_step(np.zeros(12), MagnitudeTarget.equality(b), y, mask, beta=0.0)
     with pytest.raises(ValueError):
         pgd_step(np.zeros(12), MagnitudeTarget.equality(b), y, mask, lam=0.0)
+
+
+def test_run_never_writes_inputs_or_aliases_results():
+    rng = np.random.default_rng(23)
+    x, y, mask, b = make_instance(rng, 6, 18)
+    z0 = rng.standard_normal(mask.shape)
+    kept = (z0.copy(), y.copy(), b.values.copy())
+    for method in Method:
+        cfg = SolverConfig(method=method, max_iter=40)
+        first = run(b, y, mask, cfg, x_true=x, z0=z0)
+        estimate, trace = first.final_estimate.copy(), first.trace.copy()
+        run(b, y, mask, cfg, x_true=x)  # a second run, from the spectral start
+        assert np.array_equal(first.final_estimate, estimate)
+        assert np.array_equal(first.trace, trace)
+        for before, after in zip(kept, (z0, y, b.values)):
+            assert np.array_equal(before, after)
+
+
+def test_steps_without_out_return_new_arrays():
+    rng = np.random.default_rng(24)
+    x, y, mask, b = make_instance(rng, 5, 15)
+    z = rng.standard_normal(mask.shape)
+    for result in (project_magnitude(z, MagnitudeTarget.equality(b)),
+                   project_magnitude_ball(z, MagnitudeTarget.ball(b, dc_sign=1)),
+                   bdr_step(z, MagnitudeTarget.equality(b), y, mask)):
+        assert not np.shares_memory(result, z)
