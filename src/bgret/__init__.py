@@ -10,11 +10,11 @@ and a reproducible experiment harness with a CLI front end.
 
 __version__ = "0.1.0"
 
-from .model import (CombinedObject, IntensityMeasurements, Method, SolverConfig,
-                    SolverRun, SupportMask, assemble, extract)
+from .model import (IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask,
+                    assemble)
 
 __all__ = [
     "__version__",
-    "CombinedObject", "IntensityMeasurements", "Method",
-    "SolverConfig", "SolverRun", "SupportMask", "assemble", "extract",
+    "IntensityMeasurements", "Method", "SolverConfig", "SolverRun", "SupportMask",
+    "assemble",
 ]

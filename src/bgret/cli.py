@@ -190,6 +190,8 @@ def cmd_sweep(args) -> int:
     # ratio i from its index rather than a running sum, whose drift
     # (0.25000000000000006 for 0.05 + 2 * 0.1) moves k at half-way points
     count = math.ceil((args.ratio_max + 1e-9 - args.ratio_min) / args.ratio_step)
+    if count < 1:
+        raise SystemExit2("--ratio-max must not be below --ratio-min")
     ratios = [round(args.ratio_min + i * args.ratio_step, 10) for i in range(count)]
     signal_values = None
     if cfg.signal_type == harness.SIGNAL_CSV:

@@ -42,18 +42,6 @@ SIGNAL_CSV = 3
 STREAM_SIGNAL, STREAM_BACKGROUND, STREAM_NOISE = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Gaussian noise level on the root intensity and bounded background bias."""
-
-    sigma: float = 0.0
-    background_bias: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma < 0 or self.background_bias < 0:
-            raise ValueError("noise levels must be nonnegative")
-
-
 def _rng_for(seed: Optional[int], rng: Optional[Xoshiro256StarStar]) -> Xoshiro256StarStar:
     if rng is not None:
         return rng
@@ -106,8 +94,7 @@ def gen_background(mask: SupportMask, mu: float = 0.0, sigma: float = 1.0,
     return values
 
 
-def add_noise(b: IntensityMeasurements, spec: NoiseSpec,
-              seed: Optional[int] = None,
+def add_noise(b: IntensityMeasurements, sigma: float, seed: Optional[int] = None,
               rng: Optional[Xoshiro256StarStar] = None) -> IntensityMeasurements:
     """Perturb the root intensities with symmetrized Gaussian noise and
     re-square: sqrt(b) <- max(0, sqrt(b) + eps). Mirror-averaging eps keeps
@@ -118,27 +105,16 @@ def add_noise(b: IntensityMeasurements, spec: NoiseSpec,
     unnormalized forward transform used here the applied standard deviation
     is sigma * sqrt(prod m).
     """
-    if spec.sigma == 0.0:
+    if sigma < 0:
+        raise ValueError("noise level must be nonnegative")
+    if sigma == 0.0:
         return b
     r = _rng_for(seed, rng)
     grid = int(np.prod(b.shape))
-    eps = r.normal(grid, 0.0, spec.sigma * math.sqrt(grid)).reshape(b.shape)
+    eps = r.normal(grid, 0.0, sigma * math.sqrt(grid)).reshape(b.shape)
     eps = 0.5 * (eps + mirror_index(eps))
     root = np.maximum(0.0, b.root + eps)
     return IntensityMeasurements(root * root, conj_symmetric=True)
-
-
-def bias_background(background: np.ndarray, mask: SupportMask, bias: float,
-                    seed: Optional[int] = None,
-                    rng: Optional[Xoshiro256StarStar] = None) -> np.ndarray:
-    """Add bounded uniform bias in [-bias, bias] off the support."""
-    if bias == 0.0:
-        return background.copy()
-    r = _rng_for(seed, rng)
-    eps = (2.0 * r.uniform(int(np.prod(mask.shape))) - 1.0) * bias
-    out = background + eps.reshape(mask.shape)
-    out[mask.inside] = 0.0
-    return out
 
 
 def synthetic_test_image(n: int = 64) -> np.ndarray:
@@ -192,7 +168,7 @@ def draw_instance(x: np.ndarray, mask: SupportMask, trial_seed: int,
         mask, rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_BACKGROUND)))
     b = intensity(assemble(x, background, mask))
     if noise_sigma > 0:
-        b = add_noise(b, NoiseSpec(sigma=noise_sigma),
+        b = add_noise(b, noise_sigma,
                       rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_NOISE)))
     return background, b
 
@@ -507,6 +483,12 @@ def noise_benchmark(image: np.ndarray, sigma: float, k_ratio: float, trials: int
 
 # -- verification drivers ---------------------------------------------------------
 
+def _require_count(name: str, value: int) -> None:
+    # an empty loop would pass vacuously or fail with an unrelated error
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _gaussian_background(mask: SupportMask, rng: np.random.Generator) -> np.ndarray:
     y = rng.standard_normal(mask.shape)
     y[mask.inside] = 0.0
@@ -517,6 +499,7 @@ def verify_uniqueness(n: int, k: int, d: int, draws: int, seed: int = 0) -> dict
     """Rank certificate pass rate over Gaussian backgrounds (corner support)."""
     if d not in (1, 2):
         raise ValueError("uniqueness certificate supports d in {1, 2}")
+    _require_count("draws", draws)
     sizes = (n,) * d
     ks = (k,) * d
     mask = SupportMask.block(tuple(a + b for a, b in zip(sizes, ks)), sizes)
@@ -537,6 +520,7 @@ def verify_stability(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
                      pairs: int = 100, seed: int = 0) -> dict:
     """Direct evaluation of the stability inequality
     ||X1-X2||_F <= delta1*delta2/(m1*m2) * ||vec(I1-I2)||_1 on random pairs."""
+    _require_count("pairs", pairs)
     mask = SupportMask.block((n1 + k1, n2 + k2), (n1, n2))
     rng = np.random.default_rng(seed)
     violations = 0
@@ -570,6 +554,7 @@ def verify_robustness(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
     """Bounded-noise recovery against the certificate: uniform measurement
     noise |eps1| <= c1 (mirror-symmetrized) and background bias |eps2| <= c2;
     checks measured error <= bound every time and the exact c2=0 collapse."""
+    _require_count("instances", instances)
     mask = SupportMask.block((n1 + k1, n2 + k2), (n1, n2))
     rng = np.random.default_rng(seed)
     failures = 0
@@ -613,6 +598,7 @@ def verify_lmatrix(n: int = 8, k: int = 24, draws: int = 100, seed: int = 0) -> 
 
 def verify_frip(n: int = 16, k: int = 256, draws: int = 2000, num_h: int = 5,
                 seed: int = 0) -> dict:
+    _require_count("num_h", num_h)  # draws below 2 fail in frip_expectation_check
     rng = np.random.default_rng(mix_seed(seed, 10_000))
     x = rng.standard_normal(n)
     reports = []

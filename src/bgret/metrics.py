@@ -36,10 +36,10 @@ def relative_error(x_hat, x) -> float:
     x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
     if x_hat.shape != x.shape:
         raise ValueError(f"shape mismatch: {x_hat.shape} vs {x.shape}")
-    denom = float(np.linalg.norm(x))
+    denom = l2_norm(x)
     if denom == 0.0:
         raise ValueError("relative error undefined for zero ground truth")
-    return float(np.linalg.norm(x_hat - x)) / denom
+    return l2_norm(x_hat - x) / denom
 
 
 def measurement_error(x_hat, background, mask: SupportMask,
@@ -53,8 +53,8 @@ def measurement_error(x_hat, background, mask: SupportMask,
     denom = b.norm
     if denom == 0.0:
         raise ValueError("measurement error undefined for zero measurements")
-    # called on every solver iteration, so x_hat goes onto the support
-    # directly rather than through a validated CombinedObject
+    # called on every solver iteration, so x_hat goes onto the support of the
+    # combined object directly rather than through the checks of assemble
     z = np.array(background, dtype=float) if out is None else out.combined
     z[mask.inside] = np.asarray(x_hat, dtype=float).reshape(-1)
     spectrum, i_hat = spectrum_buffers(out, b.shape)

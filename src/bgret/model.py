@@ -1,4 +1,4 @@
-"""Shared data model: support masks, combined objects, intensity
+"""Shared data model: support masks, the combined object, intensity
 measurements and solver configuration.
 
 Conventions used by every module
@@ -7,6 +7,9 @@ Conventions used by every module
   1-D or 2-D. Dimensions above 2 are rejected.
 * Vectorization is row-major everywhere, and boolean masks index in the
   same order.
+* The combined object [x; y] is a plain array on the object grid:
+  ``assemble`` places a sample on the support Ω inside its background, and
+  ``z[mask.inside]`` reads the sample back.
 * Value types are frozen dataclasses holding read-only arrays, safe to share
   across workers.
 """
@@ -114,33 +117,9 @@ class SupportMask:
         return np.asarray(values_on_omega).reshape(self.sample_shape)
 
 
-@dataclass(frozen=True)
-class CombinedObject:
-    """Sample X embedded on support Ω inside background Y; Z is the union."""
-
-    values: np.ndarray
-    mask: SupportMask
-    background: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.values, dtype=float)
-        y = np.asarray(self.background, dtype=float)
-        if z.shape != self.mask.shape or y.shape != self.mask.shape:
-            raise ValueError("values/background shape does not match mask")
-        if np.any(y[self.mask.inside] != 0.0):
-            raise ValueError("background must be exactly zero on the support")
-        if np.any(z[~self.mask.inside] != y[~self.mask.inside]):
-            raise ValueError("combined object disagrees with background off the support")
-        object.__setattr__(self, "values", _readonly(z, float))
-        object.__setattr__(self, "background", _readonly(y, float))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-
-def assemble(x, background, mask: SupportMask) -> CombinedObject:
-    """Place sample values x on Ω inside the known background.
+def assemble(x, background, mask: SupportMask) -> np.ndarray:
+    """The combined object [x; y]: sample values x placed on Ω inside the
+    known background, as a new array on the object grid.
 
     x may be a row-major Ω vector or an array of the block shape.
     """
@@ -154,12 +133,7 @@ def assemble(x, background, mask: SupportMask) -> CombinedObject:
         raise ValueError("background must be exactly zero on the support")
     z = y.copy()
     z[mask.inside] = x
-    return CombinedObject(z, mask, y)
-
-
-def extract(obj: CombinedObject) -> np.ndarray:
-    """Ω-restricted entries of the combined object in row-major Ω order."""
-    return obj.values[obj.mask.inside].copy()
+    return z
 
 
 @dataclass(frozen=True)

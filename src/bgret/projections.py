@@ -1,5 +1,12 @@
-"""Projectors and reflectors for the magnitude sets (equality and convex-ball
-variants, with optional pinned DC sign) and the affine background set.
+"""Projectors and reflectors for the magnitude sets and the affine background
+set.
+
+The magnitude set is given by the root intensity b^{1/2} (``b.root``) as a
+plain array on the measurement grid: ``project_magnitude`` projects onto the
+equality set |DFT z| = b^{1/2}, ``project_magnitude_ball`` onto the convex
+ball |DFT z| <= b^{1/2}, optionally with the DC coefficient pinned to
+dc_sign * b^{1/2} at DC. The root is validated where it is measured, in
+``IntensityMeasurements``.
 
 All projectors map real arrays to real arrays: the inverse transform of a
 conjugate-symmetric spectrum is real up to rounding, and the real part is
@@ -17,67 +24,12 @@ oversampled), so with a workspace it is a view, valid until its next use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .model import IntensityMeasurements, SupportMask, _readonly
+from .model import SupportMask
 from .spectral import Workspace, crop, dft_forward, dft_inverse, spectrum_buffers
-
-
-class MagnitudeMode(Enum):
-    EQUALITY = "equality"
-    BALL = "ball"
-
-
-@dataclass(frozen=True)
-class DcConstraint:
-    """Pinned DC coefficient: sign * value with value = sqrt(b) at DC."""
-
-    sign: int
-    value: float
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("dc sign must be +1 or -1")
-        if self.value < 0:
-            raise ValueError("dc value is a root intensity, must be >= 0")
-
-
-@dataclass(frozen=True)
-class MagnitudeTarget:
-    """Target root intensities b^{1/2} plus the projection mode."""
-
-    root_intensity: np.ndarray
-    mode: MagnitudeMode
-    dc: Optional[DcConstraint] = None
-
-    def __post_init__(self):
-        r = np.asarray(self.root_intensity, dtype=float)
-        if np.any(r < 0) or not np.all(np.isfinite(r)):
-            raise ValueError("root intensities must be finite and nonnegative")
-        if self.dc is not None:
-            if self.mode is not MagnitudeMode.BALL:
-                raise ValueError("dc constraint only applies in ball mode")
-            if self.dc.value != float(r.flat[0]):
-                raise ValueError("dc value must equal the root intensity at DC")
-        object.__setattr__(self, "root_intensity", _readonly(r, float))
-
-    @classmethod
-    def equality(cls, b: IntensityMeasurements) -> "MagnitudeTarget":
-        return cls(b.root, MagnitudeMode.EQUALITY)
-
-    @classmethod
-    def ball(cls, b: IntensityMeasurements, dc_sign: Optional[int] = None) -> "MagnitudeTarget":
-        root = b.root
-        dc = None if dc_sign is None else DcConstraint(dc_sign, float(root.flat[0]))
-        return cls(root, MagnitudeMode.BALL, dc)
-
-    @property
-    def shape(self):
-        return self.root_intensity.shape
 
 
 def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -91,32 +43,31 @@ def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def project_magnitude(z: np.ndarray, target: MagnitudeTarget,
+def project_magnitude(z: np.ndarray, root: np.ndarray,
                       out: Optional[Workspace] = None) -> np.ndarray:
-    """Replace spectral magnitudes with b^{1/2}, keeping the phases of z."""
-    if target.mode is not MagnitudeMode.EQUALITY:
-        raise ValueError("project_magnitude expects an equality-mode target")
+    """Replace spectral magnitudes with root = b^{1/2}, keeping the phases of z."""
     z = np.asarray(z, dtype=float)
-    spectrum, mag = spectrum_buffers(out, target.shape)
-    zhat = dft_forward(z, target.shape, out=spectrum)
+    spectrum, mag = spectrum_buffers(out, root.shape)
+    zhat = dft_forward(z, root.shape, out=spectrum)
     phase = _divide_nonzero(zhat, np.abs(zhat, out=mag), out=zhat)
-    what = np.multiply(target.root_intensity, phase, out=zhat)
+    what = np.multiply(root, phase, out=zhat)
     return crop(dft_inverse(what, out=what).real, z.shape)
 
 
-def project_magnitude_ball(z: np.ndarray, target: MagnitudeTarget,
+def project_magnitude_ball(z: np.ndarray, root: np.ndarray, dc_sign: Optional[int] = None,
                            out: Optional[Workspace] = None) -> np.ndarray:
-    """Radially clamp spectral magnitudes to at most b^{1/2}; coefficients
-    already inside the ball are untouched. A pinned DC is set exactly."""
-    if target.mode is not MagnitudeMode.BALL:
-        raise ValueError("project_magnitude_ball expects a ball-mode target")
+    """Radially clamp spectral magnitudes to at most root = b^{1/2};
+    coefficients already inside the ball are untouched. With dc_sign (+1 or
+    -1) the DC coefficient is set to exactly dc_sign * root at DC."""
+    if dc_sign not in (None, 1, -1):
+        raise ValueError("dc sign must be +1 or -1")
     z = np.asarray(z, dtype=float)
-    spectrum, mag = spectrum_buffers(out, target.shape)
-    zhat = dft_forward(z, target.shape, out=spectrum)
-    scale = _divide_nonzero(target.root_intensity, np.abs(zhat, out=mag), out=mag)
+    spectrum, mag = spectrum_buffers(out, root.shape)
+    zhat = dft_forward(z, root.shape, out=spectrum)
+    scale = _divide_nonzero(root, np.abs(zhat, out=mag), out=mag)
     what = np.multiply(zhat, np.minimum(1.0, scale, out=scale), out=zhat)
-    if target.dc is not None:
-        what.flat[0] = target.dc.sign * target.dc.value
+    if dc_sign is not None:
+        what.flat[0] = dc_sign * float(root.flat[0])
     return crop(dft_inverse(what, out=what).real, z.shape)
 
 

@@ -28,9 +28,10 @@ norm raises DivergenceError rather than being clamped, so traces stay honest.
 Each ``_iterate`` call (so each CBDR branch) builds one ``spectral.Workspace``
 and passes it as ``out=`` to the step, which writes z^p into the iterate
 buffer that does not hold z^{p-1}, and to ``metrics.measurement_error`` for
-the trace row. The norms of b and of the ground truth are computed once per
-run; the arithmetic is that of the allocating path, so the bytes are the
-same. The estimate and the trace a run returns are copies, never views of
+the trace row. The root intensity b^{1/2} (once for both CBDR branches) and
+the norms of b and of the ground truth are computed once per run; the
+arithmetic is that of the allocating path, so the bytes are the same. The
+estimate and the trace a run returns are copies, never views of
 its workspace, and the caller's z0, background and measurements are only read.
 """
 
@@ -43,8 +44,7 @@ import numpy as np
 
 from .metrics import l2_norm, measurement_error
 from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask
-from .projections import (MagnitudeTarget, project_background,
-                          project_magnitude, project_magnitude_ball)
+from .projections import project_background, project_magnitude, project_magnitude_ball
 from .spectral import Workspace, crop, dft_forward
 
 
@@ -69,14 +69,14 @@ def _destination(out: Optional[Workspace], z: np.ndarray) -> Optional[np.ndarray
     return None if out is None else out.next_iterate(z)
 
 
-def pgd_step(z: np.ndarray, target: MagnitudeTarget, background: np.ndarray,
+def pgd_step(z: np.ndarray, root: np.ndarray, background: np.ndarray,
              mask: SupportMask, lam: float = 1.0,
              out: Optional[Workspace] = None) -> np.ndarray:
     """Projected gradient step; the subgradient of the magnitude objective is
     z - P_A(z), so lam=1 reduces to the alternating projection P_B(P_A(z))."""
     if not lam > 0:
         raise ValueError("learning rate must be positive")
-    ztilde = project_magnitude(z, target, out)
+    ztilde = project_magnitude(z, root, out)
     if lam != 1.0:
         # z - lam * (z - ztilde), formed in the projection's own buffer
         np.subtract(z, ztilde, out=ztilde)
@@ -97,40 +97,40 @@ def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
     return update
 
 
-def bdr_step(z: np.ndarray, target: MagnitudeTarget, background: np.ndarray,
+def bdr_step(z: np.ndarray, root: np.ndarray, background: np.ndarray,
              mask: SupportMask, beta: float = 1.0,
              out: Optional[Workspace] = None) -> np.ndarray:
     """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1."""
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
-    return _dr_update(z, project_magnitude(z, target, out), background, mask, beta,
+    return _dr_update(z, project_magnitude(z, root, out), background, mask, beta,
                       _destination(out, z))
 
 
-def cbdr_step(z: np.ndarray, target: MagnitudeTarget, background: np.ndarray,
-              mask: SupportMask, out: Optional[Workspace] = None) -> np.ndarray:
-    """BDR coordinate update with the convex ball projection."""
-    return _dr_update(z, project_magnitude_ball(z, target, out), background, mask, 1.0,
-                      _destination(out, z))
+def cbdr_step(z: np.ndarray, root: np.ndarray, background: np.ndarray, mask: SupportMask,
+              dc_sign: Optional[int] = None, out: Optional[Workspace] = None) -> np.ndarray:
+    """BDR coordinate update with the convex ball projection, its DC pinned
+    to dc_sign * root at DC unless dc_sign is None."""
+    return _dr_update(z, project_magnitude_ball(z, root, dc_sign, out), background, mask,
+                      1.0, _destination(out, z))
 
 
-def hio_step(z: np.ndarray, target: MagnitudeTarget, mask: SupportMask,
+def hio_step(z: np.ndarray, root: np.ndarray, mask: SupportMask,
              beta: float = 0.9, out: Optional[Workspace] = None) -> np.ndarray:
-    ztilde = project_magnitude(z, target, out)
+    ztilde = project_magnitude(z, root, out)
     update = np.multiply(beta, ztilde, out=_destination(out, z))
     np.subtract(z, update, out=update)
     np.copyto(update, ztilde, where=mask.inside)
     return update
 
 
-def magnitude_objective(z, target: MagnitudeTarget) -> float:
+def magnitude_objective(z, root: np.ndarray) -> float:
     """(1/(2m)) * sum_i (|DFT(z)_i| - b_i^{1/2})^2, the PGD objective."""
-    zhat = dft_forward(np.asarray(z, dtype=float), target.shape)
-    diff = np.abs(zhat) - target.root_intensity
-    return 0.5 * float(np.sum(diff * diff)) / target.root_intensity.size
+    diff = np.abs(dft_forward(np.asarray(z, dtype=float), root.shape)) - root
+    return 0.5 * float(np.sum(diff * diff)) / root.size
 
 
-def _iterate(b: IntensityMeasurements, target: MagnitudeTarget, background: np.ndarray,
+def _iterate(b: IntensityMeasurements, background: np.ndarray,
              mask: SupportMask, config: SolverConfig, step: Callable,
              final_projector: Optional[Callable], x_true=None, z0=None) -> SolverRun:
     z = init_spectral(b, background, mask) if z0 is None else np.asarray(z0, dtype=float)
@@ -183,19 +183,17 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
     if method is Method.CBDR:
         return cbdr_parallel_real(b, background, mask, config, x_true=x_true, z0=z0)
 
+    root = b.root
     if method is Method.PGD:
-        target = MagnitudeTarget.equality(b)
-        step = lambda z, work: pgd_step(z, target, background, mask, config.lam, work)
+        step = lambda z, work: pgd_step(z, root, background, mask, config.lam, work)
         final = None
     elif method in (Method.BDR, Method.BDR1):
-        target = MagnitudeTarget.equality(b)
         beta = 1.0 if method is Method.BDR else config.beta
-        step = lambda z, work: bdr_step(z, target, background, mask, beta, work)
-        final = lambda z: project_magnitude(z, target)
+        step = lambda z, work: bdr_step(z, root, background, mask, beta, work)
+        final = lambda z: project_magnitude(z, root)
     else:  # pragma: no cover - Method is exhaustive
         raise ValueError(f"unhandled method {method}")
-    return _iterate(b, target, background, mask, config, step, final,
-                    x_true=x_true, z0=z0)
+    return _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)
 
 
 def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
@@ -204,14 +202,13 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
     """Run CBDR twice with the DC coefficient pinned to +sqrt(b_1) and
     -sqrt(b_1); return the branch with the smaller measurement error (ties go
     to the + branch)."""
+    root = b.root
     branches = []
     errors = []
     for sign in (1, -1):
-        target = MagnitudeTarget.ball(b, dc_sign=sign)
-        step = lambda z, work, t=target: cbdr_step(z, t, background, mask, work)
-        final = lambda z, t=target: project_magnitude_ball(z, t)
-        result = _iterate(b, target, background, mask, config, step, final,
-                          x_true=x_true, z0=z0)
+        step = lambda z, work, s=sign: cbdr_step(z, root, background, mask, s, work)
+        final = lambda z, s=sign: project_magnitude_ball(z, root, s)
+        result = _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)
         branches.append(result)
         errors.append(measurement_error(result.final_estimate, background, mask, b))
     return branches[0] if errors[0] <= errors[1] else branches[1]
@@ -220,11 +217,10 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
 def hio_run(b: IntensityMeasurements, mask: SupportMask, config: SolverConfig,
             x_true=None, z0=None) -> SolverRun:
     """Fienup HIO on a bare support constraint (no background values)."""
-    target = MagnitudeTarget.equality(b)
+    root = b.root
     zeros = np.zeros(mask.shape)
-    step = lambda z, work: hio_step(z, target, mask, config.beta, work)
-    final = lambda z: project_magnitude(z, target)
+    step = lambda z, work: hio_step(z, root, mask, config.beta, work)
+    final = lambda z: project_magnitude(z, root)
     if z0 is None:
-        z0 = _spectral_start(b.root, mask.shape)
-    return _iterate(b, target, zeros, mask, config, step, final,
-                    x_true=x_true, z0=z0)
+        z0 = _spectral_start(root, mask.shape)
+    return _iterate(b, zeros, mask, config, step, final, x_true=x_true, z0=z0)

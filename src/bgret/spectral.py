@@ -28,8 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (CombinedObject, IntensityMeasurements, SupportMask, _readonly,
-                    mirror_index)
+from .model import IntensityMeasurements, SupportMask, _readonly, mirror_index
 
 
 @dataclass(frozen=True)
@@ -53,12 +52,6 @@ class Autocorrelation:
         return self.values.shape
 
 
-def _as_array(z):
-    if isinstance(z, CombinedObject):
-        return z.values
-    return np.asarray(z)
-
-
 def _lead(shape) -> tuple:
     return tuple(slice(0, n) for n in shape)
 
@@ -66,7 +59,7 @@ def _lead(shape) -> tuple:
 def dft_forward(z, measurement_sizes=None, out=None) -> np.ndarray:
     """Unnormalized forward transform, zero-padding up to measurement_sizes;
     ``out`` is an optional complex array of the measurement shape."""
-    a = _as_array(z)
+    a = np.asarray(z)
     s = a.shape if measurement_sizes is None else tuple(map(int, measurement_sizes))
     if s != a.shape and (len(s) != a.ndim or any(si < ai for si, ai in zip(s, a.shape))):
         raise ValueError(f"cannot pad shape {a.shape} to measurement sizes {s}")
@@ -127,7 +120,7 @@ def spectrum_buffers(out: Optional[Workspace], shape) -> tuple[np.ndarray, np.nd
 
 def intensity(z, measurement_sizes=None) -> IntensityMeasurements:
     """Forward intensity model I = |DFT z|^2."""
-    a = _as_array(z)
+    a = np.asarray(z)
     return IntensityMeasurements(np.abs(dft_forward(a, measurement_sizes)) ** 2,
                                  conj_symmetric=bool(np.isrealobj(a)))
 
@@ -138,7 +131,7 @@ def autocorrelation_direct(z) -> Autocorrelation:
     This is the independent O(m^2) oracle against the spectral route; it never
     touches the FFT. Requires m_i = n_i + k_i (shifts live on the object grid).
     """
-    a = np.asarray(_as_array(z), dtype=float)
+    a = np.asarray(z, dtype=float)
     out = np.empty(a.shape, dtype=float)
     axes = tuple(range(a.ndim))
     for lag in product(*(range(s) for s in a.shape)):

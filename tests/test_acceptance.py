@@ -20,8 +20,7 @@ from bgret.harness import (TrialSpec, run_trials, noise_benchmark,
                            verify_robustness, verify_stability)
 from bgret.io_formats import ExperimentConfig, manifest_now, write_results
 from bgret.model import Method, SupportMask, assemble
-from bgret.projections import (MagnitudeTarget, project_background,
-                               project_magnitude, project_magnitude_ball)
+from bgret.projections import project_background, project_magnitude, project_magnitude_ball
 from bgret.rng import mix_seed
 from bgret.spectral import (autocorrelation_direct, autocorrelation_from_intensity,
                             dft_forward, dft_inverse, intensity)
@@ -139,17 +138,15 @@ def test_criterion_02_projection_contracts():
         b = intensity(truth)
         z = rng.standard_normal(shape)
 
-        target_eq = MagnitudeTarget.equality(b)
-        out = project_magnitude(z, target_eq)
-        resid = np.abs(np.abs(dft_forward(out)) - target_eq.root_intensity)
-        eq_worst = max(eq_worst, float(np.max(resid))
-                       / max(float(np.max(target_eq.root_intensity)), 1e-300))
+        root = b.root
+        out = project_magnitude(z, root)
+        resid = np.abs(np.abs(dft_forward(out)) - root)
+        eq_worst = max(eq_worst, float(np.max(resid)) / max(float(np.max(root)), 1e-300))
 
-        target_ball = MagnitudeTarget.ball(b)
-        once = project_magnitude_ball(z, target_ball)
-        twice = project_magnitude_ball(once, target_ball)
+        once = project_magnitude_ball(z, root)
+        twice = project_magnitude_ball(once, root)
         ball_idem_worst = max(ball_idem_worst, float(np.max(np.abs(twice - once))))
-        feas = np.abs(dft_forward(once)) - target_ball.root_intensity
+        feas = np.abs(dft_forward(once)) - root
         ball_feas_worst = max(ball_feas_worst, float(np.max(feas)))
 
         n_side = tuple(max(1, s // 2) for s in shape)
@@ -303,14 +300,14 @@ def test_criterion_12_local_linear_convergence():
         x = rng.standard_normal(n)
         y = rng.standard_normal(n + k)
         y[mask.inside] = 0.0
-        truth = assemble(x, y, mask).values
+        truth = assemble(x, y, mask)
         b = intensity(truth)
-        target = MagnitudeTarget.equality(b)
+        root = b.root
         delta = rng.standard_normal(n + k)
         z = truth + 1e-3 * delta / np.linalg.norm(delta)
         errors = []
         for _ in range(150):
-            z = solvers.bdr_step(z, target, y, mask)
+            z = solvers.bdr_step(z, root, y, mask)
             err = float(np.linalg.norm(z - truth))
             if err < 1e-14:
                 break

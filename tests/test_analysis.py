@@ -126,7 +126,7 @@ def test_linear_system_consistency_oracle_random():
         assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(r.values)))
         # rows against the literal expansion of the autocorrelation sum
         for i, shift in enumerate(system.shifts[:4]):
-            cross, bg = brute_force_r3(obj.values, mask, shift)
+            cross, bg = brute_force_r3(obj, mask, shift)
             factor = 1.0 if mirror_shift(shift, mask.shape) == shift else 2.0
             assert system.M[i] @ x == pytest.approx(factor * cross, rel=1e-9, abs=1e-9)
             assert system.rhs[i] == pytest.approx(

@@ -185,6 +185,34 @@ def test_verify_failing_check_exits_3(capsys, tmp_path):
     assert payload["passed"] is False and payload["rate"] < 0.99
 
 
+@pytest.mark.parametrize("what,count", [
+    ("uniqueness", ["--draws", "0"]),
+    ("stability", ["--pairs", "0"]),
+    ("robustness", ["--instances", "0"]),
+    ("lmatrix", ["--draws", "0"]),
+    ("frip", ["--num-h", "0"]),
+    ("frip", ["--draws", "1"]),
+])
+def test_verify_rejects_empty_counts(what, count, capsys, tmp_path):
+    # an empty loop must not pass vacuously nor die with an unrelated error
+    rc = main(["verify", what, *count, "--out", str(tmp_path / "e")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (tmp_path / "e" / f"verify_{what}.json").exists()
+
+
+def test_sweep_cli_rejects_empty_ratio_range(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "BDR", "n": 10, "k_ratio": 3,
+                               "trials": 1, "seed": 2, "max_iter": 5}))
+    out = tmp_path / "empty"
+    rc = main(["sweep", "--config", str(cfg), "--ratio-min", "3",
+               "--ratio-max", "2", "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "--ratio-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_signal_type3_cli(tmp_path, capsys):
     src = tmp_path / "src.csv"
     write_signal_csv(src, [1.0, 2.0, 3.0])

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bgret.harness import (NoiseSpec, TrialSpec, add_noise, bias_background,
-                           default_bias_offsets, gen_background, gen_signal,
-                           harmonic_signal, image_benchmark, location_bias_study,
+from bgret.harness import (TrialSpec, add_noise, default_bias_offsets, gen_background,
+                           gen_signal, harmonic_signal, image_benchmark, location_bias_study,
                            run_trial, run_trials, resolve_workers, sweep_phase_transition,
                            synthetic_test_image, verify_frip, verify_lmatrix,
                            verify_stability, verify_uniqueness)
@@ -57,7 +56,9 @@ def test_gen_background_zero_on_support_and_moments():
 
 def test_add_noise_zero_sigma_identity():
     b = IntensityMeasurements(np.array([4.0, 1.0, 1.0]))
-    assert add_noise(b, NoiseSpec(sigma=0.0), seed=0) is b
+    assert add_noise(b, 0.0, seed=0) is b
+    with pytest.raises(ValueError):
+        add_noise(b, -0.1, seed=0)
 
 
 def test_add_noise_nonnegative_and_symmetric():
@@ -65,7 +66,7 @@ def test_add_noise_nonnegative_and_symmetric():
     z = rng.standard_normal(24)
     from bgret.spectral import intensity
     b = intensity(z)
-    noisy = add_noise(b, NoiseSpec(sigma=0.05), seed=5)
+    noisy = add_noise(b, 0.05, seed=5)
     assert np.all(noisy.values >= 0.0)
     assert noisy.conj_symmetric  # construction validates mirror symmetry
 
@@ -78,20 +79,11 @@ def test_add_noise_variance_scaling():
     sigma = 0.01
     diffs = []
     for seed in range(300):
-        noisy = add_noise(b, NoiseSpec(sigma=sigma), seed=seed)
+        noisy = add_noise(b, sigma, seed=seed)
         diffs.append(np.sqrt(noisy.values[1:]) - np.sqrt(b.values[1:]))
     sample_var = float(np.var(np.concatenate(diffs)))
     expected = 0.5 * (sigma * math.sqrt(m)) ** 2
     assert sample_var == pytest.approx(expected, rel=0.15)
-
-
-def test_bias_background_bounded_and_zero_on_support():
-    mask = SupportMask.block((50,), (10,))
-    y = gen_background(mask, seed=1)
-    biased = bias_background(y, mask, 0.01, seed=2)
-    assert np.all(biased[mask.inside] == 0.0)
-    assert np.max(np.abs(biased - y)[~mask.inside]) <= 0.01
-    assert np.array_equal(bias_background(y, mask, 0.0, seed=3), y)
 
 
 def test_synthetic_test_image_properties():

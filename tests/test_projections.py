@@ -4,18 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgret.model import IntensityMeasurements, SupportMask
-from bgret.projections import (DcConstraint, MagnitudeMode, MagnitudeTarget,
-                               project_background, project_magnitude,
+from bgret.projections import (project_background, project_magnitude,
                                project_magnitude_ball, reflect)
 from bgret.spectral import dft_forward, intensity
-
-
-def equality_target(values):
-    return MagnitudeTarget(np.asarray(values, float), MagnitudeMode.EQUALITY)
-
-
-def ball_target(values, dc=None):
-    return MagnitudeTarget(np.asarray(values, float), MagnitudeMode.BALL, dc)
 
 
 def achievable(rng, shape):
@@ -25,19 +16,18 @@ def achievable(rng, shape):
 
 
 def test_project_magnitude_worked_example():
-    out = project_magnitude(np.array([3.0, 1.0]), equality_target([1.0, 1.0]))
+    out = project_magnitude(np.array([3.0, 1.0]), np.array([1.0, 1.0]))
     assert np.allclose(out, [1.0, 0.0], atol=1e-14)
 
 
 def test_project_magnitude_fixed_point():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(16)
-    target = MagnitudeTarget.equality(intensity(z))
-    assert np.max(np.abs(project_magnitude(z, target) - z)) <= 1e-12
+    assert np.max(np.abs(project_magnitude(z, intensity(z).root) - z)) <= 1e-12
 
 
 def test_project_magnitude_zero_tie_break():
-    out = project_magnitude(np.array([0.0, 0.0]), equality_target([2.0, 0.0]))
+    out = project_magnitude(np.array([0.0, 0.0]), np.array([2.0, 0.0]))
     assert np.allclose(out, [1.0, 1.0], atol=1e-14)
 
 
@@ -45,22 +35,22 @@ def test_equality_magnitude_residual():
     rng = np.random.default_rng(1)
     for _ in range(50):
         b, z = achievable(rng, int(rng.integers(2, 40)))
-        target = MagnitudeTarget.equality(b)
-        out = project_magnitude(z, target)
-        resid = np.abs(np.abs(dft_forward(out)) - target.root_intensity)
-        assert np.max(resid) <= 1e-10 * max(np.max(target.root_intensity), 1e-300)
+        root = b.root
+        out = project_magnitude(z, root)
+        resid = np.abs(np.abs(dft_forward(out)) - root)
+        assert np.max(resid) <= 1e-10 * max(np.max(root), 1e-300)
 
 
 def test_ball_interior_is_untouched():
     rng = np.random.default_rng(2)
     z = 0.01 * rng.standard_normal(12)
     root = 10.0 + np.zeros(12)
-    out = project_magnitude_ball(z, ball_target(root))
+    out = project_magnitude_ball(z, root)
     assert np.max(np.abs(out - z)) <= 1e-14
 
 
 def test_ball_reduces_to_equality_when_outside():
-    out = project_magnitude_ball(np.array([3.0, 1.0]), ball_target([1.0, 1.0]))
+    out = project_magnitude_ball(np.array([3.0, 1.0]), np.array([1.0, 1.0]))
     assert np.allclose(out, [1.0, 0.0], atol=1e-14)
 
 
@@ -68,12 +58,12 @@ def test_ball_idempotent_and_feasible():
     rng = np.random.default_rng(3)
     for _ in range(50):
         b, z = achievable(rng, int(rng.integers(2, 40)))
-        target = MagnitudeTarget.ball(b)
-        once = project_magnitude_ball(z, target)
-        twice = project_magnitude_ball(once, target)
+        root = b.root
+        once = project_magnitude_ball(z, root)
+        twice = project_magnitude_ball(once, root)
         assert np.max(np.abs(twice - once)) <= 1e-12
         mags = np.abs(dft_forward(once))
-        assert np.all(mags <= target.root_intensity + 1e-10)
+        assert np.all(mags <= root + 1e-10)
 
 
 def test_ball_nonexpansive():
@@ -81,8 +71,8 @@ def test_ball_nonexpansive():
     for _ in range(50):
         b, u = achievable(rng, 20)
         v = rng.standard_normal(20)
-        target = MagnitudeTarget.ball(b)
-        du = project_magnitude_ball(u, target) - project_magnitude_ball(v, target)
+        root = b.root
+        du = project_magnitude_ball(u, root) - project_magnitude_ball(v, root)
         assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-10
 
 
@@ -90,19 +80,15 @@ def test_ball_dc_pin():
     rng = np.random.default_rng(5)
     b, z = achievable(rng, 9)
     for sign in (1, -1):
-        target = MagnitudeTarget.ball(b, dc_sign=sign)
-        out = project_magnitude_ball(z, target)
+        out = project_magnitude_ball(z, b.root, dc_sign=sign)
         assert np.sum(out) == pytest.approx(sign * np.sqrt(b.values[0]), rel=1e-10)
 
 
 def test_dc_constraint_validation():
     b = IntensityMeasurements(np.array([4.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        MagnitudeTarget(b.root, MagnitudeMode.EQUALITY, DcConstraint(1, 2.0))
-    with pytest.raises(ValueError):
-        MagnitudeTarget(b.root, MagnitudeMode.BALL, DcConstraint(1, 1.0))  # wrong value
-    with pytest.raises(ValueError):
-        DcConstraint(0, 2.0)
+    for bad in (0, 2, -2):
+        with pytest.raises(ValueError):
+            project_magnitude_ball(np.zeros(3), b.root, dc_sign=bad)
 
 
 def test_project_background_examples():
@@ -163,11 +149,3 @@ def test_reflect_through_affine_set_is_involution(seed):
     z = rng.standard_normal(7)
     proj = lambda w: project_background(w, y, mask)
     assert np.max(np.abs(reflect(reflect(z, proj), proj) - z)) <= 1e-12
-
-
-def test_projection_mode_mismatch_raises():
-    b = IntensityMeasurements(np.array([4.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        project_magnitude(np.zeros(3), MagnitudeTarget.ball(b))
-    with pytest.raises(ValueError):
-        project_magnitude_ball(np.zeros(3), MagnitudeTarget.equality(b))

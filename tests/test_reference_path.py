@@ -14,7 +14,7 @@ import pytest
 
 from bgret import solvers
 from bgret.model import Method, SolverConfig, SupportMask, assemble
-from bgret.projections import MagnitudeTarget, project_magnitude, project_magnitude_ball
+from bgret.projections import project_magnitude, project_magnitude_ball
 from bgret.spectral import Workspace, intensity
 
 
@@ -178,11 +178,11 @@ def test_run_matches_allocating_reference(grid, method):
 def test_cbdr_branch_matches_allocating_reference(grid, sign):
     x, y, mask, b = instance(grid)
     config = CONFIGS["cbdr"]
-    target = MagnitudeTarget.ball(b, dc_sign=sign)
+    root = b.root
     branch = solvers._iterate(
-        b, target, y, mask, config,
-        lambda z, work: solvers.cbdr_step(z, target, y, mask, work),
-        lambda z: project_magnitude_ball(z, target), x_true=x)
+        b, y, mask, config,
+        lambda z, work: solvers.cbdr_step(z, root, y, mask, sign, work),
+        lambda z: project_magnitude_ball(z, root, sign), x_true=x)
     assert_same(branch, ref_cbdr_branch(b, y, mask, config, x, sign))
 
 
@@ -206,12 +206,11 @@ def test_projectors_match_reference_with_and_without_workspace():
         work = Workspace(y, mask, b.shape)
         for z in (rng.standard_normal(mask.shape), np.zeros(mask.shape),
                   np.resize([1.0, -1.0], mask.shape)):
-            eq = MagnitudeTarget.equality(b)
-            expected = ref_project_magnitude(z, b.root)
-            assert project_magnitude(z, eq).tobytes() == expected.tobytes()
-            assert project_magnitude(z, eq, work).tobytes() == expected.tobytes()
+            root = b.root
+            expected = ref_project_magnitude(z, root)
+            assert project_magnitude(z, root).tobytes() == expected.tobytes()
+            assert project_magnitude(z, root, work).tobytes() == expected.tobytes()
             for sign in (1, -1):
-                ball = MagnitudeTarget.ball(b, dc_sign=sign)
-                expected = ref_project_ball(z, b.root, sign)
-                assert project_magnitude_ball(z, ball).tobytes() == expected.tobytes()
-                assert project_magnitude_ball(z, ball, work).tobytes() == expected.tobytes()
+                expected = ref_project_ball(z, root, sign)
+                assert project_magnitude_ball(z, root, sign).tobytes() == expected.tobytes()
+                assert project_magnitude_ball(z, root, sign, work).tobytes() == expected.tobytes()

@@ -6,8 +6,8 @@ import pytest
 from bgret.metrics import measurement_error, relative_error
 from bgret.model import (IntensityMeasurements, Method, SolverConfig,
                          SupportMask, assemble)
-from bgret.projections import (MagnitudeTarget, project_background,
-                               project_magnitude, project_magnitude_ball, reflect)
+from bgret.projections import (project_background, project_magnitude,
+                               project_magnitude_ball, reflect)
 from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
                            cbdr_parallel_real, hio_run, init_spectral,
                            magnitude_objective, pgd_step, run)
@@ -45,19 +45,19 @@ def test_init_spectral_zero_data():
 def test_pgd_lambda_one_equals_alternating_projection():
     rng = np.random.default_rng(0)
     x, y, mask, b = make_instance(rng, 6, 18)
-    target = MagnitudeTarget.equality(b)
+    root = b.root
     z = rng.standard_normal(24)
-    stepped = pgd_step(z, target, y, mask, lam=1.0)
-    direct = project_background(project_magnitude(z, target), y, mask)
+    stepped = pgd_step(z, root, y, mask, lam=1.0)
+    direct = project_background(project_magnitude(z, root), y, mask)
     assert np.max(np.abs(stepped - direct)) == 0.0
 
 
 def test_pgd_fixed_point_on_truth():
     rng = np.random.default_rng(1)
     x, y, mask, b = make_instance(rng, 5, 15)
-    truth = assemble(x, y, mask).values
-    target = MagnitudeTarget.equality(b)
-    stepped = pgd_step(truth, target, y, mask, lam=1.0)
+    truth = assemble(x, y, mask)
+    root = b.root
+    stepped = pgd_step(truth, root, y, mask, lam=1.0)
     assert np.max(np.abs(stepped - truth)) <= 1e-12
 
 
@@ -67,12 +67,12 @@ def test_pgd_objective_monotone_at_lambda_one():
         n = int(rng.integers(2, 8))
         k = int(rng.integers(2, 20))
         x, y, mask, b = make_instance(rng, n, k)
-        target = MagnitudeTarget.equality(b)
+        root = b.root
         z = init_spectral(b, y, mask)
-        prev = magnitude_objective(z, target)
+        prev = magnitude_objective(z, root)
         for _ in range(5):
-            z = pgd_step(z, target, y, mask, lam=1.0)
-            now = magnitude_objective(z, target)
+            z = pgd_step(z, root, y, mask, lam=1.0)
+            now = magnitude_objective(z, root)
             assert now <= prev + 1e-12 * max(1.0, prev)
             prev = now
 
@@ -82,8 +82,8 @@ def test_bdr_step_worked_example():
     mask = SupportMask.block((2,), (1,))
     y = np.array([0.0, 5.0])
     b = intensity(np.array([2.0, 3.0]))
-    target = MagnitudeTarget.equality(b)
-    stepped = bdr_step(np.array([2.0, 3.0]), target, y, mask, beta=1.0)
+    root = b.root
+    stepped = bdr_step(np.array([2.0, 3.0]), root, y, mask, beta=1.0)
     assert np.allclose(stepped, [2.0, 5.0], atol=1e-12)
 
 
@@ -91,10 +91,10 @@ def test_bdr_step_equals_reflection_form():
     rng = np.random.default_rng(3)
     for _ in range(20):
         x, y, mask, b = make_instance(rng, 4, 12)
-        target = MagnitudeTarget.equality(b)
+        root = b.root
         z = rng.standard_normal(16)
-        stepped = bdr_step(z, target, y, mask, beta=1.0)
-        ra = reflect(z, lambda w: project_magnitude(w, target))
+        stepped = bdr_step(z, root, y, mask, beta=1.0)
+        ra = reflect(z, lambda w: project_magnitude(w, root))
         rbra = reflect(ra, lambda w: project_background(w, y, mask))
         assert np.max(np.abs(stepped - 0.5 * (rbra + z))) <= 1e-12
 
@@ -103,21 +103,21 @@ def test_bdr_step_on_magnitude_feasible_point():
     # if P_A(z) = z the update reduces to P_B(z)
     rng = np.random.default_rng(4)
     x, y, mask, b = make_instance(rng, 4, 12)
-    truth = assemble(x, y, mask).values
-    z = project_magnitude(rng.standard_normal(16), MagnitudeTarget.equality(b))
-    target = MagnitudeTarget.equality(intensity(z))
-    stepped = bdr_step(z, target, y, mask)
+    truth = assemble(x, y, mask)
+    z = project_magnitude(rng.standard_normal(16), b.root)
+    root = intensity(z).root
+    stepped = bdr_step(z, root, y, mask)
     assert np.max(np.abs(stepped - project_background(z, y, mask))) <= 1e-9
 
 
 def test_bdr1_touches_only_background_coordinates():
     rng = np.random.default_rng(5)
     x, y, mask, b = make_instance(rng, 4, 12)
-    target = MagnitudeTarget.equality(b)
+    root = b.root
     z = rng.standard_normal(16)
-    ztilde = project_magnitude(z, target)
+    ztilde = project_magnitude(z, root)
     for beta in (1.0, 0.9, 0.5):
-        stepped = bdr_step(z, target, y, mask, beta=beta)
+        stepped = bdr_step(z, root, y, mask, beta=beta)
         assert np.array_equal(stepped[mask.inside], ztilde[mask.inside])
         off = ~mask.inside
         assert np.allclose(stepped[off], z[off] - beta * (ztilde[off] - y[off]))
@@ -128,9 +128,9 @@ def test_bdr1_touches_only_background_coordinates():
 def test_cbdr_step_fixed_on_feasible_point():
     rng = np.random.default_rng(6)
     x, y, mask, b = make_instance(rng, 4, 12)
-    truth = assemble(x, y, mask).values
-    target = MagnitudeTarget.ball(b)
-    stepped = cbdr_step(truth, target, y, mask)
+    truth = assemble(x, y, mask)
+    root = b.root
+    stepped = cbdr_step(truth, root, y, mask)
     assert np.max(np.abs(stepped - truth)) <= 1e-12
 
 
@@ -138,8 +138,8 @@ def test_cbdr_interior_reduces_to_background_style_update():
     rng = np.random.default_rng(7)
     x, y, mask, b = make_instance(rng, 4, 12)
     z = 1e-3 * rng.standard_normal(16)  # spectrum well inside the ball
-    target = MagnitudeTarget.ball(b)
-    stepped = cbdr_step(z, target, y, mask)
+    root = b.root
+    stepped = cbdr_step(z, root, y, mask)
     assert np.max(np.abs(stepped - project_background(z, y, mask))) <= 1e-12
 
 
@@ -147,10 +147,10 @@ def test_cbdr_fejer_monotone_to_fixed_point():
     rng = np.random.default_rng(8)
     x, y, mask, b = make_instance(rng, 4, 40)
     cfg = SolverConfig(method=Method.CBDR, max_iter=2000, eps=1e-13)
-    target = MagnitudeTarget.ball(b)
+    root = b.root
     z = init_spectral(b, y, mask)
     for _ in range(cfg.max_iter):
-        z_new = cbdr_step(z, target, y, mask)
+        z_new = cbdr_step(z, root, y, mask)
         step_norm = np.linalg.norm(z_new - z)
         z = z_new
         if step_norm <= cfg.eps:
@@ -159,7 +159,7 @@ def test_cbdr_fejer_monotone_to_fixed_point():
     z = init_spectral(b, y, mask)
     dist = np.linalg.norm(z - fixed)
     for _ in range(200):
-        z = cbdr_step(z, target, y, mask)
+        z = cbdr_step(z, root, y, mask)
         new_dist = np.linalg.norm(z - fixed)
         assert new_dist <= dist + 1e-9
         dist = new_dist
@@ -169,7 +169,7 @@ def test_run_from_truth_converges_immediately():
     rng = np.random.default_rng(9)
     for method in (Method.PGD, Method.BDR, Method.CBDR):
         x, y, mask, b = make_instance(rng, 5, 15)
-        truth = assemble(x, y, mask).values
+        truth = assemble(x, y, mask)
         cfg = SolverConfig(method=method)
         result = run(b, y, mask, cfg, x_true=x, z0=truth)
         assert result.converged
@@ -229,14 +229,14 @@ def test_bdr_local_linear_convergence_statistical():
     total = 20
     for _ in range(total):
         x, y, mask, b = make_instance(rng, 8, 24)
-        truth = assemble(x, y, mask).values
-        target = MagnitudeTarget.equality(b)
+        truth = assemble(x, y, mask)
+        root = b.root
         delta = rng.standard_normal(truth.shape)
         z0 = truth + 1e-3 * delta / np.linalg.norm(delta)
         z = z0
         errs = []
         for _ in range(80):
-            z = bdr_step(z, target, y, mask)
+            z = bdr_step(z, root, y, mask)
             err = np.linalg.norm(z - truth)
             if err < 1e-13:
                 break
@@ -252,12 +252,12 @@ def test_bdr_local_linear_convergence_statistical():
 def test_cbdr_parallel_real_picks_dc_sign():
     rng = np.random.default_rng(16)
     x, y, mask, b = make_instance(rng, 4, 40)
-    truth = assemble(x, y, mask).values
+    truth = assemble(x, y, mask)
     dc = float(np.sum(truth))
     cfg = SolverConfig(method=Method.CBDR, max_iter=400)
     result = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
     # winner satisfies the DC of the truth (correct sign branch)
-    recovered = assemble(result.final_estimate, y, mask).values
+    recovered = assemble(result.final_estimate, y, mask)
     assert np.sign(np.sum(recovered)) == np.sign(dc)
 
 
@@ -303,18 +303,17 @@ def test_cbdr_parallel_real_tie_break_is_plus_branch():
     y = np.zeros(n + k)
     y[n:] = rng.integers(-4, 5, size=k).astype(float)
     y[-1] -= y.sum()  # exact integer cancellation
-    truth = assemble(x, y, mask).values
+    truth = assemble(x, y, mask)
     assert np.sum(truth) == 0.0
     b = intensity(truth)
     assert b.values[0] == 0.0
     cfg = SolverConfig(method=Method.CBDR, max_iter=50)
     winner = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
-    from bgret.projections import MagnitudeTarget, project_magnitude_ball
-    from bgret.solvers import _iterate, cbdr_step
-    plus = MagnitudeTarget.ball(b, dc_sign=1)
-    plus_run = _iterate(b, plus, y, mask, cfg,
-                        lambda s, work: cbdr_step(s, plus, y, mask, work),
-                        lambda z: project_magnitude_ball(z, plus), x_true=x)
+    from bgret.solvers import _iterate
+    root = b.root
+    plus_run = _iterate(b, y, mask, cfg,
+                        lambda s, work: cbdr_step(s, root, y, mask, 1, work),
+                        lambda z: project_magnitude_ball(z, root, 1), x_true=x)
     assert np.array_equal(winner.final_estimate, plus_run.final_estimate)
     again = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
     assert np.array_equal(winner.final_estimate, again.final_estimate)
@@ -363,8 +362,7 @@ def test_oversampled_theory_mode_runs():
     x = rng.standard_normal(n)
     y = rng.standard_normal(n + k)
     y[mask.inside] = 0.0
-    z = assemble(x, y, mask)
-    b = intensity(z.values, measurement_sizes=(2 * (n + k) - 1,))
+    b = intensity(assemble(x, y, mask), measurement_sizes=(2 * (n + k) - 1,))
     result = run(b, y, mask, SolverConfig(method=Method.PGD, max_iter=800), x_true=x)
     assert relative_error(result.final_estimate, x) < 1e-8
     bdr_result = run(b, y, mask, SolverConfig(method=Method.BDR, max_iter=200), x_true=x)
@@ -397,9 +395,9 @@ def test_run_rejects_unknown_beta_lambda():
     rng = np.random.default_rng(20)
     x, y, mask, b = make_instance(rng, 4, 8)
     with pytest.raises(ValueError):
-        bdr_step(np.zeros(12), MagnitudeTarget.equality(b), y, mask, beta=0.0)
+        bdr_step(np.zeros(12), b.root, y, mask, beta=0.0)
     with pytest.raises(ValueError):
-        pgd_step(np.zeros(12), MagnitudeTarget.equality(b), y, mask, lam=0.0)
+        pgd_step(np.zeros(12), b.root, y, mask, lam=0.0)
 
 
 def test_run_never_writes_inputs_or_aliases_results():
@@ -422,7 +420,7 @@ def test_steps_without_out_return_new_arrays():
     rng = np.random.default_rng(24)
     x, y, mask, b = make_instance(rng, 5, 15)
     z = rng.standard_normal(mask.shape)
-    for result in (project_magnitude(z, MagnitudeTarget.equality(b)),
-                   project_magnitude_ball(z, MagnitudeTarget.ball(b, dc_sign=1)),
-                   bdr_step(z, MagnitudeTarget.equality(b), y, mask)):
+    for result in (project_magnitude(z, b.root),
+                   project_magnitude_ball(z, b.root, dc_sign=1),
+                   bdr_step(z, b.root, y, mask)):
         assert not np.shares_memory(result, z)
