@@ -387,6 +387,8 @@ def frip_expectation_check(x, h, num_draws: int, seed: int) -> FripReport:
     m = h.size
     n = x.size
     k = m - n
+    if k < 1:
+        raise ValueError(f"h has {m} entries, the sample {n}: no background rows (k < 1)")
 
     bg = np.arange(n, m)
     h_sq = h * h

@@ -25,6 +25,28 @@ xoshiro256** + Box-Muller
     emitted in order z0, z1; an odd request drops the trailing z1.
 
 Test vectors live in tests/test_rng.py and the README.
+
+Evaluation in jump-ahead lanes
+    `next_u64` is the one-step scalar update above. `uniform` and `normal`
+    return the same doubles, and leave the same state, as a loop over it,
+    but evaluate the stream in lanes: a request for N outputs splits it into
+    L = ceil(N / S) runs of S = 2^round(log2(N) / 2) outputs (S is about
+    sqrt(N)), seeds lane i with the state i*S steps ahead, steps all lanes
+    together in numpy uint64 arithmetic and reads their outputs back in
+    stream order.
+
+    The state step is linear over GF(2): a 256x256 bit matrix T. The lane
+    states come from a doubling tree: lanes [2^p, 2^(p+1)) are lanes
+    [0, 2^p) moved on by T^(S 2^p), and moving a state by a matrix is the
+    XOR of the matrix columns its set bits pick. The jump tables T, T^2,
+    T^4, ... are built by repeated squaring on first use and cached for the
+    life of the process, each packed as 256 columns of four uint64 words:
+    8 KB a level, 136 KB for the 17 levels a 2^17-output request needs.
+
+    Box-Muller keeps math.log, math.cos and math.sin, mapped over chunks of
+    4096 pairs: numpy's log and cos round a small fraction of values
+    differently. The other operations (shifts, int-to-double conversion,
+    products, sqrt) round identically in numpy and in Python.
 """
 
 from __future__ import annotations
@@ -37,6 +59,11 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 _TWO53_INV = 2.0 ** -53
+_TWO_PI = 2.0 * math.pi
+#: Box-Muller pairs converted through Python floats at a time.
+_CHUNK = 4096
+#: Lane states moved per jump product (a 64 KB selection).
+_JUMP_ROWS = 8
 
 
 def scramble64(z: int) -> int:
@@ -71,8 +98,63 @@ def _rotl(x: int, r: int) -> int:
     return ((x << r) | (x >> (64 - r))) & MASK64
 
 
+# -- jump-ahead lanes ----------------------------------------------------------
+
+def _step_lanes(s: np.ndarray, t: np.ndarray) -> None:
+    """One xoshiro256** state step, in place, of every column of the (4, L)
+    uint64 state array s; t is an (L,) scratch row."""
+    np.left_shift(s[1], 17, out=t)
+    s[2:] ^= s[:2]        # s2 ^= s0; s3 ^= s1
+    s[:2] ^= s[3:1:-1]    # s0 ^= s3; s1 ^= s2
+    s[2] ^= t
+    np.right_shift(s[3], 19, out=t)
+    s[3] <<= 45
+    s[3] |= t
+
+
+def _jump(states: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Apply the GF(2) matrix `table` to each row of the (R, 4) uint64
+    states: the XOR of the table columns picked by the state's bits. Rows go
+    _JUMP_ROWS at a time, so the (rows, 4, 256) selection stays small."""
+    out = np.empty((len(states), 4), dtype=np.uint64)
+    for lo in range(0, len(states), _JUMP_ROWS):
+        rows = np.ascontiguousarray(states[lo:lo + _JUMP_ROWS], dtype="<u8")
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little").view(bool)
+        picked = np.where(bits[:, None, :], table, np.uint64(0))
+        np.bitwise_xor.reduce(picked, axis=2, out=out[lo:lo + _JUMP_ROWS])
+    return out
+
+
+#: _JUMPS[j] is T^(2^j) as a (4, 256) uint64 array: column 64*w + b is the
+#: state that bit b of word w steps to.
+_JUMPS: list[np.ndarray] = []
+
+
+def _jump_table(level: int) -> np.ndarray:
+    if not _JUMPS:
+        basis = np.zeros((4, 256), dtype=np.uint64)
+        for i in range(256):
+            basis[i // 64, i] = 1 << (i % 64)
+        _step_lanes(basis, np.empty(256, dtype=np.uint64))
+        _JUMPS.append(basis)
+    while len(_JUMPS) <= level:
+        _JUMPS.append(np.ascontiguousarray(_jump(_JUMPS[-1].T, _JUMPS[-1]).T))
+    return _JUMPS[level]
+
+
+def _scramble_lanes(s1: np.ndarray) -> np.ndarray:
+    """The ** output function rotl(s1 * 5, 7) * 9, in place."""
+    s1 *= 5
+    high = s1 >> 57
+    s1 <<= 7
+    s1 |= high
+    s1 *= 9
+    return s1
+
+
 class Xoshiro256StarStar:
-    """Sequential xoshiro256** generator with Box-Muller normal variates."""
+    """xoshiro256** generator with Box-Muller normal variates; uniform and
+    normal evaluate the stream in jump-ahead lanes (see module docs)."""
 
     def __init__(self, seed: int):
         self._s = splitmix64_stream(seed, 4)
@@ -92,20 +174,64 @@ class Xoshiro256StarStar:
         self._s = [s0, s1, s2, s3]
         return result
 
+    def _block(self, count: int) -> np.ndarray:
+        """The next `count` outputs of next_u64 as uint64, in stream order,
+        computed in jump-ahead lanes (see module docs)."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        if count == 0:
+            return np.empty(0, dtype=np.uint64)
+        level = round(math.log2(count) / 2)
+        run = 1 << level
+        lanes = -(-count // run)
+        start = np.empty((lanes, 4), dtype=np.uint64)
+        start[0] = self._s
+        seeded = 1
+        while seeded < lanes:
+            grow = min(seeded, lanes - seeded)
+            start[seeded:seeded + grow] = _jump(start[:grow], _jump_table(level))
+            seeded += grow
+            level += 1
+        s = np.ascontiguousarray(start.T)
+        t = np.empty(lanes, dtype=np.uint64)
+        hist = np.empty((lanes, run), dtype=np.uint64)  # row-major = stream order
+        last = count - (lanes - 1) * run  # steps the last lane owes the stream
+        for i in range(run):
+            hist[:, i] = s[1]
+            _step_lanes(s, t)
+            if i + 1 == last:
+                self._s = [int(v) for v in s[:, -1]]
+        return _scramble_lanes(hist).reshape(-1)[:count]
+
     def uniform(self, count: int) -> np.ndarray:
         """count doubles in [0, 1) with 53-bit resolution."""
-        return np.array([(self.next_u64() >> 11) * _TWO53_INV for _ in range(count)])
+        x = self._block(count)
+        x >>= 11
+        u = x.astype(np.float64)
+        u *= _TWO53_INV
+        return u
 
     def normal(self, count: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        out = np.empty(count)
-        i = 0
-        while i < count:
-            u1 = ((self.next_u64() >> 11) + 1) * _TWO53_INV
-            u2 = (self.next_u64() >> 11) * _TWO53_INV
-            r = math.sqrt(-2.0 * math.log(u1))
-            theta = 2.0 * math.pi * u2
-            out[i] = r * math.cos(theta)
-            if i + 1 < count:
-                out[i + 1] = r * math.sin(theta)
-            i += 2
-        return mu + sigma * out
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        pairs = -(-count // 2)
+        x = self._block(2 * pairs)
+        x >>= 11
+        out = np.empty(2 * pairs)
+        for lo in range(0, 2 * pairs, 2 * _CHUNK):
+            hi = min(lo + 2 * _CHUNK, 2 * pairs)
+            u1 = x[lo:hi:2].astype(np.float64)
+            u1 += 1.0
+            u1 *= _TWO53_INV
+            theta = x[lo + 1:hi:2].astype(np.float64)
+            theta *= _TWO53_INV
+            theta *= _TWO_PI
+            r = np.fromiter(map(math.log, u1.tolist()), np.float64, len(u1))
+            r *= -2.0
+            np.sqrt(r, out=r)
+            angles = theta.tolist()
+            out[lo:hi:2] = r * np.fromiter(map(math.cos, angles), np.float64, len(angles))
+            out[lo + 1:hi:2] = r * np.fromiter(map(math.sin, angles), np.float64, len(angles))
+        out *= sigma
+        out += mu
+        return out[:count]

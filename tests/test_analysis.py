@@ -411,6 +411,14 @@ def test_frip_rejects_bad_h():
         frip_expectation_check(np.zeros(4), 10.0 * np.ones(12), 100, 0)
 
 
+def test_frip_rejects_no_background():
+    # k = h.size - x.size rows of background; k = 0 used to divide by zero
+    with pytest.raises(ValueError, match="k < 1"):
+        frip_expectation_check(np.ones(4), np.zeros(4), 10, 0)
+    with pytest.raises(ValueError, match="k < 1"):
+        frip_expectation_check(np.ones(4), np.zeros(3), 10, 0)
+
+
 def test_frip_zero_h():
     report = frip_expectation_check(np.ones(4), np.zeros(12), 100, 0)
     assert report.empirical_mean == 0.0

@@ -192,6 +192,7 @@ def test_verify_failing_check_exits_3(capsys, tmp_path):
     ("lmatrix", ["--draws", "0"]),
     ("frip", ["--num-h", "0"]),
     ("frip", ["--draws", "1"]),
+    ("frip", ["--n", "4", "--k", "0", "--draws", "10", "--num-h", "1"]),
 ])
 def test_verify_rejects_empty_counts(what, count, capsys, tmp_path):
     # an empty loop must not pass vacuously nor die with an unrelated error
@@ -210,6 +211,20 @@ def test_sweep_cli_rejects_empty_ratio_range(tmp_path, capsys):
                "--ratio-max", "2", "--out", str(out)])
     assert rc == EXIT_USAGE
     assert "--ratio-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lo,hi", [("-1", "-1"), ("0", "1"), ("0", "0")])
+def test_sweep_cli_rejects_nonpositive_ratio(lo, hi, tmp_path, capsys):
+    # k = max(1, round(ratio * n)) would run k = 1 and report k_ratio lo
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "BDR", "n": 10, "k_ratio": 3,
+                               "trials": 1, "seed": 2, "max_iter": 5}))
+    out = tmp_path / "nonpositive"
+    rc = main(["sweep", "--config", str(cfg), "--ratio-min", lo,
+               "--ratio-max", hi, "--out", str(out)])
+    assert rc == EXIT_USAGE
+    assert "--ratio-min" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,16 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from bgret.harness import (TrialSpec, add_noise, default_bias_offsets, gen_background,
-                           gen_signal, harmonic_signal, image_benchmark, location_bias_study,
+from bgret.harness import (STREAM_SIGNAL, TrialSpec, add_noise, default_bias_offsets,
+                           draw_instance, gen_background, gen_signal, harmonic_signal, image_benchmark, location_bias_study,
                            run_trial, run_trials, resolve_workers, sweep_phase_transition,
                            synthetic_test_image, verify_frip, verify_lmatrix,
                            verify_stability, verify_uniqueness)
 from bgret.io_formats import ExperimentConfig
 from bgret.model import IntensityMeasurements, Method, SupportMask
-from bgret.rng import mix_seed
+from bgret.rng import Xoshiro256StarStar, mix_seed
 
 
 def test_harmonic_signal_matches_formula():
@@ -104,6 +105,38 @@ def rows_equal_except_timing(a, b):
             assert isinstance(vb, float) and math.isnan(vb), key
         else:
             assert va == vb, key
+
+
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_draw_instance_bytes_frozen():
+    # Digests of two instances as the experiments build them. Any change to
+    # the generator or the instance path that moves a byte of any trial
+    # fails here, long before it shows in a sweep's rows.
+    image = synthetic_test_image(64)  # the 2-D noise study: 64x64 in 256x256
+    spec = TrialSpec(master_seed=7, cell_id=0, trial_index=0, method=Method.BDR,
+                     sample_shape=(64, 64), background_sizes=(192, 192),
+                     noise_sigma=1e-3, signal=image.reshape(-1))
+    background, b = draw_instance(image.reshape(-1), spec.make_mask(),
+                                  mix_seed(7, 0, 0), spec.noise_sigma)
+    assert b.shape == (256, 256)
+    assert _sha256(background) == \
+        "8d3f8cb262fd89e30edb35da3c7280ae73e4f1ec36ef43fc9a9419e04ccc0f1f"
+    assert _sha256(b.values) == \
+        "8e66311af043c1852d9ca7688a06c1e025e1a2bd671cb72622836ed1485176d2"
+
+    spec = TrialSpec(master_seed=7, cell_id=0, trial_index=0, method=Method.BDR,
+                     sample_shape=(100,), background_sizes=(300,))
+    trial_seed = mix_seed(7, 0, 0)
+    x = gen_signal(1, 100, rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_SIGNAL)))
+    background, b = draw_instance(x, spec.make_mask(), trial_seed, 0.0)
+    assert _sha256(x) == "67a49b7504d16b54c7fc953a11c01848d0d6cbdc438d8fab1ad38420be751f42"
+    assert _sha256(background) == \
+        "3504850b997d86067b8f4317efafd8f1936249454c91d87fd74d558992a2296f"
+    assert _sha256(b.values) == \
+        "8e84a2f966ec9bde4316b2c30554090693a89de2959cc39d939be27dd9536890"
 
 
 def test_run_trial_deterministic_row():
