@@ -2,7 +2,8 @@
 M vec(X) = R3 extracted from the autocorrelation, least-squares recovery and
 uniqueness certificates, stability/robustness constants, the partial
 circulant L/L1 machinery and empirical checks of its restricted-isometry
-expectation identity.
+expectation identity, and the seeded ``verify_*`` checks behind
+``bgret verify``. Transforms go through ``spectral``.
 
 Shift bookkeeping
 -----------------
@@ -23,8 +24,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import SupportMask, _readonly
-from .spectral import Autocorrelation
+from .model import SupportMask, _readonly, _require_count, assemble, mirror_index
+from .projections import project_magnitude_ball
+from .rng import mix_seed
+from .spectral import (Autocorrelation, autocorrelation_from_intensity, dft_forward,
+                       dft_inverse, intensity)
 
 #: Singular values below this fraction of the largest are treated as zero.
 RANK_RTOL = 1e-10
@@ -134,10 +138,6 @@ def _cross_coefficients(background: np.ndarray, mask: SupportMask,
     return (forward + backward)[mask.inside]
 
 
-def _background_autocorrelation(background: np.ndarray) -> np.ndarray:
-    return np.fft.ifftn(np.abs(np.fft.fftn(background)) ** 2).real
-
-
 def coefficient_matrix(background: np.ndarray, mask: SupportMask
                        ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """M alone (no right-hand side); used by the uniqueness certificate."""
@@ -164,7 +164,7 @@ def build_linear_system(background: np.ndarray, mask: SupportMask,
     if autocorr.values.shape != mask.shape:
         raise ValueError("autocorrelation shape does not match the object grid")
     M, shifts = coefficient_matrix(background, mask)
-    cy = _background_autocorrelation(background)
+    cy = autocorrelation_from_intensity(intensity(background)).values
     rhs = np.empty(len(shifts))
     for i, shift in enumerate(shifts):
         factor = 1.0 if mirror_shift(shift, mask.shape) == shift else 2.0
@@ -287,19 +287,13 @@ def build_circulant(z, num_sample: int) -> CirculantPair:
     return CirculantPair(L, L[num_sample:, :])
 
 
-def circulant_apply(z, h) -> np.ndarray:
-    """FFT fast path for L @ h: the circular correlation
-    IDFT(DFT(z) * conj(DFT(h))), exact for the row convention of L."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float).reshape(-1)
-    if z.shape != h.shape:
-        raise ValueError("z and h must share length")
-    return np.fft.ifft(np.fft.fft(z) * np.conj(np.fft.fft(h))).real
+#: 2-norm condition number below which L counts as numerically nonsingular.
+COND_LIMIT = 1e12
 
 
-def l_nonsingular_check(x, y_draws: Iterable, cond_limit: float = 1e12) -> float:
+def l_nonsingular_check(x, y_draws: Iterable) -> float:
     """Fraction of background draws for which L = circ([x; y]) is numerically
-    nonsingular (2-norm condition below cond_limit)."""
+    nonsingular (2-norm condition below COND_LIMIT)."""
     x = np.asarray(x, dtype=float).reshape(-1)
     total = 0
     good = 0
@@ -309,7 +303,7 @@ def l_nonsingular_check(x, y_draws: Iterable, cond_limit: float = 1e12) -> float
             raise ValueError("background draws must be nonempty")
         pair = build_circulant(np.concatenate([x, y]), x.size)
         total += 1
-        if np.linalg.cond(pair.L) < cond_limit:
+        if np.linalg.cond(pair.L) < COND_LIMIT:
             good += 1
     if total == 0:
         raise ValueError("no background draws supplied")
@@ -322,18 +316,16 @@ C2_RADIUS = 2.0
 def in_c2(h, tol: float = 1e-9) -> bool:
     """Membership in C2 = {h : |DFT(h)_i| <= 2 for all i}."""
     h = np.asarray(h, dtype=float).reshape(-1)
-    return bool(np.max(np.abs(np.fft.fft(h))) <= C2_RADIUS + tol)
+    return bool(np.max(np.abs(dft_forward(h))) <= C2_RADIUS + tol)
 
 
 def sample_c2(size: int, seed: int) -> np.ndarray:
     """Draw a random real vector and clamp its spectrum radially to magnitude
-    at most 2 (conjugate symmetry is preserved by the radial clamp)."""
+    at most 2: the ball projection onto |DFT h| <= 2 (conjugate symmetry is
+    preserved by the radial clamp)."""
     rng = np.random.default_rng(seed)
     h0 = rng.standard_normal(size) * (C2_RADIUS / math.sqrt(size))
-    hhat = np.fft.fft(h0)
-    mag = np.abs(hhat)
-    scale = np.divide(C2_RADIUS, mag, out=np.ones_like(mag), where=mag > 0)
-    return np.fft.ifft(hhat * np.minimum(1.0, scale)).real
+    return project_magnitude_ball(h0, np.full(size, C2_RADIUS))
 
 
 @dataclass(frozen=True)
@@ -407,3 +399,132 @@ def frip_expectation_check(x, h, num_draws: int, seed: int) -> FripReport:
     empirical = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1)) / math.sqrt(num_draws)
     return FripReport(empirical, predicted, stderr, c1, phi_term, num_draws)
+
+
+# -- verification drivers -------------------------------------------------------
+
+def _gaussian_background(mask: SupportMask, rng: np.random.Generator) -> np.ndarray:
+    y = rng.standard_normal(mask.shape)
+    y[mask.inside] = 0.0
+    return y
+
+
+def verify_uniqueness(n: int, k: int, d: int, draws: int, seed: int = 0) -> dict:
+    """Rank certificate pass rate over Gaussian backgrounds (corner support)."""
+    if d not in (1, 2):
+        raise ValueError("uniqueness certificate supports d in {1, 2}")
+    _require_count("draws", draws)
+    sizes = (n,) * d
+    ks = (k,) * d
+    mask = SupportMask.block(tuple(a + b for a, b in zip(sizes, ks)), sizes)
+    rng = np.random.default_rng(seed)
+    unique = 0
+    for _ in range(draws):
+        cert = uniqueness_certificate(_gaussian_background(mask, rng), mask)
+        unique += int(cert.unique)
+    rate = unique / draws
+    bound = dimension_bound(sizes, ks)
+    return {"check": "uniqueness", "n": n, "k": k, "d": d, "draws": draws,
+            "unique": unique, "rate": rate,
+            "count_bound_satisfied": bound.satisfied,
+            "passed": rate >= 0.99}
+
+
+def verify_stability(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
+                     pairs: int = 100, seed: int = 0) -> dict:
+    """Direct evaluation of the stability inequality
+    ||X1-X2||_F <= delta1*delta2/(m1*m2) * ||vec(I1-I2)||_1 on random pairs."""
+    _require_count("pairs", pairs)
+    mask = SupportMask.block((n1 + k1, n2 + k2), (n1, n2))
+    rng = np.random.default_rng(seed)
+    violations = 0
+    margins = []
+    for _ in range(pairs):
+        y = _gaussian_background(mask, rng)
+        system = build_linear_system(
+            y, mask, autocorrelation_from_intensity(intensity(assemble(
+                rng.standard_normal(mask.sample_count), y, mask))))
+        consts = stability_constants(system)
+        x1 = rng.standard_normal((n1, n2))
+        x2 = rng.standard_normal((n1, n2))
+        i1 = intensity(assemble(x1, y, mask)).values
+        i2 = intensity(assemble(x2, y, mask)).values
+        lhs = float(np.linalg.norm(x1 - x2))
+        rhs = consts.bound_factor * float(np.sum(np.abs(i1 - i2)))
+        margins.append(rhs / lhs)
+        violations += int(lhs > rhs)
+    return {"check": "stability", "pairs": pairs, "violations": violations,
+            "min_margin": float(min(margins)), "passed": violations == 0}
+
+
+def _symmetrized_uniform(shape, bound: float, rng: np.random.Generator) -> np.ndarray:
+    eps = rng.uniform(-bound, bound, size=shape)
+    return 0.5 * (eps + mirror_index(eps))
+
+
+def verify_robustness(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
+                      instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
+                      seed: int = 0) -> dict:
+    """Bounded-noise recovery against the certificate: uniform measurement
+    noise |eps1| <= c1 (mirror-symmetrized) and background bias |eps2| <= c2;
+    checks measured error <= bound every time and the exact c2=0 collapse."""
+    _require_count("instances", instances)
+    mask = SupportMask.block((n1 + k1, n2 + k2), (n1, n2))
+    rng = np.random.default_rng(seed)
+    failures = 0
+    ratios = []
+    collapse_ok = True
+    for _ in range(instances):
+        x = rng.standard_normal((n1, n2))
+        y = _gaussian_background(mask, rng)
+        i_clean = intensity(assemble(x, y, mask)).values
+        i_tilde = i_clean + _symmetrized_uniform(i_clean.shape, c1, rng)
+        y_tilde = y + rng.uniform(-c2, c2, size=y.shape)
+        y_tilde[mask.inside] = 0.0
+        r_tilde = Autocorrelation(dft_inverse(i_tilde).real)
+        system = build_linear_system(y_tilde, mask, r_tilde)
+        solution = least_squares_recover(system)
+        measured = float(np.linalg.norm(solution.values - x.reshape(-1)))
+        bound = robustness_bound(system, c1, c2, i_tilde, y_tilde)
+        ratios.append(bound / measured if measured > 0 else math.inf)
+        failures += int(measured > bound)
+
+        clean_system = build_linear_system(y, mask, r_tilde)
+        consts = stability_constants(clean_system)
+        specialized = robustness_bound(clean_system, c1, 0.0, i_tilde, y)
+        expected = c1 * consts.delta1 * consts.delta2
+        if abs(specialized - expected) > 1e-12 * max(1.0, abs(expected)):
+            collapse_ok = False
+    return {"check": "robustness", "instances": instances, "c1": c1, "c2": c2,
+            "failures": failures, "min_bound_ratio": float(min(ratios)),
+            "c2_zero_collapse_exact": collapse_ok,
+            "passed": failures == 0 and collapse_ok}
+
+
+def verify_lmatrix(n: int = 8, k: int = 24, draws: int = 100, seed: int = 0) -> dict:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    fraction = l_nonsingular_check(
+        x, (rng.standard_normal(k) for _ in range(draws)))
+    return {"check": "lmatrix", "n": n, "k": k, "draws": draws,
+            "fraction_nonsingular": fraction, "passed": fraction >= 0.99}
+
+
+def verify_frip(n: int = 16, k: int = 256, draws: int = 2000, num_h: int = 5,
+                seed: int = 0) -> dict:
+    _require_count("num_h", num_h)  # draws below 2 fail in frip_expectation_check
+    rng = np.random.default_rng(mix_seed(seed, 10_000))
+    x = rng.standard_normal(n)
+    reports = []
+    all_ok = True
+    for j in range(num_h):
+        h = sample_c2(n + k, mix_seed(seed, j))
+        rep = frip_expectation_check(x, h, draws, mix_seed(seed, 100 + j))
+        c1_ok = rep.c1 >= (k - n) / k - 1e-12
+        all_ok = all_ok and rep.within and c1_ok
+        reports.append({"empirical": rep.empirical_mean, "predicted": rep.predicted,
+                        "stderr": rep.stderr, "deviation": rep.deviation,
+                        "c1": rep.c1, "within_3_stderr": rep.within,
+                        "c1_above_lower_bound": c1_ok})
+    return {"check": "frip", "n": n, "k": k, "draws": draws, "num_h": num_h,
+            "reports": reports, "passed": all_ok}

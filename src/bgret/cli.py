@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, harness, metrics, solvers
+from . import __version__, analysis, harness, metrics, solvers
 from .io_formats import (DataFormatError, ExperimentConfig, manifest_now,
                          read_config, read_image, read_signal_csv, sha256_of,
                          write_image, write_results, write_signal_csv)
-from .model import Method, SolverConfig, SupportMask, background_sizes_for
-from .rng import mix_seed
+from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
+                    background_sizes_for)
+from .rng import Xoshiro256StarStar, mix_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,15 +60,13 @@ def _emit(payload: dict, path: Path | None) -> None:
     sys.stdout.write(text)
 
 
-def _load_config(args, required=True) -> ExperimentConfig | None:
-    if getattr(args, "config", None):
-        cfg = read_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        return cfg
-    if required:
+def _load_config(args) -> ExperimentConfig:
+    if not getattr(args, "config", None):
         raise SystemExit2("this subcommand needs --config PATH")
-    return None
+    cfg = read_config(args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    return cfg
 
 
 def _seed(args) -> int:
@@ -75,7 +74,8 @@ def _seed(args) -> int:
 
 
 def cmd_gen_signal(args) -> int:
-    values = harness.gen_signal(args.type, args.n, seed=mix_seed(_seed(args), 0),
+    values = harness.gen_signal(args.type, args.n,
+                                rng=Xoshiro256StarStar(mix_seed(_seed(args), 0)),
                                 values=read_signal_csv(args.input) if args.input else None)
     out = _out_dir(args) / f"signal_type{args.type}_n{args.n}.csv"
     write_signal_csv(out, values)
@@ -96,8 +96,9 @@ def cmd_gen_background(args) -> int:
     sample = tuple(args.sample)
     mask = (SupportMask.centered(shape, sample) if args.placement == "center"
             else SupportMask.block(shape, sample))
-    y = harness.gen_background(mask, mu=args.mu, sigma=args.sigma,
-                               seed=mix_seed(_seed(args), harness.STREAM_BACKGROUND))
+    y = harness.gen_background(
+        mask, mu=args.mu, sigma=args.sigma,
+        rng=Xoshiro256StarStar(mix_seed(_seed(args), harness.STREAM_BACKGROUND)))
     path = _out_dir(args) / "background.csv"
     _write_array(path, y)
     print(path)
@@ -140,8 +141,9 @@ def cmd_forward(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .model import IntensityMeasurements
     method = Method.parse(args.method)
+    config = SolverConfig(method=method, eps=args.eps, max_iter=args.max_iter,
+                          beta=args.beta, lam=args.lam)
     if args.spectrum:
         # measured intensity data (e.g. a preprocessed diffraction pattern):
         # only the bare-support HIO baseline applies, no background is known
@@ -156,8 +158,6 @@ def cmd_solve(args) -> int:
         if len(support) != b.values.ndim:
             raise SystemExit2("--support dimension must match the spectrum")
         mask = SupportMask.centered(b.values.shape, support)
-        config = SolverConfig(method=method, eps=args.eps, max_iter=args.max_iter,
-                              beta=args.beta, lam=args.lam)
         result = solvers.hio_run(b, mask, config)
         out = _out_dir(args)
         write_image(out / "recovered.csv", mask.to_block(result.final_estimate))
@@ -167,8 +167,6 @@ def cmd_solve(args) -> int:
                "recovered": str(out / "recovered.csv")}, out / "solve_report.json")
         return EXIT_OK
     x, mask, y, b = _instance(args)
-    config = SolverConfig(method=method, eps=args.eps, max_iter=args.max_iter,
-                          beta=args.beta, lam=args.lam)
     result = solvers.run(b, y, mask, config, x_true=x.reshape(-1))
     image_shape = x.shape if x.ndim == 2 else None
     report = metrics.evaluate(result.final_estimate, x.reshape(-1), y, mask, b,
@@ -220,7 +218,7 @@ def _bench_image(args):
 
 def cmd_image_bench(args) -> int:
     image = _bench_image(args)
-    trials = args.trials or PRESETS[args.preset]["image_trials"]
+    trials = PRESETS[args.preset]["image_trials"] if args.trials is None else args.trials
     result = harness.image_benchmark(image, args.k_ratio, trials,
                                      methods=(Method.PGD, Method.BDR),
                                      seed=_seed(args), max_iter=args.max_iter,
@@ -270,16 +268,16 @@ def cmd_noise_bench(args) -> int:
 def cmd_verify(args) -> int:
     seed = _seed(args)
     if args.what == "uniqueness":
-        report = harness.verify_uniqueness(args.n, args.k, args.d, args.draws, seed)
+        report = analysis.verify_uniqueness(args.n, args.k, args.d, args.draws, seed)
     elif args.what == "stability":
-        report = harness.verify_stability(pairs=args.pairs, seed=seed)
+        report = analysis.verify_stability(pairs=args.pairs, seed=seed)
     elif args.what == "robustness":
-        report = harness.verify_robustness(instances=args.instances, c1=args.c1,
-                                           c2=args.c2, seed=seed)
+        report = analysis.verify_robustness(instances=args.instances, c1=args.c1,
+                                            c2=args.c2, seed=seed)
     elif args.what == "lmatrix":
-        report = harness.verify_lmatrix(args.n, args.k, args.draws, seed)
+        report = analysis.verify_lmatrix(args.n, args.k, args.draws, seed)
     elif args.what == "frip":
-        report = harness.verify_frip(args.n, args.k, args.draws, args.num_h, seed)
+        report = analysis.verify_frip(args.n, args.k, args.draws, args.num_h, seed)
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit2(f"unknown verify target {args.what}")
     _emit(report, _out_dir(args) / f"verify_{args.what}.json")

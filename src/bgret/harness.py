@@ -1,6 +1,7 @@
 """Experiment drivers: signal/background generators, measurement noise,
 seeded trials, phase-transition sweeps, 2-D image benchmarks, location-bias
-and noise-robustness studies, plus the theory verification commands.
+and noise-robustness studies. The theory checks behind ``bgret verify`` live
+in ``analysis``.
 
 One trial path: ``draw_instance`` turns a sample, its mask and a trial seed
 into the background and the measured intensities (``run_trial`` and the CLI's
@@ -25,13 +26,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import analysis, solvers
+from . import solvers
 from .io_formats import ExperimentConfig, manifest_now, shape_token, write_results
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
-                    assemble, background_sizes_for, mirror_index)
+                    _require_count, assemble, background_sizes_for, mirror_index)
 from .rng import Xoshiro256StarStar, mix_seed
-from .spectral import (Autocorrelation, autocorrelation_from_intensity, dft_inverse,
-                       intensity)
+from .spectral import intensity
 from .metrics import evaluate
 
 SIGNAL_GAUSSIAN = 1
@@ -42,14 +42,6 @@ SIGNAL_CSV = 3
 STREAM_SIGNAL, STREAM_BACKGROUND, STREAM_NOISE = 0, 1, 2
 
 
-def _rng_for(seed: Optional[int], rng: Optional[Xoshiro256StarStar]) -> Xoshiro256StarStar:
-    if rng is not None:
-        return rng
-    if seed is None:
-        raise ValueError("provide a seed or an rng")
-    return Xoshiro256StarStar(seed)
-
-
 def harmonic_signal(n: int) -> np.ndarray:
     """Two-component frequency-modulated cosine sampled on (0, 1)."""
     t = (np.arange(n) + 1.0) / (n + 1.0)
@@ -57,15 +49,16 @@ def harmonic_signal(n: int) -> np.ndarray:
             + np.cos(85.4 * np.pi * t + 12.0 * np.sin(2.0 * np.pi * t)))
 
 
-def gen_signal(signal_type: int, n: int, seed: Optional[int] = None,
-               rng: Optional[Xoshiro256StarStar] = None,
+def gen_signal(signal_type: int, n: int, rng: Optional[Xoshiro256StarStar] = None,
                values: Optional[np.ndarray] = None) -> np.ndarray:
     """Type 1: iid standard normal; type 2: the harmonic test signal;
     type 3: caller-supplied values (loaded from CSV)."""
     if n < 1:
         raise ValueError("signal length must be positive")
     if signal_type == SIGNAL_GAUSSIAN:
-        return _rng_for(seed, rng).normal(n)
+        if rng is None:
+            raise ValueError("signal type 1 needs an rng")
+        return rng.normal(n)
     if signal_type == SIGNAL_HARMONIC:
         return harmonic_signal(n)
     if signal_type == SIGNAL_CSV:
@@ -78,9 +71,8 @@ def gen_signal(signal_type: int, n: int, seed: Optional[int] = None,
     raise ValueError(f"unknown signal type {signal_type}")
 
 
-def gen_background(mask: SupportMask, mu: float = 0.0, sigma: float = 1.0,
-                   seed: Optional[int] = None,
-                   rng: Optional[Xoshiro256StarStar] = None) -> np.ndarray:
+def gen_background(mask: SupportMask, mu: float = 0.0, sigma: float = 1.0, *,
+                   rng: Xoshiro256StarStar) -> np.ndarray:
     """iid N(mu, sigma^2) off the support, exactly zero on it.
 
     One normal is drawn per grid cell in row-major order and the support
@@ -88,14 +80,13 @@ def gen_background(mask: SupportMask, mu: float = 0.0, sigma: float = 1.0,
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    r = _rng_for(seed, rng)
-    values = r.normal(int(np.prod(mask.shape)), mu, sigma).reshape(mask.shape)
+    values = rng.normal(int(np.prod(mask.shape)), mu, sigma).reshape(mask.shape)
     values[mask.inside] = 0.0
     return values
 
 
-def add_noise(b: IntensityMeasurements, sigma: float, seed: Optional[int] = None,
-              rng: Optional[Xoshiro256StarStar] = None) -> IntensityMeasurements:
+def add_noise(b: IntensityMeasurements, sigma: float,
+              rng: Xoshiro256StarStar) -> IntensityMeasurements:
     """Perturb the root intensities with symmetrized Gaussian noise and
     re-square: sqrt(b) <- max(0, sqrt(b) + eps). Mirror-averaging eps keeps
     the measurements consistent with a real object.
@@ -109,9 +100,8 @@ def add_noise(b: IntensityMeasurements, sigma: float, seed: Optional[int] = None
         raise ValueError("noise level must be nonnegative")
     if sigma == 0.0:
         return b
-    r = _rng_for(seed, rng)
     grid = int(np.prod(b.shape))
-    eps = r.normal(grid, 0.0, sigma * math.sqrt(grid)).reshape(b.shape)
+    eps = rng.normal(grid, 0.0, sigma * math.sqrt(grid)).reshape(b.shape)
     eps = 0.5 * (eps + mirror_index(eps))
     root = np.maximum(0.0, b.root + eps)
     return IntensityMeasurements(root * root, conj_symmetric=True)
@@ -405,6 +395,7 @@ def image_benchmark(image: np.ndarray, k_ratio: float, num_backgrounds: int,
     method report the median and 25/75 quantiles of PSNR/SSIM plus timing.
     The background stream depends only on the trial index, so methods see
     identical instances."""
+    _require_count("num_backgrounds", num_backgrounds)
     specs = _image_specs(image, k_ratio, methods, num_backgrounds, seed, max_iter)
     rows = run_trials(specs, workers=workers)
     return {"rows": rows, "summary": _method_summary(rows, methods),
@@ -430,6 +421,8 @@ def location_bias_study(image: np.ndarray, k_ratio: float,
                         max_iter: int = 300, workers: int = 1) -> dict:
     """Mean PSNR/SSIM/relative error per support offset. Every offset is
     computed in full; position symmetry is never used as a shortcut."""
+    _require_count("positions", len(offsets))
+    _require_count("trials", trials)
     image = np.asarray(image, dtype=float)
     n = image.shape
     k = background_sizes_for(k_ratio, n)
@@ -461,6 +454,7 @@ def noise_benchmark(image: np.ndarray, sigma: float, k_ratio: float, trials: int
                     seed: int = 0, max_iter: int = 300, workers: int = 1) -> dict:
     """Noisy-measurement comparison; per trial all methods share the same
     background and noise draw, so rows pair exactly."""
+    _require_count("trials", trials)
     specs = _image_specs(image, k_ratio, methods, trials, seed, max_iter,
                          noise_sigma=sigma)
     rows = run_trials(specs, workers=workers)
@@ -479,138 +473,3 @@ def noise_benchmark(image: np.ndarray, sigma: float, k_ratio: float, trials: int
             pairwise[f"{a}<{b_}"] = wins
     return {"rows": rows, "summary": summary, "pairwise_wins": pairwise,
             "sigma": sigma, "trials": trials}
-
-
-# -- verification drivers ---------------------------------------------------------
-
-def _require_count(name: str, value: int) -> None:
-    # an empty loop would pass vacuously or fail with an unrelated error
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-
-
-def _gaussian_background(mask: SupportMask, rng: np.random.Generator) -> np.ndarray:
-    y = rng.standard_normal(mask.shape)
-    y[mask.inside] = 0.0
-    return y
-
-
-def verify_uniqueness(n: int, k: int, d: int, draws: int, seed: int = 0) -> dict:
-    """Rank certificate pass rate over Gaussian backgrounds (corner support)."""
-    if d not in (1, 2):
-        raise ValueError("uniqueness certificate supports d in {1, 2}")
-    _require_count("draws", draws)
-    sizes = (n,) * d
-    ks = (k,) * d
-    mask = SupportMask.block(tuple(a + b for a, b in zip(sizes, ks)), sizes)
-    rng = np.random.default_rng(seed)
-    unique = 0
-    for _ in range(draws):
-        cert = analysis.uniqueness_certificate(_gaussian_background(mask, rng), mask)
-        unique += int(cert.unique)
-    rate = unique / draws
-    bound = analysis.dimension_bound(sizes, ks)
-    return {"check": "uniqueness", "n": n, "k": k, "d": d, "draws": draws,
-            "unique": unique, "rate": rate,
-            "count_bound_satisfied": bound.satisfied,
-            "passed": rate >= 0.99}
-
-
-def verify_stability(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
-                     pairs: int = 100, seed: int = 0) -> dict:
-    """Direct evaluation of the stability inequality
-    ||X1-X2||_F <= delta1*delta2/(m1*m2) * ||vec(I1-I2)||_1 on random pairs."""
-    _require_count("pairs", pairs)
-    mask = SupportMask.block((n1 + k1, n2 + k2), (n1, n2))
-    rng = np.random.default_rng(seed)
-    violations = 0
-    margins = []
-    for _ in range(pairs):
-        y = _gaussian_background(mask, rng)
-        system = analysis.build_linear_system(
-            y, mask, autocorrelation_from_intensity(intensity(assemble(
-                rng.standard_normal(mask.sample_count), y, mask))))
-        consts = analysis.stability_constants(system)
-        x1 = rng.standard_normal((n1, n2))
-        x2 = rng.standard_normal((n1, n2))
-        i1 = intensity(assemble(x1, y, mask)).values
-        i2 = intensity(assemble(x2, y, mask)).values
-        lhs = float(np.linalg.norm(x1 - x2))
-        rhs = consts.bound_factor * float(np.sum(np.abs(i1 - i2)))
-        margins.append(rhs / lhs)
-        violations += int(lhs > rhs)
-    return {"check": "stability", "pairs": pairs, "violations": violations,
-            "min_margin": float(min(margins)), "passed": violations == 0}
-
-
-def _symmetrized_uniform(shape, bound: float, rng: np.random.Generator) -> np.ndarray:
-    eps = rng.uniform(-bound, bound, size=shape)
-    return 0.5 * (eps + mirror_index(eps))
-
-
-def verify_robustness(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
-                      instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
-                      seed: int = 0) -> dict:
-    """Bounded-noise recovery against the certificate: uniform measurement
-    noise |eps1| <= c1 (mirror-symmetrized) and background bias |eps2| <= c2;
-    checks measured error <= bound every time and the exact c2=0 collapse."""
-    _require_count("instances", instances)
-    mask = SupportMask.block((n1 + k1, n2 + k2), (n1, n2))
-    rng = np.random.default_rng(seed)
-    failures = 0
-    ratios = []
-    collapse_ok = True
-    for _ in range(instances):
-        x = rng.standard_normal((n1, n2))
-        y = _gaussian_background(mask, rng)
-        i_clean = intensity(assemble(x, y, mask)).values
-        i_tilde = i_clean + _symmetrized_uniform(i_clean.shape, c1, rng)
-        y_tilde = y + rng.uniform(-c2, c2, size=y.shape)
-        y_tilde[mask.inside] = 0.0
-        r_tilde = Autocorrelation(dft_inverse(i_tilde).real)
-        system = analysis.build_linear_system(y_tilde, mask, r_tilde)
-        solution = analysis.least_squares_recover(system)
-        measured = float(np.linalg.norm(solution.values - x.reshape(-1)))
-        bound = analysis.robustness_bound(system, c1, c2, i_tilde, y_tilde)
-        ratios.append(bound / measured if measured > 0 else math.inf)
-        failures += int(measured > bound)
-
-        clean_system = analysis.build_linear_system(y, mask, r_tilde)
-        consts = analysis.stability_constants(clean_system)
-        specialized = analysis.robustness_bound(clean_system, c1, 0.0, i_tilde, y)
-        expected = c1 * consts.delta1 * consts.delta2
-        if abs(specialized - expected) > 1e-12 * max(1.0, abs(expected)):
-            collapse_ok = False
-    return {"check": "robustness", "instances": instances, "c1": c1, "c2": c2,
-            "failures": failures, "min_bound_ratio": float(min(ratios)),
-            "c2_zero_collapse_exact": collapse_ok,
-            "passed": failures == 0 and collapse_ok}
-
-
-def verify_lmatrix(n: int = 8, k: int = 24, draws: int = 100, seed: int = 0) -> dict:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    fraction = analysis.l_nonsingular_check(
-        x, (rng.standard_normal(k) for _ in range(draws)))
-    return {"check": "lmatrix", "n": n, "k": k, "draws": draws,
-            "fraction_nonsingular": fraction, "passed": fraction >= 0.99}
-
-
-def verify_frip(n: int = 16, k: int = 256, draws: int = 2000, num_h: int = 5,
-                seed: int = 0) -> dict:
-    _require_count("num_h", num_h)  # draws below 2 fail in frip_expectation_check
-    rng = np.random.default_rng(mix_seed(seed, 10_000))
-    x = rng.standard_normal(n)
-    reports = []
-    all_ok = True
-    for j in range(num_h):
-        h = analysis.sample_c2(n + k, mix_seed(seed, j))
-        rep = analysis.frip_expectation_check(x, h, draws, mix_seed(seed, 100 + j))
-        c1_ok = rep.c1 >= (k - n) / k - 1e-12
-        all_ok = all_ok and rep.within and c1_ok
-        reports.append({"empirical": rep.empirical_mean, "predicted": rep.predicted,
-                        "stderr": rep.stderr, "deviation": rep.deviation,
-                        "c1": rep.c1, "within_3_stderr": rep.within,
-                        "c1_above_lower_bound": c1_ok})
-    return {"check": "frip", "n": n, "k": k, "draws": draws, "num_h": num_h,
-            "reports": reports, "passed": all_ok}

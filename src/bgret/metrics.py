@@ -21,6 +21,13 @@ from .spectral import Workspace, dft_forward, spectrum_buffers
 #: Relative errors strictly below this threshold count as successful recovery.
 SUCCESS_THRESHOLD = 1e-5
 
+#: SSIM's Gaussian window (side, standard deviation) and its stabilizing
+#: constants c_i = (K_i * peak)^2.
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+
 
 def l2_norm(v: np.ndarray) -> float:
     """sqrt(v . v) over the flattened float array: the arithmetic of
@@ -94,8 +101,7 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def ssim(img_hat, img, peak: Optional[float] = None, window_size: int = 11,
-         sigma: float = 1.5, k1: float = 0.01, k2: float = 0.03) -> float:
+def ssim(img_hat, img, peak: Optional[float] = None) -> float:
     """Mean local SSIM with an 11x11 Gaussian window (sigma 1.5).
 
     Images smaller than the window fall back to a single global window and a
@@ -111,10 +117,10 @@ def ssim(img_hat, img, peak: Optional[float] = None, window_size: int = 11,
         # joint dynamic range keeps ssim symmetric in its arguments
         rng = float(max(a.max(), b.max()) - min(a.min(), b.min()))
         peak = rng if rng > 0 else 1.0
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+    c1 = (SSIM_K1 * peak) ** 2
+    c2 = (SSIM_K2 * peak) ** 2
 
-    if min(a.shape) < window_size:
+    if min(a.shape) < SSIM_WINDOW:
         warnings.warn("image smaller than SSIM window; using global statistics",
                       RuntimeWarning, stacklevel=2)
         mu1, mu2 = a.mean(), b.mean()
@@ -123,9 +129,9 @@ def ssim(img_hat, img, peak: Optional[float] = None, window_size: int = 11,
         return float(((2 * mu1 * mu2 + c1) * (2 * cov + c2))
                      / ((mu1 ** 2 + mu2 ** 2 + c1) * (v1 + v2 + c2)))
 
-    kernel = _gaussian_kernel(window_size, sigma)
-    win_a = np.lib.stride_tricks.sliding_window_view(a, (window_size, window_size))
-    win_b = np.lib.stride_tricks.sliding_window_view(b, (window_size, window_size))
+    kernel = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
+    win_a = np.lib.stride_tricks.sliding_window_view(a, (SSIM_WINDOW, SSIM_WINDOW))
+    win_b = np.lib.stride_tricks.sliding_window_view(b, (SSIM_WINDOW, SSIM_WINDOW))
 
     def wmean(w):
         return np.tensordot(w, kernel, axes=([2, 3], [0, 1]))
@@ -158,16 +164,15 @@ class MetricReport:
 
 
 def evaluate(x_hat, x, background, mask: SupportMask, b: IntensityMeasurements,
-             image_shape: Optional[tuple[int, ...]] = None,
-             peak: Optional[float] = None) -> MetricReport:
+             image_shape: Optional[tuple[int, ...]] = None) -> MetricReport:
     """Bundle all metrics for one recovery; PSNR/SSIM are NaN for 1-D data."""
     e = relative_error(x_hat, x)
     me = measurement_error(x_hat, background, mask, b)
     if image_shape is not None and len(image_shape) == 2:
         a = np.asarray(x_hat, dtype=float).reshape(image_shape)
         t = np.asarray(x, dtype=float).reshape(image_shape)
-        p = psnr(a, t, peak)
-        s = ssim(a, t, peak)
+        p = psnr(a, t)
+        s = ssim(a, t)
     else:
         p, s = math.nan, math.nan
     return MetricReport(e, me, p, s, success(e))

@@ -32,6 +32,12 @@ def background_sizes_for(ratio: float, sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(max(1, int(round(ratio * n))) for n in sizes)
 
 
+def _require_count(name: str, value: int) -> None:
+    # an empty loop would pass vacuously or fail with an unrelated error
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _readonly(a, dtype=None) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -233,10 +239,6 @@ class SolverRun:
             raise ValueError("trace length must equal iterations_used")
         object.__setattr__(self, "final_estimate", est)
         object.__setattr__(self, "trace", trace)
-
-    @property
-    def relative_errors(self) -> np.ndarray:
-        return self.trace[:, 0]
 
     @property
     def measurement_errors(self) -> np.ndarray:

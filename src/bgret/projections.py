@@ -1,5 +1,4 @@
-"""Projectors and reflectors for the magnitude sets and the affine background
-set.
+"""Projectors onto the magnitude sets and the affine background set.
 
 The magnitude set is given by the root intensity b^{1/2} (``b.root``) as a
 plain array on the measurement grid: ``project_magnitude`` projects onto the
@@ -24,7 +23,7 @@ oversampled), so with a workspace it is a view, valid until its next use.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,9 +83,3 @@ def project_background(z: np.ndarray, background: np.ndarray, mask: SupportMask,
     np.copyto(out, y)
     np.copyto(out, z, where=mask.inside)
     return out
-
-
-def reflect(z: np.ndarray, projector: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Reflector 2*P(z) - z for any projector P."""
-    z = np.asarray(z, dtype=float)
-    return 2.0 * projector(z) - z

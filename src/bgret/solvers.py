@@ -124,12 +124,6 @@ def hio_step(z: np.ndarray, root: np.ndarray, mask: SupportMask,
     return update
 
 
-def magnitude_objective(z, root: np.ndarray) -> float:
-    """(1/(2m)) * sum_i (|DFT(z)_i| - b_i^{1/2})^2, the PGD objective."""
-    diff = np.abs(dft_forward(np.asarray(z, dtype=float), root.shape)) - root
-    return 0.5 * float(np.sum(diff * diff)) / root.size
-
-
 def _iterate(b: IntensityMeasurements, background: np.ndarray,
              mask: SupportMask, config: SolverConfig, step: Callable,
              final_projector: Optional[Callable], x_true=None, z0=None) -> SolverRun:

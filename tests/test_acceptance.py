@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from bgret import analysis, harness, solvers
+from bgret.analysis import verify_frip, verify_lmatrix, verify_robustness, verify_stability
 from bgret.harness import (TrialSpec, run_trials, noise_benchmark,
                            image_benchmark, sweep_phase_transition,
-                           synthetic_test_image, verify_frip, verify_lmatrix,
-                           verify_robustness, verify_stability)
+                           synthetic_test_image)
 from bgret.io_formats import ExperimentConfig, manifest_now, write_results
 from bgret.model import Method, SupportMask, assemble
 from bgret.projections import project_background, project_magnitude, project_magnitude_ball

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import product
 
@@ -5,15 +6,19 @@ import numpy as np
 import pytest
 
 from bgret.analysis import (CirculantPair, RANK_RTOL, build_circulant,
-                            build_linear_system, circulant_apply,
-                            coefficient_matrix, dimension_bound,
+                            build_linear_system, coefficient_matrix, dimension_bound,
                             enumerate_nonoverlap_shifts, frip_expectation_check,
                             frip_partial_rows, in_c2, l_nonsingular_check,
                             least_squares_recover, mirror_shift, robustness_bound,
                             sample_c2, stability_constants, uniqueness_certificate,
-                            uniqueness_count_2d)
+                            uniqueness_count_2d, verify_robustness)
 from bgret.model import SupportMask, assemble
 from bgret.spectral import autocorrelation_direct, autocorrelation_from_intensity, intensity
+
+
+def circulant_apply(z, h):
+    """FFT oracle for L @ h: the circular correlation IDFT(DFT(z) * conj(DFT(h)))."""
+    return np.fft.ifft(np.fft.fft(z) * np.conj(np.fft.fft(h))).real
 
 
 def gaussian_background(mask, rng):
@@ -302,7 +307,6 @@ def test_robustness_bound_specializations():
 
 
 def test_robustness_bound_monte_carlo():
-    from bgret.harness import verify_robustness
     report = verify_robustness(n1=4, n2=4, k1=6, k2=6, instances=20,
                                c1=1e-3, c2=1e-3, seed=0)
     assert report["failures"] == 0
@@ -362,6 +366,28 @@ def test_l_nonsingular_check():
     frac2 = l_nonsingular_check(rng.standard_normal(8),
                                 (rng.standard_normal(24) for _ in range(100)))
     assert frac2 >= 0.99
+
+
+def _sha256(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_sample_c2_and_linear_system_bytes_frozen():
+    # Frozen digests of a C2 draw and of one linear system: a change to the
+    # transforms or the clamp behind them that moves a byte fails here.
+    assert _sha256(sample_c2(272, 5)) == \
+        "52254f3800329da0055d18793539565f626254ff6252640176170ff83446d72a"
+    rng = np.random.default_rng(11)
+    mask = SupportMask.block((10, 10), (4, 4))
+    y = rng.standard_normal(mask.shape)
+    y[mask.inside] = 0.0
+    x = rng.standard_normal(mask.sample_count)
+    system = build_linear_system(
+        y, mask, autocorrelation_from_intensity(intensity(assemble(x, y, mask))))
+    assert _sha256(system.M) == \
+        "f81f7eeb51dde356b961fa3a8a7ec9fb088f4ca5334c401575802f021863f41c"
+    assert _sha256(system.rhs) == \
+        "d6465145e5947a79f195221ad7eea63ec84a2d1b30d0522bac244fcd5777889d"
 
 
 def test_sample_c2_properties():

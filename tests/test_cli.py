@@ -202,6 +202,25 @@ def test_verify_rejects_empty_counts(what, count, capsys, tmp_path):
     assert not (tmp_path / "e" / f"verify_{what}.json").exists()
 
 
+@pytest.mark.parametrize("command,count,summary", [
+    ("image-bench", "--trials=0", "image_summary.json"),
+    ("image-bench", "--trials=-1", "image_summary.json"),
+    ("noise-bench", "--trials=0", "noise_summary.json"),
+    ("location-bias", "--trials=0", "location_summary.json"),
+    ("location-bias", "--positions=0", "location_summary.json"),
+])
+def test_studies_reject_empty_counts(command, count, summary, capsys, tmp_path):
+    # no preset fallback for an explicit 0, no empty summary, no NaN in the JSON
+    from bgret.harness import synthetic_test_image
+    img = tmp_path / "img.csv"
+    write_image(img, synthetic_test_image(8))
+    rc = main([command, "--image", str(img), "--max-iter", "5", count,
+               "--out", str(tmp_path / "e")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not (tmp_path / "e" / summary).exists()
+
+
 def test_sweep_cli_rejects_empty_ratio_range(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"method": "BDR", "n": 10, "k_ratio": 3,

@@ -150,7 +150,7 @@ def test_solver_run_trace_length():
     with pytest.raises(ValueError):
         SolverRun(np.zeros(3), 2, np.zeros((3, 2)), True)
     run = SolverRun(np.zeros(3), 2, np.zeros((2, 2)), False)
-    assert run.relative_errors.shape == (2,)
+    assert run.trace[:, 0].shape == (2,)
 
 
 def test_types_are_read_only():

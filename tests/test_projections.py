@@ -5,8 +5,14 @@ from hypothesis import strategies as st
 
 from bgret.model import IntensityMeasurements, SupportMask
 from bgret.projections import (project_background, project_magnitude,
-                               project_magnitude_ball, reflect)
+                               project_magnitude_ball)
 from bgret.spectral import dft_forward, intensity
+
+
+def reflect(z, projector):
+    """Reflector 2*P(z) - z for any projector P."""
+    z = np.asarray(z, dtype=float)
+    return 2.0 * projector(z) - z
 
 
 def achievable(rng, shape):

@@ -7,11 +7,23 @@ from bgret.metrics import measurement_error, relative_error
 from bgret.model import (IntensityMeasurements, Method, SolverConfig,
                          SupportMask, assemble)
 from bgret.projections import (project_background, project_magnitude,
-                               project_magnitude_ball, reflect)
+                               project_magnitude_ball)
 from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
                            cbdr_parallel_real, hio_run, init_spectral,
-                           magnitude_objective, pgd_step, run)
-from bgret.spectral import intensity
+                           pgd_step, run)
+from bgret.spectral import dft_forward, intensity
+
+
+def reflect(z, projector):
+    """Reflector 2*P(z) - z for any projector P."""
+    z = np.asarray(z, dtype=float)
+    return 2.0 * projector(z) - z
+
+
+def magnitude_objective(z, root):
+    """(1/(2m)) * sum_i (|DFT(z)_i| - b_i^{1/2})^2, the PGD objective."""
+    diff = np.abs(dft_forward(np.asarray(z, dtype=float), root.shape)) - root
+    return 0.5 * float(np.sum(diff * diff)) / root.size
 
 
 def make_instance(rng, n, k, two_d=False):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,14 @@ from bgret.model import IntensityMeasurements, SupportMask, assemble
 from bgret.spectral import (Autocorrelation, autocorrelation_direct,
                             autocorrelation_from_intensity, dft_forward,
                             dft_inverse, intensity)
+
+
+def test_only_spectral_calls_numpy_fft():
+    # one FFT entry point: every other module transforms through spectral
+    package = Path(__file__).resolve().parent.parent / "src" / "bgret"
+    offenders = [p.name for p in sorted(package.glob("*.py")) if p.name != "spectral.py"
+                 and re.search(r"np\.fft|numpy\.fft", p.read_text(encoding="utf-8"))]
+    assert offenders == []
 
 
 def test_dft_forward_two_point_values():
