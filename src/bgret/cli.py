@@ -159,11 +159,12 @@ def cmd_solve(args) -> int:
             raise SystemExit2("--support dimension must match the spectrum")
         mask = SupportMask.centered(b.values.shape, support)
         result = solvers.hio_run(b, mask, config)
+        # the error of the recovered point, after HIO's final projection
+        error = metrics.measurement_error(result.final_estimate, np.zeros(mask.shape), mask, b)
         out = _out_dir(args)
         write_image(out / "recovered.csv", mask.to_block(result.final_estimate))
         _emit({"method": method.value, "iterations": result.iterations_used,
-               "converged": result.converged,
-               "measurement_error": float(result.measurement_errors[-1]),
+               "converged": result.converged, "measurement_error": error,
                "recovered": str(out / "recovered.csv")}, out / "solve_report.json")
         return EXIT_OK
     x, mask, y, b = _instance(args)

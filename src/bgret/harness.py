@@ -165,7 +165,8 @@ def draw_instance(x: np.ndarray, mask: SupportMask, trial_seed: int,
 
 def run_trial(spec: TrialSpec) -> dict:
     """Generate the instance from the derived trial seed, solve, and emit one
-    result row. Solver aborts become failed rows, not crashes."""
+    result row with its stop_reason and fixed-point residual. Solver aborts
+    become failed rows (stop_reason "diverged", residual NaN), not crashes."""
     trial_seed = mix_seed(spec.master_seed, spec.cell_id, spec.trial_index)
     mask = spec.make_mask()
     n_total = int(np.prod(spec.sample_shape))
@@ -201,7 +202,7 @@ def run_trial(spec: TrialSpec) -> dict:
     if aborted:
         row.update(iterations=0, relative_error=math.inf, measurement_error=math.inf,
                    psnr=math.nan, ssim=math.nan, success=False, converged=False,
-                   aborted=True)
+                   aborted=True, stop_reason="diverged", fixedpoint_resid=math.nan)
         return row
     report = evaluate(result.final_estimate, x, background, mask, b,
                       image_shape=image_shape)
@@ -214,7 +215,8 @@ def run_trial(spec: TrialSpec) -> dict:
                relative_error=report.relative_error,
                measurement_error=report.measurement_error,
                psnr=report.psnr_db, ssim=report.ssim, success=report.success,
-               converged=result.converged, aborted=False, fixedpoint_resid=resid)
+               converged=result.converged, aborted=False, fixedpoint_resid=resid,
+               stop_reason="converged" if result.converged else "max_iter")
     return row
 
 

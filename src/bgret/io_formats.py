@@ -293,7 +293,11 @@ def read_config(path) -> ExperimentConfig:
 
 RESULT_COLUMNS = ("trial", "seed", "method", "n", "k", "iterations",
                   "relative_error", "measurement_error", "psnr", "ssim",
-                  "success", "wall_ms")
+                  "success", "stop_reason", "fixedpoint_resid", "wall_ms")
+
+#: How a run ended: it met the stop test, hit the iteration cap, or its
+#: iterate turned non-finite (an aborted row).
+STOP_REASONS = ("converged", "max_iter", "diverged")
 
 
 @dataclass(frozen=True)
@@ -331,7 +335,7 @@ def _format_cell(key: str, value) -> str:
         return str(int(value))
     if key == "success":
         return "1" if value else "0"
-    if key in ("method", "n", "k"):
+    if key in ("method", "n", "k", "stop_reason"):
         return str(value)
     return format_float(value)
 
@@ -367,8 +371,11 @@ def read_results(path) -> list[dict]:
             row = dict(zip(RESULT_COLUMNS, line))
             for key in ("trial", "seed", "iterations"):
                 row[key] = int(row[key])
-            for key in ("relative_error", "measurement_error", "psnr", "ssim", "wall_ms"):
+            for key in ("relative_error", "measurement_error", "psnr", "ssim",
+                        "fixedpoint_resid", "wall_ms"):
                 row[key] = float(row[key])
             row["success"] = row["success"] == "1"
+            if row["stop_reason"] not in STOP_REASONS:
+                raise DataFormatError(f"{path}: unknown stop_reason {row['stop_reason']!r}")
             out.append(row)
     return out

@@ -203,13 +203,16 @@ class Method(str, Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs: stopping tolerance eps, iteration cap, relaxation beta
-    (BDR1/HIO) and PGD learning rate lam."""
+    (BDR1/HIO), PGD learning rate lam and the trace stride trace_every: a
+    trace row at every iteration p with p % trace_every == 0 and always at the
+    final one, so 0 (the default) records the final row only."""
 
     method: Method
     eps: float = 1e-12
     max_iter: int = 300
     beta: float = 0.9
     lam: float = 1.0
+    trace_every: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method.parse(self.method))
@@ -221,25 +224,27 @@ class SolverConfig:
             raise ValueError("beta must lie in (0, 1]")
         if not self.lam > 0:
             raise ValueError("lam must be positive")
+        if not isinstance(self.trace_every, int) or self.trace_every < 0:
+            raise ValueError("trace_every must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
 class SolverRun:
-    """Outcome of one solver run: recovered Ω values plus per-iteration trace."""
+    """Outcome of one solver run: recovered Ω values, the number of loop
+    iterations, and the trace rows (relative_error, measurement_error) of the
+    iterates at the stride of ``SolverConfig.trace_every``. The last row is
+    always that of the final iteration, so a trace has between 1 and
+    iterations_used rows."""
 
     final_estimate: np.ndarray
     iterations_used: int
-    trace: np.ndarray  # shape (iterations_used, 2): (relative_error, measurement_error)
+    trace: np.ndarray  # shape (rows, 2): (relative_error, measurement_error)
     converged: bool
 
     def __post_init__(self):
         est = _readonly(self.final_estimate, float)
         trace = _readonly(np.asarray(self.trace, dtype=float).reshape(-1, 2))
-        if trace.shape[0] != self.iterations_used:
-            raise ValueError("trace length must equal iterations_used")
+        if not 1 <= trace.shape[0] <= self.iterations_used:
+            raise ValueError("trace must have between 1 and iterations_used rows")
         object.__setattr__(self, "final_estimate", est)
         object.__setattr__(self, "trace", trace)
-
-    @property
-    def measurement_errors(self) -> np.ndarray:
-        return self.trace[:, 1]

@@ -25,10 +25,21 @@ the step norm ||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
 Divergence is detected from that same step norm: a non-finite start or step
 norm raises DivergenceError rather than being clamped, so traces stay honest.
 
+The trace is opt-in. A trace row holds the relative error (NaN without a
+ground truth) and the measurement error of the iterate z^p. With
+``SolverConfig.trace_every`` = s > 0 a row is recorded at every iteration p
+with p % s == 0, and always at the final iteration (once, also when it is a
+multiple of s); with s = 0, the default, only the final row is recorded. The
+stride changes no iterate: estimates, ``iterations_used`` (the number of loop
+iterations, not of rows) and ``converged`` are the same for every s, s = 1
+gives a row per iteration, and the final row is the same at every stride.
+An untraced iteration makes the two FFTs of its magnitude projection; a
+traced one a third, in the measurement error.
+
 Each ``_iterate`` call (so each CBDR branch) builds one ``spectral.Workspace``
 and passes it as ``out=`` to the step, which writes z^p into the iterate
 buffer that does not hold z^{p-1}, and to ``metrics.measurement_error`` for
-the trace row. The root intensity b^{1/2} (once for both CBDR branches) and
+the trace rows. The root intensity b^{1/2} (once for both CBDR branches) and
 the norms of b and of the ground truth are computed once per run; the
 arithmetic is that of the allocating path, so the bytes are the same. The
 estimate and the trace a run returns are copies, never views of
@@ -141,28 +152,28 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
     # step(z, work) maps z^{p-1} to z^p inside the run's workspace, built
     # after the start so that the start's temporaries are freed first
     work = Workspace(background, mask, b.shape)
+    stride = config.trace_every
     trace = []
-    converged = False
     for p in range(1, config.max_iter + 1):
         z_new = step(z, work)
         step_norm = l2_norm(z_new - z)
         if not math.isfinite(step_norm):
             raise DivergenceError(f"non-finite iterate at step {p}")
         z = z_new
-        x_hat = z[mask.inside]
-        # the trace row: relative error (as metrics.relative_error) and
-        # measurement error of the current iterate
-        rel = math.nan if x_true is None else l2_norm(x_hat - xt) / xt_norm
-        trace.append((rel, measurement_error(x_hat, background, mask, b, work)))
-        if step_norm <= config.eps:
-            converged = True
+        converged = step_norm <= config.eps
+        if converged or p == config.max_iter or (stride and p % stride == 0):
+            # the trace row: relative error (as metrics.relative_error) and
+            # measurement error of the current iterate
+            x_hat = z[mask.inside]
+            rel = math.nan if x_true is None else l2_norm(x_hat - xt) / xt_norm
+            trace.append((rel, measurement_error(x_hat, background, mask, b, work)))
+        if converged:
             break
 
     if final_projector is not None:
         z = final_projector(z)
     final = z[mask.inside]
-    return SolverRun(final, len(trace), np.asarray(trace, dtype=float).reshape(-1, 2),
-                     converged)
+    return SolverRun(final, p, np.asarray(trace, dtype=float).reshape(-1, 2), converged)
 
 
 def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,

@@ -6,8 +6,9 @@ import pytest
 from bgret.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from bgret.io_formats import (read_image, read_results, read_signal_csv, write_image,
                               write_signal_csv)
+from bgret.metrics import measurement_error
 from bgret.model import IntensityMeasurements, Method, SolverConfig, SupportMask, assemble
-from bgret.solvers import cbdr_parallel_real
+from bgret.solvers import cbdr_parallel_real, hio_run
 from bgret.spectral import intensity
 
 
@@ -112,6 +113,26 @@ def test_solve_cli_spectrum_hio(tmp_path, capsys):
     assert main(["solve", "--method", "bdr", "--spectrum", str(spec_path),
                  "--support", "6", "6"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_solve_cli_spectrum_reports_the_recovered_point(tmp_path, capsys):
+    # the report's measurement error is that of recovered.csv's values, not
+    # that of the iterate before HIO's final projection
+    rng = np.random.default_rng(5)
+    mask = SupportMask.centered((20, 20), (8, 8))
+    obj = assemble(rng.random(64) + 0.5, np.zeros(mask.shape), mask)
+    spec_path = tmp_path / "spectrum.csv"
+    write_image(spec_path, intensity(obj).values)
+    out = tmp_path / "hio"
+    assert main(["solve", "--method", "hio", "--spectrum", str(spec_path),
+                 "--support", "8", "8", "--max-iter", "50", "--out", str(out)]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    b = IntensityMeasurements(read_image(spec_path), conj_symmetric=False)
+    direct = hio_run(b, mask, SolverConfig(method=Method.HIO, max_iter=50))
+    assert np.array_equal(mask.to_block(direct.final_estimate), read_image(out / "recovered.csv"))
+    zeros = np.zeros(mask.shape)
+    assert payload["measurement_error"] == measurement_error(direct.final_estimate, zeros,
+                                                             mask, b)
 
 
 def test_solve_cli_data_error(tmp_path, capsys):

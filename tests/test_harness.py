@@ -170,6 +170,17 @@ def test_run_trial_records_aborts_as_failed_rows(monkeypatch):
     row = run_trial(spec)
     assert row["aborted"] and not row["success"]
     assert row["iterations"] == 0 and math.isinf(row["relative_error"])
+    assert row["stop_reason"] == "diverged" and math.isnan(row["fixedpoint_resid"])
+
+
+def test_run_trial_stop_reason_follows_the_run():
+    for max_iter, reason in ((400, "converged"), (3, "max_iter")):
+        spec = TrialSpec(master_seed=1, cell_id=0, trial_index=0, method=Method.BDR,
+                         sample_shape=(5,), background_sizes=(60,), max_iter=max_iter)
+        row = run_trial(spec)
+        assert row["stop_reason"] == reason
+        assert row["converged"] == (reason == "converged")
+        assert math.isfinite(row["fixedpoint_resid"])
 
 
 def test_run_trials_worker_independence():

@@ -123,7 +123,8 @@ def test_results_round_trip_and_summary(tmp_path):
         {"trial": t, "seed": 100 + t, "method": "bdr", "n": "100", "k": "300",
          "iterations": 42, "relative_error": 10.0 ** (-t - 4),
          "measurement_error": 1e-9, "psnr": math.nan, "ssim": math.nan,
-         "success": t > 0, "wall_ms": 1.5}
+         "success": t > 0, "stop_reason": ("max_iter", "converged")[t % 2],
+         "fixedpoint_resid": 3e-15 * t, "wall_ms": 1.5}
         for t in range(4)
     ]
     path = tmp_path / "results.csv"
@@ -142,7 +143,8 @@ def test_results_round_trip_and_summary(tmp_path):
 def test_write_results_deterministic_bytes(tmp_path):
     rows = [{"trial": 0, "seed": 1, "method": "pgd", "n": "10", "k": "30",
              "iterations": 3, "relative_error": 0.125, "measurement_error": 0.5,
-             "psnr": 1.0, "ssim": 0.5, "success": False, "wall_ms": 0.0}]
+             "psnr": 1.0, "ssim": 0.5, "success": False, "stop_reason": "max_iter",
+             "fixedpoint_resid": 0.25, "wall_ms": 0.0}]
     manifest = manifest_now("0.1.0", 1, {})
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_results(a, rows, manifest)
@@ -150,6 +152,28 @@ def test_write_results_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert tuple(header.split(",")) == RESULT_COLUMNS
+
+
+def test_results_outcome_columns_read_back_as_written(tmp_path):
+    # the two outcome columns sit before wall_ms; an aborted row has a NaN
+    # residual, and every field reads back as the value written
+    assert RESULT_COLUMNS[-3:] == ("stop_reason", "fixedpoint_resid", "wall_ms")
+    rows = [{"trial": t, "seed": t, "method": "bdr", "n": "8", "k": "24", "iterations": 5,
+             "relative_error": 0.1, "measurement_error": 0.2, "psnr": math.nan,
+             "ssim": math.nan, "success": False, "stop_reason": reason,
+             "fixedpoint_resid": resid, "wall_ms": 2.0}
+            for t, (reason, resid) in enumerate((("converged", 1.2345678901234567e-13),
+                                                 ("max_iter", 0.5),
+                                                 ("diverged", math.nan)))]
+    path = tmp_path / "r.csv"
+    write_results(path, rows, manifest_now("0", 0, {}))
+    back = read_results(path)
+    assert [repr(r[c]) for r in back for c in RESULT_COLUMNS] == \
+        [repr(r[c]) for r in rows for c in RESULT_COLUMNS]
+    text = path.read_text().replace(",max_iter,", ",stalled,")
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match="stop_reason"):
+        read_results(path)
 
 
 def test_write_results_missing_column(tmp_path):

@@ -134,6 +134,7 @@ def test_mirror_index():
 def test_solver_config_validation():
     cfg = SolverConfig(method="bdr")
     assert cfg.method is Method.BDR and cfg.eps == 1e-12 and cfg.max_iter == 300
+    assert cfg.trace_every == 0
     with pytest.raises(ValueError):
         SolverConfig(method=Method.BDR, eps=0.0)
     with pytest.raises(ValueError):
@@ -142,15 +143,22 @@ def test_solver_config_validation():
         SolverConfig(method=Method.BDR, max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(method=Method.BDR, lam=0.0)
+    for stride in (-1, 1.5):
+        with pytest.raises(ValueError):
+            SolverConfig(method=Method.BDR, trace_every=stride)
     with pytest.raises(ValueError):
         Method.parse("nope")
 
 
 def test_solver_run_trace_length():
+    # between one row (the final iteration's) and one row per iteration
     with pytest.raises(ValueError):
         SolverRun(np.zeros(3), 2, np.zeros((3, 2)), True)
+    with pytest.raises(ValueError):
+        SolverRun(np.zeros(3), 2, np.zeros((0, 2)), True)
     run = SolverRun(np.zeros(3), 2, np.zeros((2, 2)), False)
     assert run.trace[:, 0].shape == (2,)
+    assert SolverRun(np.zeros(3), 5, np.zeros((1, 2)), False).trace.shape == (1, 2)
 
 
 def test_types_are_read_only():

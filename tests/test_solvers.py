@@ -192,7 +192,7 @@ def test_run_from_truth_converges_immediately():
 def test_run_trace_shape_and_final_feasibility():
     rng = np.random.default_rng(10)
     x, y, mask, b = make_instance(rng, 8, 40)
-    cfg = SolverConfig(method=Method.BDR, max_iter=200)
+    cfg = SolverConfig(method=Method.BDR, max_iter=200, trace_every=1)
     result = run(b, y, mask, cfg, x_true=x)
     assert result.trace.shape == (result.iterations_used, 2)
     if result.converged:
@@ -217,7 +217,7 @@ def test_run_2d_recovers():
 def test_run_is_deterministic_bitwise():
     rng = np.random.default_rng(13)
     x, y, mask, b = make_instance(rng, 10, 40)
-    cfg = SolverConfig(method=Method.BDR, max_iter=120)
+    cfg = SolverConfig(method=Method.BDR, max_iter=120, trace_every=1)
     first = run(b, y, mask, cfg, x_true=x)
     second = run(b, y, mask, cfg, x_true=x)
     assert np.array_equal(first.trace, second.trace)
@@ -296,7 +296,7 @@ def test_cbdr_parallel_real_monte_carlo_rate():
 def test_run_cbdr_is_the_two_branch_driver():
     rng = np.random.default_rng(18)
     x, y, mask, b = make_instance(rng, 10, 60)
-    cfg = SolverConfig(method=Method.CBDR, max_iter=150)
+    cfg = SolverConfig(method=Method.CBDR, max_iter=150, trace_every=1)
     via_run = run(b, y, mask, cfg, x_true=x)
     direct = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
     assert via_run.iterations_used == direct.iterations_used
@@ -359,9 +359,9 @@ def test_hio_measurement_error_trend():
     z = np.zeros((12, 12))
     z[:8, :8] = x
     b = intensity(z)
-    result = hio_run(b, mask, SolverConfig(method=Method.HIO, max_iter=200),
+    result = hio_run(b, mask, SolverConfig(method=Method.HIO, max_iter=200, trace_every=1),
                      x_true=x.reshape(-1))
-    me = result.measurement_errors
+    me = result.trace[:, 1]
     assert me[-1] < me[0]
 
 
@@ -377,7 +377,8 @@ def test_oversampled_theory_mode_runs():
     b = intensity(assemble(x, y, mask), measurement_sizes=(2 * (n + k) - 1,))
     result = run(b, y, mask, SolverConfig(method=Method.PGD, max_iter=800), x_true=x)
     assert relative_error(result.final_estimate, x) < 1e-8
-    bdr_result = run(b, y, mask, SolverConfig(method=Method.BDR, max_iter=200), x_true=x)
+    bdr_result = run(b, y, mask, SolverConfig(method=Method.BDR, max_iter=200, trace_every=1),
+                     x_true=x)
     assert bdr_result.trace[-1, 0] < bdr_result.trace[0, 0]
 
 
@@ -418,7 +419,7 @@ def test_run_never_writes_inputs_or_aliases_results():
     z0 = rng.standard_normal(mask.shape)
     kept = (z0.copy(), y.copy(), b.values.copy())
     for method in Method:
-        cfg = SolverConfig(method=method, max_iter=40)
+        cfg = SolverConfig(method=method, max_iter=40, trace_every=1)
         first = run(b, y, mask, cfg, x_true=x, z0=z0)
         estimate, trace = first.final_estimate.copy(), first.trace.copy()
         run(b, y, mask, cfg, x_true=x)  # a second run, from the spectral start
@@ -436,3 +437,60 @@ def test_steps_without_out_return_new_arrays():
                    project_magnitude_ball(z, b.root, dc_sign=1),
                    bdr_step(z, b.root, y, mask)):
         assert not np.shares_memory(result, z)
+
+
+def _stride_rows(iterations, stride):
+    # 0-based trace indices of the rows recorded at this stride
+    rows = [p - 1 for p in range(1, iterations + 1) if stride and p % stride == 0]
+    if not rows or rows[-1] != iterations - 1:
+        rows.append(iterations - 1)
+    return rows
+
+
+@pytest.mark.parametrize("max_iter", (20, 21))
+@pytest.mark.parametrize("method", list(Method))
+def test_trace_stride_selects_rows_of_the_full_trace(method, max_iter):
+    # 21 is a multiple of 3 and 7, so the final row must not be recorded twice;
+    # eps=0.1 stops PGD, BDR and BDR1 mid-run, and the truth start at once
+    rng = np.random.default_rng(25)
+    x, y, mask, b = make_instance(rng, 6, 18)
+    for eps, z0 in ((1e-12, None), (0.1, None), (1e-12, assemble(x, y, mask))):
+        full = run(b, y, mask, SolverConfig(method=method, eps=eps, max_iter=max_iter,
+                                            trace_every=1), x_true=x, z0=z0)
+        assert full.trace.shape == (full.iterations_used, 2)
+        for stride in (0, 1, 3, 7):
+            cfg = SolverConfig(method=method, eps=eps, max_iter=max_iter, trace_every=stride)
+            result = run(b, y, mask, cfg, x_true=x, z0=z0)
+            assert result.iterations_used == full.iterations_used
+            assert result.converged == full.converged
+            assert result.final_estimate.tobytes() == full.final_estimate.tobytes()
+            expected = full.trace[_stride_rows(full.iterations_used, stride)]
+            assert result.trace.tobytes() == expected.tobytes()
+
+
+def test_untraced_iteration_makes_two_ffts(monkeypatch):
+    # the magnitude projection's forward and inverse transforms; a traced
+    # iteration adds the measurement error's forward transform
+    calls = [0]
+
+    def counted(fft):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return fft(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn))
+    monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
+    rng = np.random.default_rng(26)
+    x, y, mask, b = make_instance(rng, 12, 12)
+
+    def fft_calls(max_iter, stride):
+        calls[0] = 0
+        cfg = SolverConfig(method=Method.BDR, max_iter=max_iter, eps=1e-300, trace_every=stride)
+        result = run(b, y, mask, cfg, x_true=x)
+        assert not result.converged and result.iterations_used == max_iter
+        return calls[0]
+
+    delta = 17
+    assert fft_calls(10 + delta, 0) - fft_calls(10, 0) == 2 * delta
+    assert fft_calls(10 + delta, 1) - fft_calls(10, 1) == 3 * delta
