@@ -28,7 +28,7 @@ from .model import SupportMask, _readonly, _require_count, assemble, mirror_inde
 from .projections import project_magnitude_ball
 from .rng import mix_seed
 from .spectral import (Autocorrelation, autocorrelation_from_intensity, dft_forward,
-                       dft_inverse, intensity)
+                       dft_inverse, hermitian_half, intensity)
 
 #: Singular values below this fraction of the largest are treated as zero.
 RANK_RTOL = 1e-10
@@ -325,7 +325,7 @@ def sample_c2(size: int, seed: int) -> np.ndarray:
     preserved by the radial clamp)."""
     rng = np.random.default_rng(seed)
     h0 = rng.standard_normal(size) * (C2_RADIUS / math.sqrt(size))
-    return project_magnitude_ball(h0, np.full(size, C2_RADIUS))
+    return project_magnitude_ball(h0, hermitian_half(np.full(size, C2_RADIUS)), (size,))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@ experiment configs, result tables and run manifests.
 
 All writers are deterministic given identical inputs: fixed field order and
 17-significant-digit float text (binary64 round-trip). Every result file gets
-a sidecar manifest recording the config echo, software version, seed and
-input digests; re-running with an identical manifest reproduces the result
-files byte-for-byte apart from timestamps.
+a sidecar manifest recording the config echo, software version, seed, input
+digests, and the Python and numpy versions and the transforms of the solver
+loop; re-running with an identical manifest reproduces the result files
+byte-for-byte apart from timestamps.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import datetime
 import hashlib
 import json
 import math
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -22,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Method, background_sizes_for
+from .spectral import LOOP_TRANSFORMS
 
 
 class DataFormatError(ValueError):
@@ -310,6 +313,7 @@ class RunManifest:
     input_digests: dict = field(default_factory=dict)
     created_utc: str = ""
     extra: dict = field(default_factory=dict)
+    software: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -319,19 +323,29 @@ class RunManifest:
             "input_digests": dict(sorted(self.input_digests.items())),
             "created_utc": self.created_utc,
             "extra": self.extra,
+            "software": self.software,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def manifest_now(version: str, seed: int, config: dict, input_digests=None,
                  extra=None) -> RunManifest:
+    """A manifest stamped now, with the Python and numpy versions and the
+    transforms of the solver loop under ``software``."""
     stamp = datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0)
+    software = {"python": platform.python_version(), "numpy": np.__version__,
+                "fft": LOOP_TRANSFORMS}
     return RunManifest(version, seed, config, dict(input_digests or {}),
-                       stamp.isoformat(), dict(extra or {}))
+                       stamp.isoformat(), dict(extra or {}), software)
+
+
+_INT_COLUMNS = ("trial", "seed", "iterations")
+_FLOAT_COLUMNS = ("relative_error", "measurement_error", "psnr", "ssim",
+                  "fixedpoint_resid", "wall_ms")
 
 
 def _format_cell(key: str, value) -> str:
-    if key in ("trial", "seed", "iterations"):
+    if key in _INT_COLUMNS:
         return str(int(value))
     if key == "success":
         return "1" if value else "0"
@@ -361,21 +375,31 @@ def write_results(path, rows: Sequence[dict], manifest: RunManifest) -> None:
 
 
 def read_results(path) -> list[dict]:
+    """Rows of a result CSV, each field as written. A row with the wrong
+    number of fields, an unparseable number, a success flag other than 0/1 or
+    an unknown stop_reason raises DataFormatError naming the file and line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != RESULT_COLUMNS:
+        header = next(reader, None)
+        if header is None or tuple(header) != RESULT_COLUMNS:
             raise DataFormatError(f"{path}: unexpected results header {header}")
         out = []
         for line in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(line) != len(RESULT_COLUMNS):
+                raise DataFormatError(
+                    f"{where}: {len(line)} fields, expected {len(RESULT_COLUMNS)}")
             row = dict(zip(RESULT_COLUMNS, line))
-            for key in ("trial", "seed", "iterations"):
-                row[key] = int(row[key])
-            for key in ("relative_error", "measurement_error", "psnr", "ssim",
-                        "fixedpoint_resid", "wall_ms"):
-                row[key] = float(row[key])
+            for keys, parse in ((_INT_COLUMNS, int), (_FLOAT_COLUMNS, float)):
+                for key in keys:
+                    try:
+                        row[key] = parse(row[key])
+                    except ValueError:
+                        raise DataFormatError(f"{where}: malformed {key} {row[key]!r}") from None
+            if row["success"] not in ("0", "1"):
+                raise DataFormatError(f"{where}: malformed success {row['success']!r}")
             row["success"] = row["success"] == "1"
             if row["stop_reason"] not in STOP_REASONS:
-                raise DataFormatError(f"{path}: unknown stop_reason {row['stop_reason']!r}")
+                raise DataFormatError(f"{where}: unknown stop_reason {row['stop_reason']!r}")
             out.append(row)
     return out

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .model import IntensityMeasurements, SupportMask
-from .spectral import Workspace, dft_forward, spectrum_buffers
+from .spectral import Workspace, dft_forward
 
 #: Relative errors strictly below this threshold count as successful recovery.
 SUCCESS_THRESHOLD = 1e-5
@@ -55,7 +55,9 @@ def measurement_error(x_hat, background, mask: SupportMask,
 
     ``out`` is an optional ``spectral.Workspace`` built for this background
     and mask: x_hat is written onto the support of its combined object, whose
-    background was placed once, and the transform runs in its buffers.
+    background was placed once, and the intensity is formed in its real grid
+    buffer. The transform is the full complex one, so the error is that of
+    the whole measurement grid, as b is given.
     """
     denom = b.norm
     if denom == 0.0:
@@ -64,8 +66,7 @@ def measurement_error(x_hat, background, mask: SupportMask,
     # combined object directly rather than through the checks of assemble
     z = np.array(background, dtype=float) if out is None else out.combined
     z[mask.inside] = np.asarray(x_hat, dtype=float).reshape(-1)
-    spectrum, i_hat = spectrum_buffers(out, b.shape)
-    np.abs(dft_forward(z, b.shape, out=spectrum), out=i_hat)
+    i_hat = np.abs(dft_forward(z, b.shape), out=None if out is None else out.grid)
     np.square(i_hat, out=i_hat)
     return l2_norm(np.subtract(i_hat, b.values, out=i_hat)) / denom
 

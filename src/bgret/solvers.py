@@ -33,16 +33,25 @@ multiple of s); with s = 0, the default, only the final row is recorded. The
 stride changes no iterate: estimates, ``iterations_used`` (the number of loop
 iterations, not of rows) and ``converged`` are the same for every s, s = 1
 gives a row per iteration, and the final row is the same at every stride.
-An untraced iteration makes the two FFTs of its magnitude projection; a
-traced one a third, in the measurement error.
+An untraced iteration makes the two FFTs of its magnitude projection, a
+real forward and a real inverse transform; a traced one a third, the full
+complex transform of the measurement error.
+
+The steps project on the half spectrum (see ``projections``): they take the
+half root ``spectral.hermitian_half(b^{1/2})``, the Hermitian part of the
+root intensity cut to the half grid, and the measurement shape, which the
+half grid does not determine. Each run computes the half root once (once for
+both CBDR branches). Phase 1 where a coefficient vanishes, the DC pin of
+CBDR and, on an oversampled grid, the padded placement and the crop to the
+object grid are as on the full spectrum. The spectral start and the
+measurement error keep the full complex transform.
 
 Each ``_iterate`` call (so each CBDR branch) builds one ``spectral.Workspace``
 and passes it as ``out=`` to the step, which writes z^p into the iterate
 buffer that does not hold z^{p-1}, and to ``metrics.measurement_error`` for
-the trace rows. The root intensity b^{1/2} (once for both CBDR branches) and
-the norms of b and of the ground truth are computed once per run; the
-arithmetic is that of the allocating path, so the bytes are the same. The
-estimate and the trace a run returns are copies, never views of
+the trace rows. The norms of b and of the ground truth are computed once per
+run; the arithmetic is that of the allocating path, so the bytes are the
+same. The estimate and the trace a run returns are copies, never views of
 its workspace, and the caller's z0, background and measurements are only read.
 """
 
@@ -56,7 +65,7 @@ import numpy as np
 from .metrics import l2_norm, measurement_error
 from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask
 from .projections import project_background, project_magnitude, project_magnitude_ball
-from .spectral import Workspace, crop, dft_forward
+from .spectral import Workspace, crop, dft_forward, hermitian_half
 
 
 class DivergenceError(RuntimeError):
@@ -80,14 +89,14 @@ def _destination(out: Optional[Workspace], z: np.ndarray) -> Optional[np.ndarray
     return None if out is None else out.next_iterate(z)
 
 
-def pgd_step(z: np.ndarray, root: np.ndarray, background: np.ndarray,
+def pgd_step(z: np.ndarray, half_root: np.ndarray, shape, background: np.ndarray,
              mask: SupportMask, lam: float = 1.0,
              out: Optional[Workspace] = None) -> np.ndarray:
     """Projected gradient step; the subgradient of the magnitude objective is
     z - P_A(z), so lam=1 reduces to the alternating projection P_B(P_A(z))."""
     if not lam > 0:
         raise ValueError("learning rate must be positive")
-    ztilde = project_magnitude(z, root, out)
+    ztilde = project_magnitude(z, half_root, shape, out)
     if lam != 1.0:
         # z - lam * (z - ztilde), formed in the projection's own buffer
         np.subtract(z, ztilde, out=ztilde)
@@ -108,27 +117,28 @@ def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
     return update
 
 
-def bdr_step(z: np.ndarray, root: np.ndarray, background: np.ndarray,
+def bdr_step(z: np.ndarray, half_root: np.ndarray, shape, background: np.ndarray,
              mask: SupportMask, beta: float = 1.0,
              out: Optional[Workspace] = None) -> np.ndarray:
     """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1."""
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
-    return _dr_update(z, project_magnitude(z, root, out), background, mask, beta,
-                      _destination(out, z))
+    return _dr_update(z, project_magnitude(z, half_root, shape, out), background, mask,
+                      beta, _destination(out, z))
 
 
-def cbdr_step(z: np.ndarray, root: np.ndarray, background: np.ndarray, mask: SupportMask,
-              dc_sign: Optional[int] = None, out: Optional[Workspace] = None) -> np.ndarray:
+def cbdr_step(z: np.ndarray, half_root: np.ndarray, shape, background: np.ndarray,
+              mask: SupportMask, dc_sign: Optional[int] = None,
+              out: Optional[Workspace] = None) -> np.ndarray:
     """BDR coordinate update with the convex ball projection, its DC pinned
-    to dc_sign * root at DC unless dc_sign is None."""
-    return _dr_update(z, project_magnitude_ball(z, root, dc_sign, out), background, mask,
-                      1.0, _destination(out, z))
+    to dc_sign * b^{1/2} at DC unless dc_sign is None."""
+    return _dr_update(z, project_magnitude_ball(z, half_root, shape, dc_sign, out),
+                      background, mask, 1.0, _destination(out, z))
 
 
-def hio_step(z: np.ndarray, root: np.ndarray, mask: SupportMask,
+def hio_step(z: np.ndarray, half_root: np.ndarray, shape, mask: SupportMask,
              beta: float = 0.9, out: Optional[Workspace] = None) -> np.ndarray:
-    ztilde = project_magnitude(z, root, out)
+    ztilde = project_magnitude(z, half_root, shape, out)
     update = np.multiply(beta, ztilde, out=_destination(out, z))
     np.subtract(z, update, out=update)
     np.copyto(update, ztilde, where=mask.inside)
@@ -188,14 +198,14 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
     if method is Method.CBDR:
         return cbdr_parallel_real(b, background, mask, config, x_true=x_true, z0=z0)
 
-    root = b.root
+    half_root, m = hermitian_half(b.root), b.shape
     if method is Method.PGD:
-        step = lambda z, work: pgd_step(z, root, background, mask, config.lam, work)
+        step = lambda z, work: pgd_step(z, half_root, m, background, mask, config.lam, work)
         final = None
     elif method in (Method.BDR, Method.BDR1):
         beta = 1.0 if method is Method.BDR else config.beta
-        step = lambda z, work: bdr_step(z, root, background, mask, beta, work)
-        final = lambda z: project_magnitude(z, root)
+        step = lambda z, work: bdr_step(z, half_root, m, background, mask, beta, work)
+        final = lambda z: project_magnitude(z, half_root, m)
     else:  # pragma: no cover - Method is exhaustive
         raise ValueError(f"unhandled method {method}")
     return _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)
@@ -207,12 +217,12 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
     """Run CBDR twice with the DC coefficient pinned to +sqrt(b_1) and
     -sqrt(b_1); return the branch with the smaller measurement error (ties go
     to the + branch)."""
-    root = b.root
+    half_root, m = hermitian_half(b.root), b.shape
     branches = []
     errors = []
     for sign in (1, -1):
-        step = lambda z, work, s=sign: cbdr_step(z, root, background, mask, s, work)
-        final = lambda z, s=sign: project_magnitude_ball(z, root, s)
+        step = lambda z, work, s=sign: cbdr_step(z, half_root, m, background, mask, s, work)
+        final = lambda z, s=sign: project_magnitude_ball(z, half_root, m, s)
         result = _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)
         branches.append(result)
         errors.append(measurement_error(result.final_estimate, background, mask, b))
@@ -223,9 +233,10 @@ def hio_run(b: IntensityMeasurements, mask: SupportMask, config: SolverConfig,
             x_true=None, z0=None) -> SolverRun:
     """Fienup HIO on a bare support constraint (no background values)."""
     root = b.root
+    half_root, m = hermitian_half(root), b.shape
     zeros = np.zeros(mask.shape)
-    step = lambda z, work: hio_step(z, root, mask, config.beta, work)
-    final = lambda z: project_magnitude(z, root)
+    step = lambda z, work: hio_step(z, half_root, m, mask, config.beta, work)
+    final = lambda z: project_magnitude(z, half_root, m)
     if z0 is None:
         z0 = _spectral_start(root, mask.shape)
     return _iterate(b, zeros, mask, config, step, final, x_true=x_true, z0=z0)

@@ -23,7 +23,7 @@ from bgret.model import Method, SupportMask, assemble
 from bgret.projections import project_background, project_magnitude, project_magnitude_ball
 from bgret.rng import mix_seed
 from bgret.spectral import (autocorrelation_direct, autocorrelation_from_intensity,
-                            dft_forward, dft_inverse, intensity)
+                            dft_forward, dft_inverse, hermitian_half, intensity)
 
 pytestmark = pytest.mark.acceptance
 
@@ -40,6 +40,11 @@ def report(number, name, passed, detail, elapsed):
     REPORT_LINES.append(line)
     print(line, flush=True)
     assert passed, line
+
+
+def half(root):
+    """(half root, measurement shape): how the projectors and steps take b^{1/2}."""
+    return hermitian_half(root), root.shape
 
 
 def binomial_stderr(successes, trials):
@@ -139,12 +144,12 @@ def test_criterion_02_projection_contracts():
         z = rng.standard_normal(shape)
 
         root = b.root
-        out = project_magnitude(z, root)
+        out = project_magnitude(z, *half(root))
         resid = np.abs(np.abs(dft_forward(out)) - root)
         eq_worst = max(eq_worst, float(np.max(resid)) / max(float(np.max(root)), 1e-300))
 
-        once = project_magnitude_ball(z, root)
-        twice = project_magnitude_ball(once, root)
+        once = project_magnitude_ball(z, *half(root))
+        twice = project_magnitude_ball(once, *half(root))
         ball_idem_worst = max(ball_idem_worst, float(np.max(np.abs(twice - once))))
         feas = np.abs(dft_forward(once)) - root
         ball_feas_worst = max(ball_feas_worst, float(np.max(feas)))
@@ -307,7 +312,7 @@ def test_criterion_12_local_linear_convergence():
         z = truth + 1e-3 * delta / np.linalg.norm(delta)
         errors = []
         for _ in range(150):
-            z = solvers.bdr_step(z, root, y, mask)
+            z = solvers.bdr_step(z, *half(root), y, mask)
             err = float(np.linalg.norm(z - truth))
             if err < 1e-14:
                 break

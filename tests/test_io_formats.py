@@ -184,3 +184,50 @@ def test_write_results_missing_column(tmp_path):
 def test_shape_token():
     assert shape_token((100,)) == "100"
     assert shape_token((64, 64)) == "64x64"
+
+
+def _one_row_file(tmp_path):
+    rows = [{"trial": t, "seed": 1, "method": "bdr", "n": "8", "k": "24", "iterations": 5,
+             "relative_error": 0.1, "measurement_error": 0.2, "psnr": math.nan,
+             "ssim": math.nan, "success": False, "stop_reason": "max_iter",
+             "fixedpoint_resid": 0.5, "wall_ms": 2.0} for t in range(2)]
+    path = tmp_path / "r.csv"
+    write_results(path, rows, manifest_now("0", 0, {}))
+    lines = path.read_text().splitlines()
+    assert read_results(path)[1]["trial"] == 1
+    return path, lines
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda fields: fields[:-2], "12 fields, expected 14"),
+    (lambda fields: fields + ["max_iter"], "15 fields, expected 14"),
+    (lambda fields: fields[:5] + ["many"] + fields[6:], "malformed iterations 'many'"),
+    (lambda fields: fields[:6] + ["tiny"] + fields[7:], "malformed relative_error 'tiny'"),
+    (lambda fields: fields[:10] + ["yes"] + fields[11:], "malformed success 'yes'"),
+], ids=["short-row", "long-row", "non-numeric-int", "non-numeric-float", "bad-success"])
+def test_read_results_rejects_malformed_row(tmp_path, edit, message):
+    # a short row, a long row and unparseable fields name the file and line 3
+    path, lines = _one_row_file(tmp_path)
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match=f"r.csv: line 3: {message}"):
+        read_results(path)
+
+
+def test_read_results_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(DataFormatError, match="header"):
+        read_results(path)
+
+
+def test_manifest_records_python_numpy_and_fft(tmp_path):
+    import platform
+    manifest = manifest_now("0.1.0", 7, {"method": "bdr"})
+    assert manifest.software == {"python": platform.python_version(),
+                                 "numpy": np.__version__, "fft": "numpy.fft rfftn/irfftn"}
+    path = tmp_path / "results.csv"
+    write_results(path, [], manifest)
+    payload = json.loads(path.with_suffix(".csv.manifest.json").read_text())
+    assert payload["software"] == manifest.software
+    assert path.read_text() == ",".join(RESULT_COLUMNS) + "\n"

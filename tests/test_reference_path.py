@@ -1,25 +1,43 @@
-"""The solver loop against the allocating per-step formulas it replaced.
+"""The solver loop against the allocating per-step formulas it replaced,
+and the half-spectrum projectors against the full-spectrum ones.
 
 ``solvers.run`` works in a per-run workspace with ``out=`` buffers. The
 reference below is the plain formulation: every step allocates its arrays,
-transforms through ``np.fft`` directly, and recomputes the norms of b and of
-the ground truth on every trace row. Both must agree byte for byte at trace
-stride 1: trace, final estimate, iteration count and the converged flag.
+transforms through ``np.fft`` directly (``rfftn``/``irfftn`` for the
+magnitude projections, ``fftn`` for the start and the measurement error), and
+recomputes the norms of b and of the ground truth on every trace row. Both
+must agree byte for byte at trace stride 1: trace, final estimate, iteration
+count and the converged flag.
+
+The projectors once transformed the real iterate as complex data and kept the
+real part of the inverse. Those formulas are kept here as the oracle of the
+half-spectrum ones, to a stated relative tolerance: the equality projection
+for any nonnegative root, the ball projection for roots of real objects.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgret import solvers
 from bgret.model import Method, SolverConfig, SupportMask, assemble
 from bgret.projections import project_magnitude, project_magnitude_ball
-from bgret.spectral import Workspace, intensity
+from bgret.spectral import Workspace, hermitian_half, intensity
 
 
 def ref_fft(z, shape):
     return np.fft.fftn(z, s=shape, axes=tuple(range(z.ndim)))
+
+
+def ref_rfft(z, shape):
+    return np.fft.rfftn(z, s=shape, axes=tuple(range(z.ndim)))
+
+
+def ref_irfft(what, shape):
+    return np.fft.irfftn(what, s=shape, axes=tuple(range(len(shape))))
 
 
 def ref_crop(a, shape):
@@ -28,19 +46,46 @@ def ref_crop(a, shape):
     return a[tuple(slice(0, s) for s in shape)].copy()
 
 
-def ref_project_magnitude(z, root):
+def ref_half_root(root):
+    # Hermitian part 0.5 * (root[i] + root[-i]), cut to the half grid
+    axes = tuple(range(root.ndim))
+    mirrored = np.roll(np.flip(root, axis=axes), 1, axis=axes)
+    symmetric = 0.5 * (root + mirrored)
+    return np.ascontiguousarray(symmetric[..., : root.shape[-1] // 2 + 1])
+
+
+def ref_project_magnitude(z, half_root, shape):
+    zhat = ref_rfft(z, shape)
+    mag = np.abs(zhat)
+    phase = np.divide(zhat, mag, out=np.ones_like(zhat), where=mag > 0)
+    return ref_crop(ref_irfft(half_root * phase, shape), z.shape)
+
+
+def ref_project_ball(z, half_root, shape, sign):
+    zhat = ref_rfft(z, shape)
+    mag = np.abs(zhat)
+    scale = np.divide(half_root, mag, out=np.ones_like(mag), where=mag > 0)
+    what = zhat * np.minimum(1.0, scale)
+    if sign is not None:
+        what.flat[0] = sign * float(half_root.flat[0])
+    return ref_crop(ref_irfft(what, shape), z.shape)
+
+
+def oracle_project_magnitude(z, root):
+    # the full-spectrum formula: complex transform, real part of the inverse
     zhat = ref_fft(z, root.shape)
     mag = np.abs(zhat)
     phase = np.divide(zhat, mag, out=np.ones_like(zhat), where=mag > 0)
     return ref_crop(np.fft.ifftn(root * phase).real, z.shape)
 
 
-def ref_project_ball(z, root, sign):
+def oracle_project_ball(z, root, sign):
     zhat = ref_fft(z, root.shape)
     mag = np.abs(zhat)
     scale = np.divide(root, mag, out=np.ones_like(mag), where=mag > 0)
     what = zhat * np.minimum(1.0, scale)
-    what.flat[0] = sign * float(root.flat[0])
+    if sign is not None:
+        what.flat[0] = sign * float(root.flat[0])
     return ref_crop(np.fft.ifftn(what).real, z.shape)
 
 
@@ -90,15 +135,17 @@ def ref_iterate(b, y, mask, config, step, final, x, z):
 
 
 def ref_cbdr_branch(b, y, mask, config, x, sign):
-    root = b.root
+    half_root, m = ref_half_root(b.root), b.shape
     z0 = ref_project_background(ref_start(b, mask.shape), y, mask)
-    return ref_iterate(b, y, mask, config,
-                       lambda z: ref_dr_update(z, ref_project_ball(z, root, sign), y, mask, 1.0),
-                       lambda z: ref_project_ball(z, root, sign), x, z0)
+    return ref_iterate(
+        b, y, mask, config,
+        lambda z: ref_dr_update(z, ref_project_ball(z, half_root, m, sign), y, mask, 1.0),
+        lambda z: ref_project_ball(z, half_root, m, sign), x, z0)
 
 
 def ref_run(b, y, mask, config, x):
-    root = b.root
+    half_root, m = ref_half_root(b.root), b.shape
+    project = lambda z: ref_project_magnitude(z, half_root, m)
     method = config.method
     if method is Method.CBDR:
         plus, minus = (ref_cbdr_branch(b, y, mask, config, x, s) for s in (1, -1))
@@ -108,21 +155,19 @@ def ref_run(b, y, mask, config, x):
         zeros = np.zeros(mask.shape)
         return ref_iterate(
             b, zeros, mask, config,
-            lambda z: np.where(mask.inside, ref_project_magnitude(z, root),
-                               z - config.beta * ref_project_magnitude(z, root)),
-            lambda z: ref_project_magnitude(z, root), x, ref_start(b, mask.shape))
+            lambda z: np.where(mask.inside, project(z), z - config.beta * project(z)),
+            project, x, ref_start(b, mask.shape))
     z0 = ref_project_background(ref_start(b, mask.shape), y, mask)
     if method is Method.PGD:
         def step(z):
-            ztilde = ref_project_magnitude(z, root)
+            ztilde = project(z)
             if config.lam == 1.0:
                 return ref_project_background(ztilde, y, mask)
             return ref_project_background(z - config.lam * (z - ztilde), y, mask)
         return ref_iterate(b, y, mask, config, step, None, x, z0)
     beta = 1.0 if method is Method.BDR else config.beta
     return ref_iterate(b, y, mask, config,
-                       lambda z: ref_dr_update(z, ref_project_magnitude(z, root), y, mask, beta),
-                       lambda z: ref_project_magnitude(z, root), x, z0)
+                       lambda z: ref_dr_update(z, project(z), y, mask, beta), project, x, z0)
 
 
 GRIDS = {
@@ -179,11 +224,11 @@ def test_run_matches_allocating_reference(grid, method):
 def test_cbdr_branch_matches_allocating_reference(grid, sign):
     x, y, mask, b = instance(grid)
     config = CONFIGS["cbdr"]
-    root = b.root
+    half_root, m = hermitian_half(b.root), b.shape
     branch = solvers._iterate(
         b, y, mask, config,
-        lambda z, work: solvers.cbdr_step(z, root, y, mask, sign, work),
-        lambda z: project_magnitude_ball(z, root, sign), x_true=x)
+        lambda z, work: solvers.cbdr_step(z, half_root, m, y, mask, sign, work),
+        lambda z: project_magnitude_ball(z, half_root, m, sign), x_true=x)
     assert_same(branch, ref_cbdr_branch(b, y, mask, config, x, sign))
 
 
@@ -198,6 +243,14 @@ def test_reference_cases_cover_both_stop_rules():
     assert outcomes == {True, False}
 
 
+def test_half_root_matches_reference():
+    rng = np.random.default_rng(5)
+    for shape in ((7,), (8,), (5, 6), (6, 5)):
+        root = np.abs(rng.standard_normal(shape))
+        assert hermitian_half(root).tobytes() == ref_half_root(root).tobytes()
+        assert hermitian_half(root).flags.c_contiguous
+
+
 def test_projectors_match_reference_with_and_without_workspace():
     # an alternating signal has exactly vanishing spectral coefficients, so the
     # phase-1 and scale-1 conventions are exercised too
@@ -205,13 +258,80 @@ def test_projectors_match_reference_with_and_without_workspace():
     for grid in GRIDS:
         x, y, mask, b = instance(grid)
         work = Workspace(y, mask, b.shape)
+        half_root, m = hermitian_half(b.root), b.shape
         for z in (rng.standard_normal(mask.shape), np.zeros(mask.shape),
                   np.resize([1.0, -1.0], mask.shape)):
-            root = b.root
-            expected = ref_project_magnitude(z, root)
-            assert project_magnitude(z, root).tobytes() == expected.tobytes()
-            assert project_magnitude(z, root, work).tobytes() == expected.tobytes()
-            for sign in (1, -1):
-                expected = ref_project_ball(z, root, sign)
-                assert project_magnitude_ball(z, root, sign).tobytes() == expected.tobytes()
-                assert project_magnitude_ball(z, root, sign, work).tobytes() == expected.tobytes()
+            expected = ref_project_magnitude(z, half_root, m)
+            assert project_magnitude(z, half_root, m).tobytes() == expected.tobytes()
+            assert project_magnitude(z, half_root, m, work).tobytes() == expected.tobytes()
+            for sign in (None, 1, -1):
+                expected = ref_project_ball(z, half_root, m, sign)
+                assert project_magnitude_ball(z, half_root, m, sign).tobytes() == \
+                    expected.tobytes()
+                assert project_magnitude_ball(z, half_root, m, sign, work).tobytes() == \
+                    expected.tobytes()
+
+
+# -- the half-spectrum projectors against the full-spectrum oracle --------------
+
+ORACLE_RTOL = 1e-12
+
+
+def _close(got, expected):
+    return np.linalg.norm(got - expected) <= ORACLE_RTOL * np.linalg.norm(expected)
+
+
+@st.composite
+def projection_cases(draw, real_object_roots):
+    """(z, root): z on an object grid of 1 or 2 axes, root on a measurement
+    grid that may be oversampled. The root is that of a real object, or else
+    any nonnegative array with some exact zeros; z is random or zero, whose
+    coefficients all vanish exactly on both paths. (Where a coefficient
+    vanishes only up to rounding, as some of an alternating signal's do, its
+    phase is rounding noise on either path, so the two may differ there by
+    O(1); the byte pins above cover the phase-1 rule for such signals.)"""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ndim = draw(st.integers(1, 2))
+    shape = tuple(draw(st.integers(1, 12 if ndim == 2 else 40)) for _ in range(ndim))
+    m = tuple(s + draw(st.integers(0, s)) for s in shape)
+    if real_object_roots:
+        root = intensity(rng.standard_normal(shape), m).root
+    else:
+        root = np.abs(rng.standard_normal(m))
+        root[rng.random(m) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+    z = rng.standard_normal(shape) if draw(st.booleans()) else np.zeros(shape)
+    return z, root
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=projection_cases(real_object_roots=False))
+def test_equality_projection_matches_full_spectrum_oracle(case):
+    # the half root is the Hermitian part the complex path's .real inverts,
+    # so any nonnegative root, symmetric or not, gives the same projection
+    z, root = case
+    got = project_magnitude(z, hermitian_half(root), root.shape)
+    assert _close(got, oracle_project_magnitude(z, root))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=projection_cases(real_object_roots=True), sign=st.sampled_from((None, 1, -1)))
+def test_ball_projection_matches_full_spectrum_oracle(case, sign):
+    z, root = case
+    got = project_magnitude_ball(z, hermitian_half(root), root.shape, sign)
+    assert _close(got, oracle_project_ball(z, root, sign))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=projection_cases(real_object_roots=True), sign=st.sampled_from((None, 1, -1)),
+       seed=st.integers(0, 2**32 - 1))
+def test_ball_projection_idempotent_and_nonexpansive(case, sign, seed):
+    z, root = case
+    half_root, m = hermitian_half(root), root.shape
+    project = lambda w: project_magnitude_ball(w, half_root, m, sign)
+    once = project(z)
+    if m == z.shape:  # cropping an oversampled grid is not idempotent
+        twice = project(once)
+        assert np.linalg.norm(twice - once) <= ORACLE_RTOL * max(np.linalg.norm(once), 1.0)
+    other = np.random.default_rng(seed).standard_normal(z.shape)
+    gap = np.linalg.norm(project(other) - once)
+    assert gap <= np.linalg.norm(other - z) * (1.0 + ORACLE_RTOL) + 1e-15 * np.linalg.norm(once)

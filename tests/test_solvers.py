@@ -11,7 +11,12 @@ from bgret.projections import (project_background, project_magnitude,
 from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
                            cbdr_parallel_real, hio_run, init_spectral,
                            pgd_step, run)
-from bgret.spectral import dft_forward, intensity
+from bgret.spectral import dft_forward, hermitian_half, intensity
+
+
+def half(root):
+    """(half root, measurement shape): how the projectors and steps take b^{1/2}."""
+    return hermitian_half(root), root.shape
 
 
 def reflect(z, projector):
@@ -59,8 +64,8 @@ def test_pgd_lambda_one_equals_alternating_projection():
     x, y, mask, b = make_instance(rng, 6, 18)
     root = b.root
     z = rng.standard_normal(24)
-    stepped = pgd_step(z, root, y, mask, lam=1.0)
-    direct = project_background(project_magnitude(z, root), y, mask)
+    stepped = pgd_step(z, *half(root), y, mask, lam=1.0)
+    direct = project_background(project_magnitude(z, *half(root)), y, mask)
     assert np.max(np.abs(stepped - direct)) == 0.0
 
 
@@ -69,7 +74,7 @@ def test_pgd_fixed_point_on_truth():
     x, y, mask, b = make_instance(rng, 5, 15)
     truth = assemble(x, y, mask)
     root = b.root
-    stepped = pgd_step(truth, root, y, mask, lam=1.0)
+    stepped = pgd_step(truth, *half(root), y, mask, lam=1.0)
     assert np.max(np.abs(stepped - truth)) <= 1e-12
 
 
@@ -83,7 +88,7 @@ def test_pgd_objective_monotone_at_lambda_one():
         z = init_spectral(b, y, mask)
         prev = magnitude_objective(z, root)
         for _ in range(5):
-            z = pgd_step(z, root, y, mask, lam=1.0)
+            z = pgd_step(z, *half(root), y, mask, lam=1.0)
             now = magnitude_objective(z, root)
             assert now <= prev + 1e-12 * max(1.0, prev)
             prev = now
@@ -95,7 +100,7 @@ def test_bdr_step_worked_example():
     y = np.array([0.0, 5.0])
     b = intensity(np.array([2.0, 3.0]))
     root = b.root
-    stepped = bdr_step(np.array([2.0, 3.0]), root, y, mask, beta=1.0)
+    stepped = bdr_step(np.array([2.0, 3.0]), *half(root), y, mask, beta=1.0)
     assert np.allclose(stepped, [2.0, 5.0], atol=1e-12)
 
 
@@ -105,8 +110,8 @@ def test_bdr_step_equals_reflection_form():
         x, y, mask, b = make_instance(rng, 4, 12)
         root = b.root
         z = rng.standard_normal(16)
-        stepped = bdr_step(z, root, y, mask, beta=1.0)
-        ra = reflect(z, lambda w: project_magnitude(w, root))
+        stepped = bdr_step(z, *half(root), y, mask, beta=1.0)
+        ra = reflect(z, lambda w: project_magnitude(w, *half(root)))
         rbra = reflect(ra, lambda w: project_background(w, y, mask))
         assert np.max(np.abs(stepped - 0.5 * (rbra + z))) <= 1e-12
 
@@ -116,9 +121,9 @@ def test_bdr_step_on_magnitude_feasible_point():
     rng = np.random.default_rng(4)
     x, y, mask, b = make_instance(rng, 4, 12)
     truth = assemble(x, y, mask)
-    z = project_magnitude(rng.standard_normal(16), b.root)
+    z = project_magnitude(rng.standard_normal(16), *half(b.root))
     root = intensity(z).root
-    stepped = bdr_step(z, root, y, mask)
+    stepped = bdr_step(z, *half(root), y, mask)
     assert np.max(np.abs(stepped - project_background(z, y, mask))) <= 1e-9
 
 
@@ -127,9 +132,9 @@ def test_bdr1_touches_only_background_coordinates():
     x, y, mask, b = make_instance(rng, 4, 12)
     root = b.root
     z = rng.standard_normal(16)
-    ztilde = project_magnitude(z, root)
+    ztilde = project_magnitude(z, *half(root))
     for beta in (1.0, 0.9, 0.5):
-        stepped = bdr_step(z, root, y, mask, beta=beta)
+        stepped = bdr_step(z, *half(root), y, mask, beta=beta)
         assert np.array_equal(stepped[mask.inside], ztilde[mask.inside])
         off = ~mask.inside
         assert np.allclose(stepped[off], z[off] - beta * (ztilde[off] - y[off]))
@@ -142,7 +147,7 @@ def test_cbdr_step_fixed_on_feasible_point():
     x, y, mask, b = make_instance(rng, 4, 12)
     truth = assemble(x, y, mask)
     root = b.root
-    stepped = cbdr_step(truth, root, y, mask)
+    stepped = cbdr_step(truth, *half(root), y, mask)
     assert np.max(np.abs(stepped - truth)) <= 1e-12
 
 
@@ -151,7 +156,7 @@ def test_cbdr_interior_reduces_to_background_style_update():
     x, y, mask, b = make_instance(rng, 4, 12)
     z = 1e-3 * rng.standard_normal(16)  # spectrum well inside the ball
     root = b.root
-    stepped = cbdr_step(z, root, y, mask)
+    stepped = cbdr_step(z, *half(root), y, mask)
     assert np.max(np.abs(stepped - project_background(z, y, mask))) <= 1e-12
 
 
@@ -162,7 +167,7 @@ def test_cbdr_fejer_monotone_to_fixed_point():
     root = b.root
     z = init_spectral(b, y, mask)
     for _ in range(cfg.max_iter):
-        z_new = cbdr_step(z, root, y, mask)
+        z_new = cbdr_step(z, *half(root), y, mask)
         step_norm = np.linalg.norm(z_new - z)
         z = z_new
         if step_norm <= cfg.eps:
@@ -171,7 +176,7 @@ def test_cbdr_fejer_monotone_to_fixed_point():
     z = init_spectral(b, y, mask)
     dist = np.linalg.norm(z - fixed)
     for _ in range(200):
-        z = cbdr_step(z, root, y, mask)
+        z = cbdr_step(z, *half(root), y, mask)
         new_dist = np.linalg.norm(z - fixed)
         assert new_dist <= dist + 1e-9
         dist = new_dist
@@ -248,7 +253,7 @@ def test_bdr_local_linear_convergence_statistical():
         z = z0
         errs = []
         for _ in range(80):
-            z = bdr_step(z, root, y, mask)
+            z = bdr_step(z, *half(root), y, mask)
             err = np.linalg.norm(z - truth)
             if err < 1e-13:
                 break
@@ -324,8 +329,8 @@ def test_cbdr_parallel_real_tie_break_is_plus_branch():
     from bgret.solvers import _iterate
     root = b.root
     plus_run = _iterate(b, y, mask, cfg,
-                        lambda s, work: cbdr_step(s, root, y, mask, 1, work),
-                        lambda z: project_magnitude_ball(z, root, 1), x_true=x)
+                        lambda s, work: cbdr_step(s, *half(root), y, mask, 1, work),
+                        lambda z: project_magnitude_ball(z, *half(root), 1), x_true=x)
     assert np.array_equal(winner.final_estimate, plus_run.final_estimate)
     again = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
     assert np.array_equal(winner.final_estimate, again.final_estimate)
@@ -408,9 +413,9 @@ def test_run_rejects_unknown_beta_lambda():
     rng = np.random.default_rng(20)
     x, y, mask, b = make_instance(rng, 4, 8)
     with pytest.raises(ValueError):
-        bdr_step(np.zeros(12), b.root, y, mask, beta=0.0)
+        bdr_step(np.zeros(12), *half(b.root), y, mask, beta=0.0)
     with pytest.raises(ValueError):
-        pgd_step(np.zeros(12), b.root, y, mask, lam=0.0)
+        pgd_step(np.zeros(12), *half(b.root), y, mask, lam=0.0)
 
 
 def test_run_never_writes_inputs_or_aliases_results():
@@ -433,9 +438,9 @@ def test_steps_without_out_return_new_arrays():
     rng = np.random.default_rng(24)
     x, y, mask, b = make_instance(rng, 5, 15)
     z = rng.standard_normal(mask.shape)
-    for result in (project_magnitude(z, b.root),
-                   project_magnitude_ball(z, b.root, dc_sign=1),
-                   bdr_step(z, b.root, y, mask)):
+    for result in (project_magnitude(z, *half(b.root)),
+                   project_magnitude_ball(z, *half(b.root), dc_sign=1),
+                   bdr_step(z, *half(b.root), y, mask)):
         assert not np.shares_memory(result, z)
 
 
@@ -469,28 +474,39 @@ def test_trace_stride_selects_rows_of_the_full_trace(method, max_iter):
 
 
 def test_untraced_iteration_makes_two_ffts(monkeypatch):
-    # the magnitude projection's forward and inverse transforms; a traced
-    # iteration adds the measurement error's forward transform
-    calls = [0]
+    # the magnitude projection's real forward and inverse transforms; a traced
+    # iteration adds the measurement error's complex forward transform
+    entry_points = ("fftn", "ifftn", "rfftn", "irfftn")
+    calls = dict.fromkeys(entry_points, 0)
 
-    def counted(fft):
+    def counted(name):
+        fft = getattr(np.fft, name)
+
         def wrapper(*args, **kwargs):
-            calls[0] += 1
+            calls[name] += 1
             return fft(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.fft, "fftn", counted(np.fft.fftn))
-    monkeypatch.setattr(np.fft, "ifftn", counted(np.fft.ifftn))
+    for name in entry_points:
+        monkeypatch.setattr(np.fft, name, counted(name))
     rng = np.random.default_rng(26)
     x, y, mask, b = make_instance(rng, 12, 12)
 
     def fft_calls(max_iter, stride):
-        calls[0] = 0
+        calls.update(dict.fromkeys(entry_points, 0))
         cfg = SolverConfig(method=Method.BDR, max_iter=max_iter, eps=1e-300, trace_every=stride)
         result = run(b, y, mask, cfg, x_true=x)
         assert not result.converged and result.iterations_used == max_iter
-        return calls[0]
+        return dict(calls)
+
+    def added(stride, delta):
+        short, long = fft_calls(10, stride), fft_calls(10 + delta, stride)
+        return {name: long[name] - short[name] for name in entry_points}
 
     delta = 17
-    assert fft_calls(10 + delta, 0) - fft_calls(10, 0) == 2 * delta
-    assert fft_calls(10 + delta, 1) - fft_calls(10, 1) == 3 * delta
+    untraced = added(0, delta)
+    assert sum(untraced.values()) == 2 * delta
+    assert untraced == {"fftn": 0, "ifftn": 0, "rfftn": delta, "irfftn": delta}
+    traced = added(1, delta)
+    assert sum(traced.values()) == 3 * delta
+    assert traced == {"fftn": delta, "ifftn": 0, "rfftn": delta, "irfftn": delta}
