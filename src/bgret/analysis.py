@@ -325,7 +325,7 @@ def sample_c2(size: int, seed: int) -> np.ndarray:
     preserved by the radial clamp)."""
     rng = np.random.default_rng(seed)
     h0 = rng.standard_normal(size) * (C2_RADIUS / math.sqrt(size))
-    return project_magnitude_ball(h0, hermitian_half(np.full(size, C2_RADIUS)), (size,))
+    return project_magnitude_ball(h0, hermitian_half(np.full(size, C2_RADIUS)))
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,6 @@ def _emit(payload: dict, path: Path | None) -> None:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if not getattr(args, "config", None):
-        raise SystemExit2("this subcommand needs --config PATH")
     cfg = read_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -310,23 +308,25 @@ def cmd_metrics(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="bgret", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bgret {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="experiment config JSON")
-    common.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: BGRET_WORKERS or 1)")
-    common.add_argument("--preset", choices=sorted(PRESETS), default="desk")
+    # each subcommand takes only the shared flags it reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--seed", type=int, default=None, help="64-bit master seed")
+    output.add_argument("--out", default="out", help="output directory")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--workers", type=int, default=None,
+                      help="worker processes (default: BGRET_WORKERS or 1)")
+    study = argparse.ArgumentParser(add_help=False, parents=[output, pool])
+    study.add_argument("--preset", choices=sorted(PRESETS), default="desk")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-signal", parents=[common], help="write a test signal CSV")
+    p = sub.add_parser("gen-signal", parents=[output], help="write a test signal CSV")
     p.add_argument("--type", type=int, choices=(1, 2, 3), default=1)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--input", help="CSV source for type 3")
     p.set_defaults(func=cmd_gen_signal)
 
-    p = sub.add_parser("gen-background", parents=[common], help="write a background draw")
+    p = sub.add_parser("gen-background", parents=[output], help="write a background draw")
     p.add_argument("--shape", type=int, nargs="+", required=True)
     p.add_argument("--sample", type=int, nargs="+", required=True)
     p.add_argument("--placement", choices=("corner", "center"), default="corner")
@@ -334,14 +334,14 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.set_defaults(func=cmd_gen_background)
 
-    p = sub.add_parser("forward", parents=[common], help="generate measurements")
+    p = sub.add_parser("forward", parents=[output], help="generate measurements")
     p.add_argument("--signal", help="1-D signal CSV")
     p.add_argument("--image", help="2-D PGM/CSV image")
     p.add_argument("--k-ratio", type=float, default=3.0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("solve", parents=[common], help="run one reconstruction")
+    p = sub.add_parser("solve", parents=[output], help="run one reconstruction")
     p.add_argument("--method", required=True)
     p.add_argument("--signal", help="1-D signal CSV (ground truth)")
     p.add_argument("--image", help="2-D PGM/CSV image (ground truth)")
@@ -356,20 +356,21 @@ def build_parser() -> _Parser:
     p.add_argument("--lam", type=float, default=1.0)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", parents=[common], help="phase-transition sweep")
+    p = sub.add_parser("sweep", parents=[output, pool], help="phase-transition sweep")
+    p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--ratio-min", type=float, default=1.0)
     p.add_argument("--ratio-max", type=float, default=7.0)
     p.add_argument("--ratio-step", type=float, default=0.1)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("image-bench", parents=[common], help="2-D PGD vs BDR benchmark")
+    p = sub.add_parser("image-bench", parents=[study], help="2-D PGD vs BDR benchmark")
     p.add_argument("--image", help="PGM/CSV image (default: synthetic)")
     p.add_argument("--k-ratio", type=float, default=0.6)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=300)
     p.set_defaults(func=cmd_image_bench)
 
-    p = sub.add_parser("location-bias", parents=[common], help="support-offset study")
+    p = sub.add_parser("location-bias", parents=[study], help="support-offset study")
     p.add_argument("--image", help="PGM/CSV image (default: synthetic)")
     p.add_argument("--k-ratio", type=float, default=2.0)
     p.add_argument("--positions", type=int, default=17)
@@ -377,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=300)
     p.set_defaults(func=cmd_location_bias)
 
-    p = sub.add_parser("noise-bench", parents=[common], help="noisy-measurement study")
+    p = sub.add_parser("noise-bench", parents=[study], help="noisy-measurement study")
     p.add_argument("--image", help="PGM/CSV image (default: synthetic)")
     p.add_argument("--sigma", type=float, default=0.001)
     p.add_argument("--k-ratio", type=float, default=3.0)
@@ -385,7 +386,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=300)
     p.set_defaults(func=cmd_noise_bench)
 
-    p = sub.add_parser("verify", parents=[common], help="analysis-module checks")
+    p = sub.add_parser("verify", parents=[output], help="analysis-module checks")
     p.add_argument("what", choices=("uniqueness", "stability", "robustness",
                                     "lmatrix", "frip"))
     p.add_argument("--n", type=int, default=8)
@@ -399,7 +400,7 @@ def build_parser() -> _Parser:
     p.add_argument("--num-h", type=int, default=5)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("metrics", parents=[common], help="compare truth vs estimate")
+    p = sub.add_parser("metrics", help="compare truth vs estimate")
     p.add_argument("--truth", help="signal CSV ground truth")
     p.add_argument("--estimate", help="signal CSV estimate")
     p.add_argument("--image-truth", help="image ground truth")

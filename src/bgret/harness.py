@@ -281,18 +281,17 @@ class SweepGrid:
 
 
 def sweep_specs(config: ExperimentConfig, ratios: Sequence[float],
-                n_values: Optional[Sequence[int]] = None,
                 signal_values: Optional[np.ndarray] = None) -> list[TrialSpec]:
     if len(config.n) != 1:
         raise ValueError("phase-transition sweeps are 1-D")
-    n_values = [config.n[0]] if n_values is None else [int(v) for v in n_values]
-    specs = []
+    n = config.n[0]
     fixed = None
-    for cell_id, (n, ratio) in enumerate((n, r) for n in n_values for r in ratios):
+    if config.signal_type != SIGNAL_GAUSSIAN:
+        fixed = gen_signal(config.signal_type, n, values=signal_values) \
+            if config.signal_type == SIGNAL_CSV else harmonic_signal(n)
+    specs = []
+    for cell_id, ratio in enumerate(ratios):
         k = background_sizes_for(ratio, (n,))
-        if config.signal_type != SIGNAL_GAUSSIAN:
-            fixed = gen_signal(config.signal_type, n, values=signal_values) \
-                if config.signal_type == SIGNAL_CSV else harmonic_signal(n)
         for trial in range(config.trials):
             specs.append(TrialSpec(
                 master_seed=config.seed, cell_id=cell_id, trial_index=trial,
@@ -304,23 +303,22 @@ def sweep_specs(config: ExperimentConfig, ratios: Sequence[float],
 
 
 def sweep_phase_transition(config: ExperimentConfig, ratios: Sequence[float],
-                           n_values: Optional[Sequence[int]] = None,
                            signal_values: Optional[np.ndarray] = None,
                            workers: int = 1) -> SweepGrid:
     ratios = tuple(float(r) for r in ratios)
-    n_values = tuple([config.n[0]] if n_values is None else (int(v) for v in n_values))
-    specs = sweep_specs(config, ratios, n_values, signal_values)
+    n = config.n[0]
+    specs = sweep_specs(config, ratios, signal_values)
     rows = run_trials(specs, workers=workers)
 
     cells = []
     per_cell = config.trials
-    for cell_id, (n, ratio) in enumerate((n, r) for n in n_values for r in ratios):
+    for cell_id, ratio in enumerate(ratios):
         cell_rows = rows[cell_id * per_cell:(cell_id + 1) * per_cell]
         cells.append(CellSummary(
             n=n, k=specs[cell_id * per_cell].background_sizes[0], ratio=ratio, trials=per_cell,
             successes=sum(1 for r in cell_rows if r["success"]),
             aborted=sum(1 for r in cell_rows if r.get("aborted"))))
-    return SweepGrid(n_values, ratios, per_cell, tuple(cells), tuple(rows))
+    return SweepGrid((n,), ratios, per_cell, tuple(cells), tuple(rows))
 
 
 def write_sweep_outputs(out_dir, grid: SweepGrid, config: ExperimentConfig,

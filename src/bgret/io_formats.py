@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Method, background_sizes_for
+from .model import Method
 from .spectral import LOOP_TRANSFORMS
 
 
@@ -189,13 +189,6 @@ class ExperimentConfig:
             raise DataFormatError("noise_sigma must be nonnegative")
         if self.signal_type not in (1, 2, 3):
             raise DataFormatError("signal_type must be 1, 2 or 3")
-
-    def background_sizes(self, ratio: Optional[float] = None) -> tuple[int, ...]:
-        if ratio is None:
-            if self.k is not None:
-                return self.k
-            ratio = self.k_ratio
-        return background_sizes_for(ratio, self.n)
 
     def echo(self) -> dict:
         return {

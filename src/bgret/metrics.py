@@ -57,7 +57,7 @@ def measurement_error(x_hat, background, mask: SupportMask,
     and mask: x_hat is written onto the support of its combined object, whose
     background was placed once, and the intensity is formed in its real grid
     buffer. The transform is the full complex one, so the error is that of
-    the whole measurement grid, as b is given.
+    the whole grid, as b is given.
     """
     denom = b.norm
     if denom == 0.0:
@@ -66,7 +66,7 @@ def measurement_error(x_hat, background, mask: SupportMask,
     # combined object directly rather than through the checks of assemble
     z = np.array(background, dtype=float) if out is None else out.combined
     z[mask.inside] = np.asarray(x_hat, dtype=float).reshape(-1)
-    i_hat = np.abs(dft_forward(z, b.shape), out=None if out is None else out.grid)
+    i_hat = np.abs(dft_forward(z), out=None if out is None else out.grid)
     np.square(i_hat, out=i_hat)
     return l2_norm(np.subtract(i_hat, b.values, out=i_hat)) / denom
 

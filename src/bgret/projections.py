@@ -1,22 +1,20 @@
 """Projectors onto the magnitude sets and the affine background set.
 
 The magnitude set is given by the root intensity b^{1/2} (``b.root``) on the
-measurement grid of shape m: ``project_magnitude`` projects onto the equality
-set |DFT z| = b^{1/2}, ``project_magnitude_ball`` onto the convex ball
+object grid: ``project_magnitude`` projects onto the equality set
+|DFT z| = b^{1/2}, ``project_magnitude_ball`` onto the convex ball
 |DFT z| <= b^{1/2}, optionally with the DC coefficient pinned to
 dc_sign * b^{1/2} at DC. The root is validated where it is measured, in
 ``IntensityMeasurements``.
 
 Both work on the half spectrum of the real iterate: ``rdft_forward`` to the
-(..., m_last//2+1) half grid, the phase or clamp there, ``rdft_inverse`` back
-to the real measurement grid, and the crop to the object grid. They take the
-root as ``spectral.hermitian_half(b.root)``, computed once per run, together
-with the measurement shape m, which the half grid does not determine. The
-inverse of a half spectrum is the real part of the inverse of its Hermitian
-extension, so with that half root the equality projection is, up to
-rounding, the one the full complex transform and ``.real`` give, for any
-nonnegative root; so is the ball projection for the root of a real object,
-which is symmetric.
+(..., m_last//2+1) half grid, the phase or clamp there, and ``rdft_inverse``
+back to the real grid of z. They take the root as
+``spectral.hermitian_half(b.root)``, computed once per run. The inverse of a
+half spectrum is the real part of the inverse of its Hermitian extension, so
+with that half root the equality projection is, up to rounding, the one the
+full complex transform and ``.real`` give, for any nonnegative root; so is
+the ball projection for the root of a real object, which is symmetric.
 When a spectral coefficient vanishes the magnitude projection is not unique;
 phase 1 is used where the computed magnitude is exactly 0, which keeps runs
 reproducible. A coefficient that vanishes only up to rounding keeps the
@@ -24,9 +22,8 @@ phase of its rounding error.
 
 The projectors take ``out=``: either a ``spectral.Workspace``, whose half
 spectrum, magnitude and real grid buffers the projection is computed in, or
-None, for new ones. The code is the same either way; the projection returned
-is the real grid on the object grid (a copy when the measurement grid is
-oversampled), so with a workspace it may be a view, valid until its next use.
+None, for new ones. The code is the same either way; with a workspace the
+projection returned is its real grid buffer, valid until its next use.
 ``project_background`` takes an ordinary ``out`` array.
 """
 
@@ -37,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .model import SupportMask
-from .spectral import Workspace, crop, rdft_forward, rdft_inverse
+from .spectral import Workspace, rdft_forward, rdft_inverse
 
 
 def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -51,46 +48,46 @@ def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def _half_spectrum(z: np.ndarray, shape, out: Optional[Workspace]):
+def _half_spectrum(z: np.ndarray, out: Optional[Workspace]):
     # (half spectrum of z, its magnitude), in the workspace buffers if any
     if out is None:
-        zhat = rdft_forward(z, shape)
+        zhat = rdft_forward(z)
         return zhat, np.abs(zhat)
-    zhat = rdft_forward(z, shape, out=out.half, grid=out.grid)
+    zhat = rdft_forward(z, out=out.half)
     return zhat, np.abs(zhat, out=out.half_magnitude)
 
 
-def _back(what: np.ndarray, shape, z: np.ndarray, out: Optional[Workspace]) -> np.ndarray:
-    # the real array of the half spectrum `what`, cropped to the grid of z
-    return crop(rdft_inverse(what, shape, out=None if out is None else out.grid), z.shape)
+def _back(what: np.ndarray, z: np.ndarray, out: Optional[Workspace]) -> np.ndarray:
+    # the real array of the half spectrum `what` on the grid of z
+    return rdft_inverse(what, z.shape, out=None if out is None else out.grid)
 
 
-def project_magnitude(z: np.ndarray, half_root: np.ndarray, shape,
+def project_magnitude(z: np.ndarray, half_root: np.ndarray,
                       out: Optional[Workspace] = None) -> np.ndarray:
     """Replace spectral magnitudes with b^{1/2}, keeping the phases of z;
-    half_root is ``hermitian_half(b^{1/2})`` and shape the measurement grid."""
+    half_root is ``hermitian_half(b^{1/2})`` on the grid of z."""
     z = np.asarray(z, dtype=float)
-    zhat, mag = _half_spectrum(z, shape, out)
+    zhat, mag = _half_spectrum(z, out)
     phase = _divide_nonzero(zhat, mag, out=zhat)
-    return _back(np.multiply(half_root, phase, out=zhat), shape, z, out)
+    return _back(np.multiply(half_root, phase, out=zhat), z, out)
 
 
-def project_magnitude_ball(z: np.ndarray, half_root: np.ndarray, shape,
+def project_magnitude_ball(z: np.ndarray, half_root: np.ndarray,
                            dc_sign: Optional[int] = None,
                            out: Optional[Workspace] = None) -> np.ndarray:
     """Radially clamp spectral magnitudes to at most b^{1/2}; coefficients
     already inside the ball are untouched. With dc_sign (+1 or -1) the DC
-    coefficient is set to exactly dc_sign * b^{1/2} at DC. half_root and
-    shape are as for ``project_magnitude``."""
+    coefficient is set to exactly dc_sign * b^{1/2} at DC. half_root is as
+    for ``project_magnitude``."""
     if dc_sign not in (None, 1, -1):
         raise ValueError("dc sign must be +1 or -1")
     z = np.asarray(z, dtype=float)
-    zhat, mag = _half_spectrum(z, shape, out)
+    zhat, mag = _half_spectrum(z, out)
     scale = _divide_nonzero(half_root, mag, out=mag)
     what = np.multiply(zhat, np.minimum(1.0, scale, out=scale), out=zhat)
     if dc_sign is not None:
         what.flat[0] = dc_sign * float(half_root.flat[0])
-    return _back(what, shape, z, out)
+    return _back(what, z, out)
 
 
 def project_background(z: np.ndarray, background: np.ndarray, mask: SupportMask,

@@ -37,14 +37,14 @@ An untraced iteration makes the two FFTs of its magnitude projection, a
 real forward and a real inverse transform; a traced one a third, the full
 complex transform of the measurement error.
 
-The steps project on the half spectrum (see ``projections``): they take the
-half root ``spectral.hermitian_half(b^{1/2})``, the Hermitian part of the
-root intensity cut to the half grid, and the measurement shape, which the
-half grid does not determine. Each run computes the half root once (once for
-both CBDR branches). Phase 1 where a coefficient vanishes, the DC pin of
-CBDR and, on an oversampled grid, the padded placement and the crop to the
-object grid are as on the full spectrum. The spectral start and the
-measurement error keep the full complex transform.
+Measurements live on the object grid: ``_iterate`` rejects b whose shape is
+not that of the support mask's grid, with a ValueError. The steps project on
+the half spectrum (see ``projections``): they take the half root
+``spectral.hermitian_half(b^{1/2})``, the Hermitian part of the root
+intensity cut to the half grid. Each run computes the half root once (once
+for both CBDR branches). Phase 1 where a coefficient vanishes and the DC pin
+of CBDR are as on the full spectrum. The spectral start and the measurement
+error keep the full complex transform.
 
 Each ``_iterate`` call (so each CBDR branch) builds one ``spectral.Workspace``
 and passes it as ``out=`` to the step, which writes z^p into the iterate
@@ -65,22 +65,22 @@ import numpy as np
 from .metrics import l2_norm, measurement_error
 from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask
 from .projections import project_background, project_magnitude, project_magnitude_ball
-from .spectral import Workspace, crop, dft_forward, hermitian_half
+from .spectral import Workspace, dft_forward, hermitian_half
 
 
 class DivergenceError(RuntimeError):
     """Iterate turned non-finite: divergence or corrupt input data."""
 
 
-def _spectral_start(root: np.ndarray, shape) -> np.ndarray:
-    # (1/prod m) * DFT(b^{1/2}) on the object grid, before any projection
-    return crop(dft_forward(root).real / root.size, shape)
+def _spectral_start(root: np.ndarray) -> np.ndarray:
+    # (1/prod m) * DFT(b^{1/2}), before any projection
+    return dft_forward(root).real / root.size
 
 
 def init_spectral(b: IntensityMeasurements, background: np.ndarray,
                   mask: SupportMask) -> np.ndarray:
     """Deterministic start z0 = P_B((1/prod m) * DFT(b^{1/2}))."""
-    return project_background(_spectral_start(b.root, mask.shape), background, mask)
+    return project_background(_spectral_start(b.root), background, mask)
 
 
 def _destination(out: Optional[Workspace], z: np.ndarray) -> Optional[np.ndarray]:
@@ -89,14 +89,14 @@ def _destination(out: Optional[Workspace], z: np.ndarray) -> Optional[np.ndarray
     return None if out is None else out.next_iterate(z)
 
 
-def pgd_step(z: np.ndarray, half_root: np.ndarray, shape, background: np.ndarray,
+def pgd_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
              mask: SupportMask, lam: float = 1.0,
              out: Optional[Workspace] = None) -> np.ndarray:
     """Projected gradient step; the subgradient of the magnitude objective is
     z - P_A(z), so lam=1 reduces to the alternating projection P_B(P_A(z))."""
     if not lam > 0:
         raise ValueError("learning rate must be positive")
-    ztilde = project_magnitude(z, half_root, shape, out)
+    ztilde = project_magnitude(z, half_root, out)
     if lam != 1.0:
         # z - lam * (z - ztilde), formed in the projection's own buffer
         np.subtract(z, ztilde, out=ztilde)
@@ -117,28 +117,28 @@ def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
     return update
 
 
-def bdr_step(z: np.ndarray, half_root: np.ndarray, shape, background: np.ndarray,
+def bdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
              mask: SupportMask, beta: float = 1.0,
              out: Optional[Workspace] = None) -> np.ndarray:
     """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1."""
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
-    return _dr_update(z, project_magnitude(z, half_root, shape, out), background, mask,
+    return _dr_update(z, project_magnitude(z, half_root, out), background, mask,
                       beta, _destination(out, z))
 
 
-def cbdr_step(z: np.ndarray, half_root: np.ndarray, shape, background: np.ndarray,
+def cbdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
               mask: SupportMask, dc_sign: Optional[int] = None,
               out: Optional[Workspace] = None) -> np.ndarray:
     """BDR coordinate update with the convex ball projection, its DC pinned
     to dc_sign * b^{1/2} at DC unless dc_sign is None."""
-    return _dr_update(z, project_magnitude_ball(z, half_root, shape, dc_sign, out),
+    return _dr_update(z, project_magnitude_ball(z, half_root, dc_sign, out),
                       background, mask, 1.0, _destination(out, z))
 
 
-def hio_step(z: np.ndarray, half_root: np.ndarray, shape, mask: SupportMask,
+def hio_step(z: np.ndarray, half_root: np.ndarray, mask: SupportMask,
              beta: float = 0.9, out: Optional[Workspace] = None) -> np.ndarray:
-    ztilde = project_magnitude(z, half_root, shape, out)
+    ztilde = project_magnitude(z, half_root, out)
     update = np.multiply(beta, ztilde, out=_destination(out, z))
     np.subtract(z, update, out=update)
     np.copyto(update, ztilde, where=mask.inside)
@@ -148,6 +148,9 @@ def hio_step(z: np.ndarray, half_root: np.ndarray, shape, mask: SupportMask,
 def _iterate(b: IntensityMeasurements, background: np.ndarray,
              mask: SupportMask, config: SolverConfig, step: Callable,
              final_projector: Optional[Callable], x_true=None, z0=None) -> SolverRun:
+    if b.shape != mask.shape:
+        raise ValueError(f"measurements of shape {b.shape} are not on the object grid "
+                         f"{mask.shape}")
     z = init_spectral(b, background, mask) if z0 is None else np.asarray(z0, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DivergenceError("non-finite start")
@@ -161,7 +164,7 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
 
     # step(z, work) maps z^{p-1} to z^p inside the run's workspace, built
     # after the start so that the start's temporaries are freed first
-    work = Workspace(background, mask, b.shape)
+    work = Workspace(background, mask)
     stride = config.trace_every
     trace = []
     for p in range(1, config.max_iter + 1):
@@ -198,14 +201,14 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
     if method is Method.CBDR:
         return cbdr_parallel_real(b, background, mask, config, x_true=x_true, z0=z0)
 
-    half_root, m = hermitian_half(b.root), b.shape
+    half_root = hermitian_half(b.root)
     if method is Method.PGD:
-        step = lambda z, work: pgd_step(z, half_root, m, background, mask, config.lam, work)
+        step = lambda z, work: pgd_step(z, half_root, background, mask, config.lam, work)
         final = None
     elif method in (Method.BDR, Method.BDR1):
         beta = 1.0 if method is Method.BDR else config.beta
-        step = lambda z, work: bdr_step(z, half_root, m, background, mask, beta, work)
-        final = lambda z: project_magnitude(z, half_root, m)
+        step = lambda z, work: bdr_step(z, half_root, background, mask, beta, work)
+        final = lambda z: project_magnitude(z, half_root)
     else:  # pragma: no cover - Method is exhaustive
         raise ValueError(f"unhandled method {method}")
     return _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)
@@ -217,12 +220,12 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
     """Run CBDR twice with the DC coefficient pinned to +sqrt(b_1) and
     -sqrt(b_1); return the branch with the smaller measurement error (ties go
     to the + branch)."""
-    half_root, m = hermitian_half(b.root), b.shape
+    half_root = hermitian_half(b.root)
     branches = []
     errors = []
     for sign in (1, -1):
-        step = lambda z, work, s=sign: cbdr_step(z, half_root, m, background, mask, s, work)
-        final = lambda z, s=sign: project_magnitude_ball(z, half_root, m, s)
+        step = lambda z, work, s=sign: cbdr_step(z, half_root, background, mask, s, work)
+        final = lambda z, s=sign: project_magnitude_ball(z, half_root, s)
         result = _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)
         branches.append(result)
         errors.append(measurement_error(result.final_estimate, background, mask, b))
@@ -232,11 +235,10 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
 def hio_run(b: IntensityMeasurements, mask: SupportMask, config: SolverConfig,
             x_true=None, z0=None) -> SolverRun:
     """Fienup HIO on a bare support constraint (no background values)."""
-    root = b.root
-    half_root, m = hermitian_half(root), b.shape
+    half_root = hermitian_half(b.root)
     zeros = np.zeros(mask.shape)
-    step = lambda z, work: hio_step(z, half_root, m, mask, config.beta, work)
-    final = lambda z: project_magnitude(z, half_root, m)
+    step = lambda z, work: hio_step(z, half_root, mask, config.beta, work)
+    final = lambda z: project_magnitude(z, half_root)
     if z0 is None:
-        z0 = _spectral_start(root, mask.shape)
+        z0 = _spectral_start(b.root)
     return _iterate(b, zeros, mask, config, step, final, x_true=x_true, z0=z0)

@@ -3,33 +3,31 @@ autocorrelation with its spectral bridge.
 
 Convention: the forward transform is unnormalized, entry i of ``dft_forward(z)``
 equals sum_t z_t exp(-2*pi*j*i*t/m); the inverse carries the 1/prod(m) factor,
-so ``dft_inverse(dft_forward(z)) == z``. Both return plain complex ndarrays,
-and ``crop`` cuts the object grid back out of an oversampled measurement
-grid. The forward model, the metrics and the spectral start transform through
-this pair. Multi-axis transforms factor by separability.
+so ``dft_inverse(dft_forward(z)) == z``. Both return plain complex ndarrays.
+The forward model, the metrics and the spectral start transform through this
+pair. Multi-axis transforms factor by separability. Measurements live on the
+object grid: the known background takes the place of oversampling, so the
+combined object [x; y] of grid m = n + k is transformed on that grid, unpadded.
 
 The magnitude projections use the real-data pair instead. The spectrum of a
 real array is Hermitian, X[-i] = conj(X[i]), so ``rdft_forward`` returns only
 its half grid: entries 0 .. m_last//2 along the last axis. ``rdft_inverse``
-maps a half spectrum back to the real array of the measurement grid, as the
-inverse of its Hermitian extension. The real part of a complex inverse is the
-inverse of the Hermitian part of its input, so a real factor on the full grid
-that multiplies a Hermitian spectrum acts through its Hermitian part, which
-``hermitian_half`` computes once on the half grid: with it, the magnitude
-projection onto a root intensity b^{1/2} is the one the complex pair followed
-by ``.real`` gives, up to rounding, symmetric root or not.
+maps a half spectrum back to the real array of the grid, as the inverse of its
+Hermitian extension. The real part of a complex inverse is the inverse of the
+Hermitian part of its input, so a real factor on the full grid that multiplies
+a Hermitian spectrum acts through its Hermitian part, which ``hermitian_half``
+computes once on the half grid: with it, the magnitude projection onto a root
+intensity b^{1/2} is the one the complex pair followed by ``.real`` gives, up
+to rounding, symmetric root or not.
 
 For real z the intensity |DFT z|^2 and the circular autocorrelation
 R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair, which the
 direct-summation oracle below pins down numerically.
 
 The real-data pair takes ``out=`` as numpy does: the result is written into
-that array and returned. numpy cannot zero-pad two axes into ``out``, so a
-padded ``rdft_forward`` places z in the leading block of a zeroed real array
-of the measurement grid (``grid``) and transforms that, which gives the same
-bits. A solver run keeps its buffers in one ``Workspace``, built once per run
-and passed as ``out=`` to the projectors, the solver steps and the
-measurement error.
+that array and returned. A solver run keeps its buffers in one ``Workspace``,
+built once per run and passed as ``out=`` to the projectors, the solver steps
+and the measurement error.
 """
 
 from __future__ import annotations
@@ -68,22 +66,9 @@ class Autocorrelation:
 LOOP_TRANSFORMS = "numpy.fft rfftn/irfftn"
 
 
-def _lead(shape) -> tuple:
-    return tuple(slice(0, n) for n in shape)
-
-
-def _measurement_shape(a: np.ndarray, measurement_sizes) -> tuple:
-    s = a.shape if measurement_sizes is None else tuple(map(int, measurement_sizes))
-    if s != a.shape and (len(s) != a.ndim or any(si < ai for si, ai in zip(s, a.shape))):
-        raise ValueError(f"cannot pad shape {a.shape} to measurement sizes {s}")
-    return s
-
-
-def dft_forward(z, measurement_sizes=None) -> np.ndarray:
-    """Unnormalized forward transform, zero-padding up to measurement_sizes."""
-    a = np.asarray(z)
-    s = _measurement_shape(a, measurement_sizes)
-    return np.fft.fftn(a, s=s, axes=tuple(range(a.ndim)))
+def dft_forward(z) -> np.ndarray:
+    """Unnormalized forward transform over every axis."""
+    return np.fft.fftn(np.asarray(z))
 
 
 def dft_inverse(s) -> np.ndarray:
@@ -91,66 +76,46 @@ def dft_inverse(s) -> np.ndarray:
     return np.fft.ifftn(np.asarray(s))
 
 
-def rdft_forward(z, measurement_sizes=None, out=None, grid=None) -> np.ndarray:
-    """Half spectrum of real z zero-padded up to measurement_sizes: the
-    entries 0 .. m_last//2 along the last axis of ``dft_forward(z, m)``.
-    ``out`` is an optional complex array of that half grid; with it, a padded
-    z is placed in ``grid``, a real array of the measurement shape."""
-    a = np.asarray(z, dtype=float)
-    s = _measurement_shape(a, measurement_sizes)
-    if out is None:
-        return np.fft.rfftn(a, s=s, axes=tuple(range(a.ndim)))
-    if s != a.shape:
-        # a in the leading block of the zeroed grid: numpy cannot pad two axes
-        # into out=, and the bits are those of the padding transform
-        grid.fill(0.0)
-        grid[_lead(a.shape)] = a
-        a = grid
-    return np.fft.rfftn(a, out=out)
+def rdft_forward(z, out=None) -> np.ndarray:
+    """Half spectrum of real z: the entries 0 .. m_last//2 along the last
+    axis of ``dft_forward(z)``. ``out`` is an optional complex array of that
+    half grid."""
+    return np.fft.rfftn(np.asarray(z, dtype=float), out=out)
 
 
-def rdft_inverse(half, measurement_shape, out=None) -> np.ndarray:
-    """Inverse of ``rdft_forward``: the real array of the measurement grid
-    whose spectrum is the Hermitian extension of ``half`` (on its
-    self-mirrored entries, where ``half`` may break the symmetry, its
-    Hermitian part), with the 1/prod(m) normalization; ``out`` is an
-    optional real array of the measurement shape."""
-    shape = tuple(map(int, measurement_shape))
+def rdft_inverse(half, shape, out=None) -> np.ndarray:
+    """Inverse of ``rdft_forward``: the real array of the given shape whose
+    spectrum is the Hermitian extension of ``half`` (on its self-mirrored
+    entries, where ``half`` may break the symmetry, its Hermitian part), with
+    the 1/prod(m) normalization; ``out`` is an optional real array of that
+    shape. The shape is needed because the half grid does not determine the
+    length of the last axis."""
     return np.fft.irfftn(half, s=shape, axes=tuple(range(len(shape))), out=out)
 
 
 def hermitian_half(values) -> np.ndarray:
-    """The Hermitian part 0.5 * (v[i] + v[-i]) of a real array on the
-    measurement grid, cut to its half grid (contiguous)."""
+    """The Hermitian part 0.5 * (v[i] + v[-i]) of a real array, cut to its
+    half grid (contiguous)."""
     v = np.asarray(values, dtype=float)
     symmetric = 0.5 * (v + mirror_index(v))
     return np.ascontiguousarray(symmetric[..., : v.shape[-1] // 2 + 1])
 
 
-def crop(a: np.ndarray, shape) -> np.ndarray:
-    """Leading block of ``a`` with the given shape: the object grid of an
-    oversampled measurement grid. Returns ``a`` itself when no crop is needed."""
-    if a.shape == tuple(shape):
-        return a
-    return a[_lead(shape)].copy()
-
-
 class Workspace:
     """The arrays one solver run reuses on every iteration.
 
-    Built once per run (so once per CBDR branch) for one background, support
-    mask and measurement grid: the two iterate buffers, used in turn; the
-    complex half spectrum and its real magnitude; one real array of the
-    measurement grid, which holds the inverse transform (and a padded
-    forward input, and the intensity of the measurement error); and the
+    Built once per run (so once per CBDR branch) for one background and
+    support mask: the two iterate buffers, used in turn; the complex half
+    spectrum and its real magnitude; one real array of the grid, which holds
+    the inverse transform and the intensity of the measurement error; and the
     combined object [x; y] with the background placed once, so that each
     measurement error rewrites only the support. An array returned through
     ``out=`` a workspace lives in it, overwritten by its next use.
     """
 
-    def __init__(self, background: np.ndarray, mask: SupportMask, measurement_shape):
-        self.iterates = (np.empty(mask.shape), np.empty(mask.shape))
-        m = tuple(measurement_shape)
+    def __init__(self, background: np.ndarray, mask: SupportMask):
+        m = mask.shape
+        self.iterates = (np.empty(m), np.empty(m))
         self.half = np.empty(m[:-1] + (m[-1] // 2 + 1,), dtype=complex)
         self.half_magnitude = np.empty(self.half.shape)
         self.grid = np.empty(m)
@@ -162,10 +127,10 @@ class Workspace:
         return second if np.may_share_memory(z, first) else first
 
 
-def intensity(z, measurement_sizes=None) -> IntensityMeasurements:
-    """Forward intensity model I = |DFT z|^2."""
+def intensity(z) -> IntensityMeasurements:
+    """Forward intensity model I = |DFT z|^2 on the grid of z."""
     a = np.asarray(z)
-    return IntensityMeasurements(np.abs(dft_forward(a, measurement_sizes)) ** 2,
+    return IntensityMeasurements(np.abs(dft_forward(a)) ** 2,
                                  conj_symmetric=bool(np.isrealobj(a)))
 
 

@@ -42,11 +42,6 @@ def report(number, name, passed, detail, elapsed):
     assert passed, line
 
 
-def half(root):
-    """(half root, measurement shape): how the projectors and steps take b^{1/2}."""
-    return hermitian_half(root), root.shape
-
-
 def binomial_stderr(successes, trials):
     p = successes / trials
     return math.sqrt(p * (1.0 - p) / trials)
@@ -144,12 +139,12 @@ def test_criterion_02_projection_contracts():
         z = rng.standard_normal(shape)
 
         root = b.root
-        out = project_magnitude(z, *half(root))
+        out = project_magnitude(z, hermitian_half(root))
         resid = np.abs(np.abs(dft_forward(out)) - root)
         eq_worst = max(eq_worst, float(np.max(resid)) / max(float(np.max(root)), 1e-300))
 
-        once = project_magnitude_ball(z, *half(root))
-        twice = project_magnitude_ball(once, *half(root))
+        once = project_magnitude_ball(z, hermitian_half(root))
+        twice = project_magnitude_ball(once, hermitian_half(root))
         ball_idem_worst = max(ball_idem_worst, float(np.max(np.abs(twice - once))))
         feas = np.abs(dft_forward(once)) - root
         ball_feas_worst = max(ball_feas_worst, float(np.max(feas)))
@@ -312,7 +307,7 @@ def test_criterion_12_local_linear_convergence():
         z = truth + 1e-3 * delta / np.linalg.norm(delta)
         errors = []
         for _ in range(150):
-            z = solvers.bdr_step(z, *half(root), y, mask)
+            z = solvers.bdr_step(z, hermitian_half(root), y, mask)
             err = float(np.linalg.norm(z - truth))
             if err < 1e-14:
                 break

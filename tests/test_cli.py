@@ -19,6 +19,27 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--method", "bdr", "--signal", "sig.csv", "--max-iter", "5"],
+     ["--preset", "paper"]),
+    (["solve", "--method", "bdr", "--signal", "sig.csv", "--max-iter", "5"],
+     ["--workers", "2"]),
+    (["verify", "stability", "--pairs", "2"], ["--workers", "4"]),
+    (["gen-signal", "--n", "4"], ["--config", "cfg.json"]),
+    (["forward", "--signal", "sig.csv"], ["--preset", "desk"]),
+    (["metrics", "--truth", "sig.csv", "--estimate", "sig.csv"], ["--out", "d"]),
+    (["metrics", "--truth", "sig.csv", "--estimate", "sig.csv"], ["--seed", "1"]),
+])
+def test_flags_a_subcommand_ignores_are_usage_errors(argv, flag, tmp_path, monkeypatch,
+                                                     capsys):
+    # each subcommand takes only the shared flags it reads
+    monkeypatch.chdir(tmp_path)
+    write_signal_csv(tmp_path / "sig.csv", np.arange(1.0, 9.0))
+    assert main(argv) == EXIT_OK
+    assert main(argv + flag) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_gen_signal_and_metrics(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["gen-signal", "--n", "16", "--type", "2", "--out", str(out)]) == EXIT_OK

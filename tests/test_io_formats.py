@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bgret.io_formats import (DataFormatError, ExperimentConfig, RESULT_COLUMNS,
+from bgret.io_formats import (DataFormatError, RESULT_COLUMNS,
                               format_float, manifest_now, parse_config, read_config,
                               read_image, read_results, read_signal_csv, shape_token,
                               write_image, write_results, write_signal_csv)
@@ -79,11 +79,7 @@ def test_read_config_minimal_and_defaults(tmp_path):
     assert cfg.method is Method.BDR
     assert cfg.eps == 1e-12 and cfg.max_iter == 300
     assert cfg.beta == 0.9 and cfg.lam == 1.0
-    assert cfg.background_sizes() == (300,)
-    assert cfg.background_sizes(2.0) == (200,)
-    # the same k rule as the sweep: a small ratio rounds up to one cell
-    small = ExperimentConfig(method=Method.BDR, n=(10,), trials=1, seed=0, k_ratio=0.04)
-    assert small.background_sizes() == (1,)
+    assert cfg.n == (100,) and cfg.k_ratio == 3 and cfg.k is None
 
 
 def test_read_config_rejects_unknown_keys(tmp_path):
@@ -112,7 +108,7 @@ def test_parse_config_2d():
     cfg = parse_config({"method": "pgd", "n1": 8, "n2": 10, "k1": 4, "k2": 5,
                         "trials": 2, "seed": 1})
     assert cfg.n == (8, 10)
-    assert cfg.background_sizes() == (4, 5)
+    assert cfg.k == (4, 5)
     with pytest.raises(DataFormatError):
         parse_config({"method": "pgd", "n1": 8, "n2": 10, "k1": 4,
                       "trials": 2, "seed": 1})

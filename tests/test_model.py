@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgret.model import (IntensityMeasurements, Method, SolverConfig, SolverRun,
-                         SupportMask, assemble, mirror_index)
+                         SupportMask, assemble, background_sizes_for, mirror_index)
 
 
 def test_assemble_1d_example():
@@ -78,6 +78,15 @@ def test_assemble_rejects_bad_inputs():
     bad_y = np.array([5.0, 0.0, 0.0, 0.0])  # nonzero on the support
     with pytest.raises(ValueError):
         assemble([1.0], bad_y, mask)
+
+
+def test_background_sizes_rule():
+    # k_i = max(1, round(ratio * n_i)), half to even: the one k/n rule
+    assert background_sizes_for(3, (100,)) == (300,)
+    assert background_sizes_for(2.0, (100,)) == (200,)
+    assert background_sizes_for(0.04, (10,)) == (1,)  # a small ratio rounds up to one cell
+    assert background_sizes_for(0.25, (10,)) == (2,)
+    assert background_sizes_for(0.5, (8, 10)) == (4, 5)
 
 
 def test_mask_validation():

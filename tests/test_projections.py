@@ -9,11 +9,6 @@ from bgret.projections import (project_background, project_magnitude,
 from bgret.spectral import dft_forward, hermitian_half, intensity
 
 
-def half(root):
-    """(half root, measurement shape): how the projectors and steps take b^{1/2}."""
-    return hermitian_half(root), root.shape
-
-
 def reflect(z, projector):
     """Reflector 2*P(z) - z for any projector P."""
     z = np.asarray(z, dtype=float)
@@ -27,18 +22,18 @@ def achievable(rng, shape):
 
 
 def test_project_magnitude_worked_example():
-    out = project_magnitude(np.array([3.0, 1.0]), *half(np.array([1.0, 1.0])))
+    out = project_magnitude(np.array([3.0, 1.0]), hermitian_half(np.array([1.0, 1.0])))
     assert np.allclose(out, [1.0, 0.0], atol=1e-14)
 
 
 def test_project_magnitude_fixed_point():
     rng = np.random.default_rng(0)
     z = rng.standard_normal(16)
-    assert np.max(np.abs(project_magnitude(z, *half(intensity(z).root)) - z)) <= 1e-12
+    assert np.max(np.abs(project_magnitude(z, hermitian_half(intensity(z).root)) - z)) <= 1e-12
 
 
 def test_project_magnitude_zero_tie_break():
-    out = project_magnitude(np.array([0.0, 0.0]), *half(np.array([2.0, 0.0])))
+    out = project_magnitude(np.array([0.0, 0.0]), hermitian_half(np.array([2.0, 0.0])))
     assert np.allclose(out, [1.0, 1.0], atol=1e-14)
 
 
@@ -47,7 +42,7 @@ def test_equality_magnitude_residual():
     for _ in range(50):
         b, z = achievable(rng, int(rng.integers(2, 40)))
         root = b.root
-        out = project_magnitude(z, *half(root))
+        out = project_magnitude(z, hermitian_half(root))
         resid = np.abs(np.abs(dft_forward(out)) - root)
         assert np.max(resid) <= 1e-10 * max(np.max(root), 1e-300)
 
@@ -56,12 +51,12 @@ def test_ball_interior_is_untouched():
     rng = np.random.default_rng(2)
     z = 0.01 * rng.standard_normal(12)
     root = 10.0 + np.zeros(12)
-    out = project_magnitude_ball(z, *half(root))
+    out = project_magnitude_ball(z, hermitian_half(root))
     assert np.max(np.abs(out - z)) <= 1e-14
 
 
 def test_ball_reduces_to_equality_when_outside():
-    out = project_magnitude_ball(np.array([3.0, 1.0]), *half(np.array([1.0, 1.0])))
+    out = project_magnitude_ball(np.array([3.0, 1.0]), hermitian_half(np.array([1.0, 1.0])))
     assert np.allclose(out, [1.0, 0.0], atol=1e-14)
 
 
@@ -70,8 +65,8 @@ def test_ball_idempotent_and_feasible():
     for _ in range(50):
         b, z = achievable(rng, int(rng.integers(2, 40)))
         root = b.root
-        once = project_magnitude_ball(z, *half(root))
-        twice = project_magnitude_ball(once, *half(root))
+        once = project_magnitude_ball(z, hermitian_half(root))
+        twice = project_magnitude_ball(once, hermitian_half(root))
         assert np.max(np.abs(twice - once)) <= 1e-12
         mags = np.abs(dft_forward(once))
         assert np.all(mags <= root + 1e-10)
@@ -82,8 +77,8 @@ def test_ball_nonexpansive():
     for _ in range(50):
         b, u = achievable(rng, 20)
         v = rng.standard_normal(20)
-        root = b.root
-        du = project_magnitude_ball(u, *half(root)) - project_magnitude_ball(v, *half(root))
+        half_root = hermitian_half(b.root)
+        du = project_magnitude_ball(u, half_root) - project_magnitude_ball(v, half_root)
         assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-10
 
 
@@ -91,7 +86,7 @@ def test_ball_dc_pin():
     rng = np.random.default_rng(5)
     b, z = achievable(rng, 9)
     for sign in (1, -1):
-        out = project_magnitude_ball(z, *half(b.root), dc_sign=sign)
+        out = project_magnitude_ball(z, hermitian_half(b.root), dc_sign=sign)
         assert np.sum(out) == pytest.approx(sign * np.sqrt(b.values[0]), rel=1e-10)
 
 
@@ -99,7 +94,7 @@ def test_dc_constraint_validation():
     b = IntensityMeasurements(np.array([4.0, 1.0, 1.0]))
     for bad in (0, 2, -2):
         with pytest.raises(ValueError):
-            project_magnitude_ball(np.zeros(3), *half(b.root), dc_sign=bad)
+            project_magnitude_ball(np.zeros(3), hermitian_half(b.root), dc_sign=bad)
 
 
 def test_project_background_examples():

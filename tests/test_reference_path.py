@@ -28,22 +28,8 @@ from bgret.projections import project_magnitude, project_magnitude_ball
 from bgret.spectral import Workspace, hermitian_half, intensity
 
 
-def ref_fft(z, shape):
-    return np.fft.fftn(z, s=shape, axes=tuple(range(z.ndim)))
-
-
-def ref_rfft(z, shape):
-    return np.fft.rfftn(z, s=shape, axes=tuple(range(z.ndim)))
-
-
 def ref_irfft(what, shape):
     return np.fft.irfftn(what, s=shape, axes=tuple(range(len(shape))))
-
-
-def ref_crop(a, shape):
-    if a.shape == tuple(shape):
-        return a
-    return a[tuple(slice(0, s) for s in shape)].copy()
 
 
 def ref_half_root(root):
@@ -54,39 +40,39 @@ def ref_half_root(root):
     return np.ascontiguousarray(symmetric[..., : root.shape[-1] // 2 + 1])
 
 
-def ref_project_magnitude(z, half_root, shape):
-    zhat = ref_rfft(z, shape)
+def ref_project_magnitude(z, half_root):
+    zhat = np.fft.rfftn(z)
     mag = np.abs(zhat)
     phase = np.divide(zhat, mag, out=np.ones_like(zhat), where=mag > 0)
-    return ref_crop(ref_irfft(half_root * phase, shape), z.shape)
+    return ref_irfft(half_root * phase, z.shape)
 
 
-def ref_project_ball(z, half_root, shape, sign):
-    zhat = ref_rfft(z, shape)
+def ref_project_ball(z, half_root, sign):
+    zhat = np.fft.rfftn(z)
     mag = np.abs(zhat)
     scale = np.divide(half_root, mag, out=np.ones_like(mag), where=mag > 0)
     what = zhat * np.minimum(1.0, scale)
     if sign is not None:
         what.flat[0] = sign * float(half_root.flat[0])
-    return ref_crop(ref_irfft(what, shape), z.shape)
+    return ref_irfft(what, z.shape)
 
 
 def oracle_project_magnitude(z, root):
     # the full-spectrum formula: complex transform, real part of the inverse
-    zhat = ref_fft(z, root.shape)
+    zhat = np.fft.fftn(z)
     mag = np.abs(zhat)
     phase = np.divide(zhat, mag, out=np.ones_like(zhat), where=mag > 0)
-    return ref_crop(np.fft.ifftn(root * phase).real, z.shape)
+    return np.fft.ifftn(root * phase).real
 
 
 def oracle_project_ball(z, root, sign):
-    zhat = ref_fft(z, root.shape)
+    zhat = np.fft.fftn(z)
     mag = np.abs(zhat)
     scale = np.divide(root, mag, out=np.ones_like(mag), where=mag > 0)
     what = zhat * np.minimum(1.0, scale)
     if sign is not None:
         what.flat[0] = sign * float(root.flat[0])
-    return ref_crop(np.fft.ifftn(what).real, z.shape)
+    return np.fft.ifftn(what).real
 
 
 def ref_project_background(z, y, mask):
@@ -107,13 +93,13 @@ def ref_measurement_error(x_hat, y, mask, b):
     denom = float(np.linalg.norm(b.values.reshape(-1)))
     z = np.array(y, dtype=float)
     z[mask.inside] = x_hat
-    i_hat = np.abs(ref_fft(z, b.shape)) ** 2
+    i_hat = np.abs(np.fft.fftn(z)) ** 2
     return float(np.linalg.norm((i_hat - b.values).reshape(-1))) / denom
 
 
-def ref_start(b, shape):
+def ref_start(b):
     root = b.root
-    return ref_crop(ref_fft(root, root.shape).real / root.size, shape)
+    return np.fft.fftn(root).real / root.size
 
 
 def ref_iterate(b, y, mask, config, step, final, x, z):
@@ -135,17 +121,17 @@ def ref_iterate(b, y, mask, config, step, final, x, z):
 
 
 def ref_cbdr_branch(b, y, mask, config, x, sign):
-    half_root, m = ref_half_root(b.root), b.shape
-    z0 = ref_project_background(ref_start(b, mask.shape), y, mask)
+    half_root = ref_half_root(b.root)
+    z0 = ref_project_background(ref_start(b), y, mask)
     return ref_iterate(
         b, y, mask, config,
-        lambda z: ref_dr_update(z, ref_project_ball(z, half_root, m, sign), y, mask, 1.0),
-        lambda z: ref_project_ball(z, half_root, m, sign), x, z0)
+        lambda z: ref_dr_update(z, ref_project_ball(z, half_root, sign), y, mask, 1.0),
+        lambda z: ref_project_ball(z, half_root, sign), x, z0)
 
 
 def ref_run(b, y, mask, config, x):
-    half_root, m = ref_half_root(b.root), b.shape
-    project = lambda z: ref_project_magnitude(z, half_root, m)
+    half_root = ref_half_root(b.root)
+    project = lambda z: ref_project_magnitude(z, half_root)
     method = config.method
     if method is Method.CBDR:
         plus, minus = (ref_cbdr_branch(b, y, mask, config, x, s) for s in (1, -1))
@@ -156,8 +142,8 @@ def ref_run(b, y, mask, config, x):
         return ref_iterate(
             b, zeros, mask, config,
             lambda z: np.where(mask.inside, project(z), z - config.beta * project(z)),
-            project, x, ref_start(b, mask.shape))
-    z0 = ref_project_background(ref_start(b, mask.shape), y, mask)
+            project, x, ref_start(b))
+    z0 = ref_project_background(ref_start(b), y, mask)
     if method is Method.PGD:
         def step(z):
             ztilde = project(z)
@@ -170,6 +156,9 @@ def ref_run(b, y, mask, config, x):
                        lambda z: ref_dr_update(z, project(z), y, mask, beta), project, x, z0)
 
 
+# (grid, sample, placement, oversampled). An oversampled measurement, on the
+# grid 2s - 1, is that of the object padded with known zero background to
+# that grid, so it is solved on the padded grid.
 GRIDS = {
     "1d-corner": ((40,), (12,), None, False),
     "2d-centered": ((14, 14), (6, 6), "centered", False),
@@ -199,8 +188,10 @@ def instance(grid, seed=3):
     x = rng.standard_normal(mask.sample_count)
     y = rng.standard_normal(shape)
     y[mask.inside] = 0.0
-    m = tuple(2 * s - 1 for s in shape) if oversampled else None
-    return x, y, mask, intensity(assemble(x, y, mask), m)
+    if oversampled:
+        y = np.pad(y, [(0, s - 1) for s in shape])
+        mask = SupportMask.block(y.shape, sample, mask.offset)
+    return x, y, mask, intensity(assemble(x, y, mask))
 
 
 def assert_same(result, reference):
@@ -224,11 +215,11 @@ def test_run_matches_allocating_reference(grid, method):
 def test_cbdr_branch_matches_allocating_reference(grid, sign):
     x, y, mask, b = instance(grid)
     config = CONFIGS["cbdr"]
-    half_root, m = hermitian_half(b.root), b.shape
+    half_root = hermitian_half(b.root)
     branch = solvers._iterate(
         b, y, mask, config,
-        lambda z, work: solvers.cbdr_step(z, half_root, m, y, mask, sign, work),
-        lambda z: project_magnitude_ball(z, half_root, m, sign), x_true=x)
+        lambda z, work: solvers.cbdr_step(z, half_root, y, mask, sign, work),
+        lambda z: project_magnitude_ball(z, half_root, sign), x_true=x)
     assert_same(branch, ref_cbdr_branch(b, y, mask, config, x, sign))
 
 
@@ -257,18 +248,18 @@ def test_projectors_match_reference_with_and_without_workspace():
     rng = np.random.default_rng(4)
     for grid in GRIDS:
         x, y, mask, b = instance(grid)
-        work = Workspace(y, mask, b.shape)
-        half_root, m = hermitian_half(b.root), b.shape
+        work = Workspace(y, mask)
+        half_root = hermitian_half(b.root)
         for z in (rng.standard_normal(mask.shape), np.zeros(mask.shape),
                   np.resize([1.0, -1.0], mask.shape)):
-            expected = ref_project_magnitude(z, half_root, m)
-            assert project_magnitude(z, half_root, m).tobytes() == expected.tobytes()
-            assert project_magnitude(z, half_root, m, work).tobytes() == expected.tobytes()
+            expected = ref_project_magnitude(z, half_root)
+            assert project_magnitude(z, half_root).tobytes() == expected.tobytes()
+            assert project_magnitude(z, half_root, work).tobytes() == expected.tobytes()
             for sign in (None, 1, -1):
-                expected = ref_project_ball(z, half_root, m, sign)
-                assert project_magnitude_ball(z, half_root, m, sign).tobytes() == \
+                expected = ref_project_ball(z, half_root, sign)
+                assert project_magnitude_ball(z, half_root, sign).tobytes() == \
                     expected.tobytes()
-                assert project_magnitude_ball(z, half_root, m, sign, work).tobytes() == \
+                assert project_magnitude_ball(z, half_root, sign, work).tobytes() == \
                     expected.tobytes()
 
 
@@ -283,22 +274,20 @@ def _close(got, expected):
 
 @st.composite
 def projection_cases(draw, real_object_roots):
-    """(z, root): z on an object grid of 1 or 2 axes, root on a measurement
-    grid that may be oversampled. The root is that of a real object, or else
-    any nonnegative array with some exact zeros; z is random or zero, whose
-    coefficients all vanish exactly on both paths. (Where a coefficient
+    """(z, root): z and root on one grid of 1 or 2 axes. The root is that of
+    a real object, or else any nonnegative array with some exact zeros; z is
+    random or zero, whose coefficients all vanish exactly on both paths. (Where a coefficient
     vanishes only up to rounding, as some of an alternating signal's do, its
     phase is rounding noise on either path, so the two may differ there by
     O(1); the byte pins above cover the phase-1 rule for such signals.)"""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ndim = draw(st.integers(1, 2))
     shape = tuple(draw(st.integers(1, 12 if ndim == 2 else 40)) for _ in range(ndim))
-    m = tuple(s + draw(st.integers(0, s)) for s in shape)
     if real_object_roots:
-        root = intensity(rng.standard_normal(shape), m).root
+        root = intensity(rng.standard_normal(shape)).root
     else:
-        root = np.abs(rng.standard_normal(m))
-        root[rng.random(m) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+        root = np.abs(rng.standard_normal(shape))
+        root[rng.random(shape) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
     z = rng.standard_normal(shape) if draw(st.booleans()) else np.zeros(shape)
     return z, root
 
@@ -309,7 +298,7 @@ def test_equality_projection_matches_full_spectrum_oracle(case):
     # the half root is the Hermitian part the complex path's .real inverts,
     # so any nonnegative root, symmetric or not, gives the same projection
     z, root = case
-    got = project_magnitude(z, hermitian_half(root), root.shape)
+    got = project_magnitude(z, hermitian_half(root))
     assert _close(got, oracle_project_magnitude(z, root))
 
 
@@ -317,7 +306,7 @@ def test_equality_projection_matches_full_spectrum_oracle(case):
 @given(case=projection_cases(real_object_roots=True), sign=st.sampled_from((None, 1, -1)))
 def test_ball_projection_matches_full_spectrum_oracle(case, sign):
     z, root = case
-    got = project_magnitude_ball(z, hermitian_half(root), root.shape, sign)
+    got = project_magnitude_ball(z, hermitian_half(root), sign)
     assert _close(got, oracle_project_ball(z, root, sign))
 
 
@@ -326,12 +315,11 @@ def test_ball_projection_matches_full_spectrum_oracle(case, sign):
        seed=st.integers(0, 2**32 - 1))
 def test_ball_projection_idempotent_and_nonexpansive(case, sign, seed):
     z, root = case
-    half_root, m = hermitian_half(root), root.shape
-    project = lambda w: project_magnitude_ball(w, half_root, m, sign)
+    half_root = hermitian_half(root)
+    project = lambda w: project_magnitude_ball(w, half_root, sign)
     once = project(z)
-    if m == z.shape:  # cropping an oversampled grid is not idempotent
-        twice = project(once)
-        assert np.linalg.norm(twice - once) <= ORACLE_RTOL * max(np.linalg.norm(once), 1.0)
+    twice = project(once)
+    assert np.linalg.norm(twice - once) <= ORACLE_RTOL * max(np.linalg.norm(once), 1.0)
     other = np.random.default_rng(seed).standard_normal(z.shape)
     gap = np.linalg.norm(project(other) - once)
     assert gap <= np.linalg.norm(other - z) * (1.0 + ORACLE_RTOL) + 1e-15 * np.linalg.norm(once)

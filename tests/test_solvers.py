@@ -14,11 +14,6 @@ from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
 from bgret.spectral import dft_forward, hermitian_half, intensity
 
 
-def half(root):
-    """(half root, measurement shape): how the projectors and steps take b^{1/2}."""
-    return hermitian_half(root), root.shape
-
-
 def reflect(z, projector):
     """Reflector 2*P(z) - z for any projector P."""
     z = np.asarray(z, dtype=float)
@@ -27,7 +22,7 @@ def reflect(z, projector):
 
 def magnitude_objective(z, root):
     """(1/(2m)) * sum_i (|DFT(z)_i| - b_i^{1/2})^2, the PGD objective."""
-    diff = np.abs(dft_forward(np.asarray(z, dtype=float), root.shape)) - root
+    diff = np.abs(dft_forward(np.asarray(z, dtype=float))) - root
     return 0.5 * float(np.sum(diff * diff)) / root.size
 
 
@@ -64,8 +59,8 @@ def test_pgd_lambda_one_equals_alternating_projection():
     x, y, mask, b = make_instance(rng, 6, 18)
     root = b.root
     z = rng.standard_normal(24)
-    stepped = pgd_step(z, *half(root), y, mask, lam=1.0)
-    direct = project_background(project_magnitude(z, *half(root)), y, mask)
+    stepped = pgd_step(z, hermitian_half(root), y, mask, lam=1.0)
+    direct = project_background(project_magnitude(z, hermitian_half(root)), y, mask)
     assert np.max(np.abs(stepped - direct)) == 0.0
 
 
@@ -74,7 +69,7 @@ def test_pgd_fixed_point_on_truth():
     x, y, mask, b = make_instance(rng, 5, 15)
     truth = assemble(x, y, mask)
     root = b.root
-    stepped = pgd_step(truth, *half(root), y, mask, lam=1.0)
+    stepped = pgd_step(truth, hermitian_half(root), y, mask, lam=1.0)
     assert np.max(np.abs(stepped - truth)) <= 1e-12
 
 
@@ -88,7 +83,7 @@ def test_pgd_objective_monotone_at_lambda_one():
         z = init_spectral(b, y, mask)
         prev = magnitude_objective(z, root)
         for _ in range(5):
-            z = pgd_step(z, *half(root), y, mask, lam=1.0)
+            z = pgd_step(z, hermitian_half(root), y, mask, lam=1.0)
             now = magnitude_objective(z, root)
             assert now <= prev + 1e-12 * max(1.0, prev)
             prev = now
@@ -100,7 +95,7 @@ def test_bdr_step_worked_example():
     y = np.array([0.0, 5.0])
     b = intensity(np.array([2.0, 3.0]))
     root = b.root
-    stepped = bdr_step(np.array([2.0, 3.0]), *half(root), y, mask, beta=1.0)
+    stepped = bdr_step(np.array([2.0, 3.0]), hermitian_half(root), y, mask, beta=1.0)
     assert np.allclose(stepped, [2.0, 5.0], atol=1e-12)
 
 
@@ -110,8 +105,8 @@ def test_bdr_step_equals_reflection_form():
         x, y, mask, b = make_instance(rng, 4, 12)
         root = b.root
         z = rng.standard_normal(16)
-        stepped = bdr_step(z, *half(root), y, mask, beta=1.0)
-        ra = reflect(z, lambda w: project_magnitude(w, *half(root)))
+        stepped = bdr_step(z, hermitian_half(root), y, mask, beta=1.0)
+        ra = reflect(z, lambda w: project_magnitude(w, hermitian_half(root)))
         rbra = reflect(ra, lambda w: project_background(w, y, mask))
         assert np.max(np.abs(stepped - 0.5 * (rbra + z))) <= 1e-12
 
@@ -121,9 +116,9 @@ def test_bdr_step_on_magnitude_feasible_point():
     rng = np.random.default_rng(4)
     x, y, mask, b = make_instance(rng, 4, 12)
     truth = assemble(x, y, mask)
-    z = project_magnitude(rng.standard_normal(16), *half(b.root))
+    z = project_magnitude(rng.standard_normal(16), hermitian_half(b.root))
     root = intensity(z).root
-    stepped = bdr_step(z, *half(root), y, mask)
+    stepped = bdr_step(z, hermitian_half(root), y, mask)
     assert np.max(np.abs(stepped - project_background(z, y, mask))) <= 1e-9
 
 
@@ -132,9 +127,9 @@ def test_bdr1_touches_only_background_coordinates():
     x, y, mask, b = make_instance(rng, 4, 12)
     root = b.root
     z = rng.standard_normal(16)
-    ztilde = project_magnitude(z, *half(root))
+    ztilde = project_magnitude(z, hermitian_half(root))
     for beta in (1.0, 0.9, 0.5):
-        stepped = bdr_step(z, *half(root), y, mask, beta=beta)
+        stepped = bdr_step(z, hermitian_half(root), y, mask, beta=beta)
         assert np.array_equal(stepped[mask.inside], ztilde[mask.inside])
         off = ~mask.inside
         assert np.allclose(stepped[off], z[off] - beta * (ztilde[off] - y[off]))
@@ -147,7 +142,7 @@ def test_cbdr_step_fixed_on_feasible_point():
     x, y, mask, b = make_instance(rng, 4, 12)
     truth = assemble(x, y, mask)
     root = b.root
-    stepped = cbdr_step(truth, *half(root), y, mask)
+    stepped = cbdr_step(truth, hermitian_half(root), y, mask)
     assert np.max(np.abs(stepped - truth)) <= 1e-12
 
 
@@ -156,7 +151,7 @@ def test_cbdr_interior_reduces_to_background_style_update():
     x, y, mask, b = make_instance(rng, 4, 12)
     z = 1e-3 * rng.standard_normal(16)  # spectrum well inside the ball
     root = b.root
-    stepped = cbdr_step(z, *half(root), y, mask)
+    stepped = cbdr_step(z, hermitian_half(root), y, mask)
     assert np.max(np.abs(stepped - project_background(z, y, mask))) <= 1e-12
 
 
@@ -167,7 +162,7 @@ def test_cbdr_fejer_monotone_to_fixed_point():
     root = b.root
     z = init_spectral(b, y, mask)
     for _ in range(cfg.max_iter):
-        z_new = cbdr_step(z, *half(root), y, mask)
+        z_new = cbdr_step(z, hermitian_half(root), y, mask)
         step_norm = np.linalg.norm(z_new - z)
         z = z_new
         if step_norm <= cfg.eps:
@@ -176,7 +171,7 @@ def test_cbdr_fejer_monotone_to_fixed_point():
     z = init_spectral(b, y, mask)
     dist = np.linalg.norm(z - fixed)
     for _ in range(200):
-        z = cbdr_step(z, *half(root), y, mask)
+        z = cbdr_step(z, hermitian_half(root), y, mask)
         new_dist = np.linalg.norm(z - fixed)
         assert new_dist <= dist + 1e-9
         dist = new_dist
@@ -253,7 +248,7 @@ def test_bdr_local_linear_convergence_statistical():
         z = z0
         errs = []
         for _ in range(80):
-            z = bdr_step(z, *half(root), y, mask)
+            z = bdr_step(z, hermitian_half(root), y, mask)
             err = np.linalg.norm(z - truth)
             if err < 1e-13:
                 break
@@ -329,8 +324,8 @@ def test_cbdr_parallel_real_tie_break_is_plus_branch():
     from bgret.solvers import _iterate
     root = b.root
     plus_run = _iterate(b, y, mask, cfg,
-                        lambda s, work: cbdr_step(s, *half(root), y, mask, 1, work),
-                        lambda z: project_magnitude_ball(z, *half(root), 1), x_true=x)
+                        lambda s, work: cbdr_step(s, hermitian_half(root), y, mask, 1, work),
+                        lambda z: project_magnitude_ball(z, hermitian_half(root), 1), x_true=x)
     assert np.array_equal(winner.final_estimate, plus_run.final_estimate)
     again = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
     assert np.array_equal(winner.final_estimate, again.final_estimate)
@@ -371,20 +366,34 @@ def test_hio_measurement_error_trend():
 
 
 def test_oversampled_theory_mode_runs():
-    # m >= 2(n+k)-1: magnitude replacement is only approximate there, but the
-    # pipeline must run end to end and PGD still recovers the sample
+    # m >= 2(n+k)-1 measures [x; y; 0] on the grid m: the zero padding is known
+    # background, so the oversampled instance runs on the object grid m, and
+    # PGD still recovers the sample
     rng = np.random.default_rng(21)
     n, k = 6, 18
-    mask = SupportMask.block((n + k,), (n,))
+    m = 2 * (n + k) - 1
+    mask = SupportMask.block((m,), (n,))
     x = rng.standard_normal(n)
-    y = rng.standard_normal(n + k)
-    y[mask.inside] = 0.0
-    b = intensity(assemble(x, y, mask), measurement_sizes=(2 * (n + k) - 1,))
+    y = np.zeros(m)
+    y[n:n + k] = rng.standard_normal(k)
+    b = intensity(assemble(x, y, mask))
     result = run(b, y, mask, SolverConfig(method=Method.PGD, max_iter=800), x_true=x)
     assert relative_error(result.final_estimate, x) < 1e-8
     bdr_result = run(b, y, mask, SolverConfig(method=Method.BDR, max_iter=200, trace_every=1),
                      x_true=x)
     assert bdr_result.trace[-1, 0] < bdr_result.trace[0, 0]
+
+
+def test_oversampled_measurements_are_rejected():
+    # b on the oversampled grid 2(n+k)-1 is refused, not cropped
+    rng = np.random.default_rng(21)
+    x, y, mask, _ = make_instance(rng, 6, 18)
+    b = intensity(np.pad(assemble(x, y, mask), (0, mask.shape[0] - 1)))
+    for method in Method:
+        with pytest.raises(ValueError, match="object grid"):
+            run(b, y, mask, SolverConfig(method=method))
+    with pytest.raises(ValueError, match="object grid"):
+        hio_run(b, mask, SolverConfig(method=Method.HIO))
 
 
 def test_divergence_guard(monkeypatch):
@@ -413,9 +422,9 @@ def test_run_rejects_unknown_beta_lambda():
     rng = np.random.default_rng(20)
     x, y, mask, b = make_instance(rng, 4, 8)
     with pytest.raises(ValueError):
-        bdr_step(np.zeros(12), *half(b.root), y, mask, beta=0.0)
+        bdr_step(np.zeros(12), hermitian_half(b.root), y, mask, beta=0.0)
     with pytest.raises(ValueError):
-        pgd_step(np.zeros(12), *half(b.root), y, mask, lam=0.0)
+        pgd_step(np.zeros(12), hermitian_half(b.root), y, mask, lam=0.0)
 
 
 def test_run_never_writes_inputs_or_aliases_results():
@@ -438,9 +447,9 @@ def test_steps_without_out_return_new_arrays():
     rng = np.random.default_rng(24)
     x, y, mask, b = make_instance(rng, 5, 15)
     z = rng.standard_normal(mask.shape)
-    for result in (project_magnitude(z, *half(b.root)),
-                   project_magnitude_ball(z, *half(b.root), dc_sign=1),
-                   bdr_step(z, *half(b.root), y, mask)):
+    for result in (project_magnitude(z, hermitian_half(b.root)),
+                   project_magnitude_ball(z, hermitian_half(b.root), dc_sign=1),
+                   bdr_step(z, hermitian_half(b.root), y, mask)):
         assert not np.shares_memory(result, z)
 
 

@@ -36,14 +36,6 @@ def test_dft_inverse_examples_and_round_trip():
         assert np.max(np.abs(back - z)) <= 1e-12 * max(1.0, np.max(np.abs(z)))
 
 
-def test_dft_zero_padding():
-    z = np.array([1.0, 2.0])
-    spec = dft_forward(z, measurement_sizes=(4,))
-    assert np.allclose(spec, np.fft.fft([1.0, 2.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        dft_forward(np.zeros(5), measurement_sizes=(4,))
-
-
 def test_intensity_examples():
     assert np.allclose(intensity(np.array([1.0, 0.0])).values, [1, 1])
     assert np.allclose(intensity(np.array([1.0, 1.0])).values, [4, 0])
