@@ -114,9 +114,10 @@ def _instance(args):
     else:
         raise SystemExit2("need --signal or --image")
     n = x.shape
-    k = background_sizes_for(args.k_ratio, n)
+    k = background_sizes_for(3.0 if args.k_ratio is None else args.k_ratio, n)
     mask = SupportMask.place(tuple(ni + ki for ni, ki in zip(n, k)), n)
-    y, b = harness.draw_instance(x, mask, _seed(args), args.noise_sigma)
+    y, b = harness.draw_instance(x, mask, _seed(args),
+                                 0.0 if args.noise_sigma is None else args.noise_sigma)
     return np.asarray(x, dtype=float), mask, y, b
 
 
@@ -145,6 +146,12 @@ def cmd_solve(args) -> int:
     if args.spectrum:
         # measured intensity data (e.g. a preprocessed diffraction pattern):
         # only the bare-support HIO baseline applies, no background is known
+        instance_flags = {"--signal": args.signal, "--image": args.image,
+                          "--k-ratio": args.k_ratio, "--noise-sigma": args.noise_sigma,
+                          "--seed": args.seed}
+        given = [flag for flag, value in instance_flags.items() if value is not None]
+        if given:
+            raise SystemExit2(f"--spectrum does not take {', '.join(given)}")
         if method is not Method.HIO:
             raise SystemExit2("--spectrum input requires --method hio")
         if not args.support:
@@ -165,6 +172,8 @@ def cmd_solve(args) -> int:
                "converged": result.converged, "measurement_error": error,
                "recovered": str(out / "recovered.csv")}, out / "solve_report.json")
         return EXIT_OK
+    if args.support is not None:
+        raise SystemExit2("--support is only for --spectrum mode")
     x, mask, y, b = _instance(args)
     result = solvers.run(b, y, mask, config, x_true=x.reshape(-1))
     image_shape = x.shape if x.ndim == 2 else None
@@ -348,8 +357,12 @@ def build_parser() -> _Parser:
     p.add_argument("--spectrum", help="measured intensity PGM/CSV (HIO only)")
     p.add_argument("--support", type=int, nargs="+",
                    help="support extents for --spectrum mode")
-    p.add_argument("--k-ratio", type=float, default=3.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    # None marks a flag not given: --spectrum mode rejects them, the other
+    # mode reads them as 3.0 and 0
+    p.add_argument("--k-ratio", type=float, default=None,
+                   help="background size ratio k/n (default 3.0)")
+    p.add_argument("--noise-sigma", type=float, default=None,
+                   help="measurement noise level (default 0)")
     p.add_argument("--eps", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=300)
     p.add_argument("--beta", type=float, default=0.9)

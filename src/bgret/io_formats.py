@@ -159,19 +159,20 @@ _CONFIG_DEFAULTS = {
     "signal_type": 1,
 }
 
-_CONFIG_KEYS = {"method", "n", "n1", "n2", "k_ratio", "k1", "k2", "trials", "seed",
-                "eps", "max_iter", "beta", "lambda", "noise_sigma", "signal_type",
-                "paths"}
+_CONFIG_KEYS = {"method", "n", "k_ratio", "trials", "seed", "eps", "max_iter", "beta",
+                "lambda", "noise_sigma", "signal_type", "paths"}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A 1-D sweep's settings. A sweep takes k from its ratios, so k_ratio is
+    only echoed into the manifest."""
+
     method: Method
     n: tuple[int, ...]
     trials: int
     seed: int
     k_ratio: Optional[float] = None
-    k: Optional[tuple[int, ...]] = None
     eps: float = 1e-12
     max_iter: int = 300
     beta: float = 0.9
@@ -181,8 +182,6 @@ class ExperimentConfig:
     paths: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.k_ratio is None and self.k is None:
-            raise DataFormatError("config needs k_ratio or explicit k1/k2")
         if self.trials < 1:
             raise DataFormatError("trials must be at least 1")
         if self.noise_sigma < 0:
@@ -195,7 +194,6 @@ class ExperimentConfig:
             "method": self.method.value,
             "n": list(self.n),
             "k_ratio": self.k_ratio,
-            "k": None if self.k is None else list(self.k),
             "trials": self.trials,
             "seed": self.seed,
             "eps": self.eps,
@@ -219,29 +217,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise DataFormatError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key in ("method", "trials", "seed"):
+    for key in ("method", "n", "trials", "seed"):
         if key not in raw:
             raise DataFormatError(f"missing required config key {key!r}")
 
-    if "n" in raw and ("n1" in raw or "n2" in raw):
-        raise DataFormatError("give either n or n1/n2, not both")
-    if "n" in raw:
-        n = (_require(raw, "n", (int,)),)
-    elif "n1" in raw and "n2" in raw:
-        n = (_require(raw, "n1", (int,)), _require(raw, "n2", (int,)))
-    else:
-        raise DataFormatError("missing required config key 'n' (or 'n1'/'n2')")
-
-    k = None
-    if "k1" in raw or "k2" in raw:
-        if len(n) == 2:
-            if not ("k1" in raw and "k2" in raw):
-                raise DataFormatError("2-D configs need both k1 and k2")
-            k = (_require(raw, "k1", (int,)), _require(raw, "k2", (int,)))
-        else:
-            if "k2" in raw:
-                raise DataFormatError("k2 given for a 1-D config")
-            k = (_require(raw, "k1", (int,)),)
     k_ratio = None
     if "k_ratio" in raw:
         k_ratio = float(_require(raw, "k_ratio", (int, float)))
@@ -265,8 +244,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise DataFormatError(str(exc))
     return ExperimentConfig(
-        method=method, n=n, trials=_require(raw, "trials", (int,)),
-        seed=_require(raw, "seed", (int,)), k_ratio=k_ratio, k=k,
+        method=method, n=(_require(raw, "n", (int,)),), trials=_require(raw, "trials", (int,)),
+        seed=_require(raw, "seed", (int,)), k_ratio=k_ratio,
         eps=float(merged["eps"]), max_iter=int(merged["max_iter"]),
         beta=float(merged["beta"]), lam=float(merged["lambda"]),
         noise_sigma=float(merged["noise_sigma"]),

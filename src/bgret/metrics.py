@@ -4,6 +4,9 @@ the success predicate.
 No trivial-ambiguity matching (sign/shift/phase) is performed anywhere: the
 background model pins the solution exactly and the metrics must expose any
 failure to do so.
+
+``measurement_error`` allocates what it computes; the solver trace calls it
+once per trace row.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .model import IntensityMeasurements, SupportMask
-from .spectral import Workspace, dft_forward
+from .spectral import dft_forward
 
 #: Relative errors strictly below this threshold count as successful recovery.
 SUCCESS_THRESHOLD = 1e-5
@@ -50,23 +53,20 @@ def relative_error(x_hat, x) -> float:
 
 
 def measurement_error(x_hat, background, mask: SupportMask,
-                      b: IntensityMeasurements, out: Optional[Workspace] = None) -> float:
+                      b: IntensityMeasurements) -> float:
     """|| |DFT([x_hat; y])|^2 - b ||_2 / ||b||_2.
 
-    ``out`` is an optional ``spectral.Workspace`` built for this background
-    and mask: x_hat is written onto the support of its combined object, whose
-    background was placed once, and the intensity is formed in its real grid
-    buffer. The transform is the full complex one, so the error is that of
-    the whole grid, as b is given.
+    The transform is the full complex one, so the error is that of the whole
+    grid, as b is given.
     """
     denom = b.norm
     if denom == 0.0:
         raise ValueError("measurement error undefined for zero measurements")
-    # called on every solver iteration, so x_hat goes onto the support of the
-    # combined object directly rather than through the checks of assemble
-    z = np.array(background, dtype=float) if out is None else out.combined
+    # x_hat goes onto the support of a copy of the background directly rather
+    # than through the checks of assemble, which a stride-1 trace pays per row
+    z = np.array(background, dtype=float)
     z[mask.inside] = np.asarray(x_hat, dtype=float).reshape(-1)
-    i_hat = np.abs(dft_forward(z), out=None if out is None else out.grid)
+    i_hat = np.abs(dft_forward(z))
     np.square(i_hat, out=i_hat)
     return l2_norm(np.subtract(i_hat, b.values, out=i_hat)) / denom
 

@@ -20,11 +20,10 @@ phase 1 is used where the computed magnitude is exactly 0, which keeps runs
 reproducible. A coefficient that vanishes only up to rounding keeps the
 phase of its rounding error.
 
-The projectors take ``out=``: either a ``spectral.Workspace``, whose half
-spectrum, magnitude and real grid buffers the projection is computed in, or
-None, for new ones. The code is the same either way; with a workspace the
-projection returned is its real grid buffer, valid until its next use.
-``project_background`` takes an ordinary ``out`` array.
+The magnitude projectors compute in the buffers of a ``spectral.Workspace``
+of the grid of z, passed as ``out=`` or else built for the call, and return
+its real grid buffer: with a caller's workspace the projection is valid until
+that workspace's next use. ``project_background`` returns a new array.
 """
 
 from __future__ import annotations
@@ -48,18 +47,15 @@ def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def _half_spectrum(z: np.ndarray, out: Optional[Workspace]):
-    # (half spectrum of z, its magnitude), in the workspace buffers if any
-    if out is None:
-        zhat = rdft_forward(z)
-        return zhat, np.abs(zhat)
-    zhat = rdft_forward(z, out=out.half)
-    return zhat, np.abs(zhat, out=out.half_magnitude)
+def _half_spectrum(z: np.ndarray, work: Workspace):
+    # (half spectrum of z, its magnitude), in the workspace buffers
+    zhat = rdft_forward(z, out=work.half)
+    return zhat, np.abs(zhat, out=work.half_magnitude)
 
 
-def _back(what: np.ndarray, z: np.ndarray, out: Optional[Workspace]) -> np.ndarray:
+def _back(what: np.ndarray, z: np.ndarray, work: Workspace) -> np.ndarray:
     # the real array of the half spectrum `what` on the grid of z
-    return rdft_inverse(what, z.shape, out=None if out is None else out.grid)
+    return rdft_inverse(what, z.shape, out=work.grid)
 
 
 def project_magnitude(z: np.ndarray, half_root: np.ndarray,
@@ -67,6 +63,8 @@ def project_magnitude(z: np.ndarray, half_root: np.ndarray,
     """Replace spectral magnitudes with b^{1/2}, keeping the phases of z;
     half_root is ``hermitian_half(b^{1/2})`` on the grid of z."""
     z = np.asarray(z, dtype=float)
+    if out is None:
+        out = Workspace(z.shape)
     zhat, mag = _half_spectrum(z, out)
     phase = _divide_nonzero(zhat, mag, out=zhat)
     return _back(np.multiply(half_root, phase, out=zhat), z, out)
@@ -82,6 +80,8 @@ def project_magnitude_ball(z: np.ndarray, half_root: np.ndarray,
     if dc_sign not in (None, 1, -1):
         raise ValueError("dc sign must be +1 or -1")
     z = np.asarray(z, dtype=float)
+    if out is None:
+        out = Workspace(z.shape)
     zhat, mag = _half_spectrum(z, out)
     scale = _divide_nonzero(half_root, mag, out=mag)
     what = np.multiply(zhat, np.minimum(1.0, scale, out=scale), out=zhat)
@@ -90,16 +90,13 @@ def project_magnitude_ball(z: np.ndarray, half_root: np.ndarray,
     return _back(what, z, out)
 
 
-def project_background(z: np.ndarray, background: np.ndarray, mask: SupportMask,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Nearest point of the affine set B: keep z on Ω, restore y elsewhere.
-    ``out`` is an optional array of the object grid that does not overlap z."""
+def project_background(z: np.ndarray, background: np.ndarray,
+                       mask: SupportMask) -> np.ndarray:
+    """Nearest point of the affine set B: keep z on Ω, restore y elsewhere."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(background, dtype=float)
     if z.shape != mask.shape or y.shape != mask.shape:
         raise ValueError("shapes do not match the support mask")
-    if out is None:
-        out = np.empty(mask.shape)
-    np.copyto(out, y)
+    out = y.copy()
     np.copyto(out, z, where=mask.inside)
     return out

@@ -46,13 +46,12 @@ for both CBDR branches). Phase 1 where a coefficient vanishes and the DC pin
 of CBDR are as on the full spectrum. The spectral start and the measurement
 error keep the full complex transform.
 
-Each ``_iterate`` call (so each CBDR branch) builds one ``spectral.Workspace``
-and passes it as ``out=`` to the step, which writes z^p into the iterate
-buffer that does not hold z^{p-1}, and to ``metrics.measurement_error`` for
-the trace rows. The norms of b and of the ground truth are computed once per
-run; the arithmetic is that of the allocating path, so the bytes are the
-same. The estimate and the trace a run returns are copies, never views of
-its workspace, and the caller's z0, background and measurements are only read.
+Each step returns z^p as a new array and only reads z^{p-1}. Its last
+argument, ``work``, is a ``spectral.Workspace`` that its magnitude projection
+transforms in (None builds one per call); each ``_iterate`` call (so each
+CBDR branch) builds one from the grid shape and passes it to every step. The
+norms of b and of the ground truth are computed once per run. The caller's
+z0, background and measurements are only read.
 """
 
 from __future__ import annotations
@@ -83,33 +82,27 @@ def init_spectral(b: IntensityMeasurements, background: np.ndarray,
     return project_background(_spectral_start(b.root), background, mask)
 
 
-def _destination(out: Optional[Workspace], z: np.ndarray) -> Optional[np.ndarray]:
-    # where a step writes z^p: the workspace iterate buffer not holding z, or
-    # a new array without a workspace
-    return None if out is None else out.next_iterate(z)
-
-
 def pgd_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
              mask: SupportMask, lam: float = 1.0,
-             out: Optional[Workspace] = None) -> np.ndarray:
+             work: Optional[Workspace] = None) -> np.ndarray:
     """Projected gradient step; the subgradient of the magnitude objective is
     z - P_A(z), so lam=1 reduces to the alternating projection P_B(P_A(z))."""
     if not lam > 0:
         raise ValueError("learning rate must be positive")
-    ztilde = project_magnitude(z, half_root, out)
+    ztilde = project_magnitude(z, half_root, work)
     if lam != 1.0:
         # z - lam * (z - ztilde), formed in the projection's own buffer
         np.subtract(z, ztilde, out=ztilde)
         np.multiply(lam, ztilde, out=ztilde)
         np.subtract(z, ztilde, out=ztilde)
-    return project_background(ztilde, background, mask, out=_destination(out, z))
+    return project_background(ztilde, background, mask)
 
 
 def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
-               mask: SupportMask, beta: float, out: Optional[np.ndarray]) -> np.ndarray:
+               mask: SupportMask, beta: float) -> np.ndarray:
     # beta damps the background correction; fixed points keep ztilde = y off
     # the support for every beta in (0, 1], and beta = 1 is z - ztilde + y.
-    update = np.subtract(ztilde, background, out=out)
+    update = np.subtract(ztilde, background)
     if beta != 1.0:  # 1.0 * v is v, bit for bit
         np.multiply(beta, update, out=update)
     np.subtract(z, update, out=update)
@@ -119,27 +112,26 @@ def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
 
 def bdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
              mask: SupportMask, beta: float = 1.0,
-             out: Optional[Workspace] = None) -> np.ndarray:
+             work: Optional[Workspace] = None) -> np.ndarray:
     """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1."""
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
-    return _dr_update(z, project_magnitude(z, half_root, out), background, mask,
-                      beta, _destination(out, z))
+    return _dr_update(z, project_magnitude(z, half_root, work), background, mask, beta)
 
 
 def cbdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
               mask: SupportMask, dc_sign: Optional[int] = None,
-              out: Optional[Workspace] = None) -> np.ndarray:
+              work: Optional[Workspace] = None) -> np.ndarray:
     """BDR coordinate update with the convex ball projection, its DC pinned
     to dc_sign * b^{1/2} at DC unless dc_sign is None."""
-    return _dr_update(z, project_magnitude_ball(z, half_root, dc_sign, out),
-                      background, mask, 1.0, _destination(out, z))
+    return _dr_update(z, project_magnitude_ball(z, half_root, dc_sign, work),
+                      background, mask, 1.0)
 
 
 def hio_step(z: np.ndarray, half_root: np.ndarray, mask: SupportMask,
-             beta: float = 0.9, out: Optional[Workspace] = None) -> np.ndarray:
-    ztilde = project_magnitude(z, half_root, out)
-    update = np.multiply(beta, ztilde, out=_destination(out, z))
+             beta: float = 0.9, work: Optional[Workspace] = None) -> np.ndarray:
+    ztilde = project_magnitude(z, half_root, work)
+    update = np.multiply(beta, ztilde)
     np.subtract(z, update, out=update)
     np.copyto(update, ztilde, where=mask.inside)
     return update
@@ -162,9 +154,9 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
         if xt_norm == 0.0:
             raise ValueError("relative error undefined for zero ground truth")
 
-    # step(z, work) maps z^{p-1} to z^p inside the run's workspace, built
-    # after the start so that the start's temporaries are freed first
-    work = Workspace(background, mask)
+    # step(z, work) maps z^{p-1} to a new array z^p, transforming in the
+    # run's workspace
+    work = Workspace(mask.shape)
     stride = config.trace_every
     trace = []
     for p in range(1, config.max_iter + 1):
@@ -179,7 +171,7 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
             # measurement error of the current iterate
             x_hat = z[mask.inside]
             rel = math.nan if x_true is None else l2_norm(x_hat - xt) / xt_norm
-            trace.append((rel, measurement_error(x_hat, background, mask, b, work)))
+            trace.append((rel, measurement_error(x_hat, background, mask, b)))
         if converged:
             break
 

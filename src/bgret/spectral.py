@@ -25,9 +25,9 @@ R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair, which the
 direct-summation oracle below pins down numerically.
 
 The real-data pair takes ``out=`` as numpy does: the result is written into
-that array and returned. A solver run keeps its buffers in one ``Workspace``,
-built once per run and passed as ``out=`` to the projectors, the solver steps
-and the measurement error.
+that array and returned. A ``Workspace`` holds the three arrays the magnitude
+projections transform into; a solver run builds one from its grid shape and
+reuses it on every iteration.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import IntensityMeasurements, SupportMask, _readonly, mirror_index
+from .model import IntensityMeasurements, _readonly, mirror_index
 
 
 @dataclass(frozen=True)
@@ -102,29 +102,16 @@ def hermitian_half(values) -> np.ndarray:
 
 
 class Workspace:
-    """The arrays one solver run reuses on every iteration.
-
-    Built once per run (so once per CBDR branch) for one background and
-    support mask: the two iterate buffers, used in turn; the complex half
-    spectrum and its real magnitude; one real array of the grid, which holds
-    the inverse transform and the intensity of the measurement error; and the
-    combined object [x; y] with the background placed once, so that each
-    measurement error rewrites only the support. An array returned through
-    ``out=`` a workspace lives in it, overwritten by its next use.
+    """The transform scratch of a magnitude projection on one grid: the
+    complex half spectrum, its real magnitude and one real array of the grid,
+    which holds the inverse transform. An array a projection returns through
+    a workspace lives in it, overwritten by its next use.
     """
 
-    def __init__(self, background: np.ndarray, mask: SupportMask):
-        m = mask.shape
-        self.iterates = (np.empty(m), np.empty(m))
-        self.half = np.empty(m[:-1] + (m[-1] // 2 + 1,), dtype=complex)
+    def __init__(self, shape: tuple[int, ...]):
+        self.half = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
         self.half_magnitude = np.empty(self.half.shape)
-        self.grid = np.empty(m)
-        self.combined = np.array(background, dtype=float)
-
-    def next_iterate(self, z: np.ndarray) -> np.ndarray:
-        """The iterate buffer that does not hold z."""
-        first, second = self.iterates
-        return second if np.may_share_memory(z, first) else first
+        self.grid = np.empty(shape)
 
 
 def intensity(z) -> IntensityMeasurements:

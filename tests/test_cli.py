@@ -40,6 +40,30 @@ def test_flags_a_subcommand_ignores_are_usage_errors(argv, flag, tmp_path, monke
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+SPECTRUM_SOLVE = ["solve", "--method", "hio", "--spectrum", "spec.csv", "--support", "4",
+                  "4", "--max-iter", "5"]
+SIGNAL_SOLVE = ["solve", "--method", "bdr", "--signal", "sig.csv", "--max-iter", "5"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SPECTRUM_SOLVE, ["--signal", "sig.csv"]),
+    (SPECTRUM_SOLVE, ["--image", "sig.csv"]),
+    (SPECTRUM_SOLVE, ["--k-ratio", "3"]),
+    (SPECTRUM_SOLVE, ["--noise-sigma", "0"]),
+    (SPECTRUM_SOLVE, ["--seed", "3"]),
+    (SIGNAL_SOLVE, ["--support", "3"]),
+])
+def test_solve_rejects_the_other_modes_flags(argv, flag, tmp_path, monkeypatch, capsys):
+    # --spectrum mode and the signal/image mode take disjoint inputs
+    monkeypatch.chdir(tmp_path)
+    write_signal_csv(tmp_path / "sig.csv", np.arange(1.0, 9.0))
+    write_image(tmp_path / "spec.csv", intensity(np.arange(64.0).reshape(8, 8)).values)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + flag) == EXIT_USAGE
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_gen_signal_and_metrics(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["gen-signal", "--n", "16", "--type", "2", "--out", str(out)]) == EXIT_OK

@@ -79,7 +79,7 @@ def test_read_config_minimal_and_defaults(tmp_path):
     assert cfg.method is Method.BDR
     assert cfg.eps == 1e-12 and cfg.max_iter == 300
     assert cfg.beta == 0.9 and cfg.lam == 1.0
-    assert cfg.n == (100,) and cfg.k_ratio == 3 and cfg.k is None
+    assert cfg.n == (100,) and cfg.k_ratio == 3
 
 
 def test_read_config_rejects_unknown_keys(tmp_path):
@@ -98,20 +98,15 @@ def test_parse_config_type_errors_name_keys():
         parse_config({**base, "eps": "small"})
     with pytest.raises(DataFormatError, match="max_iter"):
         parse_config({**base, "max_iter": 1.5})
-    with pytest.raises(DataFormatError):
-        parse_config({"method": "bdr", "n": 10, "trials": 1, "seed": 0})  # no k info
     with pytest.raises(DataFormatError, match="method"):
         parse_config({"n": 10, "k_ratio": 3, "trials": 1, "seed": 0})
 
 
-def test_parse_config_2d():
-    cfg = parse_config({"method": "pgd", "n1": 8, "n2": 10, "k1": 4, "k2": 5,
-                        "trials": 2, "seed": 1})
-    assert cfg.n == (8, 10)
-    assert cfg.k == (4, 5)
-    with pytest.raises(DataFormatError):
-        parse_config({"method": "pgd", "n1": 8, "n2": 10, "k1": 4,
-                      "trials": 2, "seed": 1})
+@pytest.mark.parametrize("key", ["k1", "k2", "n1", "n2"])
+def test_parse_config_rejects_keys_a_sweep_cannot_honour(key):
+    # a sweep is 1-D and takes k from its ratios, so these would be ignored
+    with pytest.raises(DataFormatError, match=key):
+        parse_config({"method": "bdr", "n": 10, "trials": 1, "seed": 0, key: 40})
 
 
 def test_results_round_trip_and_summary(tmp_path):

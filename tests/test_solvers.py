@@ -9,9 +9,9 @@ from bgret.model import (IntensityMeasurements, Method, SolverConfig,
 from bgret.projections import (project_background, project_magnitude,
                                project_magnitude_ball)
 from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
-                           cbdr_parallel_real, hio_run, init_spectral,
+                           cbdr_parallel_real, hio_run, hio_step, init_spectral,
                            pgd_step, run)
-from bgret.spectral import dft_forward, hermitian_half, intensity
+from bgret.spectral import Workspace, dft_forward, hermitian_half, intensity
 
 
 def reflect(z, projector):
@@ -447,10 +447,32 @@ def test_steps_without_out_return_new_arrays():
     rng = np.random.default_rng(24)
     x, y, mask, b = make_instance(rng, 5, 15)
     z = rng.standard_normal(mask.shape)
-    for result in (project_magnitude(z, hermitian_half(b.root)),
-                   project_magnitude_ball(z, hermitian_half(b.root), dc_sign=1),
-                   bdr_step(z, hermitian_half(b.root), y, mask)):
+    half_root = hermitian_half(b.root)
+    for result in (project_magnitude(z, half_root),
+                   project_magnitude_ball(z, half_root, dc_sign=1),
+                   bdr_step(z, half_root, y, mask)):
         assert not np.shares_memory(result, z)
+
+    # with one workspace shared by a chain z -> z1 -> z2 -> z3, every step
+    # still returns a new array: z1 survives the computation of z3
+    work = Workspace(mask.shape)
+    buffers = (work.half, work.half_magnitude, work.grid)
+    steps = {
+        "pgd": lambda v, w: pgd_step(v, half_root, y, mask, 1.0, w),
+        "pgd-lam-0.5": lambda v, w: pgd_step(v, half_root, y, mask, 0.5, w),
+        "bdr": lambda v, w: bdr_step(v, half_root, y, mask, 1.0, w),
+        "cbdr": lambda v, w: cbdr_step(v, half_root, y, mask, 1, w),
+        "hio": lambda v, w: hio_step(v, half_root, mask, 0.9, w),
+    }
+    for name, step in steps.items():
+        z1 = step(z, work)
+        kept = z1.copy()
+        z2 = step(z1, work)
+        z3 = step(z2, work)
+        assert np.array_equal(z1, kept), name
+        for result in (z1, z2, z3):
+            assert not np.shares_memory(result, z), name
+            assert not any(np.shares_memory(result, buf) for buf in buffers), name
 
 
 def _stride_rows(iterations, stride):
