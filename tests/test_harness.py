@@ -9,7 +9,7 @@ from bgret.harness import (STREAM_SIGNAL, TrialSpec, add_noise, default_bias_off
                            draw_instance, gen_background, gen_signal, harmonic_signal, image_benchmark, location_bias_study,
                            run_trial, run_trials, resolve_workers, sweep_phase_transition,
                            synthetic_test_image)
-from bgret.io_formats import ExperimentConfig
+from bgret.io_formats import RESULT_COLUMNS, ExperimentConfig, manifest_now, write_results
 from bgret.model import IntensityMeasurements, Method, SupportMask
 from bgret.rng import Xoshiro256StarStar, mix_seed
 
@@ -138,6 +138,43 @@ def test_draw_instance_bytes_frozen():
         "3504850b997d86067b8f4317efafd8f1936249454c91d87fd74d558992a2296f"
     assert _sha256(b.values) == \
         "8e84a2f966ec9bde4316b2c30554090693a89de2959cc39d939be27dd9536890"
+
+
+def _frozen_row_specs() -> list:
+    def spec(method, n, k, max_iter, **kw):
+        return TrialSpec(master_seed=11, cell_id=len(specs), trial_index=0,
+                         method=method, sample_shape=n, background_sizes=k,
+                         max_iter=max_iter, **kw)
+
+    specs = []
+    for ratio in (2, 3):
+        for method in (Method.BDR, Method.PGD, Method.BDR1, Method.HIO):
+            specs.append(spec(method, (12,), (12 * ratio,), 150))
+    specs.append(spec(Method.CBDR, (10,), (60,), 200))
+    image = synthetic_test_image(12).reshape(-1)  # 12x12 in a 36x36 grid
+    for method in (Method.PGD, Method.BDR, Method.BDR1):
+        specs.append(spec(method, (12, 12), (24, 24), 30, noise_sigma=1e-3, signal=image))
+    specs.append(spec(Method.BDR, (12, 12), (24, 24), 60, signal=image))
+    specs.append(spec(Method.BDR, (16,), (48,), 200, signal=harmonic_signal(16)))
+    return specs
+
+
+def test_run_trial_rows_frozen(tmp_path):
+    # Digest of the result CSV (wall_ms stripped) and the outcome flags of
+    # rows covering every method, 1-D and 2-D, noisy and noiseless, and a
+    # fixed signal. Grids stay at 36x36 or below, where the norms' bits do
+    # not depend on the BLAS thread count.
+    rows = run_trials(_frozen_row_specs())
+    write_results(tmp_path / "rows.csv", rows, manifest_now("0", 11, {}))
+    wall = RESULT_COLUMNS.index("wall_ms")
+    digest = hashlib.sha256()
+    for line in (tmp_path / "rows.csv").read_text().splitlines():
+        fields = line.split(",")
+        digest.update((",".join(fields[:wall] + fields[wall + 1:]) + "\n").encode())
+    for row in rows:
+        digest.update(f"{row['converged']},{row['aborted']}\n".encode())
+    assert digest.hexdigest() == \
+        "4ea6dab4a00765f19c689ce22a7a4cbf29970e27defac04e5f4172bc75709008"
 
 
 def test_run_trial_deterministic_row():
