@@ -31,9 +31,9 @@ EXIT_DATA = 2
 EXIT_CHECK_FAILED = 3
 
 PRESETS = {
-    # 1-D size, 2-D image size, trial counts at desk scale vs the published scale
-    "desk": {"n": 100, "image_n": 64, "trials": 100, "image_trials": 10},
-    "paper": {"n": 100, "image_n": 256, "trials": 100, "image_trials": 100},
+    # image size and image-bench trial count at desk scale vs the published scale
+    "desk": {"image_n": 64, "image_trials": 10},
+    "paper": {"image_n": 256, "image_trials": 100},
 }
 
 
@@ -176,15 +176,11 @@ def cmd_solve(args) -> int:
         raise SystemExit2("--support is only for --spectrum mode")
     x, mask, y, b = _instance(args)
     result = solvers.run(b, y, mask, config, x_true=x.reshape(-1))
-    image_shape = x.shape if x.ndim == 2 else None
-    report = metrics.evaluate(result.final_estimate, x.reshape(-1), y, mask, b,
-                              image_shape=image_shape)
+    report = metrics.evaluate(result.final_estimate, x.reshape(-1), y, mask, b)
     out = _out_dir(args)
     _write_array(out / "recovered.csv", mask.to_block(result.final_estimate))
     _emit({"method": method.value, "iterations": result.iterations_used,
-           "converged": result.converged, "relative_error": report.relative_error,
-           "measurement_error": report.measurement_error, "psnr": report.psnr_db,
-           "ssim": report.ssim, "success": report.success,
+           "converged": result.converged, **report,
            "recovered": str(out / "recovered.csv")}, out / "solve_report.json")
     return EXIT_OK
 
@@ -204,10 +200,7 @@ def cmd_sweep(args) -> int:
     ratios = [round(args.ratio_min + i * args.ratio_step, 10) for i in range(count)]
     signal_values = None
     if cfg.signal_type == harness.SIGNAL_CSV:
-        path = cfg.paths.get("signal")
-        if not path:
-            raise DataFormatError("signal_type 3 needs paths.signal in the config")
-        signal_values = read_signal_csv(path)
+        signal_values = read_signal_csv(cfg.paths["signal"])
     grid = harness.sweep_phase_transition(cfg, ratios,
                                           signal_values=signal_values,
                                           workers=harness.resolve_workers(args.workers))
@@ -399,19 +392,25 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=300)
     p.set_defaults(func=cmd_noise_bench)
 
-    p = sub.add_parser("verify", parents=[output], help="analysis-module checks")
-    p.add_argument("what", choices=("uniqueness", "stability", "robustness",
-                                    "lmatrix", "frip"))
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--k", type=int, default=24)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--draws", type=int, default=100)
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--c1", type=float, default=1e-3)
-    p.add_argument("--c2", type=float, default=1e-3)
-    p.add_argument("--num-h", type=int, default=5)
+    p = sub.add_parser("verify", help="analysis-module checks")
     p.set_defaults(func=cmd_verify)
+    # each target takes only the flags it reads
+    targets = p.add_subparsers(dest="what", required=True)
+    flags = {
+        "--n": dict(type=int, default=8), "--k": dict(type=int, default=24),
+        "--d": dict(type=int, default=1), "--draws": dict(type=int, default=100),
+        "--pairs": dict(type=int, default=100), "--instances": dict(type=int, default=100),
+        "--c1": dict(type=float, default=1e-3), "--c2": dict(type=float, default=1e-3),
+        "--num-h": dict(type=int, default=5),
+    }
+    for what, names in (("uniqueness", ("--n", "--k", "--d", "--draws")),
+                        ("stability", ("--pairs",)),
+                        ("robustness", ("--instances", "--c1", "--c2")),
+                        ("lmatrix", ("--n", "--k", "--draws")),
+                        ("frip", ("--n", "--k", "--draws", "--num-h"))):
+        t = targets.add_parser(what, parents=[output])
+        for name in names:
+            t.add_argument(name, **flags[name])
 
     p = sub.add_parser("metrics", help="compare truth vs estimate")
     p.add_argument("--truth", help="signal CSV ground truth")

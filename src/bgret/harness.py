@@ -5,8 +5,10 @@ in ``analysis``.
 
 One trial path: ``draw_instance`` turns a sample, its mask and a trial seed
 into the background and the measured intensities (``run_trial`` and the CLI's
-forward/solve both use it), ``SupportMask.place`` is the placement rule and
-``solvers.run`` is the only solver call.
+forward/solve both use it), ``SupportMask.place`` is the placement rule,
+``solvers.run`` is the only solver call and ``metrics.evaluate`` gives every
+metric column of a row, the fixed-point residual among them. A trial without
+a fixed signal draws the Gaussian one from its seed.
 
 Determinism contract: a sweep is a pure function of (config, master seed),
 independent of the worker count. Per-trial seeds are
@@ -138,8 +140,7 @@ class TrialSpec:
     beta: float = 0.9
     lam: float = 1.0
     noise_sigma: float = 0.0
-    signal_type: int = SIGNAL_GAUSSIAN
-    signal: Optional[np.ndarray] = None
+    signal: Optional[np.ndarray] = None  # None: the Gaussian signal of the trial seed
     offset: Optional[tuple[int, ...]] = None  # None: corner in 1-D, centered in 2-D
 
     @property
@@ -165,8 +166,9 @@ def draw_instance(x: np.ndarray, mask: SupportMask, trial_seed: int,
 
 def run_trial(spec: TrialSpec) -> dict:
     """Generate the instance from the derived trial seed, solve, and emit one
-    result row with its stop_reason and fixed-point residual. Solver aborts
-    become failed rows (stop_reason "diverged", residual NaN), not crashes."""
+    result row: its stop_reason and the metric columns of ``evaluate``, the
+    fixed-point residual among them. Solver aborts become failed rows
+    (stop_reason "diverged", residual NaN), not crashes."""
     trial_seed = mix_seed(spec.master_seed, spec.cell_id, spec.trial_index)
     mask = spec.make_mask()
     n_total = int(np.prod(spec.sample_shape))
@@ -176,13 +178,12 @@ def run_trial(spec: TrialSpec) -> dict:
         if x.size != n_total:
             raise ValueError("fixed signal does not match the sample shape")
     else:
-        x = gen_signal(spec.signal_type, n_total,
+        x = gen_signal(SIGNAL_GAUSSIAN, n_total,
                        rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_SIGNAL)))
     background, b = draw_instance(x, mask, trial_seed, spec.noise_sigma)
 
     config = SolverConfig(method=spec.method, eps=spec.eps, max_iter=spec.max_iter,
                           beta=spec.beta, lam=spec.lam)
-    image_shape = spec.sample_shape if len(spec.sample_shape) == 2 else None
     start = time.perf_counter()
     aborted = False
     try:
@@ -204,19 +205,9 @@ def run_trial(spec: TrialSpec) -> dict:
                    psnr=math.nan, ssim=math.nan, success=False, converged=False,
                    aborted=True, stop_reason="diverged", fixedpoint_resid=math.nan)
         return row
-    report = evaluate(result.final_estimate, x, background, mask, b,
-                      image_shape=image_shape)
-    # sup-norm intensity residual of P_B applied to the final point, scaled by
-    # max(b): the fixed-point consistency quantity
-    z_bar = assemble(result.final_estimate, background, mask)
-    resid = float(np.max(np.abs(intensity(z_bar).values - b.values)))
-    resid /= max(float(np.max(b.values)), np.finfo(float).tiny)
-    row.update(iterations=result.iterations_used,
-               relative_error=report.relative_error,
-               measurement_error=report.measurement_error,
-               psnr=report.psnr_db, ssim=report.ssim, success=report.success,
-               converged=result.converged, aborted=False, fixedpoint_resid=resid,
-               stop_reason="converged" if result.converged else "max_iter")
+    row.update(evaluate(result.final_estimate, x, background, mask, b),
+               iterations=result.iterations_used, converged=result.converged,
+               aborted=False, stop_reason="converged" if result.converged else "max_iter")
     return row
 
 
@@ -285,10 +276,9 @@ def sweep_specs(config: ExperimentConfig, ratios: Sequence[float],
     if len(config.n) != 1:
         raise ValueError("phase-transition sweeps are 1-D")
     n = config.n[0]
-    fixed = None
+    fixed = None  # a Gaussian sweep draws each trial's signal from its seed
     if config.signal_type != SIGNAL_GAUSSIAN:
-        fixed = gen_signal(config.signal_type, n, values=signal_values) \
-            if config.signal_type == SIGNAL_CSV else harmonic_signal(n)
+        fixed = gen_signal(config.signal_type, n, values=signal_values)
     specs = []
     for cell_id, ratio in enumerate(ratios):
         k = background_sizes_for(ratio, (n,))
@@ -297,8 +287,7 @@ def sweep_specs(config: ExperimentConfig, ratios: Sequence[float],
                 master_seed=config.seed, cell_id=cell_id, trial_index=trial,
                 method=config.method, sample_shape=(n,), background_sizes=k,
                 eps=config.eps, max_iter=config.max_iter, beta=config.beta,
-                lam=config.lam, noise_sigma=config.noise_sigma,
-                signal_type=config.signal_type, signal=fixed))
+                lam=config.lam, noise_sigma=config.noise_sigma, signal=fixed))
     return specs
 
 

@@ -150,17 +150,16 @@ def write_image(path, img) -> None:
 
 # -- experiment configuration -------------------------------------------------
 
-_CONFIG_DEFAULTS = {
-    "eps": 1e-12,
-    "max_iter": 300,
-    "beta": 0.9,
-    "lambda": 1.0,
-    "noise_sigma": 0.0,
-    "signal_type": 1,
+#: The types a config key's JSON value may have. A JSON boolean is no number
+#: here, although Python's bool is an int.
+_CONFIG_TYPES = {
+    "method": (str,), "n": (int,), "trials": (int,), "seed": (int,),
+    "k_ratio": (int, float), "eps": (int, float), "max_iter": (int,),
+    "beta": (int, float), "lambda": (int, float), "noise_sigma": (int, float),
+    "signal_type": (int,), "paths": (dict,),
 }
-
-_CONFIG_KEYS = {"method", "n", "k_ratio", "trials", "seed", "eps", "max_iter", "beta",
-                "lambda", "noise_sigma", "signal_type", "paths"}
+_TYPE_NAMES = {(str,): "a string", (int,): "an integer", (int, float): "a number",
+               (dict,): "an object"}
 
 
 @dataclass(frozen=True)
@@ -206,50 +205,40 @@ class ExperimentConfig:
         }
 
 
-def _require(raw: dict, key: str, types, caster=None):
-    value = raw[key]
-    if not isinstance(value, types):
-        raise DataFormatError(f"config key {key!r}: expected {types}, got {type(value).__name__}")
-    return caster(value) if caster else value
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - _CONFIG_KEYS
+    """The config of a JSON object. Only the keys given reach ExperimentConfig,
+    whose defaults apply to the others."""
+    unknown = set(raw) - set(_CONFIG_TYPES)
     if unknown:
         raise DataFormatError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key in ("method", "n", "trials", "seed"):
         if key not in raw:
             raise DataFormatError(f"missing required config key {key!r}")
-
-    k_ratio = None
-    if "k_ratio" in raw:
-        k_ratio = float(_require(raw, "k_ratio", (int, float)))
-
-    merged = dict(_CONFIG_DEFAULTS)
-    for key in _CONFIG_DEFAULTS:
-        if key in raw:
-            merged[key] = raw[key]
-    for key in ("eps", "beta", "lambda", "noise_sigma"):
-        if not isinstance(merged[key], (int, float)):
-            raise DataFormatError(f"config key {key!r}: expected a number")
-    for key in ("max_iter", "signal_type"):
-        if not isinstance(merged[key], int):
-            raise DataFormatError(f"config key {key!r}: expected an integer")
-    paths = raw.get("paths", {})
-    if not isinstance(paths, dict):
-        raise DataFormatError("config key 'paths': expected an object")
-
+    fields = {}
+    for key, value in raw.items():
+        types = _CONFIG_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise DataFormatError(f"config key {key!r}: expected {_TYPE_NAMES[types]}, "
+                                  f"got {type(value).__name__}")
+        if types == (int, float):
+            value = float(value)
+        fields["lam" if key == "lambda" else key] = value
+    fields["n"] = (fields["n"],)
+    # paths holds only the CSV a signal_type 3 sweep reads its signal from
+    paths = fields["paths"] = dict(fields.get("paths", {}))
+    unknown = set(paths) - {"signal"}
+    if unknown:
+        raise DataFormatError(f"unknown config paths: {', '.join(sorted(unknown))}")
+    if fields.get("signal_type") == 3:
+        if not isinstance(paths.get("signal"), str) or not paths["signal"]:
+            raise DataFormatError("signal_type 3 needs paths.signal in the config")
+    elif paths:
+        raise DataFormatError("paths.signal is only read with signal_type 3")
     try:
-        method = Method.parse(_require(raw, "method", (str,)))
+        fields["method"] = Method.parse(fields["method"])
     except ValueError as exc:
         raise DataFormatError(str(exc))
-    return ExperimentConfig(
-        method=method, n=(_require(raw, "n", (int,)),), trials=_require(raw, "trials", (int,)),
-        seed=_require(raw, "seed", (int,)), k_ratio=k_ratio,
-        eps=float(merged["eps"]), max_iter=int(merged["max_iter"]),
-        beta=float(merged["beta"]), lam=float(merged["lambda"]),
-        noise_sigma=float(merged["noise_sigma"]),
-        signal_type=int(merged["signal_type"]), paths=dict(paths))
+    return ExperimentConfig(**fields)
 
 
 def read_config(path) -> ExperimentConfig:

@@ -1,19 +1,19 @@
-"""Recovery quality metrics: relative error, measurement error, PSNR, SSIM and
-the success predicate.
+"""Recovery quality metrics: relative error, measurement error, PSNR, SSIM,
+the success predicate and the fixed-point residual.
 
 No trivial-ambiguity matching (sign/shift/phase) is performed anywhere: the
 background model pins the solution exactly and the metrics must expose any
 failure to do so.
 
-``measurement_error`` allocates what it computes; the solver trace calls it
-once per trace row.
+The measurement error and the fixed-point residual are two norms of one
+intensity residual r = |DFT([x_hat; y])|^2 - b: ||r||_2 / ||b||_2 and
+max|r| / max(b). ``evaluate`` computes r once for both.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,23 +52,25 @@ def relative_error(x_hat, x) -> float:
     return l2_norm(x_hat - x) / denom
 
 
-def measurement_error(x_hat, background, mask: SupportMask,
-                      b: IntensityMeasurements) -> float:
-    """|| |DFT([x_hat; y])|^2 - b ||_2 / ||b||_2.
-
-    The transform is the full complex one, so the error is that of the whole
-    grid, as b is given.
-    """
-    denom = b.norm
-    if denom == 0.0:
+def _intensity_residual(x_hat, background, mask: SupportMask,
+                        b: IntensityMeasurements) -> np.ndarray:
+    # |DFT([x_hat; y])|^2 - b on the whole grid, through the full complex
+    # transform, as b is given
+    if b.norm == 0.0:
         raise ValueError("measurement error undefined for zero measurements")
     # x_hat goes onto the support of a copy of the background directly rather
     # than through the checks of assemble, which a stride-1 trace pays per row
     z = np.array(background, dtype=float)
     z[mask.inside] = np.asarray(x_hat, dtype=float).reshape(-1)
-    i_hat = np.abs(dft_forward(z))
-    np.square(i_hat, out=i_hat)
-    return l2_norm(np.subtract(i_hat, b.values, out=i_hat)) / denom
+    r = np.abs(dft_forward(z))
+    np.square(r, out=r)
+    return np.subtract(r, b.values, out=r)
+
+
+def measurement_error(x_hat, background, mask: SupportMask,
+                      b: IntensityMeasurements) -> float:
+    """|| |DFT([x_hat; y])|^2 - b ||_2 / ||b||_2."""
+    return l2_norm(_intensity_residual(x_hat, background, mask, b)) / b.norm
 
 
 def _default_peak(reference: np.ndarray) -> float:
@@ -151,29 +153,19 @@ def success(e: float) -> bool:
     return bool(e < SUCCESS_THRESHOLD)
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    relative_error: float
-    measurement_error: float
-    psnr_db: float
-    ssim: float
-    success: bool
-
-    def __post_init__(self):
-        if self.relative_error < 0 or self.measurement_error < 0:
-            raise ValueError("error metrics must be nonnegative")
-
-
-def evaluate(x_hat, x, background, mask: SupportMask, b: IntensityMeasurements,
-             image_shape: Optional[tuple[int, ...]] = None) -> MetricReport:
-    """Bundle all metrics for one recovery; PSNR/SSIM are NaN for 1-D data."""
+def evaluate(x_hat, x, background, mask: SupportMask, b: IntensityMeasurements) -> dict:
+    """The metric columns of a result row: relative_error, measurement_error,
+    psnr and ssim (NaN unless the mask is 2-D), success, and fixedpoint_resid,
+    the sup-norm intensity residual scaled by max(b), the fixed-point
+    consistency quantity."""
     e = relative_error(x_hat, x)
-    me = measurement_error(x_hat, background, mask, b)
-    if image_shape is not None and len(image_shape) == 2:
-        a = np.asarray(x_hat, dtype=float).reshape(image_shape)
-        t = np.asarray(x, dtype=float).reshape(image_shape)
-        p = psnr(a, t)
-        s = ssim(a, t)
+    r = _intensity_residual(x_hat, background, mask, b)
+    if len(mask.shape) == 2:
+        a = mask.to_block(np.asarray(x_hat, dtype=float))
+        t = mask.to_block(np.asarray(x, dtype=float))
+        p, s = psnr(a, t), ssim(a, t)
     else:
         p, s = math.nan, math.nan
-    return MetricReport(e, me, p, s, success(e))
+    resid = float(np.max(np.abs(r))) / max(float(np.max(b.values)), np.finfo(float).tiny)
+    return {"relative_error": e, "measurement_error": l2_norm(r) / b.norm, "psnr": p,
+            "ssim": s, "success": success(e), "fixedpoint_resid": resid}

@@ -12,9 +12,9 @@ Five methods share one loop skeleton:
            the magnitude equality; it always runs as two branches that pin
            the DC sign for real signals, keeping the branch with the smaller
            measurement error.
-* HIO      classic hybrid input-output on a bare support (no background
-           values): inside the support take the magnitude-projection output,
-           outside z - beta*P_A(z).
+* HIO      classic hybrid input-output on a bare support: the BDR1 update
+           with background y = 0, so inside the support take the
+           magnitude-projection output, outside z - beta*P_A(z).
 
 ``run`` is the one entry point: it sends HIO to ``hio_run`` and CBDR to the
 two-branch ``cbdr_parallel_real``. Each step maps a plain float array z^{p-1}
@@ -113,7 +113,8 @@ def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
 def bdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
              mask: SupportMask, beta: float = 1.0,
              work: Optional[Workspace] = None) -> np.ndarray:
-    """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1."""
+    """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1,
+    and on a zero background it is the HIO step."""
     if not (0.0 < beta <= 1.0):
         raise ValueError("beta must lie in (0, 1]")
     return _dr_update(z, project_magnitude(z, half_root, work), background, mask, beta)
@@ -126,15 +127,6 @@ def cbdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
     to dc_sign * b^{1/2} at DC unless dc_sign is None."""
     return _dr_update(z, project_magnitude_ball(z, half_root, dc_sign, work),
                       background, mask, 1.0)
-
-
-def hio_step(z: np.ndarray, half_root: np.ndarray, mask: SupportMask,
-             beta: float = 0.9, work: Optional[Workspace] = None) -> np.ndarray:
-    ztilde = project_magnitude(z, half_root, work)
-    update = np.multiply(beta, ztilde)
-    np.subtract(z, update, out=update)
-    np.copyto(update, ztilde, where=mask.inside)
-    return update
 
 
 def _iterate(b: IntensityMeasurements, background: np.ndarray,
@@ -226,10 +218,10 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
 
 def hio_run(b: IntensityMeasurements, mask: SupportMask, config: SolverConfig,
             x_true=None, z0=None) -> SolverRun:
-    """Fienup HIO on a bare support constraint (no background values)."""
+    """Fienup HIO on a bare support constraint: BDR1 on a zero background."""
     half_root = hermitian_half(b.root)
     zeros = np.zeros(mask.shape)
-    step = lambda z, work: hio_step(z, half_root, mask, config.beta, work)
+    step = lambda z, work: bdr_step(z, half_root, zeros, mask, config.beta, work)
     final = lambda z: project_magnitude(z, half_root)
     if z0 is None:
         z0 = _spectral_start(b.root)

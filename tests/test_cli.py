@@ -29,6 +29,15 @@ def test_usage_error_exit_code(capsys):
     (["forward", "--signal", "sig.csv"], ["--preset", "desk"]),
     (["metrics", "--truth", "sig.csv", "--estimate", "sig.csv"], ["--out", "d"]),
     (["metrics", "--truth", "sig.csv", "--estimate", "sig.csv"], ["--seed", "1"]),
+    # each verify target takes only the flags it reads
+    (["verify", "stability", "--pairs", "3"], ["--n", "5"]),
+    (["verify", "stability", "--pairs", "3"], ["--d", "2"]),
+    (["verify", "stability", "--pairs", "3"], ["--num-h", "9"]),
+    (["verify", "lmatrix", "--draws", "5"], ["--c1", "7"]),
+    (["verify", "lmatrix", "--draws", "5"], ["--num-h", "2"]),
+    (["verify", "uniqueness", "--draws", "5"], ["--pairs", "3"]),
+    (["verify", "robustness", "--instances", "3"], ["--draws", "5"]),
+    (["verify", "frip", "--n", "4", "--k", "8", "--draws", "20"], ["--c2", "1e-3"]),
 ])
 def test_flags_a_subcommand_ignores_are_usage_errors(argv, flag, tmp_path, monkeypatch,
                                                      capsys):
@@ -135,6 +144,9 @@ def test_solve_cli_round_trip(tmp_path, capsys):
     assert rc == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["success"] is True
+    # the report carries every metric column of a result row
+    assert json.loads((out / "solve_report.json").read_text()) == payload
+    assert payload["converged"] and payload["fixedpoint_resid"] <= 1e-8
     recovered = read_signal_csv(out / "recovered.csv")
     assert recovered.size == 12
 
@@ -209,6 +221,26 @@ def test_sweep_cli_writes_outputs(tmp_path, capsys):
     recount = sum(r["success"] for r in rows)
     assert int(rates_lines[1].split(",")[4]) == recount
     assert (out / "transitions.csv").exists()
+
+
+def test_sweep_cli_signal_csv(tmp_path, capsys):
+    # signal_type 3 sweeps run the signal of paths.signal in every trial; a
+    # config that lacks it or names a file that is not there is a data error
+    sig = tmp_path / "sig.csv"
+    write_signal_csv(sig, np.arange(1.0, 7.0))
+    cfg = tmp_path / "cfg.json"
+    base = {"method": "bdr", "n": 6, "trials": 2, "seed": 1, "max_iter": 50,
+            "signal_type": 3}
+    argv = ["sweep", "--config", str(cfg), "--ratio-min", "3", "--ratio-max", "3",
+            "--out", str(tmp_path / "out")]
+    cfg.write_text(json.dumps({**base, "paths": {"signal": str(sig)}}))
+    assert main(argv) == EXIT_OK
+    echo = json.loads((tmp_path / "out" / "trials.csv.manifest.json").read_text())["config"]
+    assert echo["paths"] == {"signal": str(sig)}
+    for paths in ({}, {"signal": str(tmp_path / "missing.csv")}):
+        cfg.write_text(json.dumps({**base, "paths": paths}))
+        assert main(argv) == EXIT_DATA
+    capsys.readouterr()
 
 
 def test_sweep_cli_ratio_grid_has_no_drift(tmp_path, capsys):

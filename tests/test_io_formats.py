@@ -79,7 +79,7 @@ def test_read_config_minimal_and_defaults(tmp_path):
     assert cfg.method is Method.BDR
     assert cfg.eps == 1e-12 and cfg.max_iter == 300
     assert cfg.beta == 0.9 and cfg.lam == 1.0
-    assert cfg.n == (100,) and cfg.k_ratio == 3
+    assert cfg.n == (100,) and cfg.k_ratio == 3 and isinstance(cfg.k_ratio, float)
 
 
 def test_read_config_rejects_unknown_keys(tmp_path):
@@ -107,6 +107,27 @@ def test_parse_config_rejects_keys_a_sweep_cannot_honour(key):
     # a sweep is 1-D and takes k from its ratios, so these would be ignored
     with pytest.raises(DataFormatError, match=key):
         parse_config({"method": "bdr", "n": 10, "trials": 1, "seed": 0, key: 40})
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a JSON boolean is no number, although Python's bool is an int
+    ({"trials": True}, "trials"),
+    ({"seed": False}, "seed"),
+    ({"n": True}, "'n'"),
+    ({"eps": True}, "eps"),
+    ({"k_ratio": False}, "k_ratio"),
+    ({"max_iter": True}, "max_iter"),
+    ({"signal_type": True}, "signal_type"),
+    # paths holds only the signal CSV of signal_type 3
+    ({"signal_type": 3, "paths": {"signal": "s.csv", "foo": 1}}, "foo"),
+    ({"paths": {"signal": "s.csv"}}, "signal_type 3"),
+    ({"signal_type": 2, "paths": {"signal": "s.csv"}}, "signal_type 3"),
+    ({"signal_type": 3}, "paths.signal"),
+    ({"signal_type": 3, "paths": {"signal": 1}}, "paths.signal"),
+])
+def test_parse_config_rejects_what_a_sweep_would_misread(edit, message):
+    with pytest.raises(DataFormatError, match=message):
+        parse_config({"method": "bdr", "n": 6, "trials": 1, "seed": 1, **edit})
 
 
 def test_results_round_trip_and_summary(tmp_path):

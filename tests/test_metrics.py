@@ -124,8 +124,12 @@ def test_evaluate_bundles():
     x = rng.random(16)
     b = intensity(assemble(x, y, mask))
     with pytest.warns(RuntimeWarning, match="SSIM window"):
-        report = evaluate(x, x, y, mask, b, image_shape=(4, 4))
-    assert report.success and report.relative_error == 0.0
-    assert math.isinf(report.psnr_db)
-    report1d = evaluate(x, x, y, mask, b)
-    assert math.isnan(report1d.psnr_db) and math.isnan(report1d.ssim)
+        report = evaluate(x, x, y, mask, b)
+    assert report["success"] and report["relative_error"] == 0.0
+    assert math.isinf(report["psnr"])
+    mask1d = SupportMask.block((24,), (6,))
+    y1d = rng.standard_normal(24)
+    y1d[mask1d.inside] = 0.0
+    x1d = rng.random(6)
+    report1d = evaluate(x1d, x1d, y1d, mask1d, intensity(assemble(x1d, y1d, mask1d)))
+    assert math.isnan(report1d["psnr"]) and math.isnan(report1d["ssim"])

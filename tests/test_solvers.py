@@ -9,7 +9,7 @@ from bgret.model import (IntensityMeasurements, Method, SolverConfig,
 from bgret.projections import (project_background, project_magnitude,
                                project_magnitude_ball)
 from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
-                           cbdr_parallel_real, hio_run, hio_step, init_spectral,
+                           cbdr_parallel_real, hio_run, init_spectral,
                            pgd_step, run)
 from bgret.spectral import Workspace, dft_forward, hermitian_half, intensity
 
@@ -462,7 +462,7 @@ def test_steps_without_out_return_new_arrays():
         "pgd-lam-0.5": lambda v, w: pgd_step(v, half_root, y, mask, 0.5, w),
         "bdr": lambda v, w: bdr_step(v, half_root, y, mask, 1.0, w),
         "cbdr": lambda v, w: cbdr_step(v, half_root, y, mask, 1, w),
-        "hio": lambda v, w: hio_step(v, half_root, mask, 0.9, w),
+        "hio": lambda v, w: bdr_step(v, half_root, np.zeros(mask.shape), mask, 0.9, w),
     }
     for name, step in steps.items():
         z1 = step(z, work)
