@@ -158,8 +158,6 @@ _CONFIG_TYPES = {
     "beta": (int, float), "lambda": (int, float), "noise_sigma": (int, float),
     "signal_type": (int,), "paths": (dict,),
 }
-_TYPE_NAMES = {(str,): "a string", (int,): "an integer", (int, float): "a number",
-               (dict,): "an object"}
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key, value in raw.items():
         types = _CONFIG_TYPES[key]
         if isinstance(value, bool) or not isinstance(value, types):
-            raise DataFormatError(f"config key {key!r}: expected {_TYPE_NAMES[types]}, "
+            expected = " or ".join(t.__name__ for t in types)
+            raise DataFormatError(f"config key {key!r}: expected {expected}, "
                                   f"got {type(value).__name__}")
         if types == (int, float):
             value = float(value)

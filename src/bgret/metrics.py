@@ -161,8 +161,7 @@ def evaluate(x_hat, x, background, mask: SupportMask, b: IntensityMeasurements) 
     e = relative_error(x_hat, x)
     r = _intensity_residual(x_hat, background, mask, b)
     if len(mask.shape) == 2:
-        a = mask.to_block(np.asarray(x_hat, dtype=float))
-        t = mask.to_block(np.asarray(x, dtype=float))
+        a, t = mask.to_block(x_hat), mask.to_block(x)
         p, s = psnr(a, t), ssim(a, t)
     else:
         p, s = math.nan, math.nan
