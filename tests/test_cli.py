@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -399,3 +400,84 @@ def test_image_bench_cli_small(tmp_path, capsys):
     assert (out / "image_trials.csv").exists()
     summary = json.loads((out / "image_summary.json").read_text())
     assert "bdr" in summary and "pgd" in summary
+
+
+def _study_bytes(out, stem):
+    # the trials CSV without wall_ms, the manifest's seed and config, and
+    # the summary JSON without mean_wall_ms: the deterministic study output
+    lines = (out / f"{stem}_trials.csv").read_text().splitlines()
+    wall = lines[0].split(",").index("wall_ms")
+    text = "".join(",".join(f for i, f in enumerate(line.split(",")) if i != wall) + "\n"
+                   for line in lines)
+    manifest = json.loads((out / f"{stem}_trials.csv.manifest.json").read_text())
+    summary = (out / f"{stem}_summary.json").read_text()
+    summary = "".join(line + "\n" for line in summary.splitlines()
+                      if '"mean_wall_ms"' not in line)
+    return (text + json.dumps([manifest["seed"], manifest["config"]], sort_keys=True)
+            + "\n" + summary).encode()
+
+
+FROZEN_CLI_OUTPUTS = {
+    "image-bench":
+        "fa0cae310697046cfd0cb3b254513440c5c92dedc94e2192dffba5d8ecda6cea",
+    "noise-bench":
+        "ffcd6a832aac150ee77ad5b4046fef0a310f4742a899f7e276b3e062190f9b7a",
+    "location-bias":
+        "970da47bd9e2c0b8fbacc524c77a067ec7751913a8904481c8126c716ba9973a",
+    "solve-spectrum":
+        "8f608c8476804f560c17e8559c021452a58378dfffb2575eec85d482e76d3824",
+    "verify-uniqueness":
+        "e238157d9414857f612d22785de42eacdfd050b4f86069d28a0c857cc014869c",
+    "verify-stability":
+        "eb2e05cd9cb4f9699d6d3dc0a803db3c04aaa65b7e040d2eac2c5367697ddedf",
+    "verify-robustness":
+        "3c2c17cf6caa6226c5fab1d28b6e3fd5362e7760c7f817ce88060ab15c24cc6b",
+    "verify-lmatrix":
+        "b9c56a9e9f2342a4cf6385da0510063851a57788e26d5144a130f3069e88ee9d",
+    "verify-frip":
+        "9e48c0eba6c275607ee7da9892d4551b5070ce9beec3c93f4e9450cdb7be2601",
+}
+
+
+def test_cli_outputs_frozen(tmp_path, capsys):
+    # SHA-256 of what each study, the spectrum solve and each verify target
+    # write, wall-clock fields and the output path stripped. The image is 8x8
+    # and every grid is under 40x40, where the norms' bits do not depend on
+    # the BLAS thread count.
+    from bgret.harness import synthetic_test_image
+    img = tmp_path / "img.csv"
+    write_image(img, synthetic_test_image(8))
+    common = ["--image", str(img), "--seed", "3", "--max-iter", "30"]
+    studies = {
+        "image-bench": (["--k-ratio", "0.6", "--trials", "2"], "image"),
+        "noise-bench": (["--sigma", "0.001", "--k-ratio", "3", "--trials", "2"], "noise"),
+        "location-bias": (["--k-ratio", "2", "--positions", "3", "--trials", "2"],
+                          "location"),
+    }
+    outputs = {}
+    for command, (flags, stem) in studies.items():
+        out = tmp_path / command
+        with pytest.warns(RuntimeWarning, match="SSIM window"):
+            assert main([command, *common, *flags, "--out", str(out)]) == EXIT_OK
+        outputs[command] = _study_bytes(out, stem)
+
+    obj = np.zeros((12, 12))
+    obj[3:9, 3:9] = synthetic_test_image(8)[1:7, 1:7]
+    write_image(tmp_path / "spectrum.csv", intensity(obj).values)
+    out = tmp_path / "spectrum"
+    assert main(["solve", "--method", "hio", "--spectrum", str(tmp_path / "spectrum.csv"),
+                 "--support", "6", "6", "--max-iter", "40", "--out", str(out)]) == EXIT_OK
+    report = (out / "solve_report.json").read_text().replace(str(out), "")
+    outputs["solve-spectrum"] = (report + (out / "recovered.csv").read_text()).encode()
+
+    for what, flags in (("uniqueness", ["--n", "4", "--k", "6", "--d", "2", "--draws", "5"]),
+                        ("stability", ["--pairs", "3"]),
+                        ("robustness", ["--instances", "3"]),
+                        ("lmatrix", ["--n", "4", "--k", "12", "--draws", "10"]),
+                        ("frip", ["--n", "4", "--k", "8", "--draws", "20", "--num-h", "2"])):
+        out = tmp_path / what
+        assert main(["verify", what, *flags, "--seed", "5", "--out", str(out)]) == EXIT_OK
+        outputs[f"verify-{what}"] = (out / f"verify_{what}.json").read_bytes()
+    capsys.readouterr()
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == FROZEN_CLI_OUTPUTS
