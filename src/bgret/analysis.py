@@ -74,10 +74,6 @@ class StabilityConstants:
     delta2: float
     bound_factor: float
 
-    def __post_init__(self):
-        if not (self.delta1 > 0 and self.delta2 > 0):
-            raise ValueError("stability constants require a full-column-rank M")
-
 
 @dataclass(frozen=True)
 class CirculantPair:
@@ -255,6 +251,7 @@ def robustness_bound(system_corrupted: LinearSystem, c1: float, c2: float,
                      intensity_tilde, background_tilde) -> float:
     """Upper-bound certificate for ||X* - X||_F under bounded noise
     |eps_1| <= c1 on the intensities and |eps_2| <= c2 on the background.
+    intensity_tilde and background_tilde are the arrays I~ and Y~.
 
     Evaluated from the proof chain: delta1*delta2 times the sum of the
     right-hand-side perturbation bound c1 + c2*(2||vec(Y~)||_1 + c2*m1*m2)
@@ -265,8 +262,7 @@ def robustness_bound(system_corrupted: LinearSystem, c1: float, c2: float,
     if c1 < 0 or c2 < 0:
         raise ValueError("noise levels must be nonnegative")
     consts = stability_constants(system_corrupted)
-    i_values = getattr(intensity_tilde, "values", intensity_tilde)
-    i_l1 = float(np.sum(np.abs(np.asarray(i_values, dtype=float))))
+    i_l1 = float(np.sum(np.abs(np.asarray(intensity_tilde, dtype=float))))
     y_l1 = float(np.sum(np.abs(np.asarray(background_tilde, dtype=float))))
     grid = system_corrupted.grid_size
     unknowns = system_corrupted.unknowns

@@ -3,7 +3,13 @@
 Subcommands: gen-signal, gen-background, forward, solve, sweep, image-bench,
 location-bias, noise-bench, verify {uniqueness|stability|robustness|lmatrix|frip},
 metrics. Exit codes: 0 success, 1 usage error, 2 data error, 3 acceptance-check
-failure. BGRET_WORKERS is the fallback for --workers.
+failure. BGRET_WORKERS is the fallback for --workers. Flags are spelled in
+full; a prefix of one is a usage error.
+
+image-bench is the 2-D benchmark at sigma = 0 and noise-bench the same at
+--sigma; each study writes <stem>_trials.csv (with its manifest) and
+<stem>_summary.json. Each verify target carries its analysis check and the
+check's own flags.
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ PRESETS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix matching: a flag is read only when spelled in full, so one
+    # a subcommand does not take is never read as one it does (--d as --draws)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit2(f"{self.prog}: error: {message}")
@@ -163,9 +174,10 @@ def cmd_solve(args) -> int:
         if len(support) != b.values.ndim:
             raise SystemExit2("--support dimension must match the spectrum")
         mask = SupportMask.centered(b.values.shape, support)
-        result = solvers.hio_run(b, mask, config)
+        zeros = np.zeros(mask.shape)
+        result = solvers.run(b, zeros, mask, config)
         # the error of the recovered point, after HIO's final projection
-        error = metrics.measurement_error(result.final_estimate, np.zeros(mask.shape), mask, b)
+        error = metrics.measurement_error(result.final_estimate, zeros, mask, b)
         out = _out_dir(args)
         write_image(out / "recovered.csv", mask.to_block(result.final_estimate))
         _emit({"method": method.value, "iterations": result.iterations_used,
@@ -217,19 +229,23 @@ def _bench_image(args):
     return harness.synthetic_test_image(PRESETS[args.preset]["image_n"])
 
 
+def _write_study(args, stem: str, rows: list, summary: dict, echo: dict) -> None:
+    """<stem>_trials.csv with its manifest, and <stem>_summary.json."""
+    out = _out_dir(args)
+    manifest = manifest_now(__version__, _seed(args), {"command": args.command, **echo})
+    write_results(out / f"{stem}_trials.csv", rows, manifest)
+    _emit(summary, out / f"{stem}_summary.json")
+
+
 def cmd_image_bench(args) -> int:
     image = _bench_image(args)
     trials = PRESETS[args.preset]["image_trials"] if args.trials is None else args.trials
-    result = harness.image_benchmark(image, args.k_ratio, trials,
+    result = harness.noise_benchmark(image, 0.0, args.k_ratio, trials,
                                      methods=(Method.PGD, Method.BDR),
                                      seed=_seed(args), max_iter=args.max_iter,
                                      workers=harness.resolve_workers(args.workers))
-    out = _out_dir(args)
-    manifest = manifest_now(__version__, _seed(args),
-                            {"command": "image-bench", "k_ratio": args.k_ratio,
-                             "trials": trials})
-    write_results(out / "image_trials.csv", result["rows"], manifest)
-    _emit(result["summary"], out / "image_summary.json")
+    _write_study(args, "image", result["rows"], result["summary"],
+                 {"k_ratio": args.k_ratio, "trials": trials})
     return EXIT_OK
 
 
@@ -242,12 +258,9 @@ def cmd_location_bias(args) -> int:
     result = harness.location_bias_study(image, args.k_ratio, offsets, args.trials,
                                          seed=_seed(args), max_iter=args.max_iter,
                                          workers=harness.resolve_workers(args.workers))
-    out = _out_dir(args)
-    manifest = manifest_now(__version__, _seed(args),
-                            {"command": "location-bias", "k_ratio": args.k_ratio,
-                             "positions": args.positions, "trials": args.trials})
-    write_results(out / "location_trials.csv", result["rows"], manifest)
-    _emit({"positions": result["positions"]}, out / "location_summary.json")
+    _write_study(args, "location", result["rows"], {"positions": result["positions"]},
+                 {"k_ratio": args.k_ratio, "positions": args.positions,
+                  "trials": args.trials})
     return EXIT_OK
 
 
@@ -256,31 +269,15 @@ def cmd_noise_bench(args) -> int:
     result = harness.noise_benchmark(image, args.sigma, args.k_ratio, args.trials,
                                      seed=_seed(args), max_iter=args.max_iter,
                                      workers=harness.resolve_workers(args.workers))
-    out = _out_dir(args)
-    manifest = manifest_now(__version__, _seed(args),
-                            {"command": "noise-bench", "k_ratio": args.k_ratio,
-                             "sigma": args.sigma, "trials": args.trials})
-    write_results(out / "noise_trials.csv", result["rows"], manifest)
-    _emit({"summary": result["summary"], "pairwise_wins": result["pairwise_wins"]},
-          out / "noise_summary.json")
+    _write_study(args, "noise", result["rows"],
+                 {"summary": result["summary"], "pairwise_wins": result["pairwise_wins"]},
+                 {"k_ratio": args.k_ratio, "sigma": args.sigma, "trials": args.trials})
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    seed = _seed(args)
-    if args.what == "uniqueness":
-        report = analysis.verify_uniqueness(args.n, args.k, args.d, args.draws, seed)
-    elif args.what == "stability":
-        report = analysis.verify_stability(pairs=args.pairs, seed=seed)
-    elif args.what == "robustness":
-        report = analysis.verify_robustness(instances=args.instances, c1=args.c1,
-                                            c2=args.c2, seed=seed)
-    elif args.what == "lmatrix":
-        report = analysis.verify_lmatrix(args.n, args.k, args.draws, seed)
-    elif args.what == "frip":
-        report = analysis.verify_frip(args.n, args.k, args.draws, args.num_h, seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit2(f"unknown verify target {args.what}")
+    flags = {dest: getattr(args, dest) for dest in args.check_flags}
+    report = args.check(**flags, seed=_seed(args))
     _emit(report, _out_dir(args) / f"verify_{args.what}.json")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
@@ -403,14 +400,17 @@ def build_parser() -> _Parser:
         "--c1": dict(type=float, default=1e-3), "--c2": dict(type=float, default=1e-3),
         "--num-h": dict(type=int, default=5),
     }
-    for what, names in (("uniqueness", ("--n", "--k", "--d", "--draws")),
-                        ("stability", ("--pairs",)),
-                        ("robustness", ("--instances", "--c1", "--c2")),
-                        ("lmatrix", ("--n", "--k", "--draws")),
-                        ("frip", ("--n", "--k", "--draws", "--num-h"))):
+    for what, check, names in (
+            ("uniqueness", analysis.verify_uniqueness, ("--n", "--k", "--d", "--draws")),
+            ("stability", analysis.verify_stability, ("--pairs",)),
+            ("robustness", analysis.verify_robustness, ("--instances", "--c1", "--c2")),
+            ("lmatrix", analysis.verify_lmatrix, ("--n", "--k", "--draws")),
+            ("frip", analysis.verify_frip, ("--n", "--k", "--draws", "--num-h"))):
         t = targets.add_parser(what, parents=[output])
-        for name in names:
-            t.add_argument(name, **flags[name])
+        # each flag's destination is the check's keyword of the same name
+        t.set_defaults(check=check,
+                       check_flags=[t.add_argument(name, **flags[name]).dest
+                                    for name in names])
 
     p = sub.add_parser("metrics", help="compare truth vs estimate")
     p.add_argument("--truth", help="signal CSV ground truth")

@@ -1,7 +1,7 @@
 """Experiment drivers: signal/background generators, measurement noise,
-seeded trials, phase-transition sweeps, 2-D image benchmarks, location-bias
-and noise-robustness studies. The theory checks behind ``bgret verify`` live
-in ``analysis``.
+seeded trials, phase-transition sweeps, the 2-D image benchmark (noiseless
+at sigma = 0, the noise study at sigma > 0) and the location-bias study. The
+theory checks behind ``bgret verify`` live in ``analysis``.
 
 One trial path: ``draw_instance`` turns a sample, its mask and a trial seed
 into the background and the measured intensities (``run_trial`` and the CLI's
@@ -377,20 +377,6 @@ def _method_summary(rows: list[dict], methods: Sequence[Method]) -> dict:
     return out
 
 
-def image_benchmark(image: np.ndarray, k_ratio: float, num_backgrounds: int,
-                    methods: Sequence[Method] = (Method.PGD, Method.BDR),
-                    seed: int = 0, max_iter: int = 300, workers: int = 1) -> dict:
-    """Repeat recovery of one centered image over random backgrounds; per
-    method report the median and 25/75 quantiles of PSNR/SSIM plus timing.
-    The background stream depends only on the trial index, so methods see
-    identical instances."""
-    _require_count("num_backgrounds", num_backgrounds)
-    specs = _image_specs(image, k_ratio, methods, num_backgrounds, seed, max_iter)
-    rows = run_trials(specs, workers=workers)
-    return {"rows": rows, "summary": _method_summary(rows, methods),
-            "k_ratio": k_ratio, "num_backgrounds": num_backgrounds}
-
-
 def default_bias_offsets(object_shape: Sequence[int], sample_shape: Sequence[int],
                          count: int = 17) -> list[tuple[int, ...]]:
     """Diagonal path of top-left offsets from the corner to the center."""
@@ -441,8 +427,12 @@ def location_bias_study(image: np.ndarray, k_ratio: float,
 def noise_benchmark(image: np.ndarray, sigma: float, k_ratio: float, trials: int,
                     methods: Sequence[Method] = (Method.PGD, Method.BDR, Method.BDR1),
                     seed: int = 0, max_iter: int = 300, workers: int = 1) -> dict:
-    """Noisy-measurement comparison; per trial all methods share the same
-    background and noise draw, so rows pair exactly."""
+    """The 2-D benchmark: repeated recovery of one centered image over random
+    backgrounds, with measurement noise of level sigma (none at sigma = 0).
+    Per trial all methods share the same background and noise draw, so rows
+    pair exactly. Per method the summary gives the median and 25/75
+    quantiles of PSNR/SSIM plus timing; ``pairwise_wins`` counts the trials
+    where one method's relative error is below another's."""
     _require_count("trials", trials)
     specs = _image_specs(image, k_ratio, methods, trials, seed, max_iter,
                          noise_sigma=sigma)
@@ -460,5 +450,4 @@ def noise_benchmark(image: np.ndarray, sigma: float, k_ratio: float, trials: int
             wins = sum(1 for t in per_trial.values()
                        if t[a]["relative_error"] < t[b_]["relative_error"])
             pairwise[f"{a}<{b_}"] = wins
-    return {"rows": rows, "summary": summary, "pairwise_wins": pairwise,
-            "sigma": sigma, "trials": trials}
+    return {"rows": rows, "summary": summary, "pairwise_wins": pairwise}

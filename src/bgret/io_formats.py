@@ -53,19 +53,10 @@ def sha256_of(path) -> str:
 
 def read_signal_csv(path) -> np.ndarray:
     """One numeric value per line; '#' comment lines and blanks ignored."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise DataFormatError(f"{path}: malformed numeric value at line {lineno}: {line!r}")
-    if not values:
-        raise DataFormatError(f"{path}: no numeric values found")
-    return np.asarray(values, dtype=float)
+    values = _read_csv_matrix(path)
+    if values.shape[1] != 1:
+        raise DataFormatError(f"{path}: expected one value per line, got {values.shape[1]}")
+    return values.reshape(-1)
 
 
 def write_signal_csv(path, values) -> None:
@@ -99,6 +90,8 @@ def _read_pgm(path) -> np.ndarray:
 
 
 def _read_csv_matrix(path) -> np.ndarray:
+    """Comma-separated rows of equal length; '#' comment lines and blanks
+    ignored."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -108,7 +101,8 @@ def _read_csv_matrix(path) -> np.ndarray:
             try:
                 row = [float(tok) for tok in line.split(",")]
             except ValueError:
-                raise DataFormatError(f"{path}: malformed numeric value at row {lineno}")
+                raise DataFormatError(f"{path}: malformed numeric value at line {lineno}: "
+                                      f"{line!r}")
             if rows and len(row) != len(rows[0]):
                 raise DataFormatError(f"{path}: ragged row {lineno} "
                                       f"({len(row)} values, expected {len(rows[0])})")

@@ -16,12 +16,13 @@ Five methods share one loop skeleton:
            with background y = 0, so inside the support take the
            magnitude-projection output, outside z - beta*P_A(z).
 
-``run`` is the one entry point: it sends HIO to ``hio_run`` and CBDR to the
-two-branch ``cbdr_parallel_real``. Each step maps a plain float array z^{p-1}
-to z^p; ``_iterate`` is the one loop. Every run starts from the deterministic
-spectral initializer z0 = P_B((1/prod m) * DFT(b^{1/2})) unless an explicit
-start is supplied (HIO starts from the unprojected transform), and stops when
-the step norm ||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
+``run`` is the one entry point: it runs HIO as BDR1 on a zero background
+and sends CBDR to the two-branch ``cbdr_parallel_real``. Each step maps a
+plain float array z^{p-1} to z^p; ``_iterate`` is the one loop. Every run
+starts from the deterministic spectral initializer
+z0 = P_B((1/prod m) * DFT(b^{1/2})) unless an explicit start is supplied (HIO
+starts from the unprojected transform), and stops when the step norm
+||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
 Divergence is detected from that same step norm: a non-finite start or step
 norm raises DivergenceError rather than being clamped, so traces stay honest.
 
@@ -178,23 +179,24 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
     """Run config.method to the stopping rule ||z^p - z^{p-1}|| <= eps or the
     iteration cap; the returned estimate is the support part of the final
     magnitude-projection output (constraint-feasible at fixed points), except
-    for PGD whose iterate is already background-feasible."""
+    for PGD whose iterate is already background-feasible. HIO ignores the
+    background: it runs BDR1 on y = 0 from the unprojected spectral start."""
     method = config.method
-    if method is Method.HIO:
-        return hio_run(b, mask, config, x_true=x_true, z0=z0)
     if method is Method.CBDR:
         return cbdr_parallel_real(b, background, mask, config, x_true=x_true, z0=z0)
+    if method is Method.HIO:
+        background = np.zeros(mask.shape)
+        if z0 is None:
+            z0 = _spectral_start(b.root)
 
     half_root = hermitian_half(b.root)
     if method is Method.PGD:
         step = lambda z, work: pgd_step(z, half_root, background, mask, config.lam, work)
         final = None
-    elif method in (Method.BDR, Method.BDR1):
+    else:  # BDR, BDR1 and HIO
         beta = 1.0 if method is Method.BDR else config.beta
         step = lambda z, work: bdr_step(z, half_root, background, mask, beta, work)
         final = lambda z: project_magnitude(z, half_root)
-    else:  # pragma: no cover - Method is exhaustive
-        raise ValueError(f"unhandled method {method}")
     return _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)
 
 
@@ -215,14 +217,3 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
         errors.append(measurement_error(result.final_estimate, background, mask, b))
     return branches[0] if errors[0] <= errors[1] else branches[1]
 
-
-def hio_run(b: IntensityMeasurements, mask: SupportMask, config: SolverConfig,
-            x_true=None, z0=None) -> SolverRun:
-    """Fienup HIO on a bare support constraint: BDR1 on a zero background."""
-    half_root = hermitian_half(b.root)
-    zeros = np.zeros(mask.shape)
-    step = lambda z, work: bdr_step(z, half_root, zeros, mask, config.beta, work)
-    final = lambda z: project_magnitude(z, half_root)
-    if z0 is None:
-        z0 = _spectral_start(b.root)
-    return _iterate(b, zeros, mask, config, step, final, x_true=x_true, z0=z0)

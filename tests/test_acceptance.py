@@ -16,8 +16,7 @@ import pytest
 from bgret import analysis, harness, solvers
 from bgret.analysis import verify_frip, verify_lmatrix, verify_robustness, verify_stability
 from bgret.harness import (TrialSpec, run_trials, noise_benchmark,
-                           image_benchmark, sweep_phase_transition,
-                           synthetic_test_image)
+                           sweep_phase_transition, synthetic_test_image)
 from bgret.io_formats import ExperimentConfig, manifest_now, write_results
 from bgret.model import Method, SupportMask, assemble
 from bgret.projections import project_background, project_magnitude, project_magnitude_ball
@@ -97,7 +96,7 @@ def cbdr_rows():
 @pytest.fixture(scope="module")
 def image_bench():
     start = time.perf_counter()
-    result = image_benchmark(synthetic_test_image(64), 0.6, 10,
+    result = noise_benchmark(synthetic_test_image(64), 0.0, 0.6, 10,
                              methods=(Method.PGD, Method.BDR),
                              seed=ACCEPTANCE_SEED, max_iter=300, workers=WORKERS)
     return {"result": result, "elapsed": time.perf_counter() - start}

@@ -1,15 +1,17 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bgret.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from bgret.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from bgret.io_formats import (read_image, read_results, read_signal_csv, write_image,
                               write_signal_csv)
 from bgret.metrics import measurement_error
 from bgret.model import IntensityMeasurements, Method, SolverConfig, SupportMask, assemble
-from bgret.solvers import cbdr_parallel_real, hio_run
+from bgret.solvers import cbdr_parallel_real, run
 from bgret.spectral import intensity
 
 
@@ -39,6 +41,10 @@ def test_usage_error_exit_code(capsys):
     (["verify", "uniqueness", "--draws", "5"], ["--pairs", "3"]),
     (["verify", "robustness", "--instances", "3"], ["--draws", "5"]),
     (["verify", "frip", "--n", "4", "--k", "8", "--draws", "20"], ["--c2", "1e-3"]),
+    # flags are spelled in full: a prefix of one the subcommand takes is not read as it
+    (["verify", "frip", "--n", "4", "--k", "8", "--draws", "20"], ["--d", "2"]),
+    (["solve", "--method", "bdr", "--signal", "sig.csv", "--max-iter", "5"],
+     ["--sig", "sig.csv"]),
 ])
 def test_flags_a_subcommand_ignores_are_usage_errors(argv, flag, tmp_path, monkeypatch,
                                                      capsys):
@@ -72,6 +78,18 @@ def test_solve_rejects_the_other_modes_flags(argv, flag, tmp_path, monkeypatch, 
     capsys.readouterr()
     assert main(argv + flag) == EXIT_USAGE
     assert flag[0] in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    # every `bgret ...` line of the README's CLI block names flags that exist
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("bgret ")]
+    assert examples
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
 
 
 def test_gen_signal_and_metrics(tmp_path, capsys):
@@ -186,9 +204,9 @@ def test_solve_cli_spectrum_reports_the_recovered_point(tmp_path, capsys):
                  "--support", "8", "8", "--max-iter", "50", "--out", str(out)]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     b = IntensityMeasurements(read_image(spec_path), conj_symmetric=False)
-    direct = hio_run(b, mask, SolverConfig(method=Method.HIO, max_iter=50))
-    assert np.array_equal(mask.to_block(direct.final_estimate), read_image(out / "recovered.csv"))
     zeros = np.zeros(mask.shape)
+    direct = run(b, zeros, mask, SolverConfig(method=Method.HIO, max_iter=50))
+    assert np.array_equal(mask.to_block(direct.final_estimate), read_image(out / "recovered.csv"))
     assert payload["measurement_error"] == measurement_error(direct.final_estimate, zeros,
                                                              mask, b)
 

@@ -6,8 +6,9 @@ import pytest
 
 from bgret.analysis import verify_frip, verify_lmatrix, verify_stability, verify_uniqueness
 from bgret.harness import (STREAM_SIGNAL, TrialSpec, add_noise, default_bias_offsets,
-                           draw_instance, gen_background, gen_signal, harmonic_signal, image_benchmark, location_bias_study,
-                           run_trial, run_trials, resolve_workers, sweep_phase_transition,
+                           draw_instance, gen_background, gen_signal, harmonic_signal, location_bias_study,
+                           noise_benchmark, run_trial, run_trials, resolve_workers,
+                           sweep_phase_transition,
                            synthetic_test_image)
 from bgret.io_formats import RESULT_COLUMNS, ExperimentConfig, manifest_now, write_results
 from bgret.model import IntensityMeasurements, Method, SupportMask
@@ -253,7 +254,8 @@ def test_sweep_monotone_trend_small():
 
 def test_image_benchmark_pairs_methods_on_same_instance():
     img = synthetic_test_image(16)
-    res = image_benchmark(img, 2.0, 3, seed=2, max_iter=60)
+    res = noise_benchmark(img, 0.0, 2.0, 3, methods=(Method.PGD, Method.BDR), seed=2,
+                          max_iter=60)
     rows = res["rows"]
     by_trial = {}
     for row in rows:
@@ -287,7 +289,7 @@ def test_location_bias_study_small():
 
 def test_image_benchmark_uniqueness_regime_recovers():
     img = synthetic_test_image(16)
-    res = image_benchmark(img, 3.0, 3, methods=(Method.BDR,), seed=5, max_iter=300)
+    res = noise_benchmark(img, 0.0, 3.0, 3, methods=(Method.BDR,), seed=5, max_iter=300)
     assert res["summary"]["bdr"]["median_relative_error"] < 1e-5
 
 

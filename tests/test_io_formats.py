@@ -34,6 +34,12 @@ def test_signal_csv_basic_and_errors(tmp_path):
     bad.write_text("1\nabc\n")
     with pytest.raises(DataFormatError, match="line 2"):
         read_signal_csv(bad)
+    bad.write_text("1\n2,3\n")
+    with pytest.raises(DataFormatError, match="ragged row 2"):
+        read_signal_csv(bad)
+    bad.write_text("1,2\n3,4\n")
+    with pytest.raises(DataFormatError, match="one value per line"):
+        read_signal_csv(bad)
 
 
 def test_pgm_round_trip(tmp_path):

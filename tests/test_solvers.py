@@ -9,7 +9,7 @@ from bgret.model import (IntensityMeasurements, Method, SolverConfig,
 from bgret.projections import (project_background, project_magnitude,
                                project_magnitude_ball)
 from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
-                           cbdr_parallel_real, hio_run, init_spectral,
+                           cbdr_parallel_real, init_spectral,
                            pgd_step, run)
 from bgret.spectral import Workspace, dft_forward, hermitian_half, intensity
 
@@ -336,7 +336,7 @@ def test_hio_delta_full_support():
     delta = np.zeros(6)
     delta[0] = 2.0
     b = intensity(delta)
-    result = hio_run(b, mask, SolverConfig(method=Method.HIO))
+    result = run(b, np.zeros(mask.shape), mask, SolverConfig(method=Method.HIO))
     assert result.converged
     assert np.max(np.abs(result.final_estimate - delta)) <= 1e-10
 
@@ -348,7 +348,8 @@ def test_hio_from_truth_is_fixed():
     z = np.zeros(16)
     z[:8] = x
     b = intensity(z)
-    result = hio_run(b, mask, SolverConfig(method=Method.HIO), x_true=x, z0=z)
+    result = run(b, np.zeros(mask.shape), mask, SolverConfig(method=Method.HIO), x_true=x,
+                 z0=z)
     assert result.converged and result.iterations_used == 1
 
 
@@ -359,8 +360,9 @@ def test_hio_measurement_error_trend():
     z = np.zeros((12, 12))
     z[:8, :8] = x
     b = intensity(z)
-    result = hio_run(b, mask, SolverConfig(method=Method.HIO, max_iter=200, trace_every=1),
-                     x_true=x.reshape(-1))
+    result = run(b, np.zeros(mask.shape), mask,
+                 SolverConfig(method=Method.HIO, max_iter=200, trace_every=1),
+                 x_true=x.reshape(-1))
     me = result.trace[:, 1]
     assert me[-1] < me[0]
 
@@ -393,7 +395,7 @@ def test_oversampled_measurements_are_rejected():
         with pytest.raises(ValueError, match="object grid"):
             run(b, y, mask, SolverConfig(method=method))
     with pytest.raises(ValueError, match="object grid"):
-        hio_run(b, mask, SolverConfig(method=Method.HIO))
+        run(b, np.zeros(mask.shape), mask, SolverConfig(method=Method.HIO))
 
 
 def test_divergence_guard(monkeypatch):
@@ -405,7 +407,7 @@ def test_divergence_guard(monkeypatch):
         with pytest.raises(DivergenceError):
             run(b, y, mask, SolverConfig(method=method), z0=z0)
     with pytest.raises(DivergenceError):
-        hio_run(b, mask, SolverConfig(method=Method.HIO), z0=z0)
+        run(b, np.zeros(mask.shape), mask, SolverConfig(method=Method.HIO), z0=z0)
 
     # a step that turns the iterate non-finite is caught by the step norm,
     # and run_trial reports it as an aborted row instead of raising
