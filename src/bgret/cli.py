@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, harness, metrics, solvers
-from .io_formats import (DataFormatError, ExperimentConfig, manifest_now,
-                         read_config, read_image, read_signal_csv, sha256_of,
-                         write_image, write_results, write_signal_csv)
+from .io_formats import (ExperimentConfig, manifest_now, read_config, read_image,
+                         read_signal_csv, sha256_of, write_image, write_results,
+                         write_signal_csv)
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
                     background_sizes_for)
 from .rng import Xoshiro256StarStar, mix_seed
@@ -83,8 +83,8 @@ def _seed(args) -> int:
 
 
 def cmd_gen_signal(args) -> int:
-    values = harness.gen_signal(args.type, args.n,
-                                rng=Xoshiro256StarStar(mix_seed(_seed(args), 0)),
+    rng = Xoshiro256StarStar(mix_seed(_seed(args), harness.STREAM_SIGNAL))
+    values = harness.gen_signal(args.type, args.n, rng=rng,
                                 values=read_signal_csv(args.input) if args.input else None)
     out = _out_dir(args) / f"signal_type{args.type}_n{args.n}.csv"
     write_signal_csv(out, values)
@@ -187,7 +187,7 @@ def cmd_solve(args) -> int:
     if args.support is not None:
         raise SystemExit2("--support is only for --spectrum mode")
     x, mask, y, b = _instance(args)
-    result = solvers.run(b, y, mask, config, x_true=x.reshape(-1))
+    result = solvers.run(b, y, mask, config)
     report = metrics.evaluate(result.final_estimate, x.reshape(-1), y, mask, b)
     out = _out_dir(args)
     _write_array(out / "recovered.csv", mask.to_block(result.final_estimate))
@@ -251,10 +251,7 @@ def cmd_image_bench(args) -> int:
 
 def cmd_location_bias(args) -> int:
     image = _bench_image(args)
-    n = image.shape
-    k = background_sizes_for(args.k_ratio, n)
-    shape = tuple(ni + ki for ni, ki in zip(n, k))
-    offsets = harness.default_bias_offsets(shape, n, args.positions)
+    offsets = harness.default_bias_offsets(image.shape, args.k_ratio, args.positions)
     result = harness.location_bias_study(image, args.k_ratio, offsets, args.trials,
                                          seed=_seed(args), max_iter=args.max_iter,
                                          workers=harness.resolve_workers(args.workers))
@@ -429,10 +426,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DataFormatError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

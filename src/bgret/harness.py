@@ -6,8 +6,9 @@ theory checks behind ``bgret verify`` live in ``analysis``.
 One trial path: ``draw_instance`` turns a sample, its mask and a trial seed
 into the background and the measured intensities (``run_trial`` and the CLI's
 forward/solve both use it), ``SupportMask.place`` is the placement rule,
-``solvers.run`` is the only solver call and ``metrics.evaluate`` gives every
-metric column of a row, the fixed-point residual among them. A trial without
+``solvers.run`` is the only solver call (untraced, without the ground truth)
+and ``metrics.evaluate`` gives every metric column of a row, the fixed-point
+residual among them. A trial without
 a fixed signal draws the Gaussian one from its seed.
 
 Determinism contract: a sweep is a pure function of (config, master seed),
@@ -187,7 +188,7 @@ def run_trial(spec: TrialSpec) -> dict:
     start = time.perf_counter()
     aborted = False
     try:
-        result = solvers.run(b, background, mask, config, x_true=x)
+        result = solvers.run(b, background, mask, config)
     except solvers.DivergenceError:
         aborted = True
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -377,10 +378,13 @@ def _method_summary(rows: list[dict], methods: Sequence[Method]) -> dict:
     return out
 
 
-def default_bias_offsets(object_shape: Sequence[int], sample_shape: Sequence[int],
+def default_bias_offsets(sample_shape: Sequence[int], k_ratio: float,
                          count: int = 17) -> list[tuple[int, ...]]:
-    """Diagonal path of top-left offsets from the corner to the center."""
-    center = tuple((m - n) // 2 for m, n in zip(object_shape, sample_shape))
+    """Diagonal path of top-left offsets from the corner to the center of the
+    object grid that k_ratio gives the sample."""
+    k = background_sizes_for(k_ratio, sample_shape)
+    center = SupportMask.centered(tuple(n + ki for n, ki in zip(sample_shape, k)),
+                                  sample_shape).offset
     offsets = []
     for i in range(count):
         frac = i / (count - 1) if count > 1 else 1.0
@@ -398,16 +402,12 @@ def location_bias_study(image: np.ndarray, k_ratio: float,
     computed in full; position symmetry is never used as a shortcut."""
     _require_count("positions", len(offsets))
     _require_count("trials", trials)
-    image = np.asarray(image, dtype=float)
-    n = image.shape
-    k = background_sizes_for(k_ratio, n)
-    object_shape = tuple(ni + ki for ni, ki in zip(n, k))
     specs = []
     for cell_id, offset in enumerate(offsets):
-        offset = tuple(int(v) for v in offset)
-        SupportMask.block(object_shape, n, offset)  # validates range
-        specs.extend(_image_specs(image, k_ratio, [method], trials, seed, max_iter,
-                                  offset=offset, cell_id=cell_id))
+        cell = _image_specs(image, k_ratio, [method], trials, seed, max_iter,
+                            offset=tuple(int(v) for v in offset), cell_id=cell_id)
+        cell[0].make_mask()  # the offset must fit the trials' own grid
+        specs.extend(cell)
     rows = run_trials(specs, workers=workers)
     positions = []
     for cell_id, offset in enumerate(offsets):

@@ -85,13 +85,15 @@ def _read_pgm(path) -> np.ndarray:
         raise DataFormatError(f"{path}: bad PGM header")
     if len(pixels) != width * height:
         raise DataFormatError(f"{path}: expected {width * height} pixels, got {len(pixels)}")
+    if not all(0 <= v <= maxval for v in pixels):
+        raise DataFormatError(f"{path}: pixel values must lie in 0..{maxval}")
     img = np.asarray(pixels, dtype=float).reshape(height, width)
     return img / maxval
 
 
 def _read_csv_matrix(path) -> np.ndarray:
-    """Comma-separated rows of equal length; '#' comment lines and blanks
-    ignored."""
+    """Comma-separated rows of equal length of finite numbers; '#' comment
+    lines and blanks ignored."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -103,6 +105,8 @@ def _read_csv_matrix(path) -> np.ndarray:
             except ValueError:
                 raise DataFormatError(f"{path}: malformed numeric value at line {lineno}: "
                                       f"{line!r}")
+            if not all(map(math.isfinite, row)):
+                raise DataFormatError(f"{path}: non-finite value at line {lineno}: {line!r}")
             if rows and len(row) != len(rows[0]):
                 raise DataFormatError(f"{path}: ragged row {lineno} "
                                       f"({len(row)} values, expected {len(rows[0])})")

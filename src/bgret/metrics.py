@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import IntensityMeasurements, SupportMask
+from .model import IntensityMeasurements, SupportMask, assemble
 from .spectral import dft_forward
 
 #: Relative errors strictly below this threshold count as successful recovery.
@@ -58,11 +58,7 @@ def _intensity_residual(x_hat, background, mask: SupportMask,
     # transform, as b is given
     if b.norm == 0.0:
         raise ValueError("measurement error undefined for zero measurements")
-    # x_hat goes onto the support of a copy of the background directly rather
-    # than through the checks of assemble, which a stride-1 trace pays per row
-    z = np.array(background, dtype=float)
-    z[mask.inside] = np.asarray(x_hat, dtype=float).reshape(-1)
-    r = np.abs(dft_forward(z))
+    r = np.abs(dft_forward(assemble(x_hat, background, mask)))
     np.square(r, out=r)
     return np.subtract(r, b.values, out=r)
 

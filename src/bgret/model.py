@@ -1,4 +1,4 @@
-"""Shared data model: support masks, the combined object, intensity
+"""Shared data model: the support block, the combined object, intensity
 measurements and solver configuration.
 
 Conventions used by every module
@@ -16,6 +16,7 @@ Conventions used by every module
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -55,49 +56,45 @@ def mirror_index(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SupportMask:
-    """Boolean mask of the sample support Ω on the object grid.
-
-    Default layout is a contiguous axis-aligned block; arbitrary offsets are
-    allowed so location-bias experiments can slide the sample around.
+    """The sample support Ω: a block of ``sample_shape`` whose top-left
+    corner sits at ``offset`` on the object grid of shape ``shape``. The
+    three are validated once, here; ``inside``, the read-only boolean mask of
+    Ω on the grid, is derived from them. ``block`` puts the block at the
+    corner, ``centered`` in the middle and ``place`` by the experiments'
+    rule.
     """
 
-    inside: np.ndarray
-    sample_shape: Optional[tuple[int, ...]] = None
-    offset: Optional[tuple[int, ...]] = None
+    shape: tuple[int, ...]
+    sample_shape: tuple[int, ...]
+    offset: tuple[int, ...]
 
     def __post_init__(self):
-        inside = np.asarray(self.inside, dtype=bool)
-        if inside.ndim < 1 or inside.ndim > MAX_DIMS:
-            raise ValueError(f"mask dimension {inside.ndim} not supported")
-        if not inside.any():
-            raise ValueError("support mask is empty")
-        object.__setattr__(self, "inside", _readonly(inside, bool))
-        if self.sample_shape is not None:
-            if int(np.prod(self.sample_shape)) != self.sample_count:
-                raise ValueError("sample_shape inconsistent with mask population")
+        for name in ("shape", "sample_shape", "offset"):
+            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+        shape, sample_shape, offset = self.shape, self.sample_shape, self.offset
+        if not 1 <= len(shape) <= MAX_DIMS:
+            raise ValueError(f"mask dimension {len(shape)} not supported")
+        if not len(sample_shape) == len(offset) == len(shape):
+            raise ValueError("sample_shape, offset and shape must share dimension")
+        for n, m, o in zip(sample_shape, shape, offset):
+            if n < 1 or o < 0 or o + n > m:
+                raise ValueError(f"block {sample_shape}@{offset} does not fit in {shape}")
+        inside = np.zeros(shape, dtype=bool)
+        inside[tuple(slice(o, o + n) for o, n in zip(offset, sample_shape))] = True
+        inside.setflags(write=False)
+        object.__setattr__(self, "inside", inside)
 
     @classmethod
     def block(cls, object_shape: Sequence[int], sample_shape: Sequence[int],
               offset: Optional[Sequence[int]] = None) -> "SupportMask":
         """Axis-aligned block support; offset defaults to the origin (corner)."""
-        object_shape = tuple(int(v) for v in object_shape)
-        sample_shape = tuple(int(v) for v in sample_shape)
-        if len(sample_shape) != len(object_shape):
-            raise ValueError("sample_shape and object_shape must share dimension")
-        if offset is None:
-            offset = (0,) * len(object_shape)
-        offset = tuple(int(v) for v in offset)
-        for n, m, o in zip(sample_shape, object_shape, offset):
-            if n < 1 or o < 0 or o + n > m:
-                raise ValueError(f"block {sample_shape}@{offset} does not fit in {object_shape}")
-        inside = np.zeros(object_shape, dtype=bool)
-        inside[tuple(slice(o, o + n) for o, n in zip(offset, sample_shape))] = True
-        return cls(inside, sample_shape=sample_shape, offset=offset)
+        return cls(object_shape, sample_shape,
+                   (0,) * len(object_shape) if offset is None else offset)
 
     @classmethod
     def centered(cls, object_shape: Sequence[int], sample_shape: Sequence[int]) -> "SupportMask":
         offset = tuple((m - n) // 2 for m, n in zip(object_shape, sample_shape))
-        return cls.block(object_shape, sample_shape, offset)
+        return cls(object_shape, sample_shape, offset)
 
     @classmethod
     def place(cls, object_shape: Sequence[int], sample_shape: Sequence[int],
@@ -109,17 +106,11 @@ class SupportMask:
         return cls.block(object_shape, sample_shape, offset)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.inside.shape
-
-    @property
     def sample_count(self) -> int:
-        return int(np.count_nonzero(self.inside))
+        return math.prod(self.sample_shape)
 
     def to_block(self, values_on_omega: np.ndarray) -> np.ndarray:
         """Reshape a row-major Ω vector back to the sample block."""
-        if self.sample_shape is None:
-            raise ValueError("mask has no block shape")
         return np.asarray(values_on_omega).reshape(self.sample_shape)
 
 
@@ -203,9 +194,9 @@ class Method(str, Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs: stopping tolerance eps, iteration cap, relaxation beta
-    (BDR1/HIO), PGD learning rate lam and the trace stride trace_every: a
-    trace row at every iteration p with p % trace_every == 0 and always at the
-    final one, so 0 (the default) records the final row only."""
+    (BDR1/HIO), PGD learning rate lam and the trace stride trace_every: with
+    s > 0 a trace row at every iteration p with p % s == 0 and always at the
+    final one; 0 (the default) records none."""
 
     method: Method
     eps: float = 1e-12
@@ -232,9 +223,9 @@ class SolverConfig:
 class SolverRun:
     """Outcome of one solver run: recovered Ω values, the number of loop
     iterations, and the trace rows (relative_error, measurement_error) of the
-    iterates at the stride of ``SolverConfig.trace_every``. The last row is
-    always that of the final iteration, so a trace has between 1 and
-    iterations_used rows."""
+    iterates at the stride of ``SolverConfig.trace_every``. An untraced run
+    has no rows; a traced one ends with the row of the final iteration, so a
+    trace has between 0 and iterations_used rows."""
 
     final_estimate: np.ndarray
     iterations_used: int
@@ -244,7 +235,7 @@ class SolverRun:
     def __post_init__(self):
         est = _readonly(self.final_estimate, float)
         trace = _readonly(np.asarray(self.trace, dtype=float).reshape(-1, 2))
-        if not 1 <= trace.shape[0] <= self.iterations_used:
-            raise ValueError("trace must have between 1 and iterations_used rows")
+        if trace.shape[0] > self.iterations_used:
+            raise ValueError("trace must have at most iterations_used rows")
         object.__setattr__(self, "final_estimate", est)
         object.__setattr__(self, "trace", trace)

@@ -26,14 +26,18 @@ starts from the unprojected transform), and stops when the step norm
 Divergence is detected from that same step norm: a non-finite start or step
 norm raises DivergenceError rather than being clamped, so traces stay honest.
 
-The trace is opt-in. A trace row holds the relative error (NaN without a
-ground truth) and the measurement error of the iterate z^p. With
+The trace is opt-in, and the solvers score nothing else: a result is scored
+by ``metrics.evaluate``. A trace row holds ``metrics.relative_error`` of the
+iterate's support values against the ground truth x_true (NaN without one)
+and ``metrics.measurement_error`` of the iterate z^p. With
 ``SolverConfig.trace_every`` = s > 0 a row is recorded at every iteration p
 with p % s == 0, and always at the final iteration (once, also when it is a
-multiple of s); with s = 0, the default, only the final row is recorded. The
+multiple of s); with s = 0, the default, no row is recorded. The ground
+truth is not validated up front: a wrong shape or a zero truth raises
+ValueError at the first traced row, and an untraced run never reads it. The
 stride changes no iterate: estimates, ``iterations_used`` (the number of loop
 iterations, not of rows) and ``converged`` are the same for every s, s = 1
-gives a row per iteration, and the final row is the same at every stride.
+gives a row per iteration, and the final row is the same at every s > 0.
 An untraced iteration makes the two FFTs of its magnitude projection, a
 real forward and a real inverse transform; a traced one a third, the full
 complex transform of the measurement error.
@@ -51,8 +55,8 @@ Each step returns z^p as a new array and only reads z^{p-1}. Its last
 argument, ``work``, is a ``spectral.Workspace`` that its magnitude projection
 transforms in (None builds one per call); each ``_iterate`` call (so each
 CBDR branch) builds one from the grid shape and passes it to every step. The
-norms of b and of the ground truth are computed once per run. The caller's
-z0, background and measurements are only read.
+norm of b is cached on b. The caller's z0, background and measurements are
+only read.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import l2_norm, measurement_error
+from .metrics import l2_norm, measurement_error, relative_error
 from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask
 from .projections import project_background, project_magnitude, project_magnitude_ball
 from .spectral import Workspace, dft_forward, hermitian_half
@@ -139,13 +143,6 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
     z = init_spectral(b, background, mask) if z0 is None else np.asarray(z0, dtype=float)
     if not np.all(np.isfinite(z)):
         raise DivergenceError("non-finite start")
-    if x_true is not None:
-        xt = np.asarray(x_true, dtype=float).reshape(-1)
-        if xt.size != mask.sample_count:
-            raise ValueError(f"shape mismatch: {(mask.sample_count,)} vs {xt.shape}")
-        xt_norm = l2_norm(xt)
-        if xt_norm == 0.0:
-            raise ValueError("relative error undefined for zero ground truth")
 
     # step(z, work) maps z^{p-1} to a new array z^p, transforming in the
     # run's workspace
@@ -159,11 +156,9 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
             raise DivergenceError(f"non-finite iterate at step {p}")
         z = z_new
         converged = step_norm <= config.eps
-        if converged or p == config.max_iter or (stride and p % stride == 0):
-            # the trace row: relative error (as metrics.relative_error) and
-            # measurement error of the current iterate
+        if stride and (p % stride == 0 or converged or p == config.max_iter):
             x_hat = z[mask.inside]
-            rel = math.nan if x_true is None else l2_norm(x_hat - xt) / xt_norm
+            rel = math.nan if x_true is None else relative_error(x_hat, x_true)
             trace.append((rel, measurement_error(x_hat, background, mask, b)))
         if converged:
             break

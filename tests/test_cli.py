@@ -218,6 +218,25 @@ def test_solve_cli_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, files", [
+    # a directory where an input file belongs
+    (["solve", "--method", "bdr", "--image", "adir.csv"], {}),
+    # a pixel above the PGM's maxval
+    (["metrics", "--image-truth", "p.pgm", "--image-estimate", "p.pgm"],
+     {"p.pgm": "P2\n2 1\n255\n300 0\n"}),
+    # a value that is no finite number
+    (["metrics", "--image-truth", "n.csv", "--image-estimate", "n.csv"],
+     {"n.csv": "1,nan\n2,3\n"}),
+])
+def test_bad_input_files_are_data_errors(argv, files, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir.csv").mkdir()
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
 def test_sweep_cli_writes_outputs(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"method": "BDR", "n": 10, "k_ratio": 3,

@@ -266,7 +266,7 @@ def test_image_benchmark_pairs_methods_on_same_instance():
 
 
 def test_location_bias_offsets_and_validation():
-    offsets = default_bias_offsets((192, 192), (64, 64), count=17)
+    offsets = default_bias_offsets((64, 64), 2.0, count=17)
     assert offsets[0] == (0, 0)
     assert offsets[-1] == (64, 64)
     assert len(offsets) == 17

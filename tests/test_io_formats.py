@@ -63,6 +63,19 @@ def test_pgm_header_errors(tmp_path):
         read_image(short)
 
 
+def test_readers_reject_values_out_of_range(tmp_path):
+    pgm = tmp_path / "range.pgm"
+    for pixel in ("256", "-1"):
+        pgm.write_text(f"P2\n2 1\n255\n{pixel} 0\n")
+        with pytest.raises(DataFormatError, match="0..255"):
+            read_image(pgm)
+    csv_path = tmp_path / "values.csv"
+    for value in ("nan", "inf", "-inf"):
+        csv_path.write_text(f"1\n{value}\n")
+        with pytest.raises(DataFormatError, match="non-finite value at line 2"):
+            read_signal_csv(csv_path)
+
+
 def test_csv_image_round_trip_and_ragged(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,4\n")

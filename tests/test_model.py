@@ -93,7 +93,7 @@ def test_mask_validation():
     with pytest.raises(ValueError):
         SupportMask.block((4,), (2,), offset=(3,))  # does not fit
     with pytest.raises(ValueError):
-        SupportMask(np.zeros(4, dtype=bool))  # empty support
+        SupportMask.block((4,), (0,))  # empty support
     m = SupportMask.centered((10,), (4,))
     assert m.offset == (3,)
     assert m.sample_count == 4
@@ -160,11 +160,10 @@ def test_solver_config_validation():
 
 
 def test_solver_run_trace_length():
-    # between one row (the final iteration's) and one row per iteration
+    # between no row (an untraced run) and one row per iteration
     with pytest.raises(ValueError):
         SolverRun(np.zeros(3), 2, np.zeros((3, 2)), True)
-    with pytest.raises(ValueError):
-        SolverRun(np.zeros(3), 2, np.zeros((0, 2)), True)
+    assert SolverRun(np.zeros(3), 2, np.zeros((0, 2)), True).trace.shape == (0, 2)
     run = SolverRun(np.zeros(3), 2, np.zeros((2, 2)), False)
     assert run.trace[:, 0].shape == (2,)
     assert SolverRun(np.zeros(3), 5, np.zeros((1, 2)), False).trace.shape == (1, 2)

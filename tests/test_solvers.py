@@ -182,7 +182,7 @@ def test_run_from_truth_converges_immediately():
     for method in (Method.PGD, Method.BDR, Method.CBDR):
         x, y, mask, b = make_instance(rng, 5, 15)
         truth = assemble(x, y, mask)
-        cfg = SolverConfig(method=method)
+        cfg = SolverConfig(method=method, trace_every=1)
         result = run(b, y, mask, cfg, x_true=x, z0=truth)
         assert result.converged
         assert result.iterations_used == 1
@@ -478,8 +478,10 @@ def test_steps_without_out_return_new_arrays():
 
 
 def _stride_rows(iterations, stride):
-    # 0-based trace indices of the rows recorded at this stride
-    rows = [p - 1 for p in range(1, iterations + 1) if stride and p % stride == 0]
+    # 0-based trace indices of the rows recorded at this stride: none at 0
+    if not stride:
+        return []
+    rows = [p - 1 for p in range(1, iterations + 1) if p % stride == 0]
     if not rows or rows[-1] != iterations - 1:
         rows.append(iterations - 1)
     return rows
@@ -543,3 +545,11 @@ def test_untraced_iteration_makes_two_ffts(monkeypatch):
     traced = added(1, delta)
     assert sum(traced.values()) == 3 * delta
     assert traced == {"fftn": delta, "ifftn": 0, "rfftn": delta, "irfftn": delta}
+
+    # an untraced run scores nothing, even given the truth: its only complex
+    # transforms are the spectral start and, for CBDR, that of each branch and
+    # the measurement error that picks the branch
+    for method in Method:
+        calls.update(dict.fromkeys(entry_points, 0))
+        run(b, y, mask, SolverConfig(method=method, max_iter=10), x_true=x)
+        assert calls["fftn"] == (4 if method is Method.CBDR else 1), method
