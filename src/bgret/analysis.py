@@ -13,6 +13,11 @@ sample) plus known background-background products. R[l] = R[-l] exactly, so
 mirrored shifts duplicate each other; the lexicographically smaller one is
 retained, carrying the summed pair of equations (rows and right-hand sides
 doubled), while self-mirrored shifts (2l = 0 mod m) are kept single.
+
+The numerical rank of M is ``_rank``'s count of singular values above
+RANK_RTOL times the largest; ``lstsq`` applies the same rule as its rcond.
+``circulant(z)`` is L[r, c] = z[(r + c) mod m] (L e1 = z), and its last k
+rows ``L[n:]`` are the partial circulant L1.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import SupportMask, _readonly, _require_count, assemble, mirror_index
+from .model import (SupportMask, _readonly, _require_count, assemble, hermitian_part,
+                    object_shape_for)
 from .projections import project_magnitude_ball
 from .rng import mix_seed
 from .spectral import (Autocorrelation, autocorrelation_from_intensity, dft_forward,
@@ -75,34 +81,6 @@ class StabilityConstants:
     bound_factor: float
 
 
-@dataclass(frozen=True)
-class CirculantPair:
-    """L with L[r, c] = z[(r + c) mod m] (column c is the circular shift of z
-    by c, L e1 = z) and L1, its last k rows."""
-
-    L: np.ndarray
-    L1: np.ndarray
-
-    def __post_init__(self):
-        L = np.asarray(self.L, dtype=float)
-        m = L.shape[0]
-        if L.shape != (m, m):
-            raise ValueError("L must be square")
-        z = L[:, 0]
-        idx = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
-        if not np.array_equal(L, z[idx]):
-            raise ValueError("L rows are not circular permutations of z")
-        k = np.asarray(self.L1).shape[0]
-        if not np.array_equal(np.asarray(self.L1), L[m - k:, :]):
-            raise ValueError("L1 must be the last k rows of L")
-        object.__setattr__(self, "L", _readonly(L, float))
-        object.__setattr__(self, "L1", _readonly(self.L1, float))
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.L[:, 0]
-
-
 def mirror_shift(shift: Sequence[int], shape: Sequence[int]) -> tuple[int, ...]:
     return tuple((-s) % m for s, m in zip(shift, shape))
 
@@ -125,23 +103,22 @@ def enumerate_nonoverlap_shifts(mask: SupportMask) -> list[tuple[int, ...]]:
     return kept
 
 
-def _cross_coefficients(background: np.ndarray, mask: SupportMask,
-                        shift: tuple[int, ...]) -> np.ndarray:
-    """Row of X-coefficients for one shift: Y[(q+l) mod m] + Y[(q-l) mod m]."""
-    axes = tuple(range(background.ndim))
-    forward = np.roll(background, tuple(-s for s in shift), axis=axes)
-    backward = np.roll(background, shift, axis=axes)
-    return (forward + backward)[mask.inside]
+def _pair_factor(shift: tuple[int, ...], shape: Sequence[int]) -> float:
+    """1 for a self-mirrored shift, 2 for one carrying its merged mirror."""
+    return 1.0 if mirror_shift(shift, shape) == shift else 2.0
 
 
 def coefficient_matrix(background: np.ndarray, mask: SupportMask
                        ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """M alone (no right-hand side); used by the uniqueness certificate."""
+    """M alone (no right-hand side); used by the uniqueness certificate. The
+    row of a shift l holds Y[(q+l) mod m] + Y[(q-l) mod m] at each q in Omega."""
     shifts = enumerate_nonoverlap_shifts(mask)
+    axes = tuple(range(background.ndim))
     rows = np.empty((len(shifts), mask.sample_count))
     for i, shift in enumerate(shifts):
-        factor = 1.0 if mirror_shift(shift, mask.shape) == shift else 2.0
-        rows[i] = factor * _cross_coefficients(background, mask, shift)
+        forward = np.roll(background, tuple(-s for s in shift), axis=axes)
+        backward = np.roll(background, shift, axis=axes)
+        rows[i] = _pair_factor(shift, mask.shape) * (forward + backward)[mask.inside]
     return rows, shifts
 
 
@@ -161,10 +138,7 @@ def build_linear_system(background: np.ndarray, mask: SupportMask,
         raise ValueError("autocorrelation shape does not match the object grid")
     M, shifts = coefficient_matrix(background, mask)
     cy = autocorrelation_from_intensity(intensity(background)).values
-    rhs = np.empty(len(shifts))
-    for i, shift in enumerate(shifts):
-        factor = 1.0 if mirror_shift(shift, mask.shape) == shift else 2.0
-        rhs[i] = factor * (autocorr.values[shift] - cy[shift])
+    rhs = [_pair_factor(s, mask.shape) * (autocorr.values[s] - cy[s]) for s in shifts]
     return LinearSystem(M, rhs, tuple(shifts), mask.shape)
 
 
@@ -176,6 +150,11 @@ class LeastSquaresSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values, float))
+
+
+def _rank(s: np.ndarray) -> int:
+    """Count of the descending singular values s above RANK_RTOL * s[0]."""
+    return int(np.count_nonzero(s > RANK_RTOL * s[0])) if s.size else 0
 
 
 def least_squares_recover(system: LinearSystem) -> LeastSquaresSolution:
@@ -198,10 +177,7 @@ def uniqueness_certificate(background: np.ndarray, mask: SupportMask) -> Uniquen
     """Numerical-rank certificate: unique iff rank(M) = |Omega|."""
     M, _ = coefficient_matrix(np.asarray(background, dtype=float), mask)
     required = mask.sample_count
-    if M.size == 0:
-        return UniquenessCertificate(False, 0, required)
-    s = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.count_nonzero(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
+    rank = _rank(np.linalg.svd(M, compute_uv=False))
     return UniquenessCertificate(rank == required, rank, required)
 
 
@@ -239,7 +215,7 @@ def uniqueness_count_2d(n1: int, n2: int, k1: int, k2: int) -> DimensionBound:
 
 def stability_constants(system: LinearSystem) -> StabilityConstants:
     s = np.linalg.svd(system.M, compute_uv=False)
-    if system.rows < system.unknowns or s[-1] <= RANK_RTOL * s[0]:
+    if _rank(s) < system.unknowns:
         raise ValueError("M is rank deficient; stability constants undefined")
     sigma_min = float(s[system.unknowns - 1])
     delta1 = 1.0 / (sigma_min * sigma_min)
@@ -271,16 +247,12 @@ def robustness_bound(system_corrupted: LinearSystem, c1: float, c2: float,
     return consts.delta1 * consts.delta2 * (rhs_term + coupling)
 
 
-def build_circulant(z, num_sample: int) -> CirculantPair:
-    """The (n+k)x(n+k) matrix of circular shifts of z as displayed in the
-    convex analysis, and its last-k-rows partial circulant L1."""
+def circulant(z) -> np.ndarray:
+    """L[r, c] = z[(r + c) mod m], the circular shifts of z as displayed in
+    the convex analysis; the partial circulant L1 is ``L[n:]``."""
     z = np.asarray(z, dtype=float).reshape(-1)
     m = z.size
-    if not (1 <= num_sample < m):
-        raise ValueError("need 1 <= n < n + k")
-    idx = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
-    L = z[idx]
-    return CirculantPair(L, L[num_sample:, :])
+    return z[(np.arange(m)[:, None] + np.arange(m)[None, :]) % m]
 
 
 #: 2-norm condition number below which L counts as numerically nonsingular.
@@ -291,15 +263,16 @@ def l_nonsingular_check(x, y_draws: Iterable) -> float:
     """Fraction of background draws for which L = circ([x; y]) is numerically
     nonsingular (2-norm condition below COND_LIMIT)."""
     x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size < 1:
+        raise ValueError("need 1 <= n < n + k")
     total = 0
     good = 0
     for y in y_draws:
         y = np.asarray(y, dtype=float).reshape(-1)
         if y.size < 1:
             raise ValueError("background draws must be nonempty")
-        pair = build_circulant(np.concatenate([x, y]), x.size)
         total += 1
-        if np.linalg.cond(pair.L) < COND_LIMIT:
+        if np.linalg.cond(circulant(np.concatenate([x, y]))) < COND_LIMIT:
             good += 1
     if total == 0:
         raise ValueError("no background draws supplied")
@@ -412,7 +385,7 @@ def verify_uniqueness(n: int, k: int, d: int, draws: int, seed: int = 0) -> dict
     _require_count("draws", draws)
     sizes = (n,) * d
     ks = (k,) * d
-    mask = SupportMask.block(tuple(a + b for a, b in zip(sizes, ks)), sizes)
+    mask = SupportMask.block(object_shape_for(sizes, ks), sizes)
     rng = np.random.default_rng(seed)
     unique = 0
     for _ in range(draws):
@@ -426,12 +399,17 @@ def verify_uniqueness(n: int, k: int, d: int, draws: int, seed: int = 0) -> dict
             "passed": rate >= 0.99}
 
 
-def verify_stability(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
-                     pairs: int = 100, seed: int = 0) -> dict:
+#: The geometry of the 2-D stability and robustness checks: a 6x6 sample
+#: at the corner of a 15x15 grid.
+CHECK_MASK = SupportMask.block((15, 15), (6, 6))
+
+
+def verify_stability(pairs: int = 100, seed: int = 0) -> dict:
     """Direct evaluation of the stability inequality
-    ||X1-X2||_F <= delta1*delta2/(m1*m2) * ||vec(I1-I2)||_1 on random pairs."""
+    ||X1-X2||_F <= delta1*delta2/(m1*m2) * ||vec(I1-I2)||_1 on random pairs
+    on CHECK_MASK."""
     _require_count("pairs", pairs)
-    mask = SupportMask.block((n1 + k1, n2 + k2), (n1, n2))
+    mask = CHECK_MASK
     rng = np.random.default_rng(seed)
     violations = 0
     margins = []
@@ -441,8 +419,8 @@ def verify_stability(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
             y, mask, autocorrelation_from_intensity(intensity(assemble(
                 rng.standard_normal(mask.sample_count), y, mask))))
         consts = stability_constants(system)
-        x1 = rng.standard_normal((n1, n2))
-        x2 = rng.standard_normal((n1, n2))
+        x1 = rng.standard_normal(mask.sample_shape)
+        x2 = rng.standard_normal(mask.sample_shape)
         i1 = intensity(assemble(x1, y, mask)).values
         i2 = intensity(assemble(x2, y, mask)).values
         lhs = float(np.linalg.norm(x1 - x2))
@@ -453,28 +431,23 @@ def verify_stability(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
             "min_margin": float(min(margins)), "passed": violations == 0}
 
 
-def _symmetrized_uniform(shape, bound: float, rng: np.random.Generator) -> np.ndarray:
-    eps = rng.uniform(-bound, bound, size=shape)
-    return 0.5 * (eps + mirror_index(eps))
-
-
-def verify_robustness(n1: int = 6, n2: int = 6, k1: int = 9, k2: int = 9,
-                      instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
+def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
                       seed: int = 0) -> dict:
-    """Bounded-noise recovery against the certificate: uniform measurement
-    noise |eps1| <= c1 (mirror-symmetrized) and background bias |eps2| <= c2;
-    checks measured error <= bound every time and the exact c2=0 collapse."""
+    """Bounded-noise recovery against the certificate on CHECK_MASK: uniform
+    measurement noise |eps1| <= c1 (its Hermitian part) and background bias
+    |eps2| <= c2; checks measured error <= bound every time and the exact
+    c2=0 collapse."""
     _require_count("instances", instances)
-    mask = SupportMask.block((n1 + k1, n2 + k2), (n1, n2))
+    mask = CHECK_MASK
     rng = np.random.default_rng(seed)
     failures = 0
     ratios = []
     collapse_ok = True
     for _ in range(instances):
-        x = rng.standard_normal((n1, n2))
+        x = rng.standard_normal(mask.sample_shape)
         y = _gaussian_background(mask, rng)
         i_clean = intensity(assemble(x, y, mask)).values
-        i_tilde = i_clean + _symmetrized_uniform(i_clean.shape, c1, rng)
+        i_tilde = i_clean + hermitian_part(rng.uniform(-c1, c1, size=i_clean.shape))
         y_tilde = y + rng.uniform(-c2, c2, size=y.shape)
         y_tilde[mask.inside] = 0.0
         r_tilde = Autocorrelation(dft_inverse(i_tilde).real)

@@ -28,7 +28,7 @@ from .io_formats import (ExperimentConfig, manifest_now, read_config, read_image
                          read_signal_csv, sha256_of, write_image, write_results,
                          write_signal_csv)
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
-                    background_sizes_for)
+                    background_sizes_for, object_shape_for)
 from .rng import Xoshiro256StarStar, mix_seed
 
 EXIT_OK = 0
@@ -126,7 +126,7 @@ def _instance(args):
         raise SystemExit2("need --signal or --image")
     n = x.shape
     k = background_sizes_for(3.0 if args.k_ratio is None else args.k_ratio, n)
-    mask = SupportMask.place(tuple(ni + ki for ni, ki in zip(n, k)), n)
+    mask = SupportMask.place(object_shape_for(n, k), n)
     y, b = harness.draw_instance(x, mask, _seed(args),
                                  0.0 if args.noise_sigma is None else args.noise_sigma)
     return np.asarray(x, dtype=float), mask, y, b
@@ -174,25 +174,23 @@ def cmd_solve(args) -> int:
         if len(support) != b.values.ndim:
             raise SystemExit2("--support dimension must match the spectrum")
         mask = SupportMask.centered(b.values.shape, support)
-        zeros = np.zeros(mask.shape)
-        result = solvers.run(b, zeros, mask, config)
-        # the error of the recovered point, after HIO's final projection
-        error = metrics.measurement_error(result.final_estimate, zeros, mask, b)
-        out = _out_dir(args)
-        write_image(out / "recovered.csv", mask.to_block(result.final_estimate))
-        _emit({"method": method.value, "iterations": result.iterations_used,
-               "converged": result.converged, "measurement_error": error,
-               "recovered": str(out / "recovered.csv")}, out / "solve_report.json")
-        return EXIT_OK
-    if args.support is not None:
-        raise SystemExit2("--support is only for --spectrum mode")
-    x, mask, y, b = _instance(args)
+        y = np.zeros(mask.shape)
+
+        def score(estimate):
+            # the error of the recovered point, after HIO's final projection
+            return {"measurement_error": metrics.measurement_error(estimate, y, mask, b)}
+    else:
+        if args.support is not None:
+            raise SystemExit2("--support is only for --spectrum mode")
+        x, mask, y, b = _instance(args)
+
+        def score(estimate):
+            return metrics.evaluate(estimate, x.reshape(-1), y, mask, b)
     result = solvers.run(b, y, mask, config)
-    report = metrics.evaluate(result.final_estimate, x.reshape(-1), y, mask, b)
     out = _out_dir(args)
     _write_array(out / "recovered.csv", mask.to_block(result.final_estimate))
     _emit({"method": method.value, "iterations": result.iterations_used,
-           "converged": result.converged, **report,
+           "converged": result.converged, **score(result.final_estimate),
            "recovered": str(out / "recovered.csv")}, out / "solve_report.json")
     return EXIT_OK
 

@@ -32,7 +32,8 @@ import numpy as np
 from . import solvers
 from .io_formats import ExperimentConfig, manifest_now, shape_token, write_results
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
-                    _require_count, assemble, background_sizes_for, mirror_index)
+                    _require_count, assemble, background_sizes_for, hermitian_part,
+                    object_shape_for)
 from .rng import Xoshiro256StarStar, mix_seed
 from .spectral import intensity
 from .metrics import evaluate
@@ -105,7 +106,7 @@ def add_noise(b: IntensityMeasurements, sigma: float,
         return b
     grid = int(np.prod(b.shape))
     eps = rng.normal(grid, 0.0, sigma * math.sqrt(grid)).reshape(b.shape)
-    eps = 0.5 * (eps + mirror_index(eps))
+    eps = hermitian_part(eps)
     root = np.maximum(0.0, b.root + eps)
     return IntensityMeasurements(root * root, conj_symmetric=True)
 
@@ -146,7 +147,7 @@ class TrialSpec:
 
     @property
     def object_shape(self) -> tuple[int, ...]:
-        return tuple(n + k for n, k in zip(self.sample_shape, self.background_sizes))
+        return object_shape_for(self.sample_shape, self.background_sizes)
 
     def make_mask(self) -> SupportMask:
         return SupportMask.place(self.object_shape, self.sample_shape, self.offset)
@@ -383,8 +384,7 @@ def default_bias_offsets(sample_shape: Sequence[int], k_ratio: float,
     """Diagonal path of top-left offsets from the corner to the center of the
     object grid that k_ratio gives the sample."""
     k = background_sizes_for(k_ratio, sample_shape)
-    center = SupportMask.centered(tuple(n + ki for n, ki in zip(sample_shape, k)),
-                                  sample_shape).offset
+    center = SupportMask.centered(object_shape_for(sample_shape, k), sample_shape).offset
     offsets = []
     for i in range(count):
         frac = i / (count - 1) if count > 1 else 1.0

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import platform
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,18 +70,19 @@ def write_signal_csv(path, values) -> None:
 # -- images ------------------------------------------------------------------
 
 def _read_pgm(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = [t for raw in fh for t in raw.split("#", 1)[0].split()]
+    except UnicodeDecodeError:
         tokens = []
-        for raw in fh:
-            line = raw.split("#", 1)[0]
-            tokens.extend(line.split())
     if not tokens or tokens[0] != "P2":
         raise DataFormatError(f"{path}: not an ASCII PGM (P2) file")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-        pixels = [int(t) for t in tokens[4:]]
-    except ValueError:
+    # ASCII digits ('-' too, so that a negative pixel fails the range check):
+    # Python's int alone also reads '+5' and '1_0'
+    if len(tokens) < 4 or not all(re.fullmatch(r"-?[0-9]+", t) for t in tokens[1:]):
         raise DataFormatError(f"{path}: bad PGM header or pixel data")
+    width, height, maxval = (int(t) for t in tokens[1:4])
+    pixels = [int(t) for t in tokens[4:]]
     if maxval <= 0 or width <= 0 or height <= 0:
         raise DataFormatError(f"{path}: bad PGM header")
     if len(pixels) != width * height:
@@ -94,23 +96,29 @@ def _read_pgm(path) -> np.ndarray:
 def _read_csv_matrix(path) -> np.ndarray:
     """Comma-separated rows of equal length of finite numbers; '#' comment
     lines and blanks ignored."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not UTF-8 text")
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise DataFormatError(f"{path}: malformed numeric value at line {lineno}: "
-                                      f"{line!r}")
-            if not all(map(math.isfinite, row)):
-                raise DataFormatError(f"{path}: non-finite value at line {lineno}: {line!r}")
-            if rows and len(row) != len(rows[0]):
-                raise DataFormatError(f"{path}: ragged row {lineno} "
-                                      f"({len(row)} values, expected {len(rows[0])})")
-            rows.append(row)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            if not line.isascii() or "_" in line:
+                raise ValueError  # float alone also reads '1_0' and non-ASCII digits
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            raise DataFormatError(f"{path}: malformed numeric value at line {lineno}: "
+                                  f"{line!r}")
+        if not all(map(math.isfinite, row)):
+            raise DataFormatError(f"{path}: non-finite value at line {lineno}: {line!r}")
+        if rows and len(row) != len(rows[0]):
+            raise DataFormatError(f"{path}: ragged row {lineno} "
+                                  f"({len(row)} values, expected {len(rows[0])})")
+        rows.append(row)
     if not rows:
         raise DataFormatError(f"{path}: empty matrix")
     return np.asarray(rows, dtype=float)

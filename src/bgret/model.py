@@ -3,8 +3,8 @@ measurements and solver configuration.
 
 Conventions used by every module
 --------------------------------
-* Arrays are real float64 on the object grid of shape (n_i + k_i) per axis,
-  1-D or 2-D. Dimensions above 2 are rejected.
+* Arrays are real float64 on the object grid of shape (n_i + k_i) per axis
+  (``object_shape_for``), 1-D or 2-D. Dimensions above 2 are rejected.
 * Vectorization is row-major everywhere, and boolean masks index in the
   same order.
 * The combined object [x; y] is a plain array on the object grid:
@@ -33,6 +33,12 @@ def background_sizes_for(ratio: float, sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(max(1, int(round(ratio * n))) for n in sizes)
 
 
+def object_shape_for(sample_shape: Sequence[int],
+                     background_sizes: Sequence[int]) -> tuple[int, ...]:
+    """The object grid of a sample and its background: n_i + k_i per axis."""
+    return tuple(n + k for n, k in zip(sample_shape, background_sizes))
+
+
 def _require_count(name: str, value: int) -> None:
     # an empty loop would pass vacuously or fail with an unrelated error
     if value < 1:
@@ -52,6 +58,11 @@ def mirror_index(values: np.ndarray) -> np.ndarray:
         out = np.flip(out, axis=axis)
         out = np.roll(out, 1, axis=axis)
     return out
+
+
+def hermitian_part(values: np.ndarray) -> np.ndarray:
+    """The Hermitian part 0.5 * (v[i] + v[-i]) of a real array."""
+    return 0.5 * (values + mirror_index(values))
 
 
 @dataclass(frozen=True)

@@ -157,9 +157,9 @@ class Xoshiro256StarStar:
     normal evaluate the stream in jump-ahead lanes (see module docs)."""
 
     def __init__(self, seed: int):
+        # never all zero: the states seed + i * GOLDEN are distinct (GOLDEN is
+        # odd) and scramble64 is a bijection, so at most one output is 0
         self._s = splitmix64_stream(seed, 4)
-        if all(v == 0 for v in self._s):  # cannot happen with splitmix64 seeding
-            self._s = [GOLDEN, 1, 2, 3]
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s

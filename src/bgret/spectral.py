@@ -37,7 +37,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import IntensityMeasurements, _readonly, mirror_index
+from .model import IntensityMeasurements, _readonly, hermitian_part, mirror_index
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def hermitian_half(values) -> np.ndarray:
     """The Hermitian part 0.5 * (v[i] + v[-i]) of a real array, cut to its
     half grid (contiguous)."""
     v = np.asarray(values, dtype=float)
-    symmetric = 0.5 * (v + mirror_index(v))
-    return np.ascontiguousarray(symmetric[..., : v.shape[-1] // 2 + 1])
+    return np.ascontiguousarray(hermitian_part(v)[..., : v.shape[-1] // 2 + 1])
 
 
 class Workspace:

@@ -205,8 +205,7 @@ def test_criterion_04_uniqueness_oracle_2d():
 
 def test_criterion_05_stability_inequality():
     start = time.perf_counter()
-    result = verify_stability(n1=6, n2=6, k1=9, k2=9, pairs=100,
-                              seed=mix_seed(ACCEPTANCE_SEED, 5))
+    result = verify_stability(pairs=100, seed=mix_seed(ACCEPTANCE_SEED, 5))
     elapsed = time.perf_counter() - start
     report(5, "stability inequality", result["violations"] == 0 and elapsed < 60.0,
            f"0 violations target, got {result['violations']}; "
@@ -215,8 +214,8 @@ def test_criterion_05_stability_inequality():
 
 def test_criterion_06_robustness_bound():
     start = time.perf_counter()
-    result = verify_robustness(n1=6, n2=6, k1=9, k2=9, instances=100,
-                               c1=1e-3, c2=1e-3, seed=mix_seed(ACCEPTANCE_SEED, 6))
+    result = verify_robustness(instances=100, c1=1e-3, c2=1e-3,
+                               seed=mix_seed(ACCEPTANCE_SEED, 6))
     elapsed = time.perf_counter() - start
     ok = (result["failures"] == 0 and result["c2_zero_collapse_exact"]
           and elapsed < 120.0)

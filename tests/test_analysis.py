@@ -5,8 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from bgret.analysis import (CirculantPair, RANK_RTOL, build_circulant,
-                            build_linear_system, coefficient_matrix, dimension_bound,
+from bgret.analysis import (RANK_RTOL, build_linear_system, circulant,
+                            coefficient_matrix, dimension_bound,
                             enumerate_nonoverlap_shifts, frip_expectation_check,
                             frip_partial_rows, in_c2, l_nonsingular_check,
                             least_squares_recover, mirror_shift, robustness_bound,
@@ -240,6 +240,29 @@ def test_uniqueness_certificate_2d_gaussian_rate():
     assert unique == 25
 
 
+@pytest.mark.parametrize("shape,sample,gaussian", [
+    ((16,), (4,), True), ((10, 10), (4, 4), True),
+    ((16,), (4,), False), ((10, 10), (4, 4), False),
+])
+def test_certificate_rank_is_the_lstsq_rank(shape, sample, gaussian):
+    # the certificate's rank rule and lstsq's rcond read the same rank off M
+    rng = np.random.default_rng(17)
+    mask = SupportMask.block(shape, sample)
+    y = gaussian_background(mask, rng) if gaussian else np.zeros(shape)
+    x = rng.standard_normal(mask.sample_count)
+    system = build_linear_system(
+        y, mask, autocorrelation_from_intensity(intensity(assemble(x, y, mask))))
+    cert = uniqueness_certificate(y, mask)
+    assert cert.rank == least_squares_recover(system).rank
+    assert cert.rank == (mask.sample_count if gaussian else 0)
+
+
+def test_certificate_without_rows_has_rank_zero():
+    mask = SupportMask.block((4, 4), (3, 3))  # every shift overlaps the support
+    cert = uniqueness_certificate(gaussian_background(mask, np.random.default_rng(5)), mask)
+    assert cert.rank == 0 and not cert.unique
+
+
 def test_dimension_bound_values():
     one = dimension_bound((5,), (15,))
     assert one.satisfied and one.symmetric_factor == pytest.approx(3.0)
@@ -307,32 +330,26 @@ def test_robustness_bound_specializations():
 
 
 def test_robustness_bound_monte_carlo():
-    report = verify_robustness(n1=4, n2=4, k1=6, k2=6, instances=20,
-                               c1=1e-3, c2=1e-3, seed=0)
+    report = verify_robustness(instances=20, c1=1e-3, c2=1e-3, seed=0)
     assert report["failures"] == 0
     assert report["c2_zero_collapse_exact"]
 
 
 def test_build_circulant_display_example():
-    pair = build_circulant([1.0, 2.0, 3.0], 1)
-    assert pair.L.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
-    assert pair.L1.tolist() == [[2, 3, 1], [3, 1, 2]]
+    L = circulant([1.0, 2.0, 3.0])
+    assert L.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
+    assert L[1:].tolist() == [[2, 3, 1], [3, 1, 2]]
     e1 = np.zeros(3)
     e1[0] = 1.0
-    assert np.array_equal(pair.L @ e1, np.array([1.0, 2.0, 3.0]))
-
-
-def test_circulant_pair_validation():
-    with pytest.raises(ValueError):
-        CirculantPair(np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([[1.0, 2.0]]))
+    assert np.array_equal(L @ e1, np.array([1.0, 2.0, 3.0]))
 
 
 def test_circulant_rows_are_permutations():
     rng = np.random.default_rng(11)
     z = rng.standard_normal(12)
-    pair = build_circulant(z, 4)
+    L = circulant(z)
     base = np.sort(z)
-    for row in pair.L:
+    for row in L:
         assert np.allclose(np.sort(row), base)
 
 
@@ -341,8 +358,8 @@ def test_circulant_fft_identity():
     for m in (3, 8, 17, 64, 512):
         z = rng.standard_normal(m)
         h = rng.standard_normal(m)
-        pair = build_circulant(z, max(1, m // 3))
-        assert np.max(np.abs(pair.L @ h - circulant_apply(z, h))) <= 1e-9 * max(
+        L = circulant(z)
+        assert np.max(np.abs(L @ h - circulant_apply(z, h))) <= 1e-9 * max(
             1.0, np.max(np.abs(z)) * np.max(np.abs(h)) * m)
 
 
@@ -351,8 +368,8 @@ def test_circulant_intensity_factorization():
     rng = np.random.default_rng(13)
     z = rng.standard_normal(16)
     h = rng.standard_normal(16)
-    pair = build_circulant(z, 5)
-    lhs = np.abs(np.fft.fft(pair.L @ h)) ** 2
+    L = circulant(z)
+    lhs = np.abs(np.fft.fft(L @ h)) ** 2
     rhs = (np.abs(np.fft.fft(z)) ** 2) * (np.abs(np.fft.fft(h)) ** 2)
     assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
@@ -408,8 +425,8 @@ def test_frip_partial_rows_match_explicit_circulant():
     y = rng.standard_normal(k)
     h = sample_c2(n + k, 7)
     a, G = frip_partial_rows(x, h)
-    pair = build_circulant(np.concatenate([x, y]), n)
-    assert np.allclose(a + G @ y, pair.L1 @ h, rtol=1e-12, atol=1e-12)
+    L = circulant(np.concatenate([x, y]))
+    assert np.allclose(a + G @ y, L[n:] @ h, rtol=1e-12, atol=1e-12)
 
 
 def test_frip_expectation_zero_sample():

@@ -329,6 +329,7 @@ def test_verify_failing_check_exits_3(capsys, tmp_path):
     ("frip", ["--num-h", "0"]),
     ("frip", ["--draws", "1"]),
     ("frip", ["--n", "4", "--k", "0", "--draws", "10", "--num-h", "1"]),
+    ("lmatrix", ["--n", "0", "--draws", "5"]),
 ])
 def test_verify_rejects_empty_counts(what, count, capsys, tmp_path):
     # an empty loop must not pass vacuously nor die with an unrelated error

@@ -74,6 +74,21 @@ def test_readers_reject_values_out_of_range(tmp_path):
         csv_path.write_text(f"1\n{value}\n")
         with pytest.raises(DataFormatError, match="non-finite value at line 2"):
             read_signal_csv(csv_path)
+    # numbers are plain ASCII decimals: Python's int and float alone would
+    # read these as 5, 10 and 3
+    pgm.write_text("P2\n2 1\n255\n+5 1_0\n")
+    with pytest.raises(DataFormatError, match="bad PGM"):
+        read_image(pgm)
+    pgm.write_bytes(b"P2\n2 1\n255\n5 \xb5\n")
+    with pytest.raises(DataFormatError):
+        read_image(pgm)
+    for value in ("1_0", "\u0663"):
+        csv_path.write_text(f"1\n{value}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="malformed numeric value at line 2"):
+            read_signal_csv(csv_path)
+    csv_path.write_bytes(b"1\n\xff\n")
+    with pytest.raises(DataFormatError):
+        read_signal_csv(csv_path)
 
 
 def test_csv_image_round_trip_and_ragged(tmp_path):
