@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -474,14 +475,26 @@ FROZEN_CLI_OUTPUTS = {
         "b9c56a9e9f2342a4cf6385da0510063851a57788e26d5144a130f3069e88ee9d",
     "verify-frip":
         "9e48c0eba6c275607ee7da9892d4551b5070ce9beec3c93f4e9450cdb7be2601",
+    "gen-signal":
+        "830e528b097e500b78e7718af1e4aa4c630b7ccd4b3568ff70b4c538f26cbc88",
+    "gen-background":
+        "6f4b722b3117a867b77dfa12e1acd90c134c9af17413772127f9204d6292276f",
+    "forward":
+        "609c429497fb26aa91cdaacb0b1ae082bdea9579f9989a4d0927f31f19fa8b13",
+    "solve-bdr":
+        "056ee3eab9082682afa3964b1f4864f664ed58723a3ae503414094e6f1a69571",
+    "solve-bdr1-noisy":
+        "3ca1b73a98438f09b5f0449a82b2f5c207921c1e7faa3df4954513e2d140cd6f",
+    "sweep":
+        "e22b995bd021e9e9ccc51e87ad4ac2fc6ba9b4e21555eb8a2f312da1d87c5f76",
 }
 
 
 def test_cli_outputs_frozen(tmp_path, capsys):
-    # SHA-256 of what each study, the spectrum solve and each verify target
-    # write, wall-clock fields and the output path stripped. The image is 8x8
-    # and every grid is under 40x40, where the norms' bits do not depend on
-    # the BLAS thread count.
+    # SHA-256 of what each command writes, wall-clock fields, time stamps
+    # and the output path stripped. The image is 8x8 and every grid is at
+    # most 40 points per axis, where the norms' bits do not depend on the
+    # BLAS thread count.
     from bgret.harness import synthetic_test_image
     img = tmp_path / "img.csv"
     write_image(img, synthetic_test_image(8))
@@ -516,6 +529,53 @@ def test_cli_outputs_frozen(tmp_path, capsys):
         out = tmp_path / what
         assert main(["verify", what, *flags, "--seed", "5", "--out", str(out)]) == EXIT_OK
         outputs[f"verify-{what}"] = (out / f"verify_{what}.json").read_bytes()
+
+    out = tmp_path / "gen-signal"
+    assert main(["gen-signal", "--type", "2", "--n", "10", "--seed", "3",
+                 "--out", str(out)]) == EXIT_OK
+    sig = out / "signal_type2_n10.csv"
+    outputs["gen-signal"] = sig.read_bytes()
+    out = tmp_path / "gen-background"
+    assert main(["gen-background", "--shape", "12", "10", "--sample", "4", "6",
+                 "--placement", "center", "--mu", "0.5", "--seed", "3",
+                 "--out", str(out)]) == EXIT_OK
+    outputs["gen-background"] = (out / "background.csv").read_bytes()
+
+    out = tmp_path / "forward"
+    assert main(["forward", "--image", str(img), "--k-ratio", "2", "--noise-sigma", "0.01",
+                 "--seed", "3", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "measurements.csv.manifest.json").read_text())
+    outputs["forward"] = ((out / "measurements.csv").read_bytes()
+                          + (out / "background.csv").read_bytes()
+                          + json.dumps([manifest[key] for key in
+                                        ("seed", "config", "input_digests")],
+                                       sort_keys=True).encode())
+
+    for name, flags in (("solve-bdr", ["--method", "bdr", "--signal", str(sig),
+                                       "--k-ratio", "3"]),
+                        ("solve-bdr1-noisy", ["--method", "bdr1", "--image", str(img),
+                                              "--k-ratio", "2", "--noise-sigma", "0.001"])):
+        out = tmp_path / name
+        with warnings.catch_warnings():  # the 8x8 image is below the SSIM window
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["solve", *flags, "--seed", "3", "--max-iter", "30",
+                         "--out", str(out)]) == EXIT_OK
+        report = (out / "solve_report.json").read_text().replace(str(out), "")
+        outputs[name] = (report + (out / "recovered.csv").read_text()).encode()
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "bdr", "n": 8, "trials": 2, "seed": 1,
+                               "max_iter": 30}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--ratio-min", "1", "--ratio-max", "3",
+                 "--ratio-step", "1", "--out", str(out)]) == EXIT_OK
+    lines = (out / "trials.csv").read_text().splitlines()
+    trials = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)  # wall_ms is last
+    manifest = json.loads((out / "trials.csv.manifest.json").read_text())
+    outputs["sweep"] = (trials + (out / "rates.csv").read_text()
+                        + (out / "transitions.csv").read_text()
+                        + json.dumps([manifest[key] for key in ("seed", "config", "extra")],
+                                     sort_keys=True)).encode()
     capsys.readouterr()
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == FROZEN_CLI_OUTPUTS
