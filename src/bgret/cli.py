@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -24,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, harness, metrics, solvers
-from .io_formats import (ExperimentConfig, manifest_now, read_config, read_image,
-                         read_signal_csv, sha256_of, write_image, write_results,
-                         write_signal_csv)
+from .io_formats import (ExperimentConfig, json_text, manifest_now, read_config,
+                         read_image, read_signal_csv, sha256_of, write_image, write_lines,
+                         write_manifest, write_results, write_signal_csv)
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
                     background_sizes_for, object_shape_for)
 from .rng import Xoshiro256StarStar, mix_seed
@@ -65,10 +64,10 @@ def _out_dir(args) -> Path:
 
 
 def _emit(payload: dict, path: Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
+    text = json_text(payload)
     if path is not None:
-        path.write_text(text, encoding="utf-8")
-    sys.stdout.write(text)
+        write_lines(path, [text])
+    print(text)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -145,7 +144,7 @@ def cmd_forward(args) -> int:
     manifest = manifest_now(__version__, _seed(args),
                             {"command": "forward", "k_ratio": args.k_ratio,
                              "noise_sigma": args.noise_sigma}, digests)
-    (out / "measurements.csv.manifest.json").write_text(manifest.to_json())
+    write_manifest(out / "measurements.csv", manifest)
     print(out / "measurements.csv")
     return EXIT_OK
 

@@ -25,12 +25,14 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import solvers
-from .io_formats import ExperimentConfig, manifest_now, shape_token, write_results
+from .io_formats import (ExperimentConfig, format_float, manifest_now, shape_token,
+                         write_lines, write_results)
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
                     _require_count, assemble, background_sizes_for, hermitian_part,
                     object_shape_for)
@@ -316,26 +318,20 @@ def write_sweep_outputs(out_dir, grid: SweepGrid, config: ExperimentConfig,
                         version: str) -> None:
     """trials.csv (+ manifest) with the fixed result header, rates.csv with the
     per-cell aggregates, transitions.csv with the 90%/99% crossing ratios."""
-    from pathlib import Path
-    from .io_formats import format_float
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = manifest_now(version, config.seed, config.echo(),
                             extra={"ratios": [format_float(r) for r in grid.ratios],
                                    "n_values": list(grid.n_values)})
     write_results(out / "trials.csv", list(grid.rows), manifest)
-    with open(out / "rates.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,k,k_ratio,trials,successes,aborted,rate,stderr\n")
-        for c in grid.cells:
-            fh.write(",".join([str(c.n), str(c.k), format_float(c.ratio),
-                               str(c.trials), str(c.successes), str(c.aborted),
-                               format_float(c.rate), format_float(c.stderr)]) + "\n")
-    with open(out / "transitions.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,ratio_rate90,ratio_rate99\n")
-        for n in grid.n_values:
-            t90, t99 = grid.transition(n, 0.90), grid.transition(n, 0.99)
-            token = lambda t: "" if t is None else format_float(t)
-            fh.write(f"{n},{token(t90)},{token(t99)}\n")
+    write_lines(out / "rates.csv", ["n,k,k_ratio,trials,successes,aborted,rate,stderr", *(
+        ",".join([str(c.n), str(c.k), format_float(c.ratio), str(c.trials),
+                  str(c.successes), str(c.aborted), format_float(c.rate),
+                  format_float(c.stderr)]) for c in grid.cells)])
+    token = lambda t: "" if t is None else format_float(t)
+    write_lines(out / "transitions.csv", ["n,ratio_rate90,ratio_rate99", *(
+        f"{n},{token(grid.transition(n, 0.90))},{token(grid.transition(n, 0.99))}"
+        for n in grid.n_values)])
 
 
 # -- 2-D studies ----------------------------------------------------------------

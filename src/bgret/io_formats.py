@@ -11,7 +11,7 @@ byte-for-byte apart from timestamps.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -20,7 +20,7 @@ import platform
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,42 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def parse_int(token: str) -> int:
+    """An integer token: ASCII digits with an optional '-' (Python's int
+    alone also reads '+5', ' 5', '1_0' and non-ASCII digits)."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"malformed integer {token!r}")
+    return int(token)
+
+
+def parse_float(token: str) -> float:
+    """A float token: ASCII without '_' (Python's float alone also reads
+    '1_0' and non-ASCII digits)."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"malformed float {token!r}")
+    return float(token)
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """The one text writer: UTF-8, each line ended by a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def read_text(path, encoding: str = "utf-8") -> str:
+    """The one text reader: bytes that do not decode are a DataFormatError."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not {encoding.upper()} text") from None
+
+
+def json_text(payload) -> str:
+    """The one JSON text: sorted keys, indent 2, numpy scalars as floats."""
+    return json.dumps(payload, sort_keys=True, indent=2, default=float)
+
+
 def sha256_of(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -61,28 +97,21 @@ def read_signal_csv(path) -> np.ndarray:
 
 
 def write_signal_csv(path, values) -> None:
-    values = np.asarray(values, dtype=float).reshape(-1)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v in values:
-            fh.write(format_float(v) + "\n")
+    write_lines(path, map(format_float, np.asarray(values, dtype=float).reshape(-1)))
 
 
 # -- images ------------------------------------------------------------------
 
 def _read_pgm(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            tokens = [t for raw in fh for t in raw.split("#", 1)[0].split()]
-    except UnicodeDecodeError:
-        tokens = []
+    tokens = [t for raw in read_text(path, "ascii").split("\n")
+              for t in raw.split("#", 1)[0].split()]
     if not tokens or tokens[0] != "P2":
         raise DataFormatError(f"{path}: not an ASCII PGM (P2) file")
-    # ASCII digits ('-' too, so that a negative pixel fails the range check):
-    # Python's int alone also reads '+5' and '1_0'
-    if len(tokens) < 4 or not all(re.fullmatch(r"-?[0-9]+", t) for t in tokens[1:]):
-        raise DataFormatError(f"{path}: bad PGM header or pixel data")
-    width, height, maxval = (int(t) for t in tokens[1:4])
-    pixels = [int(t) for t in tokens[4:]]
+    try:
+        # a negative pixel parses, and fails the range check below
+        width, height, maxval, *pixels = map(parse_int, tokens[1:])
+    except ValueError:
+        raise DataFormatError(f"{path}: bad PGM header or pixel data") from None
     if maxval <= 0 or width <= 0 or height <= 0:
         raise DataFormatError(f"{path}: bad PGM header")
     if len(pixels) != width * height:
@@ -96,20 +125,13 @@ def _read_pgm(path) -> np.ndarray:
 def _read_csv_matrix(path) -> np.ndarray:
     """Comma-separated rows of equal length of finite numbers; '#' comment
     lines and blanks ignored."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise DataFormatError(f"{path}: not UTF-8 text")
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            if not line.isascii() or "_" in line:
-                raise ValueError  # float alone also reads '1_0' and non-ASCII digits
-            row = [float(tok) for tok in line.split(",")]
+            row = [parse_float(tok) for tok in line.split(",")]
         except ValueError:
             raise DataFormatError(f"{path}: malformed numeric value at line {lineno}: "
                                   f"{line!r}")
@@ -142,14 +164,10 @@ def write_image(path, img) -> None:
     suffix = Path(path).suffix.lower()
     if suffix == ".pgm":
         quantized = np.clip(np.rint(np.clip(img, 0.0, 1.0) * 255), 0, 255).astype(int)
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"P2\n{img.shape[1]} {img.shape[0]}\n255\n")
-            for row in quantized:
-                fh.write(" ".join(str(v) for v in row) + "\n")
+        write_lines(path, ["P2", f"{img.shape[1]} {img.shape[0]}", "255",
+                           *(" ".join(map(str, row)) for row in quantized)])
     elif suffix == ".csv":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in img:
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+        write_lines(path, (",".join(map(format_float, row)) for row in img))
     else:
         raise DataFormatError(f"{path}: unsupported image extension {suffix!r}")
 
@@ -205,7 +223,7 @@ class ExperimentConfig:
             "lambda": self.lam,
             "noise_sigma": self.noise_sigma,
             "signal_type": self.signal_type,
-            "paths": dict(sorted(self.paths.items())),
+            "paths": dict(self.paths),
         }
 
 
@@ -248,11 +266,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 def read_config(path) -> ExperimentConfig:
     """JSON key/value document; unknown keys are rejected."""
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: invalid JSON ({exc})")
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: config must be a JSON object")
     return parse_config(raw)
@@ -260,13 +278,27 @@ def read_config(path) -> ExperimentConfig:
 
 # -- results ------------------------------------------------------------------
 
-RESULT_COLUMNS = ("trial", "seed", "method", "n", "k", "iterations",
-                  "relative_error", "measurement_error", "psnr", "ssim",
-                  "success", "stop_reason", "fixedpoint_resid", "wall_ms")
-
 #: How a run ended: it met the stop test, hit the iteration cap, or its
 #: iterate turned non-finite (an aborted row).
 STOP_REASONS = ("converged", "max_iter", "diverged")
+
+
+_INT_CELL = (lambda v: str(int(v)), parse_int)
+_FLOAT_CELL = (format_float, parse_float)
+_TEXT_CELL = (str, str)
+
+#: Each result column's (format, parse) pair, in file order. A parse raises
+#: ValueError on a token its column never holds (tuple.index does for the
+#: success flag and the stop reason).
+RESULT_CELLS = {
+    "trial": _INT_CELL, "seed": _INT_CELL, "method": _TEXT_CELL, "n": _TEXT_CELL,
+    "k": _TEXT_CELL, "iterations": _INT_CELL, "relative_error": _FLOAT_CELL,
+    "measurement_error": _FLOAT_CELL, "psnr": _FLOAT_CELL, "ssim": _FLOAT_CELL,
+    "success": (lambda v: "1" if v else "0", lambda t: bool(("0", "1").index(t))),
+    "stop_reason": (str, lambda t: STOP_REASONS[STOP_REASONS.index(t)]),
+    "fixedpoint_resid": _FLOAT_CELL, "wall_ms": _FLOAT_CELL,
+}
+RESULT_COLUMNS = tuple(RESULT_CELLS)
 
 
 @dataclass(frozen=True)
@@ -281,18 +313,6 @@ class RunManifest:
     extra: dict = field(default_factory=dict)
     software: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "seed": self.seed,
-            "config": self.config,
-            "input_digests": dict(sorted(self.input_digests.items())),
-            "created_utc": self.created_utc,
-            "extra": self.extra,
-            "software": self.software,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
 
 def manifest_now(version: str, seed: int, config: dict, input_digests=None,
                  extra=None) -> RunManifest:
@@ -305,19 +325,9 @@ def manifest_now(version: str, seed: int, config: dict, input_digests=None,
                        stamp.isoformat(), dict(extra or {}), software)
 
 
-_INT_COLUMNS = ("trial", "seed", "iterations")
-_FLOAT_COLUMNS = ("relative_error", "measurement_error", "psnr", "ssim",
-                  "fixedpoint_resid", "wall_ms")
-
-
-def _format_cell(key: str, value) -> str:
-    if key in _INT_COLUMNS:
-        return str(int(value))
-    if key == "success":
-        return "1" if value else "0"
-    if key in ("method", "n", "k", "stop_reason"):
-        return str(value)
-    return format_float(value)
+def write_manifest(path, manifest: RunManifest) -> None:
+    """The manifest of the file at path, written to <path>.manifest.json."""
+    write_lines(f"{path}.manifest.json", [json_text(dataclasses.asdict(manifest))])
 
 
 def shape_token(shape: Sequence[int]) -> str:
@@ -326,46 +336,37 @@ def shape_token(shape: Sequence[int]) -> str:
 
 def write_results(path, rows: Sequence[dict], manifest: RunManifest) -> None:
     """Fixed-header CSV plus the sidecar manifest at <path>.manifest.json."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            missing = [c for c in RESULT_COLUMNS if c not in row]
-            if missing:
-                raise DataFormatError(f"result row missing columns: {missing}")
-            writer.writerow([_format_cell(c, row[c]) for c in RESULT_COLUMNS])
-    with open(path.with_suffix(path.suffix + ".manifest.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(manifest.to_json())
+    for row in rows:
+        missing = [c for c in RESULT_COLUMNS if c not in row]
+        if missing:
+            raise DataFormatError(f"result row missing columns: {missing}")
+    write_lines(path, [",".join(RESULT_COLUMNS),
+                       *(",".join(fmt(row[c]) for c, (fmt, _) in RESULT_CELLS.items())
+                         for row in rows)])
+    write_manifest(path, manifest)
 
 
 def read_results(path) -> list[dict]:
     """Rows of a result CSV, each field as written. A row with the wrong
-    number of fields, an unparseable number, a success flag other than 0/1 or
-    an unknown stop_reason raises DataFormatError naming the file and line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RESULT_COLUMNS:
-            raise DataFormatError(f"{path}: unexpected results header {header}")
-        out = []
-        for line in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(line) != len(RESULT_COLUMNS):
-                raise DataFormatError(
-                    f"{where}: {len(line)} fields, expected {len(RESULT_COLUMNS)}")
-            row = dict(zip(RESULT_COLUMNS, line))
-            for keys, parse in ((_INT_COLUMNS, int), (_FLOAT_COLUMNS, float)):
-                for key in keys:
-                    try:
-                        row[key] = parse(row[key])
-                    except ValueError:
-                        raise DataFormatError(f"{where}: malformed {key} {row[key]!r}") from None
-            if row["success"] not in ("0", "1"):
-                raise DataFormatError(f"{where}: malformed success {row['success']!r}")
-            row["success"] = row["success"] == "1"
-            if row["stop_reason"] not in STOP_REASONS:
-                raise DataFormatError(f"{where}: unknown stop_reason {row['stop_reason']!r}")
-            out.append(row)
+    number of fields or a field its column cannot parse (a malformed number,
+    a success flag other than 0/1, an unknown stop_reason) raises
+    DataFormatError naming the file and line."""
+    lines = read_text(path).splitlines()
+    if not lines or tuple(lines[0].split(",")) != RESULT_COLUMNS:
+        raise DataFormatError(f"{path}: unexpected results header {lines[:1]}")
+    out = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path}: line {lineno}"
+        fields = line.split(",")
+        if len(fields) != len(RESULT_COLUMNS):
+            raise DataFormatError(
+                f"{where}: {len(fields)} fields, expected {len(RESULT_COLUMNS)}")
+        row = {}
+        for (key, (_, parse)), token in zip(RESULT_CELLS.items(), fields):
+            try:
+                row[key] = parse(token)
+            except ValueError:
+                fault = "unknown" if key == "stop_reason" else "malformed"
+                raise DataFormatError(f"{where}: {fault} {key} {token!r}") from None
+        out.append(row)
     return out
