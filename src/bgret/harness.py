@@ -217,10 +217,12 @@ def run_trial(spec: TrialSpec) -> dict:
 
 def resolve_workers(requested: Optional[int] = None) -> int:
     import os
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("BGRET_WORKERS")
-    return max(1, int(env)) if env else 1
+    if requested is None:
+        requested = os.environ.get("BGRET_WORKERS") or 1
+    workers = int(requested)
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    return workers
 
 
 def run_trials(specs: Sequence[TrialSpec], workers: int = 1) -> list[dict]:

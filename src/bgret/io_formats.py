@@ -1,12 +1,28 @@
 """Deterministic serialization: signal CSVs, ASCII PGM / CSV images,
 experiment configs, result tables and run manifests.
 
-All writers are deterministic given identical inputs: fixed field order and
-17-significant-digit float text (binary64 round-trip). Every result file gets
-a sidecar manifest recording the config echo, software version, seed, input
-digests, and the Python and numpy versions and the transforms of the solver
-loop; re-running with an identical manifest reproduces the result files
-byte-for-byte apart from timestamps.
+This module owns how bgret turns values into text and text into values,
+each rule stated once:
+
+- writing: ``write_lines`` is the one text writer, UTF-8 with every line
+  ended by ``"\n"``; ``json_text`` is the one JSON text (sorted keys,
+  indent 2, numpy scalars as floats), and ``write_manifest`` puts a run's
+  manifest at ``<path>.manifest.json``. Floats are written with 17
+  significant digits (binary64 round-trip), so identical inputs give
+  identical bytes;
+- decoding: ``read_text`` is the one text reader; bytes that do not decode
+  (UTF-8, or ASCII for a PGM) raise DataFormatError;
+- numbers: an integer token matches ``-?[0-9]+`` (``parse_int``) and a float
+  token is ASCII without ``_`` (``parse_float``), in PGM images, CSV
+  matrices and result CSVs alike;
+- results: ``RESULT_CELLS`` gives each result column its (format, parse)
+  pair, in file order.
+
+Every reader fails with DataFormatError on input it cannot read. Every
+result file gets a sidecar manifest recording the config echo, software
+version, seed, input digests, and the Python and numpy versions and the
+transforms of the solver loop; re-running with an identical manifest
+reproduces the result files byte-for-byte apart from timestamps.
 """
 
 from __future__ import annotations
@@ -18,6 +34,7 @@ import json
 import math
 import platform
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -112,7 +129,7 @@ def _read_pgm(path) -> np.ndarray:
         width, height, maxval, *pixels = map(parse_int, tokens[1:])
     except ValueError:
         raise DataFormatError(f"{path}: bad PGM header or pixel data") from None
-    if maxval <= 0 or width <= 0 or height <= 0:
+    if not 0 < maxval < 65536 or width <= 0 or height <= 0:  # PGM's maxval range
         raise DataFormatError(f"{path}: bad PGM header")
     if len(pixels) != width * height:
         raise DataFormatError(f"{path}: expected {width * height} pixels, got {len(pixels)}")
@@ -244,6 +261,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise DataFormatError(f"config key {key!r}: expected {expected}, "
                                   f"got {type(value).__name__}")
         if types == (int, float):
+            # NaN, infinities (JSON's NaN, Infinity, 1e999) and ints beyond a float
+            if not abs(value) <= sys.float_info.max:
+                raise DataFormatError(f"config key {key!r}: expected a finite number")
             value = float(value)
         fields["lam" if key == "lambda" else key] = value
     fields["n"] = (fields["n"],)
@@ -269,7 +289,7 @@ def read_config(path) -> ExperimentConfig:
     text = read_text(path)
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: config must be a JSON object")

@@ -228,6 +228,10 @@ def test_solve_cli_data_error(tmp_path, capsys):
     # a value that is no finite number
     (["metrics", "--image-truth", "n.csv", "--image-estimate", "n.csv"],
      {"n.csv": "1,nan\n2,3\n"}),
+    # a config number that is not finite, and a config nested too deep to parse
+    (["sweep", "--config", "c.json"],
+     {"c.json": '{"method": "bdr", "n": 8, "trials": 2, "seed": 1, "eps": Infinity}'}),
+    (["sweep", "--config", "c.json"], {"c.json": "[" * 100000}),
 ])
 def test_bad_input_files_are_data_errors(argv, files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -280,6 +284,21 @@ def test_sweep_cli_signal_csv(tmp_path, capsys):
         cfg.write_text(json.dumps({**base, "paths": paths}))
         assert main(argv) == EXIT_DATA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--workers", "0"], None), (["--workers", "-4"], None), ([], "0")])
+def test_workers_below_one_are_data_errors(flags, env, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "bdr", "n": 6, "trials": 1, "seed": 1,
+                               "max_iter": 5}))
+    if env is None:
+        monkeypatch.delenv("BGRET_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("BGRET_WORKERS", env)
+    assert main(["sweep", "--config", str(cfg), "--ratio-min", "3", "--ratio-max", "3",
+                 *flags, "--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert "worker count must be at least 1" in capsys.readouterr().err
 
 
 def test_sweep_cli_ratio_grid_has_no_drift(tmp_path, capsys):

@@ -321,3 +321,10 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("BGRET_WORKERS", "5")
     assert resolve_workers(None) == 5
     assert resolve_workers(2) == 2
+    # a count below 1 is an error, given or from the environment
+    for requested in (0, -4):
+        with pytest.raises(ValueError, match="at least 1"):
+            resolve_workers(requested)
+    monkeypatch.setenv("BGRET_WORKERS", "0")
+    with pytest.raises(ValueError, match="at least 1"):
+        resolve_workers(None)

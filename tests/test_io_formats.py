@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bgret.io_formats import (DataFormatError, RESULT_COLUMNS,
+from bgret.io_formats import (DataFormatError, RESULT_COLUMNS, ExperimentConfig,
                               format_float, manifest_now, parse_config, read_config,
                               read_image, read_results, read_signal_csv, shape_token,
                               write_image, write_results, write_signal_csv)
@@ -79,6 +81,11 @@ def test_readers_reject_values_out_of_range(tmp_path):
     pgm.write_text("P2\n2 1\n255\n+5 1_0\n")
     with pytest.raises(DataFormatError, match="bad PGM"):
         read_image(pgm)
+    # a maxval beyond PGM's 65535 (one too large for a float crashed the read)
+    for maxval in ("65536", "1" + "0" * 400):
+        pgm.write_text(f"P2\n2 1\n{maxval}\n5 0\n")
+        with pytest.raises(DataFormatError, match="bad PGM header"):
+            read_image(pgm)
     pgm.write_bytes(b"P2\n2 1\n255\n5 \xb5\n")
     with pytest.raises(DataFormatError):
         read_image(pgm)
@@ -114,6 +121,25 @@ def test_read_config_minimal_and_defaults(tmp_path):
     assert cfg.eps == 1e-12 and cfg.max_iter == 300
     assert cfg.beta == 0.9 and cfg.lam == 1.0
     assert cfg.n == (100,) and cfg.k_ratio == 3 and isinstance(cfg.k_ratio, float)
+
+
+def test_read_config_data_errors(tmp_path):
+    # non-finite numbers, JSON nested too deep to parse and bytes that are
+    # not UTF-8 are data errors, not crashes
+    path = tmp_path / "cfg.json"
+    base = '{"method": "bdr", "n": 8, "trials": 2, "seed": 1, '
+    for tail, message in (('"eps": Infinity}', "finite"), ('"beta": NaN}', "finite"),
+                          ('"noise_sigma": 1e999}', "finite"),
+                          ('"eps": 1' + "0" * 5000 + "}", "invalid JSON")):
+        path.write_text(base + tail)
+        with pytest.raises(DataFormatError, match=message):
+            read_config(path)
+    path.write_text("[" * 100000)
+    with pytest.raises(DataFormatError, match="invalid JSON"):
+        read_config(path)
+    path.write_bytes(base.encode() + b'"eps": 1e-9, "method": "\xff"}')
+    with pytest.raises(DataFormatError, match="not UTF-8"):
+        read_config(path)
 
 
 def test_read_config_rejects_unknown_keys(tmp_path):
@@ -158,6 +184,12 @@ def test_parse_config_rejects_keys_a_sweep_cannot_honour(key):
     ({"signal_type": 2, "paths": {"signal": "s.csv"}}, "signal_type 3"),
     ({"signal_type": 3}, "paths.signal"),
     ({"signal_type": 3, "paths": {"signal": 1}}, "paths.signal"),
+    # a float key must be finite (JSON's NaN and Infinity parse as floats)
+    ({"eps": math.inf}, "eps"),
+    ({"beta": math.nan}, "beta"),
+    ({"noise_sigma": math.nan}, "noise_sigma"),
+    ({"lambda": -math.inf}, "lambda"),
+    ({"k_ratio": 10 ** 400}, "k_ratio"),
 ])
 def test_parse_config_rejects_what_a_sweep_would_misread(edit, message):
     with pytest.raises(DataFormatError, match=message):
@@ -250,12 +282,18 @@ def _one_row_file(tmp_path):
     (lambda fields: fields[:5] + ["many"] + fields[6:], "malformed iterations 'many'"),
     (lambda fields: fields[:6] + ["tiny"] + fields[7:], "malformed relative_error 'tiny'"),
     (lambda fields: fields[:10] + ["yes"] + fields[11:], "malformed success 'yes'"),
-], ids=["short-row", "long-row", "non-numeric-int", "non-numeric-float", "bad-success"])
+    # numbers are plain ASCII decimals: Python's int would read 10, 3 and 5
+    (lambda fields: ["1_0"] + fields[1:], "malformed trial '1_0'"),
+    (lambda fields: fields[:5] + ["\u0663"] + fields[6:], "malformed iterations '\u0663'"),
+    (lambda fields: fields[:1] + [" 5"] + fields[2:], "malformed seed ' 5'"),
+    (lambda fields: fields[:7] + ["1_0"] + fields[8:], "malformed measurement_error '1_0'"),
+], ids=["short-row", "long-row", "non-numeric-int", "non-numeric-float", "bad-success",
+        "underscore-int", "non-ascii-digit", "space-int", "underscore-float"])
 def test_read_results_rejects_malformed_row(tmp_path, edit, message):
     # a short row, a long row and unparseable fields name the file and line 3
     path, lines = _one_row_file(tmp_path)
     lines[2] = ",".join(edit(lines[2].split(",")))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=f"r.csv: line 3: {message}"):
         read_results(path)
 
@@ -277,3 +315,65 @@ def test_manifest_records_python_numpy_and_fft(tmp_path):
     payload = json.loads(path.with_suffix(".csv.manifest.json").read_text())
     assert payload["software"] == manifest.software
     assert path.read_text() == ",".join(RESULT_COLUMNS) + "\n"
+
+
+# one valid file per reader, the seeds of the mutation property below
+_RESULT_ROW = "0,1,bdr,8,24,5,0.125,0.25,nan,nan,0,max_iter,0.5,2\n"
+READER_SEEDS = {
+    "image.pgm": (read_image, b"P2\n# a comment\n3 2\n255\n0 128 255\n7 8 9\n"),
+    "image.csv": (read_image, b"1,2.5\n-3e-2,4\n# end\n"),
+    "signal.csv": (read_signal_csv, b"# signal\n1\n0.5\n\n-2e3\n"),
+    "config.json": (read_config, json.dumps(
+        {"method": "bdr", "n": 8, "trials": 2, "seed": 1, "eps": 1e-12, "beta": 0.9,
+         "k_ratio": 3, "noise_sigma": 0.0}).encode()),
+    "results.csv": (read_results, (",".join(RESULT_COLUMNS) + "\n" + _RESULT_ROW
+                                   + _RESULT_ROW.replace(",0,max_iter,", ",1,converged,")
+                                   ).encode()),
+}
+_RESULT_TYPES = {**{c: float for c in RESULT_COLUMNS}, "trial": int, "seed": int,
+                 "iterations": int, "success": bool, "method": str, "n": str, "k": str,
+                 "stop_reason": str}
+
+# byte edits: replace, insert or delete at a position, favouring the bytes
+# numbers and lines are made of, plus bytes that are not UTF-8
+_EDITS = st.lists(st.tuples(st.sampled_from("rid"), st.integers(0, 1 << 16),
+                            st.one_of(st.sampled_from(b"0123456789-+_.,eE #\n\r"),
+                                      st.integers(0, 255))),
+                  min_size=1, max_size=6)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    data = bytearray(data)
+    for op, pos, byte in edits:
+        pos %= len(data) + 1
+        if op == "i":
+            data.insert(pos, byte)
+        elif data and pos < len(data):
+            if op == "r":
+                data[pos] = byte
+            else:
+                del data[pos]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("name", sorted(READER_SEEDS))
+@settings(max_examples=150, deadline=None)
+@given(edits=_EDITS)
+def test_readers_return_data_or_raise_data_errors(name, edits, tmp_path_factory):
+    # any bytes either read as finite arrays, a config or typed rows, or
+    # raise DataFormatError; no other exception escapes a reader
+    reader, seed = READER_SEEDS[name]
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(_mutate(seed, edits))
+    try:
+        value = reader(path)
+    except DataFormatError:
+        return
+    if reader is read_config:
+        assert isinstance(value, ExperimentConfig)
+        floats = (value.eps, value.beta, value.lam, value.noise_sigma)
+        assert all(math.isfinite(v) for v in floats + (value.k_ratio or 0.0,))
+    elif reader is read_results:
+        assert all(type(row[c]) is _RESULT_TYPES[c] for row in value for c in RESULT_COLUMNS)
+    else:
+        assert value.size and np.all(np.isfinite(value))
