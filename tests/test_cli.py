@@ -286,21 +286,6 @@ def test_sweep_cli_signal_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flags, env", [
-    (["--workers", "0"], None), (["--workers", "-4"], None), ([], "0")])
-def test_workers_below_one_are_data_errors(flags, env, tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"method": "bdr", "n": 6, "trials": 1, "seed": 1,
-                               "max_iter": 5}))
-    if env is None:
-        monkeypatch.delenv("BGRET_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("BGRET_WORKERS", env)
-    assert main(["sweep", "--config", str(cfg), "--ratio-min", "3", "--ratio-max", "3",
-                 *flags, "--out", str(tmp_path / "out")]) == EXIT_DATA
-    assert "worker count must be at least 1" in capsys.readouterr().err
-
-
 def test_sweep_cli_ratio_grid_has_no_drift(tmp_path, capsys):
     # an accumulated grid reaches 0.25000000000000006 at the third step and
     # rounds k = 2.5000000000000004 up to 3; the typed 0.25 gives k = 2
@@ -365,6 +350,9 @@ def test_verify_rejects_empty_counts(what, count, capsys, tmp_path):
     ("noise-bench", "--trials=0", "noise_summary.json"),
     ("location-bias", "--trials=0", "location_summary.json"),
     ("location-bias", "--positions=0", "location_summary.json"),
+    # a worker count below 1 is no count either
+    ("image-bench", "--workers=0", "image_summary.json"),
+    ("noise-bench", "--workers=-4", "noise_summary.json"),
 ])
 def test_studies_reject_empty_counts(command, count, summary, capsys, tmp_path):
     # no preset fallback for an explicit 0, no empty summary, no NaN in the JSON
