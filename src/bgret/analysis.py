@@ -186,12 +186,13 @@ class DimensionBound:
     satisfied: bool
     lhs: int
     rhs: int
-    symmetric_factor: float
+    paper_factor: float
+    count_factor: float
 
 
 def dimension_bound(sizes: Sequence[int], backgrounds: Sequence[int]) -> DimensionBound:
-    """d-dimensional counting bound prod(n_i+k_i) >= 2 prod(n_i) + prod(2n_i - 1),
-    with the symmetric-case threshold factor 2^{(d+1)/d} - 1."""
+    """Counting bound prod(n_i+k_i) >= 2 prod(n_i) + prod(2n_i - 1) in any d, with the
+    symmetric k/n factors 2^((d+1)/d) - 1 (the abstract's) and (2 + 2^d)^(1/d) - 1."""
     n = [int(v) for v in sizes]
     k = [int(v) for v in backgrounds]
     if len(n) != len(k) or not n:
@@ -199,18 +200,10 @@ def dimension_bound(sizes: Sequence[int], backgrounds: Sequence[int]) -> Dimensi
     if any(v < 1 for v in n) or any(v < 0 for v in k):
         raise ValueError("need positive sample sizes and nonnegative backgrounds")
     d = len(n)
-    lhs = int(np.prod([ni + ki for ni, ki in zip(n, k)]))
-    rhs = int(2 * np.prod(n) + np.prod([2 * ni - 1 for ni in n]))
-    return DimensionBound(lhs >= rhs, lhs, rhs, 2.0 ** ((d + 1) / d) - 1.0)
-
-
-def uniqueness_count_2d(n1: int, n2: int, k1: int, k2: int) -> DimensionBound:
-    """The sharper 2-D counting variant (n1+k1)(n2+k2) >= (2n1-1)(3n2-1)+n2."""
-    if min(n1, n2) < 1 or min(k1, k2) < 0:
-        raise ValueError("need positive sample sizes and nonnegative backgrounds")
-    lhs = (n1 + k1) * (n2 + k2)
-    rhs = (2 * n1 - 1) * (3 * n2 - 1) + n2
-    return DimensionBound(lhs >= rhs, lhs, rhs, math.sqrt(6) - 1.0)
+    lhs = math.prod(ni + ki for ni, ki in zip(n, k))
+    rhs = 2 * math.prod(n) + math.prod(2 * ni - 1 for ni in n)
+    return DimensionBound(lhs >= rhs, lhs, rhs, 2.0 ** ((d + 1) / d) - 1.0,
+                          (2.0 + 2.0 ** d) ** (1.0 / d) - 1.0)
 
 
 def stability_constants(system: LinearSystem) -> StabilityConstants:
@@ -379,9 +372,8 @@ def _gaussian_background(mask: SupportMask, rng: np.random.Generator) -> np.ndar
 
 
 def verify_uniqueness(n: int, k: int, d: int, draws: int, seed: int = 0) -> dict:
-    """Rank certificate pass rate over Gaussian backgrounds (corner support)."""
-    if d not in (1, 2):
-        raise ValueError("uniqueness certificate supports d in {1, 2}")
+    """Rank certificate pass rate over Gaussian backgrounds, sample (n,)*d at the corner."""
+    _require_count("d", d)
     _require_count("draws", draws)
     sizes = (n,) * d
     ks = (k,) * d

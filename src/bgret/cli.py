@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__, analysis, harness, metrics, solvers
 from .io_formats import (ExperimentConfig, json_text, manifest_now, read_config,
-                         read_image, read_signal_csv, sha256_of, write_image, write_lines,
-                         write_manifest, write_results, write_signal_csv)
+                         read_image, read_signal_csv, sha256_of, shape_token, write_image,
+                         write_lines, write_manifest, write_results, write_signal_csv)
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
                     background_sizes_for, object_shape_for)
-from .rng import Xoshiro256StarStar, mix_seed
+from .rng import Xoshiro256StarStar, check_seed, mix_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,12 +73,12 @@ def _emit(payload: dict, path: Path | None) -> None:
 def _load_config(args) -> ExperimentConfig:
     cfg = read_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = dataclasses.replace(cfg, seed=_seed(args))
     return cfg
 
 
 def _seed(args) -> int:
-    return 0 if args.seed is None else args.seed
+    return 0 if args.seed is None else check_seed(args.seed)
 
 
 def cmd_gen_signal(args) -> int:
@@ -215,7 +215,7 @@ def cmd_sweep(args) -> int:
                                           workers=harness.resolve_workers(args.workers))
     harness.write_sweep_outputs(_out_dir(args), grid, cfg, __version__)
     for cell in grid.cells:
-        print(f"n={cell.n} k/n={cell.ratio:g}: rate={cell.rate:.3f} "
+        print(f"n={shape_token(grid.sample_shape)} k/n={cell.ratio:g}: rate={cell.rate:.3f} "
               f"(stderr {cell.stderr:.3f}, aborted {cell.aborted})")
     return EXIT_OK
 

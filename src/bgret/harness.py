@@ -145,7 +145,7 @@ class TrialSpec:
     lam: float = 1.0
     noise_sigma: float = 0.0
     signal: Optional[np.ndarray] = None  # None: the Gaussian signal of the trial seed
-    offset: Optional[tuple[int, ...]] = None  # None: corner in 1-D, centered in 2-D
+    offset: Optional[tuple[int, ...]] = None  # None: SupportMask.place's rule
 
     @property
     def object_shape(self) -> tuple[int, ...]:
@@ -238,8 +238,7 @@ def run_trials(specs: Sequence[TrialSpec], workers: int = 1) -> list[dict]:
 
 @dataclass(frozen=True)
 class CellSummary:
-    n: int
-    k: int
+    k: tuple[int, ...]
     ratio: float
     trials: int
     successes: int
@@ -257,21 +256,19 @@ class CellSummary:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    n_values: tuple[int, ...]
-    ratios: tuple[float, ...]
-    trials_per_cell: int
+    sample_shape: tuple[int, ...]
     cells: tuple[CellSummary, ...]
     rows: tuple[dict, ...]
 
-    def cell(self, n: int, ratio: float) -> CellSummary:
+    def cell(self, ratio: float) -> CellSummary:
         for c in self.cells:
-            if c.n == n and abs(c.ratio - ratio) < 1e-12:
+            if abs(c.ratio - ratio) < 1e-12:
                 return c
-        raise KeyError(f"no cell (n={n}, ratio={ratio})")
+        raise KeyError(f"no cell at ratio {ratio}")
 
-    def transition(self, n: int, level: float) -> Optional[float]:
-        """Smallest k/n whose recovery rate reaches `level` for this n."""
-        for c in sorted((c for c in self.cells if c.n == n), key=lambda c: c.ratio):
+    def transition(self, level: float) -> Optional[float]:
+        """Smallest k/n whose recovery rate reaches `level`."""
+        for c in sorted(self.cells, key=lambda c: c.ratio):
             if c.rate >= level:
                 return c.ratio
         return None
@@ -279,19 +276,16 @@ class SweepGrid:
 
 def sweep_specs(config: ExperimentConfig, ratios: Sequence[float],
                 signal_values: Optional[np.ndarray] = None) -> list[TrialSpec]:
-    if len(config.n) != 1:
-        raise ValueError("phase-transition sweeps are 1-D")
-    n = config.n[0]
     fixed = None  # a Gaussian sweep draws each trial's signal from its seed
     if config.signal_type != SIGNAL_GAUSSIAN:
-        fixed = gen_signal(config.signal_type, n, values=signal_values)
+        fixed = gen_signal(config.signal_type, math.prod(config.n), values=signal_values)
     specs = []
     for cell_id, ratio in enumerate(ratios):
-        k = background_sizes_for(ratio, (n,))
+        k = background_sizes_for(ratio, config.n)
         for trial in range(config.trials):
             specs.append(TrialSpec(
                 master_seed=config.seed, cell_id=cell_id, trial_index=trial,
-                method=config.method, sample_shape=(n,), background_sizes=k,
+                method=config.method, sample_shape=config.n, background_sizes=k,
                 eps=config.eps, max_iter=config.max_iter, beta=config.beta,
                 lam=config.lam, noise_sigma=config.noise_sigma, signal=fixed))
     return specs
@@ -301,7 +295,6 @@ def sweep_phase_transition(config: ExperimentConfig, ratios: Sequence[float],
                            signal_values: Optional[np.ndarray] = None,
                            workers: int = 1) -> SweepGrid:
     ratios = tuple(float(r) for r in ratios)
-    n = config.n[0]
     specs = sweep_specs(config, ratios, signal_values)
     rows = run_trials(specs, workers=workers)
 
@@ -310,10 +303,10 @@ def sweep_phase_transition(config: ExperimentConfig, ratios: Sequence[float],
     for cell_id, ratio in enumerate(ratios):
         cell_rows = rows[cell_id * per_cell:(cell_id + 1) * per_cell]
         cells.append(CellSummary(
-            n=n, k=specs[cell_id * per_cell].background_sizes[0], ratio=ratio, trials=per_cell,
+            k=specs[cell_id * per_cell].background_sizes, ratio=ratio, trials=per_cell,
             successes=sum(1 for r in cell_rows if r["success"]),
             aborted=sum(1 for r in cell_rows if r.get("aborted"))))
-    return SweepGrid((n,), ratios, per_cell, tuple(cells), tuple(rows))
+    return SweepGrid(config.n, tuple(cells), tuple(rows))
 
 
 def write_sweep_outputs(out_dir, grid: SweepGrid, config: ExperimentConfig,
@@ -322,18 +315,18 @@ def write_sweep_outputs(out_dir, grid: SweepGrid, config: ExperimentConfig,
     per-cell aggregates, transitions.csv with the 90%/99% crossing ratios."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    n = shape_token(grid.sample_shape)
     manifest = manifest_now(version, config.seed, config.echo(),
-                            extra={"ratios": [format_float(r) for r in grid.ratios],
-                                   "n_values": list(grid.n_values)})
+                            extra={"ratios": [format_float(c.ratio) for c in grid.cells],
+                                   "n_values": list(grid.sample_shape)})
     write_results(out / "trials.csv", list(grid.rows), manifest)
     write_lines(out / "rates.csv", ["n,k,k_ratio,trials,successes,aborted,rate,stderr", *(
-        ",".join([str(c.n), str(c.k), format_float(c.ratio), str(c.trials),
+        ",".join([n, shape_token(c.k), format_float(c.ratio), str(c.trials),
                   str(c.successes), str(c.aborted), format_float(c.rate),
                   format_float(c.stderr)]) for c in grid.cells)])
     token = lambda t: "" if t is None else format_float(t)
-    write_lines(out / "transitions.csv", ["n,ratio_rate90,ratio_rate99", *(
-        f"{n},{token(grid.transition(n, 0.90))},{token(grid.transition(n, 0.99))}"
-        for n in grid.n_values)])
+    write_lines(out / "transitions.csv", ["n,ratio_rate90,ratio_rate99", ",".join(
+        [n, token(grid.transition(0.90)), token(grid.transition(0.99))])])
 
 
 # -- 2-D studies ----------------------------------------------------------------

@@ -42,6 +42,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .model import Method
+from .rng import check_seed
 from .spectral import LOOP_TRANSFORMS
 
 
@@ -194,7 +195,7 @@ def write_image(path, img) -> None:
 #: The types a config key's JSON value may have. A JSON boolean is no number
 #: here, although Python's bool is an int.
 _CONFIG_TYPES = {
-    "method": (str,), "n": (int,), "trials": (int,), "seed": (int,),
+    "method": (str,), "n": (int, list), "trials": (int,), "seed": (int,),
     "k_ratio": (int, float), "eps": (int, float), "max_iter": (int,),
     "beta": (int, float), "lambda": (int, float), "noise_sigma": (int, float),
     "signal_type": (int,), "paths": (dict,),
@@ -203,8 +204,8 @@ _CONFIG_TYPES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A 1-D sweep's settings. A sweep takes k from its ratios, so k_ratio is
-    only echoed into the manifest."""
+    """A sweep's settings; n is the sample shape. A sweep takes k from its
+    ratios, so k_ratio is only echoed into the manifest."""
 
     method: Method
     n: tuple[int, ...]
@@ -226,6 +227,8 @@ class ExperimentConfig:
             raise DataFormatError("noise_sigma must be nonnegative")
         if self.signal_type not in (1, 2, 3):
             raise DataFormatError("signal_type must be 1, 2 or 3")
+        if self.signal_type != 1 and len(self.n) != 1:
+            raise DataFormatError(f"signal_type {self.signal_type} is 1-D; n must have one axis")
 
     def echo(self) -> dict:
         return {
@@ -266,7 +269,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 raise DataFormatError(f"config key {key!r}: expected a finite number")
             value = float(value)
         fields["lam" if key == "lambda" else key] = value
-    fields["n"] = (fields["n"],)
+    n = [fields["n"]] if isinstance(fields["n"], int) else fields["n"]
+    if not n or not all(type(v) is int and v >= 1 for v in n):
+        raise DataFormatError(f"config key 'n': expected positive ints, got {raw['n']!r}")
+    fields["n"] = tuple(n)
     # paths holds only the CSV a signal_type 3 sweep reads its signal from
     paths = fields["paths"] = dict(fields.get("paths", {}))
     unknown = set(paths) - {"signal"}
@@ -278,6 +284,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     elif paths:
         raise DataFormatError("paths.signal is only read with signal_type 3")
     try:
+        check_seed(fields["seed"])
         fields["method"] = Method.parse(fields["method"])
     except ValueError as exc:
         raise DataFormatError(str(exc))

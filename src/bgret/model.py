@@ -4,7 +4,7 @@ measurements and solver configuration.
 Conventions used by every module
 --------------------------------
 * Arrays are real float64 on the object grid of shape (n_i + k_i) per axis
-  (``object_shape_for``), 1-D or 2-D. Dimensions above 2 are rejected.
+  (``object_shape_for``), in any number d >= 1 of axes.
 * Vectorization is row-major everywhere, and boolean masks index in the
   same order.
 * The combined object [x; y] is a plain array on the object grid:
@@ -23,8 +23,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-
-MAX_DIMS = 2
 
 
 def background_sizes_for(ratio: float, sizes: Sequence[int]) -> tuple[int, ...]:
@@ -83,8 +81,8 @@ class SupportMask:
         for name in ("shape", "sample_shape", "offset"):
             object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
         shape, sample_shape, offset = self.shape, self.sample_shape, self.offset
-        if not 1 <= len(shape) <= MAX_DIMS:
-            raise ValueError(f"mask dimension {len(shape)} not supported")
+        if not shape:
+            raise ValueError("a mask needs at least one axis")
         if not len(sample_shape) == len(offset) == len(shape):
             raise ValueError("sample_shape, offset and shape must share dimension")
         for n, m, o in zip(sample_shape, shape, offset):
@@ -111,7 +109,7 @@ class SupportMask:
     def place(cls, object_shape: Sequence[int], sample_shape: Sequence[int],
               offset: Optional[Sequence[int]] = None) -> "SupportMask":
         """The experiments' placement rule: a block at an explicit offset,
-        otherwise centered in 2-D and at the corner in 1-D."""
+        otherwise centered in 2-D and at the corner in every other d."""
         if offset is None and len(sample_shape) == 2:
             return cls.centered(object_shape, sample_shape)
         return cls.block(object_shape, sample_shape, offset)
@@ -155,8 +153,8 @@ class IntensityMeasurements:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim < 1 or v.ndim > MAX_DIMS:
-            raise ValueError(f"measurement dimension {v.ndim} not supported")
+        if v.ndim < 1:
+            raise ValueError("measurements need at least one axis")
         if not np.all(np.isfinite(v)):
             raise ValueError("intensity measurements must be finite")
         if np.any(v < 0.0):

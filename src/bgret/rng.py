@@ -58,6 +58,14 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
+
+def check_seed(seed: int) -> int:
+    """A master seed lies in 0..2^64-1: mixing would run 2^64 as seed 0."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
+    return seed
+
+
 _TWO53_INV = 2.0 ** -53
 _TWO_PI = 2.0 * math.pi
 #: Box-Muller pairs converted through Python floats at a time.

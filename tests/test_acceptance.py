@@ -9,6 +9,7 @@ never changes the scientific output (criterion 16 checks exactly that).
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -228,9 +229,9 @@ def test_criterion_06_robustness_bound():
 def test_criterion_07_phase_transition_desk(desk_sweeps):
     bdr, pgd = desk_sweeps["bdr"], desk_sweeps["pgd"]
     elapsed = desk_sweeps["elapsed"]
-    bdr3 = bdr.cell(100, 3.0)
-    bdr2 = bdr.cell(100, 2.0)
-    pgd3 = pgd.cell(100, 3.0)
+    bdr3 = bdr.cell(3.0)
+    bdr2 = bdr.cell(2.0)
+    pgd3 = pgd.cell(3.0)
     ok = (rate_at_least(bdr3.successes, bdr3.trials, 0.80)
           and rate_at_most(pgd3.successes, pgd3.trials, 0.45)
           and rate_at_least(bdr2.successes, bdr2.trials, 0.40)
@@ -244,7 +245,7 @@ def test_criterion_07_phase_transition_desk(desk_sweeps):
 def test_criterion_08_bdr_99_transition(transition_sweep):
     grid = transition_sweep["grid"]
     elapsed = transition_sweep["elapsed"]
-    transition = grid.transition(100, 0.99)
+    transition = grid.transition(0.99)
     ok = transition is not None and 2.4 <= transition <= 3.2 and elapsed < 1200.0
     rates = {c.ratio: round(c.rate, 3) for c in grid.cells}
     report(8, "BDR 99% transition", ok,
@@ -376,3 +377,32 @@ def test_criterion_16_determinism(desk_sweeps, tmp_path):
     elapsed = time.perf_counter() - start
     report(16, "determinism across worker counts", same,
            "result CSVs byte-identical apart from the wall_ms column", elapsed)
+
+
+def _first_k(holds):
+    k = 1
+    while not holds(k):
+        k += 1
+    return k
+
+
+def test_criterion_17_uniqueness_in_d_dimensions():
+    # the abstract's d-dimensional claim: the rank certificate starts within
+    # one k of the counting bound in each d, and BDR recovers at that k
+    start = time.perf_counter()
+    seed = mix_seed(ACCEPTANCE_SEED, 17)
+    ok, details = True, []
+    for d, n in ((1, 12), (2, 8), (3, 4)):
+        cert_k = _first_k(lambda k: analysis.verify_uniqueness(n, k, d, 100, seed)["passed"])
+        count_k = _first_k(lambda k: analysis.dimension_bound((n,) * d, (k,) * d).satisfied)
+        cfg = ExperimentConfig(method=Method.BDR, n=(n,) * d, trials=20,
+                               seed=ACCEPTANCE_SEED, max_iter=3000)
+        with warnings.catch_warnings():  # the 8x8 sample is below the SSIM window
+            warnings.filterwarnings("ignore", "image smaller than SSIM window", RuntimeWarning)
+            cell = sweep_phase_transition(cfg, [cert_k / n], workers=WORKERS).cells[0]
+        ok = (ok and abs(cert_k - count_k) <= 1 and cell.k == (cert_k,) * d
+              and cell.successes >= 18)
+        details.append(f"d={d} n={n}: certificate from k={cert_k}, count from "
+                       f"k={count_k}, BDR {cell.successes}/20")
+    elapsed = time.perf_counter() - start
+    report(17, "d-dimensional uniqueness", ok and elapsed < 30.0, "; ".join(details), elapsed)

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgret.analysis import (RANK_RTOL, build_linear_system, circulant,
                             coefficient_matrix, dimension_bound,
@@ -11,7 +13,7 @@ from bgret.analysis import (RANK_RTOL, build_linear_system, circulant,
                             frip_partial_rows, in_c2, l_nonsingular_check,
                             least_squares_recover, mirror_shift, robustness_bound,
                             sample_c2, stability_constants, uniqueness_certificate,
-                            uniqueness_count_2d, verify_robustness)
+                            verify_robustness)
 from bgret.model import SupportMask, assemble
 from bgret.spectral import autocorrelation_direct, autocorrelation_from_intensity, intensity
 
@@ -234,7 +236,7 @@ def test_uniqueness_certificate_2d_gaussian_rate():
     rng = np.random.default_rng(7)
     n, k = 4, 6
     mask = SupportMask.block((n + k, n + k), (n, n))
-    assert uniqueness_count_2d(n, n, k, k).satisfied
+    assert dimension_bound((n, n), (k, k)).satisfied
     unique = sum(uniqueness_certificate(gaussian_background(mask, rng), mask).unique
                  for _ in range(25))
     assert unique == 25
@@ -265,14 +267,42 @@ def test_certificate_without_rows_has_rank_zero():
 
 def test_dimension_bound_values():
     one = dimension_bound((5,), (15,))
-    assert one.satisfied and one.symmetric_factor == pytest.approx(3.0)
+    assert one.satisfied and one.paper_factor == pytest.approx(3.0)
+    assert one.count_factor == pytest.approx(3.0)
     assert one.lhs == 20 and one.rhs == 2 * 5 + 9
     two = dimension_bound((4, 4), (8, 8))
-    assert two.symmetric_factor == pytest.approx(2.0 ** 1.5 - 1.0)
+    assert two.paper_factor == pytest.approx(2.0 ** 1.5 - 1.0)
+    assert two.count_factor == pytest.approx(math.sqrt(6) - 1.0)
     with pytest.raises(ValueError):
         dimension_bound((0,), (3,))
-    strict = uniqueness_count_2d(8, 8, 12, 12)
+    # in 2-D the count is (2n1-1)(3n2-1)+n2 = 6n1n2 - 2n1 - 2n2 + 1
+    strict = dimension_bound((8, 8), (12, 12))
     assert strict.lhs == 400 and strict.rhs == (15) * (23) + 8
+    three = dimension_bound((4, 4, 4), (4, 4, 4))
+    assert three.satisfied and three.lhs == 512 and three.rhs == 2 * 64 + 7 ** 3
+    assert three.count_factor == pytest.approx(10.0 ** (1 / 3) - 1.0)
+    assert three.paper_factor == pytest.approx(2.0 ** (4 / 3) - 1.0)
+
+
+@st.composite
+def block_masks(draw):
+    """A block support on a grid of 1 to 3 axes and at most 512 cells."""
+    d = draw(st.integers(1, 3))
+    side = {1: 40, 2: 16, 3: 8}[d]
+    shape = tuple(draw(st.integers(1, side)) for _ in range(d))
+    return SupportMask.block(shape, tuple(draw(st.integers(1, m)) for m in shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask=block_masks(), gaussian=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_certificate_never_holds_with_fewer_rows_than_unknowns(mask, gaussian, seed):
+    y = gaussian_background(mask, np.random.default_rng(seed)) if gaussian \
+        else np.zeros(mask.shape)
+    rows = coefficient_matrix(y, mask)[0].shape[0]
+    cert = uniqueness_certificate(y, mask)
+    assert cert.rank <= min(rows, mask.sample_count)
+    if rows < mask.sample_count:
+        assert not cert.unique
 
 
 def test_stability_constants_orthonormal_and_scaling():

@@ -232,6 +232,14 @@ def test_solve_cli_data_error(tmp_path, capsys):
     (["sweep", "--config", "c.json"],
      {"c.json": '{"method": "bdr", "n": 8, "trials": 2, "seed": 1, "eps": Infinity}'}),
     (["sweep", "--config", "c.json"], {"c.json": "[" * 100000}),
+    # a master seed outside 0..2^64-1, in a config or in --seed
+    (["sweep", "--config", "c.json"],
+     {"c.json": '{"method": "bdr", "n": 8, "trials": 2, "seed": 18446744073709551616}'}),
+    (["sweep", "--config", "c.json"],
+     {"c.json": '{"method": "bdr", "n": 8, "trials": 2, "seed": -1}'}),
+    (["solve", "--method", "bdr", "--signal", "s.csv", "--seed", "-1"], {"s.csv": "1\n2\n"}),
+    # no file format holds a 3-D array
+    (["gen-background", "--shape", "4", "4", "4", "--sample", "2", "2", "2"], {}),
 ])
 def test_bad_input_files_are_data_errors(argv, files, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -264,6 +272,22 @@ def test_sweep_cli_writes_outputs(tmp_path, capsys):
     recount = sum(r["success"] for r in rows)
     assert int(rates_lines[1].split(",")[4]) == recount
     assert (out / "transitions.csv").exists()
+
+
+def test_sweep_cli_any_dimension(tmp_path, capsys):
+    # the config's n is the sample shape; the rows, rates.csv, transitions.csv
+    # and the progress line name it by its shape token
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "bdr", "n": [6, 6], "trials": 2, "seed": 1,
+                               "max_iter": 30}))
+    out = tmp_path / "sweep"
+    with pytest.warns(RuntimeWarning, match="SSIM window"):  # a 6x6 sample is below it
+        assert main(["sweep", "--config", str(cfg), "--ratio-min", "1", "--ratio-max", "1",
+                     "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("n=6x6 k/n=1:")
+    assert [(r["n"], r["k"]) for r in read_results(out / "trials.csv")] == [("6x6", "6x6")] * 2
+    assert (out / "rates.csv").read_text().splitlines()[1].startswith("6x6,6x6,1,2,")
+    assert (out / "transitions.csv").read_text().splitlines()[1].startswith("6x6,")
 
 
 def test_sweep_cli_signal_csv(tmp_path, capsys):
@@ -311,9 +335,10 @@ def test_verify_cli_exit_codes(tmp_path, capsys):
 
 
 def test_verify_uniqueness_cli(capsys, tmp_path):
-    rc = main(["verify", "uniqueness", "--n", "4", "--k", "6", "--d", "2",
-               "--draws", "10", "--seed", "0", "--out", str(tmp_path / "u")])
-    assert rc == EXIT_OK
+    for n, k, d in (("4", "6", "2"), ("4", "4", "3")):
+        rc = main(["verify", "uniqueness", "--n", n, "--k", k, "--d", d,
+                   "--draws", "10", "--seed", "0", "--out", str(tmp_path / "u")])
+        assert rc == EXIT_OK
     capsys.readouterr()
 
 
@@ -335,6 +360,7 @@ def test_verify_failing_check_exits_3(capsys, tmp_path):
     ("frip", ["--draws", "1"]),
     ("frip", ["--n", "4", "--k", "0", "--draws", "10", "--num-h", "1"]),
     ("lmatrix", ["--n", "0", "--draws", "5"]),
+    ("uniqueness", ["--d", "0"]),
 ])
 def test_verify_rejects_empty_counts(what, count, capsys, tmp_path):
     # an empty loop must not pass vacuously nor die with an unrelated error

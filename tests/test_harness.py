@@ -235,7 +235,7 @@ def test_sweep_single_cell_matches_trial_aggregation():
     cfg = ExperimentConfig(method=Method.BDR, n=(12,), trials=8, seed=4,
                            k_ratio=3.0, max_iter=120)
     grid = sweep_phase_transition(cfg, [3.0])
-    cell = grid.cell(12, 3.0)
+    cell = grid.cell(3.0)
     recount = sum(1 for row in grid.rows if row["success"])
     assert cell.successes == recount
     assert cell.trials == 8
@@ -248,8 +248,8 @@ def test_sweep_monotone_trend_small():
     cfg = ExperimentConfig(method=Method.BDR, n=(30,), trials=12, seed=9,
                            k_ratio=3.0, max_iter=200)
     grid = sweep_phase_transition(cfg, [1.0, 3.0])
-    assert grid.cell(30, 3.0).rate >= grid.cell(30, 1.0).rate
-    assert grid.transition(30, 2.0) is None or grid.transition(30, 2.0) in (1.0, 3.0)
+    assert grid.cell(3.0).rate >= grid.cell(1.0).rate
+    assert grid.transition(2.0) is None or grid.transition(2.0) in (1.0, 3.0)
 
 
 def test_image_benchmark_pairs_methods_on_same_instance():

@@ -121,6 +121,9 @@ def test_read_config_minimal_and_defaults(tmp_path):
     assert cfg.eps == 1e-12 and cfg.max_iter == 300
     assert cfg.beta == 0.9 and cfg.lam == 1.0
     assert cfg.n == (100,) and cfg.k_ratio == 3 and isinstance(cfg.k_ratio, float)
+    # n is the sample shape: an int is one axis, a list gives each axis
+    path.write_text(json.dumps({"method": "bdr", "n": [6, 5, 4], "trials": 1, "seed": 0}))
+    assert read_config(path).n == (6, 5, 4)
 
 
 def test_read_config_data_errors(tmp_path):
@@ -164,7 +167,7 @@ def test_parse_config_type_errors_name_keys():
 
 @pytest.mark.parametrize("key", ["k1", "k2", "n1", "n2"])
 def test_parse_config_rejects_keys_a_sweep_cannot_honour(key):
-    # a sweep is 1-D and takes k from its ratios, so these would be ignored
+    # a sweep takes its shape from n and k from its ratios, so these would be ignored
     with pytest.raises(DataFormatError, match=key):
         parse_config({"method": "bdr", "n": 10, "trials": 1, "seed": 0, key: 40})
 
@@ -190,6 +193,15 @@ def test_parse_config_rejects_keys_a_sweep_cannot_honour(key):
     ({"noise_sigma": math.nan}, "noise_sigma"),
     ({"lambda": -math.inf}, "lambda"),
     ({"k_ratio": 10 ** 400}, "k_ratio"),
+    # n is a positive int or a list of them, one per axis
+    ({"n": []}, "'n'"),
+    ({"n": [0]}, "'n'"),
+    ({"n": [True]}, "'n'"),
+    ({"n": [4, "a"]}, "'n'"),
+    ({"n": [[4]]}, "'n'"),
+    # the harmonic signal and the signal CSV have one axis
+    ({"signal_type": 2, "n": [4, 4]}, "signal_type 2"),
+    ({"signal_type": 3, "n": [4, 4], "paths": {"signal": "s.csv"}}, "signal_type 3"),
 ])
 def test_parse_config_rejects_what_a_sweep_would_misread(edit, message):
     with pytest.raises(DataFormatError, match=message):

@@ -165,6 +165,7 @@ GRIDS = {
     "2d-offset": ((14, 15), (5, 4), (2, 7), False),
     "1d-oversampled": ((24,), (8,), None, True),
     "2d-oversampled": ((10, 9), (4, 4), "centered", True),
+    "3d-corner": ((7, 8, 6), (3, 3, 2), None, False),
 }
 
 # a trace row per iteration, as the reference records
@@ -274,15 +275,15 @@ def _close(got, expected):
 
 @st.composite
 def projection_cases(draw, real_object_roots):
-    """(z, root): z and root on one grid of 1 or 2 axes. The root is that of
+    """(z, root): z and root on one grid of 1 to 3 axes. The root is that of
     a real object, or else any nonnegative array with some exact zeros; z is
     random or zero, whose coefficients all vanish exactly on both paths. (Where a coefficient
     vanishes only up to rounding, as some of an alternating signal's do, its
     phase is rounding noise on either path, so the two may differ there by
     O(1); the byte pins above cover the phase-1 rule for such signals.)"""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ndim = draw(st.integers(1, 2))
-    shape = tuple(draw(st.integers(1, 12 if ndim == 2 else 40)) for _ in range(ndim))
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, {1: 40, 2: 12, 3: 6}[ndim])) for _ in range(ndim))
     if real_object_roots:
         root = intensity(rng.standard_normal(shape)).root
     else:
