@@ -87,20 +87,15 @@ def mirror_shift(shift: Sequence[int], shape: Sequence[int]) -> tuple[int, ...]:
 
 def enumerate_nonoverlap_shifts(mask: SupportMask) -> list[tuple[int, ...]]:
     """All nonzero circular shifts l with (Omega + l) disjoint from Omega,
-    deduplicated under l <-> -l (the lexicographically smaller is kept)."""
-    inside = mask.inside
-    shape = inside.shape
-    axes = tuple(range(inside.ndim))
-    kept = []
-    for shift in product(*(range(s) for s in shape)):
-        if all(s == 0 for s in shift):
-            continue
-        if shift > mirror_shift(shift, shape):
-            continue
-        translated = np.roll(inside, shift, axis=axes)
-        if not np.any(inside & translated):
-            kept.append(shift)
-    return kept
+    deduplicated under l <-> -l (the lexicographically smaller is kept).
+
+    A block of n_i on a circle of m_i misses its translate by l_i exactly
+    when n_i <= l_i <= m_i - n_i, and a product of blocks misses its
+    translate when one axis does; the offset plays no part."""
+    shape, sample_shape = mask.shape, mask.sample_shape
+    return [shift for shift in product(*(range(m) for m in shape))
+            if shift <= mirror_shift(shift, shape)
+            and any(n <= l <= m - n for l, n, m in zip(shift, sample_shape, shape))]
 
 
 def _pair_factor(shift: tuple[int, ...], shape: Sequence[int]) -> float:

@@ -67,10 +67,12 @@ def hermitian_part(values: np.ndarray) -> np.ndarray:
 class SupportMask:
     """The sample support Ω: a block of ``sample_shape`` whose top-left
     corner sits at ``offset`` on the object grid of shape ``shape``. The
-    three are validated once, here; ``inside``, the read-only boolean mask of
-    Ω on the grid, is derived from them. ``block`` puts the block at the
-    corner, ``centered`` in the middle and ``place`` by the experiments'
-    rule.
+    three are validated once, here; two views of Ω on the grid are derived
+    from them: ``inside``, its read-only boolean mask, and ``slices``, the
+    tuple of slices that cuts the block out of a grid array (``z[slices]``
+    is the sample block, ``z[inside]`` its row-major vector). ``block`` puts
+    the block at the corner, ``centered`` in the middle and ``place`` by the
+    experiments' rule.
     """
 
     shape: tuple[int, ...]
@@ -88,10 +90,12 @@ class SupportMask:
         for n, m, o in zip(sample_shape, shape, offset):
             if n < 1 or o < 0 or o + n > m:
                 raise ValueError(f"block {sample_shape}@{offset} does not fit in {shape}")
+        slices = tuple(slice(o, o + n) for o, n in zip(offset, sample_shape))
         inside = np.zeros(shape, dtype=bool)
-        inside[tuple(slice(o, o + n) for o, n in zip(offset, sample_shape))] = True
+        inside[slices] = True
         inside.setflags(write=False)
         object.__setattr__(self, "inside", inside)
+        object.__setattr__(self, "slices", slices)
 
     @classmethod
     def block(cls, object_shape: Sequence[int], sample_shape: Sequence[int],

@@ -23,7 +23,9 @@ phase of its rounding error.
 The magnitude projectors compute in the buffers of a ``spectral.Workspace``
 of the grid of z, passed as ``out=`` or else built for the call, and return
 its real grid buffer: with a caller's workspace the projection is valid until
-that workspace's next use. ``project_background`` returns a new array.
+that workspace's next use. ``project_background`` returns a new array: a
+copy of the background with the block of z written over Ω by the mask's
+``slices``.
 """
 
 from __future__ import annotations
@@ -98,5 +100,5 @@ def project_background(z: np.ndarray, background: np.ndarray,
     if z.shape != mask.shape or y.shape != mask.shape:
         raise ValueError("shapes do not match the support mask")
     out = y.copy()
-    np.copyto(out, z, where=mask.inside)
+    out[mask.slices] = z[mask.slices]
     return out

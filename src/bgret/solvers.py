@@ -111,7 +111,7 @@ def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
     if beta != 1.0:  # 1.0 * v is v, bit for bit
         np.multiply(beta, update, out=update)
     np.subtract(z, update, out=update)
-    np.copyto(update, ztilde, where=mask.inside)
+    update[mask.slices] = ztilde[mask.slices]
     return update
 
 

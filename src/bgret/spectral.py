@@ -24,6 +24,20 @@ For real z the intensity |DFT z|^2 and the circular autocorrelation
 R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair, which the
 direct-summation oracle below pins down numerically.
 
+The real-data pair runs in the solver loop, twice per iteration, on grids
+where numpy's Python wrappers (``rfftn`` -> ``rfft`` -> ``_raw_fft``) cost
+more than the transforms. So it calls the pocketfft gufuncs under them,
+``numpy.fft._pocketfft_umath``, directly, once per axis, with the axis order
+and the factors ``rfftn``/``irfftn`` use, and gives the same bytes:
+
+* ``rdft_forward`` runs ``rfft_n_even`` or ``rfft_n_odd`` (factor 1) along
+  the last axis into the half grid, then ``fft`` (factor 1) in place over the
+  leading axes, from the last one to the first;
+* ``rdft_inverse`` runs ``ifft`` with factor 1/m_axis in place in its input
+  over the leading axes, from the first one to the last, then ``irfft`` with
+  factor 1/m_last into the real grid. In 2-D and above it therefore
+  overwrites the half spectrum it is given.
+
 The real-data pair takes ``out=`` as numpy does: the result is written into
 that array and returned. A ``Workspace`` holds the three arrays the magnitude
 projections transform into; a solver run builds one from its grid shape and
@@ -36,6 +50,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .model import IntensityMeasurements, _readonly, hermitian_part, mirror_index
 
@@ -63,7 +78,12 @@ class Autocorrelation:
 
 #: The transforms of the solver loop's magnitude projections, as recorded in
 #: every run manifest.
-LOOP_TRANSFORMS = "numpy.fft rfftn/irfftn"
+LOOP_TRANSFORMS = "numpy.fft._pocketfft_umath rfft_n_even/rfft_n_odd/fft/ifft/irfft"
+
+
+def _along(axis: int) -> list[tuple[int, ...]]:
+    # gufunc axes of a (n),()->(m) transform along one axis
+    return [(axis,), (), (axis,)]
 
 
 def dft_forward(z) -> np.ndarray:
@@ -78,19 +98,41 @@ def dft_inverse(s) -> np.ndarray:
 
 def rdft_forward(z, out=None) -> np.ndarray:
     """Half spectrum of real z: the entries 0 .. m_last//2 along the last
-    axis of ``dft_forward(z)``. ``out`` is an optional complex array of that
-    half grid."""
-    return np.fft.rfftn(np.asarray(z, dtype=float), out=out)
+    axis of ``dft_forward(z)``, the bytes of ``numpy.fft.rfftn(z)``. ``out``
+    is an optional complex array of that half grid; z is only read."""
+    z = np.asarray(z, dtype=float)
+    m = z.shape[-1]
+    half_shape = z.shape[:-1] + (m // 2 + 1,)
+    if out is None:
+        out = np.empty(half_shape, dtype=complex)
+    elif out.shape != half_shape:
+        raise ValueError(f"output of shape {out.shape} is not the half grid {half_shape}")
+    (_pocketfft.rfft_n_odd if m % 2 else _pocketfft.rfft_n_even)(z, 1, out=out)
+    for axis in range(z.ndim - 2, -1, -1):
+        _pocketfft.fft(out, 1, out=out, axes=_along(axis))
+    return out
 
 
 def rdft_inverse(half, shape, out=None) -> np.ndarray:
     """Inverse of ``rdft_forward``: the real array of the given shape whose
     spectrum is the Hermitian extension of ``half`` (on its self-mirrored
     entries, where ``half`` may break the symmetry, its Hermitian part), with
-    the 1/prod(m) normalization; ``out`` is an optional real array of that
-    shape. The shape is needed because the half grid does not determine the
-    length of the last axis."""
-    return np.fft.irfftn(half, s=shape, axes=tuple(range(len(shape))), out=out)
+    the 1/prod(m) normalization: the bytes of ``numpy.fft.irfftn(half,
+    s=shape, axes=all)``. ``out`` is an optional real array of that shape.
+    The shape is needed because the half grid does not determine the length
+    of the last axis. In 2-D and above ``half`` is overwritten: the leading
+    axes are transformed in place in it."""
+    shape = tuple(shape)
+    half = np.asarray(half, dtype=complex)
+    if half.shape[:-1] != shape[:-1]:
+        raise ValueError(f"half spectrum of shape {half.shape} is not on the grid {shape}")
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"output of shape {out.shape} is not the grid {shape}")
+    for axis in range(len(shape) - 1):
+        _pocketfft.ifft(half, 1 / shape[axis], out=half, axes=_along(axis))
+    return _pocketfft.irfft(half, 1 / shape[-1], out=out)
 
 
 def hermitian_half(values) -> np.ndarray:
@@ -104,7 +146,8 @@ class Workspace:
     """The transform scratch of a magnitude projection on one grid: the
     complex half spectrum, its real magnitude and one real array of the grid,
     which holds the inverse transform. An array a projection returns through
-    a workspace lives in it, overwritten by its next use.
+    a workspace lives in it, overwritten by its next use; in 2-D and above
+    the inverse transform also overwrites the half spectrum.
     """
 
     def __init__(self, shape: tuple[int, ...]):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bgret import metrics, projections, solvers, spectral
 from bgret.metrics import measurement_error, relative_error
 from bgret.model import (IntensityMeasurements, Method, SolverConfig,
                          SupportMask, assemble)
@@ -411,7 +412,7 @@ def test_divergence_guard(monkeypatch):
 
     # a step that turns the iterate non-finite is caught by the step norm,
     # and run_trial reports it as an aborted row instead of raising
-    from bgret import harness, solvers
+    from bgret import harness
     monkeypatch.setattr(solvers, "bdr_step", lambda z, *args: np.full_like(z, np.inf))
     spec = harness.TrialSpec(master_seed=1, cell_id=0, trial_index=0, method=Method.BDR,
                              sample_shape=(4,), background_sizes=(12,), max_iter=10)
@@ -510,20 +511,24 @@ def test_trace_stride_selects_rows_of_the_full_trace(method, max_iter):
 
 def test_untraced_iteration_makes_two_ffts(monkeypatch):
     # the magnitude projection's real forward and inverse transforms; a traced
-    # iteration adds the measurement error's complex forward transform
-    entry_points = ("fftn", "ifftn", "rfftn", "irfftn")
+    # iteration adds the measurement error's complex forward transform. Counted
+    # at spectral's four entry points, in the modules of the loop that call
+    # them (no other module calls numpy.fft: test_only_spectral_calls_numpy_fft)
+    entry_points = ("dft_forward", "dft_inverse", "rdft_forward", "rdft_inverse")
     calls = dict.fromkeys(entry_points, 0)
 
     def counted(name):
-        fft = getattr(np.fft, name)
+        fft = getattr(spectral, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fft(*args, **kwargs)
         return wrapper
 
-    for name in entry_points:
-        monkeypatch.setattr(np.fft, name, counted(name))
+    for module in (projections, solvers, metrics):
+        for name in entry_points:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name))
     rng = np.random.default_rng(26)
     x, y, mask, b = make_instance(rng, 12, 12)
 
@@ -541,10 +546,12 @@ def test_untraced_iteration_makes_two_ffts(monkeypatch):
     delta = 17
     untraced = added(0, delta)
     assert sum(untraced.values()) == 2 * delta
-    assert untraced == {"fftn": 0, "ifftn": 0, "rfftn": delta, "irfftn": delta}
+    assert untraced == {"dft_forward": 0, "dft_inverse": 0,
+                        "rdft_forward": delta, "rdft_inverse": delta}
     traced = added(1, delta)
     assert sum(traced.values()) == 3 * delta
-    assert traced == {"fftn": delta, "ifftn": 0, "rfftn": delta, "irfftn": delta}
+    assert traced == {"dft_forward": delta, "dft_inverse": 0,
+                      "rdft_forward": delta, "rdft_inverse": delta}
 
     # an untraced run scores nothing, even given the truth: its only complex
     # transforms are the spectral start and, for CBDR, that of each branch and
@@ -552,4 +559,5 @@ def test_untraced_iteration_makes_two_ffts(monkeypatch):
     for method in Method:
         calls.update(dict.fromkeys(entry_points, 0))
         run(b, y, mask, SolverConfig(method=method, max_iter=10), x_true=x)
-        assert calls["fftn"] == (4 if method is Method.CBDR else 1), method
+        assert calls["dft_forward"] == (4 if method is Method.CBDR else 1), method
+        assert calls["dft_inverse"] == 0, method
