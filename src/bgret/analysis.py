@@ -108,13 +108,16 @@ def coefficient_matrix(background: np.ndarray, mask: SupportMask
     """M alone (no right-hand side); used by the uniqueness certificate. The
     row of a shift l holds Y[(q+l) mod m] + Y[(q-l) mod m] at each q in Omega."""
     shifts = enumerate_nonoverlap_shifts(mask)
-    axes = tuple(range(background.ndim))
-    rows = np.empty((len(shifts), mask.sample_count))
-    for i, shift in enumerate(shifts):
-        forward = np.roll(background, tuple(-s for s in shift), axis=axes)
-        backward = np.roll(background, shift, axis=axes)
-        rows[i] = _pair_factor(shift, mask.shape) * (forward + backward)[mask.inside]
-    return rows, shifts
+    # flat indices of (q + l) mod m and (q - l) mod m, one row per shift l
+    # and one column per q in Omega (row-major, as z[mask.inside] reads it)
+    l = np.array(shifts, dtype=np.intp).reshape(len(shifts), background.ndim)
+    q = np.nonzero(mask.inside)
+    ahead, behind = (np.ravel_multi_index(
+        tuple((q[i] + sign * l[:, i, None]) % m for i, m in enumerate(mask.shape)),
+        mask.shape) for sign in (1, -1))
+    y = background.reshape(-1)
+    factors = np.array([_pair_factor(shift, mask.shape) for shift in shifts])
+    return factors[:, None] * (y[ahead] + y[behind]), shifts
 
 
 def build_linear_system(background: np.ndarray, mask: SupportMask,

@@ -7,9 +7,9 @@ object grid: ``project_magnitude`` projects onto the equality set
 dc_sign * b^{1/2} at DC. The root is validated where it is measured, in
 ``IntensityMeasurements``.
 
-Both work on the half spectrum of the real iterate: ``rdft_forward`` to the
-(..., m_last//2+1) half grid, the phase or clamp there, and ``rdft_inverse``
-back to the real grid of z. They take the root as
+Both work on the half spectrum of the real iterate: the workspace's
+``forward`` to the (..., m_last//2+1) half grid, the phase or clamp there in
+place, and its ``inverse`` back to the real grid of z. They take the root as
 ``spectral.hermitian_half(b.root)``, computed once per run. The inverse of a
 half spectrum is the real part of the inverse of its Hermitian extension, so
 with that half root the equality projection is, up to rounding, the one the
@@ -20,10 +20,10 @@ phase 1 is used where the computed magnitude is exactly 0, which keeps runs
 reproducible. A coefficient that vanishes only up to rounding keeps the
 phase of its rounding error.
 
-The magnitude projectors compute in the buffers of a ``spectral.Workspace``
-of the grid of z, passed as ``out=`` or else built for the call, and return
-its real grid buffer: with a caller's workspace the projection is valid until
-that workspace's next use. ``project_background`` returns a new array: a
+The magnitude projectors transform through a ``spectral.Workspace`` of the
+grid of z, passed as ``out=`` or else built for the call, and return its real
+grid buffer: with a caller's workspace the projection is valid until that
+workspace's next use. ``project_background`` returns a new array: a
 copy of the background with the block of z written over Ω by the mask's
 ``slices``.
 """
@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .model import SupportMask
-from .spectral import Workspace, rdft_forward, rdft_inverse
+from .spectral import Workspace
 
 
 def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -49,17 +49,6 @@ def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def _half_spectrum(z: np.ndarray, work: Workspace):
-    # (half spectrum of z, its magnitude), in the workspace buffers
-    zhat = rdft_forward(z, out=work.half)
-    return zhat, np.abs(zhat, out=work.half_magnitude)
-
-
-def _back(what: np.ndarray, z: np.ndarray, work: Workspace) -> np.ndarray:
-    # the real array of the half spectrum `what` on the grid of z
-    return rdft_inverse(what, z.shape, out=work.grid)
-
-
 def project_magnitude(z: np.ndarray, half_root: np.ndarray,
                       out: Optional[Workspace] = None) -> np.ndarray:
     """Replace spectral magnitudes with b^{1/2}, keeping the phases of z;
@@ -67,9 +56,10 @@ def project_magnitude(z: np.ndarray, half_root: np.ndarray,
     z = np.asarray(z, dtype=float)
     if out is None:
         out = Workspace(z.shape)
-    zhat, mag = _half_spectrum(z, out)
-    phase = _divide_nonzero(zhat, mag, out=zhat)
-    return _back(np.multiply(half_root, phase, out=zhat), z, out)
+    zhat = out.forward(z)
+    phase = _divide_nonzero(zhat, np.abs(zhat, out=out.half_magnitude), out=zhat)
+    np.multiply(half_root, phase, out=zhat)
+    return out.inverse()
 
 
 def project_magnitude_ball(z: np.ndarray, half_root: np.ndarray,
@@ -84,12 +74,13 @@ def project_magnitude_ball(z: np.ndarray, half_root: np.ndarray,
     z = np.asarray(z, dtype=float)
     if out is None:
         out = Workspace(z.shape)
-    zhat, mag = _half_spectrum(z, out)
+    zhat = out.forward(z)
+    mag = np.abs(zhat, out=out.half_magnitude)
     scale = _divide_nonzero(half_root, mag, out=mag)
-    what = np.multiply(zhat, np.minimum(1.0, scale, out=scale), out=zhat)
+    np.multiply(zhat, np.minimum(1.0, scale, out=scale), out=zhat)
     if dc_sign is not None:
-        what.flat[0] = dc_sign * float(half_root.flat[0])
-    return _back(what, z, out)
+        zhat.flat[0] = dc_sign * float(half_root.flat[0])
+    return out.inverse()
 
 
 def project_background(z: np.ndarray, background: np.ndarray,

@@ -38,8 +38,8 @@ ValueError at the first traced row, and an untraced run never reads it. The
 stride changes no iterate: estimates, ``iterations_used`` (the number of loop
 iterations, not of rows) and ``converged`` are the same for every s, s = 1
 gives a row per iteration, and the final row is the same at every s > 0.
-An untraced iteration makes the two FFTs of its magnitude projection, a
-real forward and a real inverse transform; a traced one a third, the full
+An untraced iteration makes the two FFTs of its magnitude projection, the
+workspace's real ``forward`` and ``inverse``; a traced one a third, the full
 complex transform of the measurement error.
 
 Measurements live on the object grid: ``_iterate`` rejects b whose shape is
@@ -52,9 +52,10 @@ of CBDR are as on the full spectrum. The spectral start and the measurement
 error keep the full complex transform.
 
 Each step returns z^p as a new array and only reads z^{p-1}. Its last
-argument, ``work``, is a ``spectral.Workspace`` that its magnitude projection
-transforms in (None builds one per call); each ``_iterate`` call (so each
-CBDR branch) builds one from the grid shape and passes it to every step. The
+argument, ``work``, is a ``spectral.Workspace``: the real-data transform pair
+of its magnitude projection with that pair's buffers (None builds one per
+call). Each ``_iterate`` call (so each CBDR branch) builds one from the grid
+shape, which it checks once there, and passes it to every step. The
 norm of b is cached on b. The caller's z0, background and measurements are
 only read.
 """

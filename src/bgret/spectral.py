@@ -9,16 +9,17 @@ pair. Multi-axis transforms factor by separability. Measurements live on the
 object grid: the known background takes the place of oversampling, so the
 combined object [x; y] of grid m = n + k is transformed on that grid, unpadded.
 
-The magnitude projections use the real-data pair instead. The spectrum of a
-real array is Hermitian, X[-i] = conj(X[i]), so ``rdft_forward`` returns only
-its half grid: entries 0 .. m_last//2 along the last axis. ``rdft_inverse``
-maps a half spectrum back to the real array of the grid, as the inverse of its
-Hermitian extension. The real part of a complex inverse is the inverse of the
-Hermitian part of its input, so a real factor on the full grid that multiplies
-a Hermitian spectrum acts through its Hermitian part, which ``hermitian_half``
-computes once on the half grid: with it, the magnitude projection onto a root
-intensity b^{1/2} is the one the complex pair followed by ``.real`` gives, up
-to rounding, symmetric root or not.
+The magnitude projections use the real-data pair instead, the two methods
+of a ``Workspace``. The spectrum of a real array is Hermitian,
+X[-i] = conj(X[i]), so ``Workspace.forward`` computes only its half grid:
+entries 0 .. m_last//2 along the last axis. ``Workspace.inverse`` maps a half
+spectrum back to the real array of the grid, as the inverse of its Hermitian
+extension. The real part of a complex inverse is the inverse of the
+Hermitian part of its input, so a real factor on the full grid that
+multiplies a Hermitian spectrum acts through its Hermitian part, which
+``hermitian_half`` computes once on the half grid: with it, the magnitude
+projection onto a root intensity b^{1/2} is the one the complex pair followed
+by ``.real`` gives, up to rounding, symmetric root or not.
 
 For real z the intensity |DFT z|^2 and the circular autocorrelation
 R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair, which the
@@ -26,22 +27,22 @@ direct-summation oracle below pins down numerically.
 
 The real-data pair runs in the solver loop, twice per iteration, on grids
 where numpy's Python wrappers (``rfftn`` -> ``rfft`` -> ``_raw_fft``) cost
-more than the transforms. So it calls the pocketfft gufuncs under them,
-``numpy.fft._pocketfft_umath``, directly, once per axis, with the axis order
-and the factors ``rfftn``/``irfftn`` use, and gives the same bytes:
+more than the transforms. So a ``Workspace`` calls the pocketfft gufuncs
+under them, ``numpy.fft._pocketfft_umath``, directly, once per axis, with the
+axis order and the factors ``rfftn``/``irfftn`` use, and gives the same
+bytes. It checks its grid once, when it is built, and binds the gufunc of
+the last axis, the leading axes and the factors 1/m_axis then:
 
-* ``rdft_forward`` runs ``rfft_n_even`` or ``rfft_n_odd`` (factor 1) along
-  the last axis into the half grid, then ``fft`` (factor 1) in place over the
+* ``forward(z)`` runs ``rfft_n_even`` or ``rfft_n_odd`` (factor 1) along the
+  last axis of z into ``half``, then ``fft`` (factor 1) in place over the
   leading axes, from the last one to the first;
-* ``rdft_inverse`` runs ``ifft`` with factor 1/m_axis in place in its input
-  over the leading axes, from the first one to the last, then ``irfft`` with
-  factor 1/m_last into the real grid. In 2-D and above it therefore
-  overwrites the half spectrum it is given.
+* ``inverse()`` runs ``ifft`` with factor 1/m_axis in place in ``half`` over
+  the leading axes, from the first one to the last, then ``irfft`` with
+  factor 1/m_last into ``grid``. In 2-D and above it therefore overwrites
+  the half spectrum.
 
-The real-data pair takes ``out=`` as numpy does: the result is written into
-that array and returned. A ``Workspace`` holds the three arrays the magnitude
-projections transform into; a solver run builds one from its grid shape and
-reuses it on every iteration.
+A solver run builds one workspace from its grid shape and reuses it on every
+iteration.
 """
 
 from __future__ import annotations
@@ -81,11 +82,6 @@ class Autocorrelation:
 LOOP_TRANSFORMS = "numpy.fft._pocketfft_umath rfft_n_even/rfft_n_odd/fft/ifft/irfft"
 
 
-def _along(axis: int) -> list[tuple[int, ...]]:
-    # gufunc axes of a (n),()->(m) transform along one axis
-    return [(axis,), (), (axis,)]
-
-
 def dft_forward(z) -> np.ndarray:
     """Unnormalized forward transform over every axis."""
     return np.fft.fftn(np.asarray(z))
@@ -96,45 +92,6 @@ def dft_inverse(s) -> np.ndarray:
     return np.fft.ifftn(np.asarray(s))
 
 
-def rdft_forward(z, out=None) -> np.ndarray:
-    """Half spectrum of real z: the entries 0 .. m_last//2 along the last
-    axis of ``dft_forward(z)``, the bytes of ``numpy.fft.rfftn(z)``. ``out``
-    is an optional complex array of that half grid; z is only read."""
-    z = np.asarray(z, dtype=float)
-    m = z.shape[-1]
-    half_shape = z.shape[:-1] + (m // 2 + 1,)
-    if out is None:
-        out = np.empty(half_shape, dtype=complex)
-    elif out.shape != half_shape:
-        raise ValueError(f"output of shape {out.shape} is not the half grid {half_shape}")
-    (_pocketfft.rfft_n_odd if m % 2 else _pocketfft.rfft_n_even)(z, 1, out=out)
-    for axis in range(z.ndim - 2, -1, -1):
-        _pocketfft.fft(out, 1, out=out, axes=_along(axis))
-    return out
-
-
-def rdft_inverse(half, shape, out=None) -> np.ndarray:
-    """Inverse of ``rdft_forward``: the real array of the given shape whose
-    spectrum is the Hermitian extension of ``half`` (on its self-mirrored
-    entries, where ``half`` may break the symmetry, its Hermitian part), with
-    the 1/prod(m) normalization: the bytes of ``numpy.fft.irfftn(half,
-    s=shape, axes=all)``. ``out`` is an optional real array of that shape.
-    The shape is needed because the half grid does not determine the length
-    of the last axis. In 2-D and above ``half`` is overwritten: the leading
-    axes are transformed in place in it."""
-    shape = tuple(shape)
-    half = np.asarray(half, dtype=complex)
-    if half.shape[:-1] != shape[:-1]:
-        raise ValueError(f"half spectrum of shape {half.shape} is not on the grid {shape}")
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"output of shape {out.shape} is not the grid {shape}")
-    for axis in range(len(shape) - 1):
-        _pocketfft.ifft(half, 1 / shape[axis], out=half, axes=_along(axis))
-    return _pocketfft.irfft(half, 1 / shape[-1], out=out)
-
-
 def hermitian_half(values) -> np.ndarray:
     """The Hermitian part 0.5 * (v[i] + v[-i]) of a real array, cut to its
     half grid (contiguous)."""
@@ -143,17 +100,52 @@ def hermitian_half(values) -> np.ndarray:
 
 
 class Workspace:
-    """The transform scratch of a magnitude projection on one grid: the
-    complex half spectrum, its real magnitude and one real array of the grid,
-    which holds the inverse transform. An array a projection returns through
-    a workspace lives in it, overwritten by its next use; in 2-D and above
-    the inverse transform also overwrites the half spectrum.
+    """The real-data transform pair of the magnitude projections on one grid,
+    with its scratch: the complex half spectrum ``half``, its real magnitude
+    ``half_magnitude`` and one real array ``grid`` of the grid. ``forward``
+    fills ``half`` with the bytes of ``numpy.fft.rfftn(z)``; ``inverse`` fills
+    ``grid`` with those of ``numpy.fft.irfftn(half, s=shape)``: the real array
+    whose spectrum is the Hermitian extension of ``half`` (on its
+    self-mirrored entries, where ``half`` may break the symmetry, its
+    Hermitian part), with the 1/prod(m) normalization. Each returns the
+    buffer it fills, valid until the workspace's next use; in 2-D and above
+    ``inverse`` also overwrites ``half``.
     """
 
     def __init__(self, shape: tuple[int, ...]):
-        self.half = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+        shape = tuple(shape)
+        if not shape or min(shape) < 1:
+            raise ValueError(f"{shape} is not a transform grid: it needs one axis or more, "
+                             "each of length 1 or more")
+        self.shape = shape
+        m = shape[-1]
+        self.half = np.empty(shape[:-1] + (m // 2 + 1,), dtype=complex)
         self.half_magnitude = np.empty(self.half.shape)
         self.grid = np.empty(shape)
+        self._rfft = _pocketfft.rfft_n_odd if m % 2 else _pocketfft.rfft_n_even
+        # gufunc axes of a (n),()->(m) transform along each leading axis, in
+        # irfftn's order, with its inverse factor
+        self._leading = [([(axis,), (), (axis,)], 1 / shape[axis])
+                         for axis in range(len(shape) - 1)]
+        self._last_factor = 1 / m
+
+    def forward(self, z: np.ndarray) -> np.ndarray:
+        """Half spectrum of the real grid array z into ``half``; z is only
+        read. A z off the grid raises ValueError (the gufuncs would pad or
+        cut it silently)."""
+        if z.shape != self.shape:
+            raise ValueError(f"array of shape {z.shape} is not on the grid {self.shape}")
+        half = self._rfft(z, 1, out=self.half)
+        for axes, _ in reversed(self._leading):
+            _pocketfft.fft(half, 1, out=half, axes=axes)
+        return half
+
+    def inverse(self) -> np.ndarray:
+        """The real array of the half spectrum in ``half``, into ``grid``."""
+        half = self.half
+        for axes, factor in self._leading:
+            _pocketfft.ifft(half, factor, out=half, axes=axes)
+        return _pocketfft.irfft(half, self._last_factor, out=self.grid)
 
 
 def intensity(z) -> IntensityMeasurements:

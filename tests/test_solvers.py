@@ -512,23 +512,24 @@ def test_trace_stride_selects_rows_of_the_full_trace(method, max_iter):
 def test_untraced_iteration_makes_two_ffts(monkeypatch):
     # the magnitude projection's real forward and inverse transforms; a traced
     # iteration adds the measurement error's complex forward transform. Counted
-    # at spectral's four entry points, in the modules of the loop that call
-    # them (no other module calls numpy.fft: test_only_spectral_calls_numpy_fft)
-    entry_points = ("dft_forward", "dft_inverse", "rdft_forward", "rdft_inverse")
+    # at spectral's four entry points: the workspace's pair, patched on its
+    # class, and the complex pair in the modules of the loop that call it (no
+    # other module calls numpy.fft: test_only_spectral_calls_numpy_fft)
+    entry_points = ("dft_forward", "dft_inverse", "forward", "inverse")
     calls = dict.fromkeys(entry_points, 0)
 
-    def counted(name):
-        fft = getattr(spectral, name)
-
+    def counted(name, fft):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fft(*args, **kwargs)
         return wrapper
 
+    for name in ("forward", "inverse"):
+        monkeypatch.setattr(Workspace, name, counted(name, getattr(Workspace, name)))
     for module in (projections, solvers, metrics):
-        for name in entry_points:
+        for name in ("dft_forward", "dft_inverse"):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name))
+                monkeypatch.setattr(module, name, counted(name, getattr(spectral, name)))
     rng = np.random.default_rng(26)
     x, y, mask, b = make_instance(rng, 12, 12)
 
@@ -547,11 +548,11 @@ def test_untraced_iteration_makes_two_ffts(monkeypatch):
     untraced = added(0, delta)
     assert sum(untraced.values()) == 2 * delta
     assert untraced == {"dft_forward": 0, "dft_inverse": 0,
-                        "rdft_forward": delta, "rdft_inverse": delta}
+                        "forward": delta, "inverse": delta}
     traced = added(1, delta)
     assert sum(traced.values()) == 3 * delta
     assert traced == {"dft_forward": delta, "dft_inverse": 0,
-                      "rdft_forward": delta, "rdft_inverse": delta}
+                      "forward": delta, "inverse": delta}
 
     # an untraced run scores nothing, even given the truth: its only complex
     # transforms are the spectral start and, for CBDR, that of each branch and
