@@ -317,8 +317,7 @@ def write_sweep_outputs(out_dir, grid: SweepGrid, config: ExperimentConfig,
     out.mkdir(parents=True, exist_ok=True)
     n = shape_token(grid.sample_shape)
     manifest = manifest_now(version, config.seed, config.echo(),
-                            extra={"ratios": [format_float(c.ratio) for c in grid.cells],
-                                   "n_values": list(grid.sample_shape)})
+                            extra={"ratios": [format_float(c.ratio) for c in grid.cells]})
     write_results(out / "trials.csv", list(grid.rows), manifest)
     write_lines(out / "rates.csv", ["n,k,k_ratio,trials,successes,aborted,rate,stderr", *(
         ",".join([n, shape_token(c.k), format_float(c.ratio), str(c.trials),

@@ -6,7 +6,7 @@ each rule stated once:
 
 - writing: ``write_lines`` is the one text writer, UTF-8 with every line
   ended by ``"\n"``; ``json_text`` is the one JSON text (sorted keys,
-  indent 2, numpy scalars as floats), and ``write_manifest`` puts a run's
+  indent 2, numpy scalars as floats, a NaN or infinity as null), and ``write_manifest`` puts a run's
   manifest at ``<path>.manifest.json``. Floats are written with 17
   significant digits (binary64 round-trip), so identical inputs give
   identical bytes;
@@ -91,9 +91,23 @@ def read_text(path, encoding: str = "utf-8") -> str:
         raise DataFormatError(f"{path}: not {encoding.upper()} text") from None
 
 
+def _finite_or_null(value):
+    # every non-finite float as None, in dicts, lists and tuples alike
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
 def json_text(payload) -> str:
-    """The one JSON text: sorted keys, indent 2, numpy scalars as floats."""
-    return json.dumps(payload, sort_keys=True, indent=2, default=float)
+    """The one JSON text: sorted keys, indent 2, numpy scalars as floats, and
+    strict: a NaN or infinite float is written as null (JSON has no such
+    numbers), and one that gets past that raises ValueError."""
+    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, default=float,
+                      allow_nan=False)
 
 
 def sha256_of(path) -> str:

@@ -171,6 +171,32 @@ def test_solve_cli_round_trip(tmp_path, capsys):
     assert recovered.size == 12
 
 
+def _strict_json(text):
+    # JSON as RFC 8259 has it: NaN and Infinity are not numbers there
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_outputs_are_strict(tmp_path, capsys):
+    # a 1-D solve has no PSNR/SSIM, and identical images have PSNR +inf;
+    # both are written as null, in the report and on stdout alike
+    sig = tmp_path / "x.csv"
+    write_signal_csv(sig, np.random.default_rng(0).standard_normal(6))
+    out = tmp_path / "solve"
+    assert main(["solve", "--method", "bdr", "--signal", str(sig), "--k-ratio", "3",
+                 "--seed", "5", "--max-iter", "20", "--out", str(out)]) == EXIT_OK
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["psnr"] is None and payload["ssim"] is None
+    assert _strict_json((out / "solve_report.json").read_text()) == payload
+
+    img = tmp_path / "img.csv"
+    write_image(img, np.arange(144.0).reshape(12, 12))
+    assert main(["metrics", "--image-truth", str(img), "--image-estimate", str(img)]) == EXIT_OK
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["psnr"] is None and payload["ssim"] == 1.0 and payload["success"]
+
+
 def test_solve_cli_spectrum_hio(tmp_path, capsys):
     # measured-spectrum workflow: intensities in, HIO out, no ground truth
     from bgret.spectral import intensity
@@ -515,11 +541,11 @@ FROZEN_CLI_OUTPUTS = {
     "forward":
         "609c429497fb26aa91cdaacb0b1ae082bdea9579f9989a4d0927f31f19fa8b13",
     "solve-bdr":
-        "056ee3eab9082682afa3964b1f4864f664ed58723a3ae503414094e6f1a69571",
+        "c9f914be2fa047616d3adcc8a67d0e59382b4a3e68a099f9ec2b1265a577ab7f",
     "solve-bdr1-noisy":
         "3ca1b73a98438f09b5f0449a82b2f5c207921c1e7faa3df4954513e2d140cd6f",
     "sweep":
-        "e22b995bd021e9e9ccc51e87ad4ac2fc6ba9b4e21555eb8a2f312da1d87c5f76",
+        "04202e7714760e606e25e3095cc1279b5b0058c9a372a843102aa514f93f9385",
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgret.io_formats import (DataFormatError, RESULT_COLUMNS, ExperimentConfig,
-                              format_float, manifest_now, parse_config, read_config,
+                              format_float, json_text, manifest_now, parse_config, read_config,
                               read_image, read_results, read_signal_csv, shape_token,
                               write_image, write_results, write_signal_csv)
 from bgret.model import Method
@@ -19,6 +19,15 @@ def test_format_float_round_trip():
         assert float(format_float(v)) == v
     assert format_float(math.inf) == "inf"
     assert format_float(math.nan) == "nan"
+
+
+def test_json_text_writes_non_finite_floats_as_null():
+    payload = {"b": [math.nan, (np.float64(-math.inf), 1)], "a": np.float32(math.inf),
+               "c": np.float64(0.5), "d": np.int64(3)}
+    assert json.loads(json_text(payload)) == {"a": None, "b": [None, [None, 1]],
+                                              "c": 0.5, "d": 3.0}
+    with pytest.raises(ValueError):  # a non-finite value only the default reaches
+        json_text({"x": np.array(math.nan)})
 
 
 def test_signal_csv_round_trip(tmp_path):
