@@ -6,10 +6,10 @@ each rule stated once:
 
 - writing: ``write_lines`` is the one text writer, UTF-8 with every line
   ended by ``"\n"``; ``json_text`` is the one JSON text (sorted keys,
-  indent 2, numpy scalars as floats, a NaN or infinity as null), and ``write_manifest`` puts a run's
-  manifest at ``<path>.manifest.json``. Floats are written with 17
-  significant digits (binary64 round-trip), so identical inputs give
-  identical bytes;
+  indent 2, numpy scalars as floats, a NaN or infinity as null), and
+  ``write_manifest`` puts a run's manifest at ``<path>.manifest.json``.
+  Floats are written with 17 significant digits (binary64 round-trip), so
+  identical inputs give identical bytes;
 - decoding: ``read_text`` is the one text reader; bytes that do not decode
   (UTF-8, or ASCII for a PGM) raise DataFormatError;
 - numbers: an integer token matches ``-?[0-9]+`` (``parse_int``) and a float
@@ -103,9 +103,9 @@ def _finite_or_null(value):
 
 
 def json_text(payload) -> str:
-    """The one JSON text: sorted keys, indent 2, numpy scalars as floats, and
-    strict: a NaN or infinite float is written as null (JSON has no such
-    numbers), and one that gets past that raises ValueError."""
+    """The one JSON text: sorted keys, indent 2, numpy scalars as floats, a
+    NaN or infinite float as null (JSON has no such numbers; a missed one
+    raises ValueError)."""
     return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, default=float,
                       allow_nan=False)
 

@@ -27,11 +27,10 @@ direct-summation oracle below pins down numerically.
 
 The real-data pair runs in the solver loop, twice per iteration, on grids
 where numpy's Python wrappers (``rfftn`` -> ``rfft`` -> ``_raw_fft``) cost
-more than the transforms. So a ``Workspace`` calls the pocketfft gufuncs
-under them, ``numpy.fft._pocketfft_umath``, directly, once per axis, with the
-axis order and the factors ``rfftn``/``irfftn`` use, and gives the same
-bytes. It checks its grid once, when it is built, and binds the gufunc of
-the last axis, the leading axes and the factors 1/m_axis then:
+more than the transforms. So a ``Workspace``, built once per solver run,
+checks its grid once and calls the pocketfft gufuncs under them,
+``numpy.fft._pocketfft_umath``, directly, once per axis, with the axis order
+and the factors ``rfftn``/``irfftn`` use, and gives the same bytes:
 
 * ``forward(z)`` runs ``rfft_n_even`` or ``rfft_n_odd`` (factor 1) along the
   last axis of z into ``half``, then ``fft`` (factor 1) in place over the
@@ -40,9 +39,6 @@ the last axis, the leading axes and the factors 1/m_axis then:
   the leading axes, from the first one to the last, then ``irfft`` with
   factor 1/m_last into ``grid``. In 2-D and above it therefore overwrites
   the half spectrum.
-
-A solver run builds one workspace from its grid shape and reuses it on every
-iteration.
 """
 
 from __future__ import annotations
@@ -100,24 +96,18 @@ def hermitian_half(values) -> np.ndarray:
 
 
 class Workspace:
-    """The real-data transform pair of the magnitude projections on one grid,
-    with its scratch: the complex half spectrum ``half``, its real magnitude
-    ``half_magnitude`` and one real array ``grid`` of the grid. ``forward``
-    fills ``half`` with the bytes of ``numpy.fft.rfftn(z)``; ``inverse`` fills
-    ``grid`` with those of ``numpy.fft.irfftn(half, s=shape)``: the real array
-    whose spectrum is the Hermitian extension of ``half`` (on its
-    self-mirrored entries, where ``half`` may break the symmetry, its
-    Hermitian part), with the 1/prod(m) normalization. Each returns the
-    buffer it fills, valid until the workspace's next use; in 2-D and above
-    ``inverse`` also overwrites ``half``.
-    """
+    """The real-data transform pair on one grid and its scratch: the half
+    spectrum ``half``, its magnitude ``half_magnitude`` and a real array
+    ``grid`` of the grid. ``forward`` and ``inverse`` give the bytes of
+    ``numpy.fft.rfftn(z)`` and ``numpy.fft.irfftn(half, s=shape)`` (on the
+    self-mirrored entries, where ``half`` may break the Hermitian symmetry,
+    its Hermitian part) and return the buffer they fill."""
 
     def __init__(self, shape: tuple[int, ...]):
-        shape = tuple(shape)
+        self.shape = shape = tuple(shape)
         if not shape or min(shape) < 1:
             raise ValueError(f"{shape} is not a transform grid: it needs one axis or more, "
                              "each of length 1 or more")
-        self.shape = shape
         m = shape[-1]
         self.half = np.empty(shape[:-1] + (m // 2 + 1,), dtype=complex)
         self.half_magnitude = np.empty(self.half.shape)
@@ -130,9 +120,8 @@ class Workspace:
         self._last_factor = 1 / m
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        """Half spectrum of the real grid array z into ``half``; z is only
-        read. A z off the grid raises ValueError (the gufuncs would pad or
-        cut it silently)."""
+        """Half spectrum of the real grid array z (only read) into ``half``.
+        A z off the grid raises ValueError: the gufuncs would pad or cut it."""
         if z.shape != self.shape:
             raise ValueError(f"array of shape {z.shape} is not on the grid {self.shape}")
         half = self._rfft(z, 1, out=self.half)
