@@ -8,8 +8,10 @@ into the background and the measured intensities (``run_trial`` and the CLI's
 forward/solve both use it), ``SupportMask.place`` is the placement rule,
 ``solvers.run`` is the only solver call (untraced, without the ground truth)
 and ``metrics.evaluate`` gives every metric column of a row, the fixed-point
-residual among them. A trial without
-a fixed signal draws the Gaussian one from its seed.
+residual among them. A trial without a fixed signal draws the Gaussian one
+from its seed. ``run_cells`` is the one trial dispatcher: a study is a list
+of cells, each the specs it summarises together, and gets each cell's rows
+back in order.
 
 Determinism contract: a sweep is a pure function of (config, master seed),
 independent of the worker count. Per-trial seeds are
@@ -22,17 +24,19 @@ nondeterministic output.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import solvers
-from .io_formats import (ExperimentConfig, format_float, manifest_now, shape_token,
-                         write_lines, write_results)
+from .io_formats import (ExperimentConfig, format_float, manifest_now, parse_int,
+                         shape_token, write_lines, write_results)
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
                     _require_count, assemble, background_sizes_for, hermitian_part,
                     object_shape_for)
@@ -216,22 +220,34 @@ def run_trial(spec: TrialSpec) -> dict:
 
 
 def resolve_workers(requested: Optional[int] = None) -> int:
-    import os
+    """``requested``, else BGRET_WORKERS read by ``parse_int``, else 1."""
     if requested is None:
-        requested = os.environ.get("BGRET_WORKERS") or 1
-    workers = int(requested)
-    if workers < 1:
-        raise ValueError(f"worker count must be at least 1, got {workers}")
-    return workers
+        try:
+            return resolve_workers(parse_int(os.environ.get("BGRET_WORKERS") or "1"))
+        except ValueError as exc:
+            raise ValueError(f"BGRET_WORKERS: {exc}") from None
+    if requested < 1:
+        raise ValueError(f"worker count must be at least 1, got {requested}")
+    return requested
+
+
+def run_cells(cells: Sequence[Sequence[TrialSpec]], workers: int = 1) -> list[list[dict]]:
+    """The one trial dispatcher: each cell's rows, in cell and spec order, for
+    any worker count. Every row is one ``run_trial`` call; the cells' specs
+    share one process pool, created here."""
+    specs = [spec for cell in cells for spec in cell]
+    if workers <= 1 or len(specs) <= 1:
+        rows = iter([run_trial(s) for s in specs])
+    else:
+        chunk = max(1, len(specs) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = iter(list(pool.map(run_trial, specs, chunksize=chunk)))
+    return [list(islice(rows, len(cell))) for cell in cells]
 
 
 def run_trials(specs: Sequence[TrialSpec], workers: int = 1) -> list[dict]:
-    """Execute trials; output order follows the input order for any worker count."""
-    if workers <= 1 or len(specs) <= 1:
-        return [run_trial(s) for s in specs]
-    chunk = max(1, len(specs) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_trial, specs, chunksize=chunk))
+    """``run_cells`` with one cell: the rows in input order."""
+    return run_cells([specs], workers)[0]
 
 
 # -- phase transition sweep -----------------------------------------------------
@@ -274,39 +290,38 @@ class SweepGrid:
         return None
 
 
-def sweep_specs(config: ExperimentConfig, ratios: Sequence[float],
-                signal_values: Optional[np.ndarray] = None) -> list[TrialSpec]:
+def sweep_cells(config: ExperimentConfig, ratios: Sequence[float],
+                signal_values: Optional[np.ndarray] = None) -> list[list[TrialSpec]]:
+    """One cell per ratio: its config.trials trials, cell id the ratio's index."""
     fixed = None  # a Gaussian sweep draws each trial's signal from its seed
     if config.signal_type != SIGNAL_GAUSSIAN:
         fixed = gen_signal(config.signal_type, math.prod(config.n), values=signal_values)
-    specs = []
-    for cell_id, ratio in enumerate(ratios):
-        k = background_sizes_for(ratio, config.n)
-        for trial in range(config.trials):
-            specs.append(TrialSpec(
-                master_seed=config.seed, cell_id=cell_id, trial_index=trial,
-                method=config.method, sample_shape=config.n, background_sizes=k,
-                eps=config.eps, max_iter=config.max_iter, beta=config.beta,
-                lam=config.lam, noise_sigma=config.noise_sigma, signal=fixed))
-    return specs
+    return [[TrialSpec(master_seed=config.seed, cell_id=cell_id, trial_index=trial,
+                       method=config.method, sample_shape=config.n, background_sizes=k,
+                       eps=config.eps, max_iter=config.max_iter, beta=config.beta,
+                       lam=config.lam, noise_sigma=config.noise_sigma, signal=fixed)
+             for trial in range(config.trials)]
+            for cell_id, k in enumerate(background_sizes_for(r, config.n) for r in ratios)]
+
+
+def sweep_specs(config: ExperimentConfig, ratios: Sequence[float],
+                signal_values: Optional[np.ndarray] = None) -> list[TrialSpec]:
+    """The sweep's specs in run order: its cells, flattened."""
+    return [spec for cell in sweep_cells(config, ratios, signal_values) for spec in cell]
 
 
 def sweep_phase_transition(config: ExperimentConfig, ratios: Sequence[float],
                            signal_values: Optional[np.ndarray] = None,
                            workers: int = 1) -> SweepGrid:
     ratios = tuple(float(r) for r in ratios)
-    specs = sweep_specs(config, ratios, signal_values)
-    rows = run_trials(specs, workers=workers)
-
-    cells = []
-    per_cell = config.trials
-    for cell_id, ratio in enumerate(ratios):
-        cell_rows = rows[cell_id * per_cell:(cell_id + 1) * per_cell]
-        cells.append(CellSummary(
-            k=specs[cell_id * per_cell].background_sizes, ratio=ratio, trials=per_cell,
-            successes=sum(1 for r in cell_rows if r["success"]),
-            aborted=sum(1 for r in cell_rows if r.get("aborted"))))
-    return SweepGrid(config.n, tuple(cells), tuple(rows))
+    cells = sweep_cells(config, ratios, signal_values)
+    cell_rows = run_cells(cells, workers)
+    summaries = tuple(CellSummary(
+        k=cell[0].background_sizes, ratio=ratio, trials=len(rows),
+        successes=sum(1 for r in rows if r["success"]),
+        aborted=sum(1 for r in rows if r.get("aborted")))
+        for ratio, cell, rows in zip(ratios, cells, cell_rows))
+    return SweepGrid(config.n, summaries, tuple(r for rows in cell_rows for r in rows))
 
 
 def write_sweep_outputs(out_dir, grid: SweepGrid, config: ExperimentConfig,
@@ -330,30 +345,19 @@ def write_sweep_outputs(out_dir, grid: SweepGrid, config: ExperimentConfig,
 
 # -- 2-D studies ----------------------------------------------------------------
 
-def _image_specs(image: np.ndarray, k_ratio: float, methods: Sequence[Method],
-                 trials: int, seed: int, max_iter: int, noise_sigma: float = 0.0,
-                 offset: Optional[tuple[int, ...]] = None,
-                 cell_id: int = 0) -> list[TrialSpec]:
+def _image_fields(image: np.ndarray, k_ratio: float) -> dict:
+    """The TrialSpec fields a 2-D study's specs share: the image as the fixed
+    signal, its shape and the background that k_ratio gives it."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("image benchmarks need 2-D data")
-    n = image.shape
-    k = background_sizes_for(k_ratio, n)
-    specs = []
-    for trial in range(trials):
-        for method in methods:
-            specs.append(TrialSpec(
-                master_seed=seed, cell_id=cell_id, trial_index=trial,
-                method=Method.parse(method), sample_shape=n, background_sizes=k,
-                max_iter=max_iter, noise_sigma=noise_sigma, signal=image.reshape(-1),
-                offset=offset))
-    return specs
+    return {"sample_shape": image.shape, "signal": image.reshape(-1),
+            "background_sizes": background_sizes_for(k_ratio, image.shape)}
 
 
-def _method_summary(rows: list[dict], methods: Sequence[Method]) -> dict:
+def _method_summary(rows: list[dict], names: Sequence[str]) -> dict:
     out = {}
-    for method in methods:
-        m = Method.parse(method).value
+    for m in names:
         sub = [r for r in rows if r["method"] == m and not r.get("aborted")]
         if not sub:
             out[m] = {"trials": 0}
@@ -392,25 +396,22 @@ def location_bias_study(image: np.ndarray, k_ratio: float,
     computed in full; position symmetry is never used as a shortcut."""
     _require_count("positions", len(offsets))
     _require_count("trials", trials)
-    specs = []
-    for cell_id, offset in enumerate(offsets):
-        cell = _image_specs(image, k_ratio, [method], trials, seed, max_iter,
-                            offset=tuple(int(v) for v in offset), cell_id=cell_id)
+    fields, method = _image_fields(image, k_ratio), Method.parse(method)
+    cells = [[TrialSpec(master_seed=seed, cell_id=cell_id, trial_index=trial, method=method,
+                        max_iter=max_iter, offset=tuple(int(v) for v in offset), **fields)
+              for trial in range(trials)]
+             for cell_id, offset in enumerate(offsets)]
+    for cell in cells:
         cell[0].make_mask()  # the offset must fit the trials' own grid
-        specs.extend(cell)
-    rows = run_trials(specs, workers=workers)
-    positions = []
-    for cell_id, offset in enumerate(offsets):
-        sub = rows[cell_id * trials:(cell_id + 1) * trials]
-        ok = [r for r in sub if not r.get("aborted")]
-        positions.append({
-            "offset": list(offsets[cell_id]),
-            "trials": len(sub),
-            "mean_psnr": float(np.mean([r["psnr"] for r in ok])) if ok else math.nan,
-            "mean_ssim": float(np.mean([r["ssim"] for r in ok])) if ok else math.nan,
-            "mean_relative_error":
-                float(np.mean([r["relative_error"] for r in ok])) if ok else math.inf,
-        })
+    rows, positions = [], []
+    for offset, cell_rows in zip(offsets, run_cells(cells, workers)):
+        ok = [r for r in cell_rows if not r.get("aborted")]
+        mean = lambda key, empty: float(np.mean([r[key] for r in ok])) if ok else empty
+        positions.append({"offset": list(offset), "trials": len(cell_rows),
+                          "mean_psnr": mean("psnr", math.nan),
+                          "mean_ssim": mean("ssim", math.nan),
+                          "mean_relative_error": mean("relative_error", math.inf)})
+        rows.extend(cell_rows)
     return {"rows": rows, "positions": positions}
 
 
@@ -424,20 +425,17 @@ def noise_benchmark(image: np.ndarray, sigma: float, k_ratio: float, trials: int
     quantiles of PSNR/SSIM plus timing; ``pairwise_wins`` counts the trials
     where one method's relative error is below another's."""
     _require_count("trials", trials)
-    specs = _image_specs(image, k_ratio, methods, trials, seed, max_iter,
-                         noise_sigma=sigma)
-    rows = run_trials(specs, workers=workers)
-    summary = _method_summary(rows, methods)
-    per_trial = {}
-    for r in rows:
-        per_trial.setdefault(r["trial"], {})[r["method"]] = r
-    pairwise = {}
-    names = [Method.parse(m).value for m in methods]
-    for a in names:
-        for b_ in names:
-            if a == b_:
-                continue
-            wins = sum(1 for t in per_trial.values()
-                       if t[a]["relative_error"] < t[b_]["relative_error"])
-            pairwise[f"{a}<{b_}"] = wins
-    return {"rows": rows, "summary": summary, "pairwise_wins": pairwise}
+    fields = _image_fields(image, k_ratio)
+    methods = [Method.parse(m) for m in methods]
+    # one cell per trial: its methods, which share the trial's instance
+    cells = [[TrialSpec(master_seed=seed, cell_id=0, trial_index=trial, method=method,
+                        max_iter=max_iter, noise_sigma=sigma, **fields)
+              for method in methods]
+             for trial in range(trials)]
+    cell_rows = run_cells(cells, workers)
+    rows = [r for cell in cell_rows for r in cell]
+    errors = [{r["method"]: r["relative_error"] for r in cell} for cell in cell_rows]
+    names = [m.value for m in methods]
+    pairwise = {f"{a}<{b}": sum(1 for e in errors if e[a] < e[b])
+                for a in names for b in names if a != b}
+    return {"rows": rows, "summary": _method_summary(rows, names), "pairwise_wins": pairwise}

@@ -1,12 +1,14 @@
-"""The benchmark's tracer (perfbench/spans.py) wraps program functions by
+"""The benchmark (perfbench/) imports, calls and wraps program functions by
 name. A rename that drops one of them must fail here, not silently break
-``perfbench/run.py --trace 1``."""
+``perfbench/run.py``."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_every_traced_target_resolves():
@@ -21,3 +23,48 @@ def test_every_traced_target_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert not missing, f"benchmark hooks with no target: {missing}"
+
+
+def _submodule(module: str, name: str) -> bool:
+    return module == "bgret" and importlib.util.find_spec(f"bgret.{name}") is not None
+
+
+def benchmark_names() -> set:
+    """(module, name) for each bgret name a perfbench file imports, and for
+    each attribute it reads or sets on a bgret module it imported, as
+    ``harness.run_trial`` or ``self.harness.run_trial``."""
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # name bound in the file -> the bgret module it is
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bgret":
+                for alias in node.names:
+                    names.add((node.module, alias.name))
+                    if _submodule(node.module, alias.name):
+                        modules[alias.asname or alias.name] = f"bgret.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    # `import bgret.x` binds bgret, `import bgret.x as y` binds y
+                    if alias.name.split(".")[0] == "bgret":
+                        modules[alias.asname or "bgret"] = alias.name if alias.asname else "bgret"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                bound = getattr(owner, "id", None) or getattr(owner, "attr", None)
+                if bound in modules:
+                    names.add((modules[bound], node.attr))
+    return names
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    names = benchmark_names()
+    # the collector sees the drivers the workloads call and the hook run.py patches
+    assert {("bgret.harness", "sweep_specs"), ("bgret.harness", "run_trials"),
+            ("bgret.harness", "noise_benchmark"), ("bgret.harness", "run_trial"),
+            ("bgret.solvers", "_iterate"), ("bgret.io_formats", "write_results"),
+            ("bgret.metrics", "SUCCESS_THRESHOLD")} <= names
+    missing = sorted(f"{module}.{name}" for module, name in names
+                     if not (_submodule(module, name)
+                             or hasattr(importlib.import_module(module), name)))
+    assert not missing, f"names the benchmark uses that bgret lacks: {missing}"

@@ -430,17 +430,52 @@ def test_sweep_cli_rejects_empty_ratio_range(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lo,hi", [("-1", "-1"), ("0", "1"), ("0", "0")])
-def test_sweep_cli_rejects_nonpositive_ratio(lo, hi, tmp_path, capsys):
-    # k = max(1, round(ratio * n)) would run k = 1 and report k_ratio lo
+@pytest.mark.parametrize("lo,hi,step,flag", [
+    pytest.param("-1", "-1", "0.1", "--ratio-min", id="-1--1"),
+    pytest.param("0", "1", "0.1", "--ratio-min", id="0-1"),
+    pytest.param("0", "0", "0.1", "--ratio-min", id="0-0"),
+    pytest.param("2", "3", "0", "--ratio-step", id="step-0"),
+    pytest.param("2", "3", "-0.1", "--ratio-step", id="step--0.1"),
+])
+def test_sweep_cli_rejects_nonpositive_ratio(lo, hi, step, flag, tmp_path, capsys):
+    # k = max(1, round(ratio * n)) would run k = 1 and report k_ratio lo; a
+    # step of 0 or below would never reach --ratio-max
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"method": "BDR", "n": 10, "k_ratio": 3,
                                "trials": 1, "seed": 2, "max_iter": 5}))
     out = tmp_path / "nonpositive"
     rc = main(["sweep", "--config", str(cfg), "--ratio-min", lo,
-               "--ratio-max", hi, "--out", str(out)])
+               "--ratio-max", hi, "--ratio-step", step, "--out", str(out)])
     assert rc == EXIT_USAGE
-    assert "--ratio-min" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["metrics", "--truth", "sig.csv"], "--estimate"),
+    (["metrics", "--image-truth", "img.csv"], "--image-estimate"),
+    (["metrics"], "--truth"),
+    (["solve", "--method", "hio", "--spectrum", "spec.csv"], "--support"),
+])
+def test_cli_input_pairs_name_the_missing_flag(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_signal_csv(tmp_path / "sig.csv", np.arange(1.0, 9.0))
+    write_image(tmp_path / "img.csv", np.arange(64.0).reshape(8, 8))
+    write_image(tmp_path / "spec.csv", intensity(np.arange(64.0).reshape(8, 8)).values)
+    assert main(argv) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_bgret_workers_is_a_data_error(tmp_path, monkeypatch, capsys):
+    # read as an integer token, not by Python's int, which takes "1_6" as 16
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"method": "BDR", "n": 10, "k_ratio": 3,
+                               "trials": 1, "seed": 2, "max_iter": 5}))
+    monkeypatch.setenv("BGRET_WORKERS", "1_6")
+    out = tmp_path / "workers"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+    assert "BGRET_WORKERS" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,8 +7,8 @@ import pytest
 from bgret.analysis import verify_frip, verify_lmatrix, verify_stability, verify_uniqueness
 from bgret.harness import (STREAM_SIGNAL, TrialSpec, add_noise, default_bias_offsets,
                            draw_instance, gen_background, gen_signal, harmonic_signal, location_bias_study,
-                           noise_benchmark, run_trial, run_trials, resolve_workers,
-                           sweep_phase_transition,
+                           noise_benchmark, run_cells, run_trial, run_trials, resolve_workers,
+                           sweep_phase_transition, sweep_specs,
                            synthetic_test_image)
 from bgret.io_formats import RESULT_COLUMNS, ExperimentConfig, manifest_now, write_results
 from bgret.model import IntensityMeasurements, Method, SupportMask
@@ -231,6 +231,63 @@ def test_run_trials_worker_independence():
         rows_equal_except_timing(a, b)
 
 
+def test_run_cells_matches_run_trials_over_the_concatenated_specs():
+    spec = lambda c, t, n: TrialSpec(master_seed=6, cell_id=c, trial_index=t,
+                                     method=Method.BDR, sample_shape=(n,),
+                                     background_sizes=(3 * n,), max_iter=60)
+    cells = [[spec(0, 0, 10), spec(0, 1, 10)], [], [spec(2, t, 8) for t in range(3)]]
+    flat = run_trials([s for cell in cells for s in cell])
+    for workers in (1, 2):
+        per_cell = run_cells(cells, workers=workers)
+        assert [len(rows) for rows in per_cell] == [2, 0, 3]
+        joined = [row for rows in per_cell for row in rows]
+        assert len(joined) == len(flat)
+        for a, b in zip(flat, joined):
+            rows_equal_except_timing(a, b)
+
+
+def test_sweep_rows_follow_sweep_specs():
+    # the benchmark checks each sweep row against sweep_specs' order
+    cfg = ExperimentConfig(method=Method.BDR, n=(10,), trials=3, seed=8,
+                           k_ratio=3.0, max_iter=40)
+    grid = sweep_phase_transition(cfg, [2.0, 3.0])
+    specs = sweep_specs(cfg, [2.0, 3.0])
+    assert [(r["trial"], r["seed"], r["k"]) for r in grid.rows] == [
+        (s.trial_index, mix_seed(8, s.cell_id, s.trial_index), str(s.background_sizes[0]))
+        for s in specs]
+    assert [c.k for c in grid.cells] == [(20,), (30,)]
+
+
+def _without(summary: dict, key: str) -> dict:
+    return {m: {k: v for k, v in stats.items() if k != key} for m, stats in summary.items()}
+
+
+def test_location_bias_study_worker_independence():
+    # side 12: a smaller image warns that SSIM's window is clipped
+    img = synthetic_test_image(12)
+    serial, parallel = (location_bias_study(img, 2.0, [(0, 0), (6, 6), (12, 12)], 2,
+                                            seed=4, max_iter=60, workers=w)
+                        for w in (1, 2))
+    assert serial["positions"] == parallel["positions"]
+    assert len(serial["rows"]) == len(parallel["rows"]) == 6
+    for a, b in zip(serial["rows"], parallel["rows"]):
+        rows_equal_except_timing(a, b)
+
+
+def test_noise_benchmark_worker_independence():
+    img = synthetic_test_image(12)
+    serial, parallel = (noise_benchmark(img, 1e-3, 2.0, 3, methods=(Method.PGD, Method.BDR),
+                                        seed=6, max_iter=60, workers=w)
+                        for w in (1, 2))
+    assert _without(serial["summary"], "mean_wall_ms") == \
+        _without(parallel["summary"], "mean_wall_ms")
+    assert serial["pairwise_wins"] == parallel["pairwise_wins"]
+    assert list(serial["pairwise_wins"]) == ["pgd<bdr", "bdr<pgd"]
+    assert len(serial["rows"]) == len(parallel["rows"]) == 6
+    for a, b in zip(serial["rows"], parallel["rows"]):
+        rows_equal_except_timing(a, b)
+
+
 def test_sweep_single_cell_matches_trial_aggregation():
     cfg = ExperimentConfig(method=Method.BDR, n=(12,), trials=8, seed=4,
                            k_ratio=3.0, max_iter=120)
@@ -328,3 +385,11 @@ def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("BGRET_WORKERS", "0")
     with pytest.raises(ValueError, match="at least 1"):
         resolve_workers(None)
+    # the variable is an integer token: ASCII digits, no sign, separator or
+    # space, and the error names the variable
+    monkeypatch.setenv("BGRET_WORKERS", "")
+    assert resolve_workers(None) == 1
+    for token in ("1_6", "+2", " 3", "2.0", "abc", "\u0663", "-2"):
+        monkeypatch.setenv("BGRET_WORKERS", token)
+        with pytest.raises(ValueError, match="BGRET_WORKERS"):
+            resolve_workers(None)
