@@ -283,6 +283,7 @@ def sample_c2(size: int, seed: int) -> np.ndarray:
     """Draw a random real vector and clamp its spectrum radially to magnitude
     at most 2: the ball projection onto |DFT h| <= 2 (conjugate symmetry is
     preserved by the radial clamp)."""
+    _require_count("size", size)
     rng = np.random.default_rng(seed)
     h0 = rng.standard_normal(size) * (C2_RADIUS / math.sqrt(size))
     return project_magnitude_ball(h0, hermitian_half(np.full(size, C2_RADIUS)))
@@ -426,8 +427,11 @@ def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
     """Bounded-noise recovery against the certificate on CHECK_MASK: uniform
     measurement noise |eps1| <= c1 (its Hermitian part) and background bias
     |eps2| <= c2; checks measured error <= bound every time and the exact
-    c2=0 collapse."""
+    c2=0 collapse. A bound that is negative or not finite raises ValueError."""
     _require_count("instances", instances)
+    for name, bound in (("c1", c1), ("c2", c2)):
+        if not 0.0 <= bound < math.inf:
+            raise ValueError(f"noise bound {name} must be finite and nonnegative, got {bound}")
     mask = CHECK_MASK
     rng = np.random.default_rng(seed)
     failures = 0

@@ -201,6 +201,8 @@ def cmd_sweep(args) -> int:
     if not args.ratio_min > 0:
         # k = max(1, round(ratio * n)) would run k = 1 under a k_ratio it never had
         raise SystemExit2("--ratio-min must be positive")
+    if not math.isfinite(args.ratio_max):
+        raise SystemExit2("--ratio-max must be finite")
     # ratio i from its index rather than a running sum, whose drift
     # (0.25000000000000006 for 0.05 + 2 * 0.1) moves k at half-way points
     count = math.ceil((args.ratio_max + 1e-9 - args.ratio_min) / args.ratio_step)

@@ -6,8 +6,14 @@ background model pins the solution exactly and the metrics must expose any
 failure to do so.
 
 The measurement error and the fixed-point residual are two norms of one
-intensity residual r = |DFT([x_hat; y])|^2 - b: ||r||_2 / ||b||_2 and
-max|r| / max(b). ``evaluate`` computes r once for both.
+intensity residual, of the intensity s = |DFT([x_hat; y])|^2 of a real
+object against the measurements b: ||s - b||_2 / ||b||_2 and
+max|s - h| / max(b), h the Hermitian part of b. s is Hermitian, so both are
+computed on the half grid, from the real transform ``Workspace.forward``
+and the half-grid arrays cached on b (see ``spectral``): r = s - h there,
+||s - b||^2 is the weighted sum of r^2 (``Workspace.weights``) plus
+``b.asymmetry`` = ||b - h||^2, and for the intensity of a real object h is
+b up to rounding. ``evaluate`` computes r once for both.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .model import IntensityMeasurements, SupportMask, assemble
-from .spectral import dft_forward
+from .spectral import Workspace
 
 #: Relative errors strictly below this threshold count as successful recovery.
 SUCCESS_THRESHOLD = 1e-5
@@ -52,21 +58,29 @@ def relative_error(x_hat, x) -> float:
     return l2_norm(x_hat - x) / denom
 
 
-def _intensity_residual(x_hat, background, mask: SupportMask,
-                        b: IntensityMeasurements) -> np.ndarray:
-    # |DFT([x_hat; y])|^2 - b on the whole grid, through the full complex
-    # transform, as b is given
+def _intensity_residual(x_hat, background, mask: SupportMask, b: IntensityMeasurements,
+                        work: Workspace) -> np.ndarray:
+    # r = |DFT([x_hat; y])|^2 - h on the half grid, in the workspace's
+    # magnitude buffer
     if b.norm == 0.0:
         raise ValueError("measurement error undefined for zero measurements")
-    r = np.abs(dft_forward(assemble(x_hat, background, mask)))
+    r = np.abs(work.forward(assemble(x_hat, background, mask)), out=work.half_magnitude)
     np.square(r, out=r)
-    return np.subtract(r, b.values, out=r)
+    return np.subtract(r, b.half_values, out=r)
 
 
-def measurement_error(x_hat, background, mask: SupportMask,
-                      b: IntensityMeasurements) -> float:
-    """|| |DFT([x_hat; y])|^2 - b ||_2 / ||b||_2."""
-    return l2_norm(_intensity_residual(x_hat, background, mask, b)) / b.norm
+def _residual_norm(r: np.ndarray, b: IntensityMeasurements, work: Workspace) -> float:
+    # ||s - b||_2 over the grid from r = s - h on the half grid
+    return math.sqrt(work.weights.reshape(-1).dot(np.square(r).reshape(-1)) + b.asymmetry)
+
+
+def measurement_error(x_hat, background, mask: SupportMask, b: IntensityMeasurements,
+                      work: Optional[Workspace] = None) -> float:
+    """|| |DFT([x_hat; y])|^2 - b ||_2 / ||b||_2, transformed in ``work`` (None
+    builds one)."""
+    work = Workspace(mask.shape) if work is None else work
+    return _residual_norm(_intensity_residual(x_hat, background, mask, b, work), b,
+                          work) / b.norm
 
 
 def _default_peak(reference: np.ndarray) -> float:
@@ -152,15 +166,17 @@ def success(e: float) -> bool:
 def evaluate(x_hat, x, background, mask: SupportMask, b: IntensityMeasurements) -> dict:
     """The metric columns of a result row: relative_error, measurement_error,
     psnr and ssim (NaN unless the mask is 2-D), success, and fixedpoint_resid,
-    the sup-norm intensity residual scaled by max(b), the fixed-point
-    consistency quantity."""
+    the sup-norm intensity residual max|s - h| scaled by max(b), the
+    fixed-point consistency quantity."""
     e = relative_error(x_hat, x)
-    r = _intensity_residual(x_hat, background, mask, b)
+    work = Workspace(mask.shape)
+    r = _intensity_residual(x_hat, background, mask, b, work)
     if len(mask.shape) == 2:
         a, t = mask.to_block(x_hat), mask.to_block(x)
         p, s = psnr(a, t), ssim(a, t)
     else:
         p, s = math.nan, math.nan
     resid = float(np.max(np.abs(r))) / max(float(np.max(b.values)), np.finfo(float).tiny)
-    return {"relative_error": e, "measurement_error": l2_norm(r) / b.norm, "psnr": p,
+    return {"relative_error": e, "measurement_error": _residual_norm(r, b, work) / b.norm,
+            "psnr": p,
             "ssim": s, "success": success(e), "fixedpoint_resid": resid}

@@ -27,7 +27,10 @@ import numpy as np
 
 def background_sizes_for(ratio: float, sizes: Sequence[int]) -> tuple[int, ...]:
     """The one rule turning a ratio k/n into background sizes:
-    k_i = max(1, round(ratio * n_i)), rounding half to even."""
+    k_i = max(1, round(ratio * n_i)), rounding half to even. A ratio that is
+    not finite raises ValueError."""
+    if not math.isfinite(ratio):
+        raise ValueError(f"background ratio {ratio} is not finite")
     return tuple(max(1, int(round(ratio * n))) for n in sizes)
 
 
@@ -61,6 +64,13 @@ def mirror_index(values: np.ndarray) -> np.ndarray:
 def hermitian_part(values: np.ndarray) -> np.ndarray:
     """The Hermitian part 0.5 * (v[i] + v[-i]) of a real array."""
     return 0.5 * (values + mirror_index(values))
+
+
+def hermitian_half(values) -> np.ndarray:
+    """The Hermitian part 0.5 * (v[i] + v[-i]) of a real array, cut to its
+    half grid, entries 0 .. m_last//2 of the last axis (contiguous)."""
+    v = np.asarray(values, dtype=float)
+    return np.ascontiguousarray(hermitian_part(v)[..., : v.shape[-1] // 2 + 1])
 
 
 @dataclass(frozen=True)
@@ -148,7 +158,9 @@ def assemble(x, background, mask: SupportMask) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntensityMeasurements:
-    """Nonnegative Fourier intensities; conj_symmetric marks real-object data."""
+    """Nonnegative Fourier intensities; conj_symmetric marks real-object data.
+    The solvers and metrics read b on the half grid (``half_root``,
+    ``half_values``, ``asymmetry``), each computed once and read-only."""
 
     values: np.ndarray
     conj_symmetric: bool = True
@@ -184,6 +196,28 @@ class IntensityMeasurements:
     def norm(self) -> float:
         """||b||_2, the measurement error's denominator, computed once."""
         return float(np.linalg.norm(self.values.reshape(-1)))
+
+    @cached_property
+    def half_root(self) -> np.ndarray:
+        """hermitian_half(b^{1/2}): the root the magnitude projections and
+        the spectral start take."""
+        return _readonly(hermitian_half(self.root))
+
+    @cached_property
+    def half_values(self) -> np.ndarray:
+        """h = hermitian_half(b): the Hermitian part of b, the nearest
+        intensity a real object can match, on the half grid."""
+        return _readonly(hermitian_half(self.values))
+
+    @cached_property
+    def asymmetry(self) -> float:
+        """||b - h||^2 over the grid, h the Hermitian part of b: 0 up to
+        rounding for the intensity of a real object. For the intensity s of
+        a real object, s - h is symmetric under i -> -i and b - h
+        antisymmetric, so the two are orthogonal and
+        ||s - b||^2 = ||s - h||^2 + ||b - h||^2."""
+        d = (self.values - hermitian_part(self.values)).reshape(-1)
+        return float(d.dot(d))
 
 
 class Method(str, Enum):

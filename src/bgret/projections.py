@@ -10,15 +10,20 @@ dc_sign * b^{1/2} at DC. The root is validated where it is measured, in
 Both work on the half spectrum of the real iterate: the workspace's
 ``forward`` to the (..., m_last//2+1) half grid, the phase or clamp there in
 place, and its ``inverse`` back to the real grid of z. They take the root as
-``spectral.hermitian_half(b.root)``, computed once per run. The inverse of a
-half spectrum is the real part of the inverse of its Hermitian extension, so
-with that half root the equality projection is, up to rounding, the one the
-full complex transform and ``.real`` give, for any nonnegative root; so is
-the ball projection for the root of a real object, which is symmetric.
+the half root ``b.half_root`` (``hermitian_half(b.root)``, cached on b). The
+inverse of a half spectrum is the real part of the inverse of its Hermitian
+extension, so with that half root the equality projection is, up to
+rounding, the one the full complex transform and ``.real`` give, for any
+nonnegative root; so is the ball projection for the root of a real object,
+which is symmetric.
+
 When a spectral coefficient vanishes the magnitude projection is not unique;
 phase 1 is used where the computed magnitude is exactly 0, which keeps runs
 reproducible. A coefficient that vanishes only up to rounding keeps the
-phase of its rounding error.
+phase of its rounding error; on the self-mirrored lines of the half grid
+(2-D and above) the equality projection takes the phase of the line's
+Hermitian part (``Workspace.hermitian_lines``), so it lands on the magnitude
+set there too.
 
 The magnitude projectors transform through a ``spectral.Workspace`` of the
 grid of z, passed as ``out=`` or else built for the call, and return its real
@@ -51,12 +56,14 @@ def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.nda
 
 def project_magnitude(z: np.ndarray, half_root: np.ndarray,
                       out: Optional[Workspace] = None) -> np.ndarray:
-    """Replace spectral magnitudes with b^{1/2}, keeping the phases of z;
-    half_root is ``hermitian_half(b^{1/2})`` on the grid of z."""
+    """Replace spectral magnitudes with b^{1/2}, keeping the phases of z
+    (of their Hermitian part on the self-mirrored lines); half_root is
+    ``b.half_root`` on the grid of z."""
     z = np.asarray(z, dtype=float)
     if out is None:
         out = Workspace(z.shape)
     zhat = out.forward(z)
+    out.hermitian_lines()
     phase = _divide_nonzero(zhat, np.abs(zhat, out=out.half_magnitude), out=zhat)
     np.multiply(half_root, phase, out=zhat)
     return out.inverse()

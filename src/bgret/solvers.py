@@ -20,8 +20,8 @@ Five methods share one loop skeleton:
 and sends CBDR to the two-branch ``cbdr_parallel_real``. Each step maps a
 plain float array z^{p-1} to z^p; ``_iterate`` is the one loop. Every run
 starts from the deterministic spectral initializer
-z0 = P_B((1/prod m) * DFT(b^{1/2})) unless an explicit start is supplied (HIO
-starts from the unprojected transform), and stops when the step norm
+z0 = P_B((1/prod m) * Re DFT(b^{1/2})) unless an explicit start is supplied
+(HIO starts from the unprojected transform), and stops when the step norm
 ||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
 Divergence is detected from that same step norm: a non-finite start or step
 norm raises DivergenceError rather than being clamped, so traces stay honest.
@@ -39,25 +39,25 @@ stride changes no iterate: estimates, ``iterations_used`` (the number of loop
 iterations, not of rows) and ``converged`` are the same for every s, s = 1
 gives a row per iteration, and the final row is the same at every s > 0.
 An untraced iteration makes the two FFTs of its magnitude projection, the
-workspace's real ``forward`` and ``inverse``; a traced one a third, the full
-complex transform of the measurement error.
+workspace's real ``forward`` and ``inverse``; a traced one a third, the
+workspace's ``forward`` of the measurement error.
 
 Measurements live on the object grid: ``_iterate`` rejects b whose shape is
-not that of the support mask's grid, with a ValueError. The steps project on
-the half spectrum (see ``projections``): they take the half root
-``spectral.hermitian_half(b^{1/2})``, the Hermitian part of the root
-intensity cut to the half grid. Each run computes the half root once (once
-for both CBDR branches). Phase 1 where a coefficient vanishes and the DC pin
-of CBDR are as on the full spectrum. The spectral start and the measurement
-error keep the full complex transform.
+not that of the support mask's grid, with a ValueError. The module makes no
+complex transform: everything runs on the half spectrum (see ``spectral``
+and ``projections``). The steps take the half root ``b.half_root``, the
+Hermitian part of the root intensity cut to the half grid, which b computes
+once for all its runs. The spectral start (1/prod m) * Re DFT(b^{1/2}) is the
+workspace's ``inverse`` of that half root. Phase 1 where a coefficient
+vanishes and the DC pin of CBDR are as on the full spectrum.
 
 Each step returns z^p as a new array and only reads z^{p-1}. Its last
 argument, ``work``, is a ``spectral.Workspace``: the real-data transform pair
 of its magnitude projection with that pair's buffers (None builds one per
 call). Each ``_iterate`` call (so each CBDR branch) builds one from the grid
-shape, which it checks once there, and passes it to every step. The
-norm of b is cached on b. The caller's z0, background and measurements are
-only read.
+shape, which it checks once there, and computes the start and the trace's
+measurement errors in it and passes it to every step. The norm of b is
+cached on b. The caller's z0, background and measurements are only read.
 """
 
 from __future__ import annotations
@@ -70,22 +70,30 @@ import numpy as np
 from .metrics import l2_norm, measurement_error, relative_error
 from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask
 from .projections import project_background, project_magnitude, project_magnitude_ball
-from .spectral import Workspace, dft_forward, hermitian_half
+from .spectral import Workspace
 
 
 class DivergenceError(RuntimeError):
     """Iterate turned non-finite: divergence or corrupt input data."""
 
 
-def _spectral_start(root: np.ndarray) -> np.ndarray:
-    # (1/prod m) * DFT(b^{1/2}), before any projection
-    return dft_forward(root).real / root.size
+def _require_grid(b: IntensityMeasurements, mask: SupportMask) -> None:
+    if b.shape != mask.shape:
+        raise ValueError(f"measurements of shape {b.shape} are not on the object grid "
+                         f"{mask.shape}")
+
+
+def _spectral_start(b: IntensityMeasurements, work: Workspace) -> np.ndarray:
+    # (1/prod m) * Re DFT(b^{1/2}), before any projection: the inverse of the
+    # half root, in the workspace's grid buffer
+    work.half[...] = b.half_root
+    return work.inverse()
 
 
 def init_spectral(b: IntensityMeasurements, background: np.ndarray,
                   mask: SupportMask) -> np.ndarray:
-    """Deterministic start z0 = P_B((1/prod m) * DFT(b^{1/2}))."""
-    return project_background(_spectral_start(b.root), background, mask)
+    """Deterministic start z0 = P_B((1/prod m) * Re DFT(b^{1/2}))."""
+    return project_background(_spectral_start(b, Workspace(mask.shape)), background, mask)
 
 
 def pgd_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
@@ -138,16 +146,17 @@ def cbdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
 def _iterate(b: IntensityMeasurements, background: np.ndarray,
              mask: SupportMask, config: SolverConfig, step: Callable,
              final_projector: Optional[Callable], x_true=None, z0=None) -> SolverRun:
-    if b.shape != mask.shape:
-        raise ValueError(f"measurements of shape {b.shape} are not on the object grid "
-                         f"{mask.shape}")
-    z = init_spectral(b, background, mask) if z0 is None else np.asarray(z0, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise DivergenceError("non-finite start")
-
+    _require_grid(b, mask)
     # step(z, work) maps z^{p-1} to a new array z^p, transforming in the
     # run's workspace
     work = Workspace(mask.shape)
+    if z0 is None:
+        z = project_background(_spectral_start(b, work), background, mask)
+    else:
+        z = np.asarray(z0, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise DivergenceError("non-finite start")
+
     stride = config.trace_every
     trace = []
     for p in range(1, config.max_iter + 1):
@@ -160,7 +169,7 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
         if stride and (p % stride == 0 or converged or p == config.max_iter):
             x_hat = z[mask.inside]
             rel = math.nan if x_true is None else relative_error(x_hat, x_true)
-            trace.append((rel, measurement_error(x_hat, background, mask, b)))
+            trace.append((rel, measurement_error(x_hat, background, mask, b, work)))
         if converged:
             break
 
@@ -183,9 +192,10 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
     if method is Method.HIO:
         background = np.zeros(mask.shape)
         if z0 is None:
-            z0 = _spectral_start(b.root)
+            _require_grid(b, mask)
+            z0 = _spectral_start(b, Workspace(mask.shape))
 
-    half_root = hermitian_half(b.root)
+    half_root = b.half_root
     if method is Method.PGD:
         step = lambda z, work: pgd_step(z, half_root, background, mask, config.lam, work)
         final = None
@@ -202,7 +212,7 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
     """Run CBDR twice with the DC coefficient pinned to +sqrt(b_1) and
     -sqrt(b_1); return the branch with the smaller measurement error (ties go
     to the + branch)."""
-    half_root = hermitian_half(b.root)
+    half_root = b.half_root
     branches = []
     errors = []
     for sign in (1, -1):

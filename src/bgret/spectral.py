@@ -4,22 +4,28 @@ autocorrelation with its spectral bridge.
 Convention: the forward transform is unnormalized, entry i of ``dft_forward(z)``
 equals sum_t z_t exp(-2*pi*j*i*t/m); the inverse carries the 1/prod(m) factor,
 so ``dft_inverse(dft_forward(z)) == z``. Both return plain complex ndarrays.
-The forward model, the metrics and the spectral start transform through this
-pair. Multi-axis transforms factor by separability. Measurements live on the
+Multi-axis transforms factor by separability. Measurements live on the
 object grid: the known background takes the place of oversampling, so the
 combined object [x; y] of grid m = n + k is transformed on that grid, unpadded.
 
-The magnitude projections use the real-data pair instead, the two methods
-of a ``Workspace``. The spectrum of a real array is Hermitian,
-X[-i] = conj(X[i]), so ``Workspace.forward`` computes only its half grid:
-entries 0 .. m_last//2 along the last axis. ``Workspace.inverse`` maps a half
-spectrum back to the real array of the grid, as the inverse of its Hermitian
-extension. The real part of a complex inverse is the inverse of the
-Hermitian part of its input, so a real factor on the full grid that
-multiplies a Hermitian spectrum acts through its Hermitian part, which
-``hermitian_half`` computes once on the half grid: with it, the magnitude
-projection onto a root intensity b^{1/2} is the one the complex pair followed
-by ``.real`` gives, up to rounding, symmetric root or not.
+The complex pair serves the forward model ``intensity``, the autocorrelation
+bridge and ``analysis``. The solvers and the metrics work on real objects,
+whose spectra are Hermitian, X[-i] = conj(X[i]), and transform only through
+the real-data pair of a ``Workspace``: ``forward`` computes the half grid of
+the spectrum, entries 0 .. m_last//2 along the last axis, and ``inverse``
+maps a half spectrum back to the real array of the grid, as the inverse of
+its Hermitian extension. A real array on the full grid that multiplies a
+Hermitian spectrum, or is inverted, acts through its Hermitian part cut to
+the half grid, ``hermitian_half`` (from ``model``; ``IntensityMeasurements``
+caches it for b and b^{1/2}). So the magnitude projection onto b^{1/2} takes
+the half root, the spectral start (1/prod m) * Re DFT(b^{1/2}) is the
+inverse of the half root, and a sum over the grid of a Hermitian real array
+is a sum over its half grid weighted by ``Workspace.weights``: 1 on the
+self-mirrored lines (last-axis index 0, and m_last/2 when m_last is even),
+which hold both entries of each mirror pair, and 2 elsewhere. On those lines
+the computed half spectrum of a real array is Hermitian only up to
+rounding; ``Workspace.hermitian_lines`` makes them Hermitian (2-D and above;
+in 1-D their entries are real).
 
 For real z the intensity |DFT z|^2 and the circular autocorrelation
 R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair, which the
@@ -44,12 +50,13 @@ and the factors ``rfftn``/``irfftn`` use, and gives the same bytes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .model import IntensityMeasurements, _readonly, hermitian_part, mirror_index
+from .model import IntensityMeasurements, _readonly, hermitian_half, mirror_index
 
 
 @dataclass(frozen=True)
@@ -88,13 +95,6 @@ def dft_inverse(s) -> np.ndarray:
     return np.fft.ifftn(np.asarray(s))
 
 
-def hermitian_half(values) -> np.ndarray:
-    """The Hermitian part 0.5 * (v[i] + v[-i]) of a real array, cut to its
-    half grid (contiguous)."""
-    v = np.asarray(values, dtype=float)
-    return np.ascontiguousarray(hermitian_part(v)[..., : v.shape[-1] // 2 + 1])
-
-
 class Workspace:
     """The real-data transform pair on one grid and its scratch: the half
     spectrum ``half``, its magnitude ``half_magnitude`` and a real array
@@ -118,6 +118,25 @@ class Workspace:
         self._leading = [([(axis,), (), (axis,)], 1 / shape[axis])
                          for axis in range(len(shape) - 1)]
         self._last_factor = 1 / m
+        # the self-mirrored lines of the half grid and, in 2-D and above, the
+        # flat indices in ``half`` of their entries and of the entries'
+        # mirrors (-i mod m_axis over every leading axis)
+        self._lines = [0, m // 2] if m % 2 == 0 else [0]
+        self._line_entries = self._line_mirrors = None
+        if len(shape) > 1:
+            def flat(leading):
+                index = np.ix_(*leading, self._lines)
+                return np.ravel_multi_index(index, self.half.shape).reshape(-1)
+            self._line_entries = flat([np.arange(n) for n in shape[:-1]])
+            self._line_mirrors = flat([-np.arange(n) % n for n in shape[:-1]])
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The weight of each half-grid entry in a sum over the grid of a
+        Hermitian real array: 2, and 1 on the self-mirrored lines."""
+        w = np.full(self.half.shape, 2.0)
+        w[..., self._lines] = 1.0
+        return w
 
     def forward(self, z: np.ndarray) -> np.ndarray:
         """Half spectrum of the real grid array z (only read) into ``half``.
@@ -128,6 +147,18 @@ class Workspace:
         for axes, _ in reversed(self._leading):
             _pocketfft.fft(half, 1, out=half, axes=axes)
         return half
+
+    def hermitian_lines(self) -> None:
+        """Replace each self-mirrored line of ``half`` by its Hermitian part
+        0.5 * (v[i] + conj(v[-i])), the mirror taken over the leading axes.
+        In 1-D those entries are real and nothing is done."""
+        if self._line_mirrors is None:
+            return
+        flat = self.half.reshape(-1)
+        lines = flat[self._line_entries]
+        lines += np.conjugate(flat[self._line_mirrors])
+        lines *= 0.5
+        flat[self._line_entries] = lines
 
     def inverse(self) -> np.ndarray:
         """The real array of the half spectrum in ``half``, into ``grid``."""

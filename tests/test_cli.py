@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import shlex
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgret.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from bgret.io_formats import (read_image, read_results, read_signal_csv, write_image,
@@ -81,16 +87,106 @@ def test_solve_rejects_the_other_modes_flags(argv, flag, tmp_path, monkeypatch, 
     assert flag[0] in capsys.readouterr().err
 
 
-def test_readme_cli_examples_parse():
-    # every `bgret ...` line of the README's CLI block names flags that exist
+def readme_examples() -> list:
+    """The argv of every `bgret ...` line of the README's CLI block."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    examples = [shlex.split(line)[1:] for line in block.splitlines()
-                if line.startswith("bgret ")]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bgret ")]
+
+
+def test_readme_cli_examples_parse():
+    # every `bgret ...` line of the README's CLI block names flags that exist
+    examples = readme_examples()
     assert examples
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv)
+
+
+# -- bad input of any kind ends in a documented exit code -------------------------
+
+# The files a generated argv may name, written into each case's directory:
+# valid small inputs, files of the wrong kind or content, a directory and a
+# missing path.
+CASE_FILES = ("sig.csv", "img.csv", "cfg.json", "bad.csv", "bad.json", "dir", "missing.csv")
+INTS = ("-1", "0", "1", "2", "3", "4", "x")
+FLOATS = ("-1", "0", "0.001", "0.5", "1", "2", "3", "nan", "inf", "-inf", "x")
+SEEDS = ("0", "7", "-1", str(2**64), "x")
+OUTS = ("out", "o/deep", ".", "", "sig.csv")
+#: the values a README flag's value is replaced by; --shape and --sample take
+#: one to three of them. --d stops at 2: a 3-D certificate at the default
+#: --n and --k takes about a second per draw (criterion 17 covers d = 3).
+FLAG_VALUES = {
+    "--type": INTS, "--n": INTS, "--k": INTS, "--d": ("-1", "0", "1", "2", "x"),
+    "--draws": INTS,
+    "--pairs": INTS, "--instances": INTS, "--num-h": INTS, "--trials": INTS,
+    "--positions": INTS, "--shape": INTS, "--sample": INTS,
+    "--k-ratio": FLOATS, "--sigma": FLOATS, "--c1": FLOATS, "--c2": FLOATS,
+    "--ratio-min": FLOATS, "--ratio-max": FLOATS, "--ratio-step": FLOATS,
+    "--seed": SEEDS, "--out": OUTS, "--method": ("bdr", "pgd", "cbdr", "hio", "bdr1", "x"),
+    "--signal": CASE_FILES, "--config": CASE_FILES, "--truth": CASE_FILES,
+    "--estimate": CASE_FILES,
+}
+#: the image studies default to a 64x64 image and 300 iterations; a case
+#: gives them a small image and a few iterations
+STUDIES = ("image-bench", "location-bias", "noise-bench")
+
+
+def _write_case_files(where: Path) -> None:
+    write_signal_csv(where / "sig.csv", np.arange(1.0, 9.0))
+    write_image(where / "img.csv", np.arange(36.0).reshape(6, 6) / 36.0)
+    (where / "cfg.json").write_text(json.dumps({"method": "bdr", "n": 4, "trials": 2,
+                                                "seed": 1, "max_iter": 3}))
+    (where / "bad.csv").write_text("1,x\n")
+    (where / "bad.json").write_text("{")
+    (where / "dir").mkdir()
+
+
+@st.composite
+def cli_argvs(draw):
+    """A README example with each flag kept, dropped or repeated and each
+    value replaced by a small generated one."""
+    example = draw(st.sampled_from(readme_examples()))
+    first = next(i for i, token in enumerate(example) if token.startswith("--"))
+    argv = example[:first]
+    groups, flag = [], None
+    for token in example[first:]:
+        if token.startswith("--"):
+            flag = token
+            groups.append(flag)
+    for flag in groups:
+        pool = FLAG_VALUES[flag]
+        count = draw(st.integers(1, 3)) if flag in ("--shape", "--sample") else 1
+        for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
+            argv += [flag, *draw(st.lists(st.sampled_from(pool), min_size=count,
+                                          max_size=count))]
+    if argv[0] in STUDIES:
+        argv += ["--image", "img.csv", "--max-iter", draw(st.sampled_from(INTS))]
+    return argv
+
+
+def test_every_readme_flag_has_generated_values():
+    flags = {token for argv in readme_examples() for token in argv if token.startswith("--")}
+    assert flags <= set(FLAG_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argvs())
+def test_cli_returns_a_documented_exit_code(argv, tmp_path_factory):
+    # main returns 0-3 for any such argv and raises nothing; each case runs
+    # in a directory of its own
+    case = Path(tempfile.mkdtemp(dir=tmp_path_factory.getbasetemp()))
+    _write_case_files(case)
+    cwd = os.getcwd()
+    os.chdir(case)
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_CHECK_FAILED), argv
 
 
 def test_gen_signal_and_metrics(tmp_path, capsys):
@@ -451,6 +547,25 @@ def test_sweep_cli_rejects_nonpositive_ratio(lo, hi, step, flag, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    # each of these once raised OverflowError or ZeroDivisionError out of main
+    (["solve", "--method", "bdr", "--signal", "sig.csv", "--k-ratio", "inf"], EXIT_DATA),
+    (["sweep", "--config", "cfg.json", "--ratio-max", "inf"], EXIT_USAGE),
+    (["verify", "robustness", "--instances", "1", "--c1", "nan"], EXIT_DATA),
+    (["verify", "robustness", "--instances", "1", "--c2", "inf"], EXIT_DATA),
+    (["verify", "frip", "--n", "0", "--k", "0", "--draws", "2"], EXIT_DATA),
+    # a negative noise bound, rejected by the same guard
+    (["verify", "robustness", "--instances", "1", "--c1", "-1"], EXIT_DATA),
+    # a guard no README example reaches: a 1-D support for a 2-D spectrum
+    (["solve", "--method", "hio", "--spectrum", "img.csv", "--support", "3"], EXIT_USAGE),
+])
+def test_values_without_meaning_exit_with_their_code(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_case_files(tmp_path)
+    assert main(argv) == code
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["metrics", "--truth", "sig.csv"], "--estimate"),
     (["metrics", "--image-truth", "img.csv"], "--image-estimate"),
@@ -552,13 +667,13 @@ def _study_bytes(out, stem):
 
 FROZEN_CLI_OUTPUTS = {
     "image-bench":
-        "fa0cae310697046cfd0cb3b254513440c5c92dedc94e2192dffba5d8ecda6cea",
+        "7cb4e2bc425c9c67a95983f729b3ff2bc17e368f26810224fea6f74fb063fa47",
     "noise-bench":
-        "ffcd6a832aac150ee77ad5b4046fef0a310f4742a899f7e276b3e062190f9b7a",
+        "611ecccd67bd487c1b32ac34abb9fad8ea7c0dc331cd96db94faf65bd0d39f78",
     "location-bias":
-        "970da47bd9e2c0b8fbacc524c77a067ec7751913a8904481c8126c716ba9973a",
+        "f0409041b2f9c459432b590738f0dda9157e9c7cbaf1f3568ae592947b568d48",
     "solve-spectrum":
-        "8f608c8476804f560c17e8559c021452a58378dfffb2575eec85d482e76d3824",
+        "e8b4a4642b6afbc34a9cd1bed5bc92c974c0d3959ae5ebee4617574b63dc1854",
     "verify-uniqueness":
         "e238157d9414857f612d22785de42eacdfd050b4f86069d28a0c857cc014869c",
     "verify-stability":
@@ -576,11 +691,11 @@ FROZEN_CLI_OUTPUTS = {
     "forward":
         "609c429497fb26aa91cdaacb0b1ae082bdea9579f9989a4d0927f31f19fa8b13",
     "solve-bdr":
-        "c9f914be2fa047616d3adcc8a67d0e59382b4a3e68a099f9ec2b1265a577ab7f",
+        "a0303a133811e78bab4dc99b6b8b7141f548491c01ed8f100d2115b77aa4611d",
     "solve-bdr1-noisy":
-        "3ca1b73a98438f09b5f0449a82b2f5c207921c1e7faa3df4954513e2d140cd6f",
+        "54b18e5d746ab73439ec60a8c709affec1e19080fa056bc3b92153bf91ca5298",
     "sweep":
-        "04202e7714760e606e25e3095cc1279b5b0058c9a372a843102aa514f93f9385",
+        "af00aa2a7db6439f744d061bddcd8099c0dc33e8a70f21fa874f44f22e71b157",
 }
 
 

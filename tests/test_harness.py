@@ -175,7 +175,7 @@ def test_run_trial_rows_frozen(tmp_path):
     for row in rows:
         digest.update(f"{row['converged']},{row['aborted']}\n".encode())
     assert digest.hexdigest() == \
-        "4ea6dab4a00765f19c689ce22a7a4cbf29970e27defac04e5f4172bc75709008"
+        "1ba32e77cac3f1760afd1802f3e4706da3bfa6175e6a01bf7e1b98027bc747de"
 
 
 def test_run_trial_deterministic_row():

@@ -120,6 +120,22 @@ def test_intensity_measurements_validation():
     IntensityMeasurements(np.array([1.0, 2.0, 3.0]), conj_symmetric=False)
 
 
+def test_intensity_measurements_half_grid_arrays():
+    # the Hermitian part of b and of its root cut to the half grid, and the
+    # squared norm of the rest, each computed once and read-only
+    values = np.array([[4.0, 1.0, 9.0], [2.0, 0.0, 1.0]])
+    b = IntensityMeasurements(values, conj_symmetric=False)
+    h = 0.5 * (values + mirror_index(values))
+    assert np.array_equal(b.half_values, h[:, :2])
+    assert np.array_equal(b.half_root, (0.5 * (np.sqrt(values)
+                                               + mirror_index(np.sqrt(values))))[:, :2])
+    assert b.asymmetry == pytest.approx(float(np.sum((values - h) ** 2)), rel=1e-15)
+    for name in ("half_values", "half_root"):
+        assert getattr(b, name) is getattr(b, name)
+        assert not getattr(b, name).flags.writeable
+    assert IntensityMeasurements(np.array([4.0, 1.0, 1.0])).asymmetry == 0.0
+
+
 def test_intensity_measurements_reject_non_finite():
     # NaN passes both the sign and the symmetry comparison, so it needs its own check
     with pytest.raises(ValueError):

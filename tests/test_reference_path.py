@@ -1,29 +1,33 @@
 """The solver loop against the allocating per-step formulas it replaced,
-and the half-spectrum projectors against the full-spectrum ones.
+and the half-spectrum formulas against the full-spectrum ones.
 
 ``solvers.run`` transforms in a per-run workspace of buffers. The
 reference below is the plain formulation: every step allocates its arrays,
-transforms through ``np.fft`` directly (``rfftn``/``irfftn`` for the
-magnitude projections, ``fftn`` for the start and the measurement error), and
-recomputes the norms of b and of the ground truth on every trace row. Both
-must agree byte for byte at trace stride 1: trace, final estimate, iteration
-count and the converged flag.
+transforms through ``np.fft.rfftn``/``irfftn`` directly (for the magnitude
+projections, the spectral start and the measurement error), and recomputes
+the half-grid arrays of b and the norms of b and of the ground truth on every
+trace row. Both must agree byte for byte at trace stride 1: trace, final
+estimate, iteration count and the converged flag.
 
-The projectors once transformed the real iterate as complex data and kept the
-real part of the inverse. Those formulas are kept here as the oracle of the
-half-spectrum ones, to a stated relative tolerance: the equality projection
-for any nonnegative root, the ball projection for roots of real objects.
+The projectors, the spectral start and the scoring once transformed real
+arrays as complex data on the full grid. Those formulas are kept here as the
+oracles of the half-spectrum ones, to a stated relative tolerance: the
+equality projection for any nonnegative root, the ball projection for roots
+of real objects, and the start, the measurement error and the fixed-point
+residual for the intensities of real objects and for any nonnegative data.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgret import solvers
-from bgret.model import Method, SolverConfig, SupportMask, assemble, mirror_index
+from bgret import metrics, solvers
+from bgret.model import (IntensityMeasurements, Method, SolverConfig, SupportMask, assemble,
+                         mirror_index)
 from bgret.projections import project_magnitude, project_magnitude_ball
 from bgret.spectral import Workspace, hermitian_half, intensity
 
@@ -32,16 +36,44 @@ def ref_irfft(what, shape):
     return np.fft.irfftn(what, s=shape, axes=tuple(range(len(shape))))
 
 
-def ref_half_root(root):
-    # Hermitian part 0.5 * (root[i] + root[-i]), cut to the half grid
-    axes = tuple(range(root.ndim))
-    mirrored = np.roll(np.flip(root, axis=axes), 1, axis=axes)
-    symmetric = 0.5 * (root + mirrored)
-    return np.ascontiguousarray(symmetric[..., : root.shape[-1] // 2 + 1])
+def ref_hermitian_part(v):
+    # 0.5 * (v[i] + v[-i])
+    axes = tuple(range(v.ndim))
+    return 0.5 * (v + np.roll(np.flip(v, axis=axes), 1, axis=axes))
+
+
+def ref_half(v):
+    # the Hermitian part, cut to the half grid
+    return np.ascontiguousarray(ref_hermitian_part(v)[..., : v.shape[-1] // 2 + 1])
+
+
+def ref_mirrored_lines(m):
+    # last-axis indices of the half grid's self-mirrored lines, for a last
+    # axis of length m
+    return [0, m // 2] if m % 2 == 0 else [0]
+
+
+def ref_hermitian_lines(zhat, m):
+    # in 2-D and above, each self-mirrored line replaced by its Hermitian part
+    # 0.5 * (v[i] + conj(v[-i])) over the leading axes
+    if zhat.ndim > 1:
+        lines = ref_mirrored_lines(m)
+        leading = tuple(range(zhat.ndim - 1))
+        v = zhat[..., lines]
+        mirrored = np.roll(np.flip(v, axis=leading), 1, axis=leading)
+        zhat[..., lines] = 0.5 * (v + np.conj(mirrored))
+    return zhat
+
+
+def ref_weights(shape):
+    # weight of each half-grid entry in a sum over the grid of a Hermitian array
+    w = np.full(shape[:-1] + (shape[-1] // 2 + 1,), 2.0)
+    w[..., ref_mirrored_lines(shape[-1])] = 1.0
+    return w
 
 
 def ref_project_magnitude(z, half_root):
-    zhat = np.fft.rfftn(z)
+    zhat = ref_hermitian_lines(np.fft.rfftn(z), z.shape[-1])
     mag = np.abs(zhat)
     phase = np.divide(zhat, mag, out=np.ones_like(zhat), where=mag > 0)
     return ref_irfft(half_root * phase, z.shape)
@@ -90,16 +122,19 @@ def ref_relative_error(x_hat, x):
 
 
 def ref_measurement_error(x_hat, y, mask, b):
+    # ||s - b||^2 = ||s - h||^2, a weighted sum on the half grid, + ||b - h||^2
     denom = float(np.linalg.norm(b.values.reshape(-1)))
     z = np.array(y, dtype=float)
     z[mask.inside] = x_hat
-    i_hat = np.abs(np.fft.fftn(z)) ** 2
-    return float(np.linalg.norm((i_hat - b.values).reshape(-1))) / denom
+    r = np.abs(np.fft.rfftn(z)) ** 2 - ref_half(b.values)
+    off = (b.values - ref_hermitian_part(b.values)).reshape(-1)
+    total = np.dot(ref_weights(z.shape).reshape(-1), (r * r).reshape(-1))
+    return math.sqrt(total + float(np.dot(off, off))) / denom
 
 
 def ref_start(b):
-    root = b.root
-    return np.fft.fftn(root).real / root.size
+    # (1/prod m) * Re DFT(b^{1/2}), as the inverse of the half root
+    return ref_irfft(ref_half(b.root), b.shape)
 
 
 def ref_iterate(b, y, mask, config, step, final, x, z):
@@ -121,7 +156,7 @@ def ref_iterate(b, y, mask, config, step, final, x, z):
 
 
 def ref_cbdr_branch(b, y, mask, config, x, sign):
-    half_root = ref_half_root(b.root)
+    half_root = ref_half(b.root)
     z0 = ref_project_background(ref_start(b), y, mask)
     return ref_iterate(
         b, y, mask, config,
@@ -130,7 +165,7 @@ def ref_cbdr_branch(b, y, mask, config, x, sign):
 
 
 def ref_run(b, y, mask, config, x):
-    half_root = ref_half_root(b.root)
+    half_root = ref_half(b.root)
     project = lambda z: ref_project_magnitude(z, half_root)
     method = config.method
     if method is Method.CBDR:
@@ -239,7 +274,7 @@ def test_half_root_matches_reference():
     rng = np.random.default_rng(5)
     for shape in ((7,), (8,), (5, 6), (6, 5)):
         root = np.abs(rng.standard_normal(shape))
-        assert hermitian_half(root).tobytes() == ref_half_root(root).tobytes()
+        assert hermitian_half(root).tobytes() == ref_half(root).tobytes()
         assert hermitian_half(root).flags.c_contiguous
 
 
@@ -332,15 +367,16 @@ def rounding_zero_on_mirrored_line(z):
     """Whether a 2-D z has a spectral coefficient that vanishes only up to
     rounding on a self-mirrored line of the half grid (last-axis index 0, and
     m/2 when m is even). Such a line holds both coefficients of a mirror pair,
-    so the rounding-noise phases the projection keeps there need not be
-    conjugate, and the inverse, which realizes their Hermitian part, lands
-    off the magnitude set. In 1-D the only self-mirrored coefficients are
-    real, so this cannot happen."""
+    and the rounding-noise phases of the two need not be conjugate; the
+    projection takes the phase of the line's Hermitian part instead, so the
+    inverse, which realizes the Hermitian part of what it is given, lands on
+    the magnitude set. In 1-D the only self-mirrored coefficients are real, so
+    this cannot happen."""
     if z.ndim < 2:
         return False
     zhat = np.fft.rfftn(z)
     m = z.shape[-1]
-    lines = np.abs(zhat[..., [0, m // 2] if m % 2 == 0 else [0]])
+    lines = np.abs(zhat[..., ref_mirrored_lines(m)])
     scale = max(float(np.abs(zhat).max()), np.finfo(float).tiny)
     return bool(np.any((lines > 0) & (lines <= 1e-9 * scale)))
 
@@ -349,15 +385,12 @@ def rounding_zero_on_mirrored_line(z):
 @given(case=idempotence_cases())
 def test_equality_projection_idempotent(case):
     z, root = case
-    assume(not rounding_zero_on_mirrored_line(z))  # pinned by the xfail below
     half_root = hermitian_half(root)
     once = project_magnitude(z, half_root)
     twice = project_magnitude(once, half_root)
     assert np.linalg.norm(twice - once) <= ORACLE_RTOL * np.linalg.norm(once)
 
 
-@pytest.mark.xfail(strict=True, reason="rounding-noise phases on a self-mirrored line "
-                                       "are not conjugate, so the projection is off the set")
 def test_equality_projection_idempotent_on_rounding_zero_coefficients():
     # a checkerboard on 10 x 3 has coefficients on the self-mirrored column 0
     # that vanish only up to rounding
@@ -382,3 +415,78 @@ def test_ball_projection_idempotent_and_nonexpansive(case, sign, seed):
     other = np.random.default_rng(seed).standard_normal(z.shape)
     gap = np.linalg.norm(project(other) - once)
     assert gap <= np.linalg.norm(other - z) * (1.0 + ORACLE_RTOL) + 1e-15 * np.linalg.norm(once)
+
+
+# -- the half-grid start and scoring against the full-grid oracle ---------------
+
+def oracle_start(b):
+    # the former start: the full complex transform, real part
+    root = b.root
+    return np.fft.fftn(root).real / root.size
+
+
+def oracle_scores(x_hat, y, mask, b):
+    # the former intensity residual on the full grid, through the full complex
+    # transform: (measurement error, fixed-point residual). The residual is
+    # taken against the Hermitian part of b, which is b up to rounding for
+    # the intensity of a real object and what the half grid holds otherwise.
+    i_hat = np.abs(np.fft.fftn(assemble(x_hat, y, mask))) ** 2
+    error = np.linalg.norm((i_hat - b.values).reshape(-1)) / np.linalg.norm(b.values.reshape(-1))
+    resid = np.max(np.abs(i_hat - ref_hermitian_part(b.values))) / np.max(b.values)
+    return float(error), float(resid)
+
+
+# The half-grid formulas equal the oracles in exact arithmetic. The scores are
+# compared where the residual is well above rounding (x_hat off the truth by
+# 1e-3 or more), so SCORE_RTOL bounds the rounding of either path relative to
+# the score; SCORE_ATOL is the rounding floor of a score scaled by ||b|| or
+# max(b).
+SCORE_RTOL = 1e-9
+SCORE_ATOL = 1e-12
+
+
+@st.composite
+def scoring_cases(draw):
+    """(x_hat, y, mask, b) on a grid of 1 to 3 axes with an odd or even last
+    axis: b the intensity of a real object [x; y], or nonnegative data with no
+    symmetry (``conj_symmetric=False``, as ``solve --spectrum`` reads), and
+    x_hat the sample x perturbed by a relative 1e-3 or 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ndim = draw(st.integers(1, 3))
+    cap = {1: 40, 2: 12, 3: 6}[ndim]
+    shape = tuple(draw(st.integers(2, cap)) for _ in range(ndim - 1))
+    last = draw(st.integers(1, cap // 2)) * 2 - draw(st.integers(0, 1))  # odd or even
+    shape += (max(last, 2),)
+    sample = tuple(draw(st.integers(1, m - 1)) for m in shape)
+    mask = SupportMask.block(shape, sample)
+    x = rng.standard_normal(mask.sample_count)
+    y = rng.standard_normal(shape)
+    y[mask.inside] = 0.0
+    b = intensity(assemble(x, y, mask))
+    if draw(st.booleans()):
+        b = IntensityMeasurements(rng.random(shape) * np.max(b.values), conj_symmetric=False)
+    x_hat = x + draw(st.sampled_from((1e-3, 1.0))) * rng.standard_normal(x.shape)
+    return x_hat, y, mask, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scoring_cases())
+def test_scores_match_full_grid_oracle(case):
+    x_hat, y, mask, b = case
+    with warnings.catch_warnings():  # 2-D samples below the SSIM window
+        warnings.simplefilter("ignore", RuntimeWarning)
+        row = metrics.evaluate(x_hat, x_hat, y, mask, b)
+    error, resid = oracle_scores(x_hat, y, mask, b)
+    assert row["measurement_error"] == metrics.measurement_error(x_hat, y, mask, b)
+    assert row["measurement_error"] == pytest.approx(error, rel=SCORE_RTOL, abs=SCORE_ATOL)
+    assert row["fixedpoint_resid"] == pytest.approx(resid, rel=SCORE_RTOL, abs=SCORE_ATOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scoring_cases())
+def test_start_matches_full_grid_oracle(case):
+    _, y, mask, b = case
+    got = solvers._spectral_start(b, Workspace(mask.shape))
+    assert _close(got, oracle_start(b))
+    assert solvers.init_spectral(b, y, mask).tobytes() == \
+        ref_project_background(got, y, mask).tobytes()

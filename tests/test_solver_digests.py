@@ -28,25 +28,25 @@ METHODS = {"bdr": Method.BDR, "bdr1": Method.BDR1, "cbdr": Method.CBDR,
 
 DIGESTS = {
     ("1d", "bdr"):
-        "a3ff2cb209d5c863ad0bde9659d2b36d13d22a913133228ea8d61f60a6f0b62d",
+        "ed518a773920a7d97ab0ef97c7ba68086cc2af132de91ab9dedc6593386381ac",
     ("1d", "bdr1"):
-        "23114f301607bc884d4a6e8ee12214058f6f557ec0f0b43e0cf1648dac3d8628",
+        "b23cdd47f46a3b2a038a2b0523858e7a0524286e2674cd2ae6565485b5dc1787",
     ("1d", "cbdr"):
-        "142e398af6ccc329dcad01772b3ade31bde092d1f4ccf47cbf9495c181c6f7b4",
+        "c70a7ce2dff3a6545d28062613d1e110c04cbdeb3c150d419956c2f424f24117",
     ("1d", "pgd"):
-        "ec4bb03a3217425587f1b0e45192023ad46d8e1190002e25bcffb4a554150b47",
+        "b827f14e417e3fc422bd3b0b52245be498caf25bc1fe59cc3bd7ef89cb530371",
     ("1d", "hio"):
-        "49fdf40dab2c62a84951a6cd4fa8ec1ae60a6111eaf8131c103225e2af0bd679",
+        "e5dedb2e0e9fe0f944f15a8757e4967215fd94971970b40546bce0540c5a9951",
     ("2d", "bdr"):
-        "32278cfde1f1d108681cd236313a14abf7d7239be1a8e001f548cad1058a96df",
+        "3289c7959531ad478d62d7f04fa35bc61a3093291b7de5f534925d4b83db5750",
     ("2d", "bdr1"):
-        "82b180fcdf0f9b837161b77f70c4582483217e2522418dae18ee4e44e51eb9eb",
+        "da2f12215162ac1c2503b4fd670106ee9583cc85feaf61174f645f0feb93f223",
     ("2d", "cbdr"):
-        "9d062ac9ada77a9436f2a30fcaca0e1773a29614c44b78cd6d7995f8866c2a1c",
+        "3b355ecb33a7cd309603c8466f7a4be1bac3811b744cb5a085d77c3c013e28df",
     ("2d", "pgd"):
-        "9760d195ef6df89c8ecb98d13465dc94cba8202b878584485dae455e52bf8d04",
+        "19401c6b8374b22b12b3f1512b31b997985f04534e6faf8e2935322291555e60",
     ("2d", "hio"):
-        "e0442cf4acd0b76aae49ed8debbe801849f69c368bec095b6d539939a624d440",
+        "6fbf2ffe10a43f0f74019c8d4a09223281bea45c8e8fbe67ef73f62633db9903",
 }
 
 

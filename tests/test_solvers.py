@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bgret import metrics, projections, solvers, spectral
+from bgret import metrics, solvers, spectral
 from bgret.metrics import measurement_error, relative_error
 from bgret.model import (IntensityMeasurements, Method, SolverConfig,
                          SupportMask, assemble)
@@ -511,12 +511,17 @@ def test_trace_stride_selects_rows_of_the_full_trace(method, max_iter):
 
 def test_untraced_iteration_makes_two_ffts(monkeypatch):
     # the magnitude projection's real forward and inverse transforms; a traced
-    # iteration adds the measurement error's complex forward transform. Counted
-    # at spectral's four entry points: the workspace's pair, patched on its
-    # class, and the complex pair in the modules of the loop that call it (no
-    # other module calls numpy.fft: test_only_spectral_calls_numpy_fft)
-    entry_points = ("dft_forward", "dft_inverse", "forward", "inverse")
-    calls = dict.fromkeys(entry_points, 0)
+    # iteration adds the measurement error's real forward transform. Counted
+    # at the workspace's pair, patched on its class, and at every complex
+    # transform a run could reach: spectral's pair and numpy.fft's functions
+    # (no module but spectral calls numpy.fft: test_only_spectral_calls_numpy_fft)
+    for module in (solvers, metrics):
+        for name in ("dft_forward", "dft_inverse"):
+            assert not hasattr(module, name), (module.__name__, name)
+    complex_transforms = {(spectral, "dft_forward"), (spectral, "dft_inverse")}
+    complex_transforms |= {(np.fft, name) for name in ("fft", "ifft", "fftn", "ifftn",
+                                                       "fft2", "ifft2")}
+    calls = {"forward": 0, "inverse": 0, "complex": 0}
 
     def counted(name, fft):
         def wrapper(*args, **kwargs):
@@ -526,15 +531,13 @@ def test_untraced_iteration_makes_two_ffts(monkeypatch):
 
     for name in ("forward", "inverse"):
         monkeypatch.setattr(Workspace, name, counted(name, getattr(Workspace, name)))
-    for module in (projections, solvers, metrics):
-        for name in ("dft_forward", "dft_inverse"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(spectral, name)))
+    for owner, name in complex_transforms:
+        monkeypatch.setattr(owner, name, counted("complex", getattr(owner, name)))
     rng = np.random.default_rng(26)
     x, y, mask, b = make_instance(rng, 12, 12)
 
     def fft_calls(max_iter, stride):
-        calls.update(dict.fromkeys(entry_points, 0))
+        calls.update(dict.fromkeys(calls, 0))
         cfg = SolverConfig(method=Method.BDR, max_iter=max_iter, eps=1e-300, trace_every=stride)
         result = run(b, y, mask, cfg, x_true=x)
         assert not result.converged and result.iterations_used == max_iter
@@ -542,23 +545,22 @@ def test_untraced_iteration_makes_two_ffts(monkeypatch):
 
     def added(stride, delta):
         short, long = fft_calls(10, stride), fft_calls(10 + delta, stride)
-        return {name: long[name] - short[name] for name in entry_points}
+        return {name: long[name] - short[name] for name in calls}
 
     delta = 17
     untraced = added(0, delta)
     assert sum(untraced.values()) == 2 * delta
-    assert untraced == {"dft_forward": 0, "dft_inverse": 0,
-                        "forward": delta, "inverse": delta}
+    assert untraced == {"forward": delta, "inverse": delta, "complex": 0}
     traced = added(1, delta)
     assert sum(traced.values()) == 3 * delta
-    assert traced == {"dft_forward": delta, "dft_inverse": 0,
-                      "forward": delta, "inverse": delta}
+    assert traced == {"forward": 2 * delta, "inverse": delta, "complex": 0}
 
-    # an untraced run scores nothing, even given the truth: its only complex
-    # transforms are the spectral start and, for CBDR, that of each branch and
-    # the measurement error that picks the branch
+    # no run of any method makes a complex transform, traced or not: the
+    # spectral start is a workspace inverse, and CBDR's branch choice and
+    # the trace rows are workspace forwards
     for method in Method:
-        calls.update(dict.fromkeys(entry_points, 0))
-        run(b, y, mask, SolverConfig(method=method, max_iter=10), x_true=x)
-        assert calls["dft_forward"] == (4 if method is Method.CBDR else 1), method
-        assert calls["dft_inverse"] == 0, method
+        for stride in (0, 1):
+            calls.update(dict.fromkeys(calls, 0))
+            run(b, y, mask, SolverConfig(method=method, max_iter=10, trace_every=stride),
+                x_true=x)
+            assert calls["complex"] == 0, method

@@ -171,6 +171,48 @@ def test_real_pair_matches_numpy_rfftn_irfftn_bit_for_bit(shape, seed):
     assert inverse.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+       seed=st.integers(0, 2**32 - 1))
+def test_half_grid_weights_sum_over_the_grid(shape, seed):
+    # a Hermitian real array, |DFT z|^2, summed over the grid and as the
+    # weighted sum of its half grid
+    work = Workspace(shape)
+    z = np.random.default_rng(seed).standard_normal(shape)
+    power = np.abs(work.forward(z)) ** 2
+    full = float(np.sum(np.abs(np.fft.fftn(z)) ** 2))
+    assert float(np.sum(work.weights * power)) == pytest.approx(full, rel=1e-12)
+    assert work.weights is work.weights  # built once
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 12), min_size=1, max_size=3).map(tuple),
+       seed=st.integers(0, 2**32 - 1))
+def test_hermitian_lines(shape, seed):
+    # each self-mirrored line becomes exactly Hermitian over the leading axes,
+    # the rest of the half spectrum is untouched, and 1-D is left as it is
+    rng = np.random.default_rng(seed)
+    work = Workspace(shape)
+    half = rng.standard_normal(work.half.shape) + 1j * rng.standard_normal(work.half.shape)
+    work.half[...] = half
+    work.hermitian_lines()
+    m = shape[-1]
+    lines = [0, m // 2] if m % 2 == 0 else [0]
+    if len(shape) == 1:
+        assert work.half.tobytes() == half.tobytes()
+        return
+    got = work.half[..., lines]
+    leading = tuple(range(len(shape) - 1))
+    mirrored = np.roll(np.flip(got, axis=leading), 1, axis=leading)
+    assert np.array_equal(got, np.conj(mirrored))
+    before = half[..., lines]
+    before_mirrored = np.roll(np.flip(before, axis=leading), 1, axis=leading)
+    assert np.array_equal(got, 0.5 * (before + np.conj(before_mirrored)))
+    rest = np.ones(work.half.shape, dtype=bool)
+    rest[..., lines] = False
+    assert np.array_equal(work.half[rest], half[rest])
+
+
 def test_real_pair_rejects_arrays_off_the_grid():
     # the gufuncs would zero-fill or cut a last axis of the wrong length
     work = Workspace((4, 6))
