@@ -39,6 +39,18 @@ from .spectral import (Autocorrelation, autocorrelation_from_intensity, dft_forw
 #: Singular values below this fraction of the largest are treated as zero.
 RANK_RTOL = 1e-10
 
+#: The most entries a coefficient matrix may have: 2**24 float64 entries are
+#: 128 MiB, and building them takes a few times that in index arrays. It
+#: admits the default ``bgret verify uniqueness --d 3`` (7.5e6 entries) and
+#: refuses ``--d 4`` (2.0e9).
+MAX_MATRIX_ENTRIES = 2 ** 24
+
+#: The rounding floor of the robustness check, relative to ||X||_F: least
+#: squares on the noise-free system of CHECK_MASK recovers X to within
+#: 5e-15 ||X||_F (300 draws, cond(M) at most 21), so a measured error
+#: within the bound plus this floor is no violation.
+ROBUSTNESS_ROUNDING = 1e-12
+
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -103,10 +115,35 @@ def _pair_factor(shift: tuple[int, ...], shape: Sequence[int]) -> float:
     return 1.0 if mirror_shift(shift, shape) == shift else 2.0
 
 
+def nonoverlap_shift_count(sample_shape: Sequence[int], shape: Sequence[int]) -> int:
+    """len(enumerate_nonoverlap_shifts(mask)) for a block of sample_shape on
+    the grid shape, from the shapes alone: of the grid's shifts, those that
+    overlap on every axis are out, and the rest pair up under l <-> -l except
+    the self-mirrored ones (each l_i 0 or m_i/2)."""
+    window = [max(0, m - 2 * n + 1) for n, m in zip(sample_shape, shape)]
+    usable = math.prod(shape) - math.prod(m - w for m, w in zip(shape, window))
+    # self-mirrored shifts, and those of them that overlap on every axis
+    mirrored = math.prod(1 + (m % 2 == 0) for m in shape)
+    mirrored_overlap = math.prod(1 + (m % 2 == 0 and not n <= m // 2)
+                                 for n, m in zip(sample_shape, shape))
+    return (usable + mirrored - mirrored_overlap) // 2
+
+
+def _require_matrix_size(sample_shape: Sequence[int], shape: Sequence[int]) -> None:
+    entries = nonoverlap_shift_count(sample_shape, shape) * math.prod(sample_shape)
+    if entries > MAX_MATRIX_ENTRIES:
+        raise ValueError(f"the coefficient matrix of a {tuple(sample_shape)} sample on the "
+                         f"grid {tuple(shape)} has {entries} entries, more than the "
+                         f"{MAX_MATRIX_ENTRIES} allowed")
+
+
 def coefficient_matrix(background: np.ndarray, mask: SupportMask
                        ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """M alone (no right-hand side); used by the uniqueness certificate. The
-    row of a shift l holds Y[(q+l) mod m] + Y[(q-l) mod m] at each q in Omega."""
+    row of a shift l holds Y[(q+l) mod m] + Y[(q-l) mod m] at each q in Omega.
+    A matrix of more than MAX_MATRIX_ENTRIES entries raises ValueError before
+    anything is built."""
+    _require_matrix_size(mask.sample_shape, mask.shape)
     shifts = enumerate_nonoverlap_shifts(mask)
     # flat indices of (q + l) mod m and (q - l) mod m, one row per shift l
     # and one column per q in Omega (row-major, as z[mask.inside] reads it)
@@ -376,6 +413,8 @@ def verify_uniqueness(n: int, k: int, d: int, draws: int, seed: int = 0) -> dict
     _require_count("draws", draws)
     sizes = (n,) * d
     ks = (k,) * d
+    # before the mask and the backgrounds, which are as large as the grid
+    _require_matrix_size(sizes, object_shape_for(sizes, ks))
     mask = SupportMask.block(object_shape_for(sizes, ks), sizes)
     rng = np.random.default_rng(seed)
     unique = 0
@@ -426,8 +465,9 @@ def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
                       seed: int = 0) -> dict:
     """Bounded-noise recovery against the certificate on CHECK_MASK: uniform
     measurement noise |eps1| <= c1 (its Hermitian part) and background bias
-    |eps2| <= c2; checks measured error <= bound every time and the exact
-    c2=0 collapse. A bound that is negative or not finite raises ValueError."""
+    |eps2| <= c2; checks measured error <= bound every time, up to the
+    rounding floor ROBUSTNESS_ROUNDING * ||X||_F, and the exact c2=0
+    collapse. A bound that is negative or not finite raises ValueError."""
     _require_count("instances", instances)
     for name, bound in (("c1", c1), ("c2", c2)):
         if not 0.0 <= bound < math.inf:
@@ -450,7 +490,7 @@ def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
         measured = float(np.linalg.norm(solution.values - x.reshape(-1)))
         bound = robustness_bound(system, c1, c2, i_tilde, y_tilde)
         ratios.append(bound / measured if measured > 0 else math.inf)
-        failures += int(measured > bound)
+        failures += int(measured > bound + ROBUSTNESS_ROUNDING * float(np.linalg.norm(x)))
 
         clean_system = build_linear_system(y, mask, r_tilde)
         consts = stability_constants(clean_system)

@@ -26,11 +26,16 @@ Hermitian part (``Workspace.hermitian_lines``), so it lands on the magnitude
 set there too.
 
 The magnitude projectors transform through a ``spectral.Workspace`` of the
-grid of z, passed as ``out=`` or else built for the call, and return its real
-grid buffer: with a caller's workspace the projection is valid until that
-workspace's next use. ``project_background`` returns a new array: a
-copy of the background with the block of z written over Ω by the mask's
-``slices``.
+grid of z, passed as ``out=`` (with an array z on its grid) or else built for
+the call, and return its real grid buffer: with a caller's workspace the
+projection is valid until that workspace's next use. ``project_background``
+returns a new array: a copy of the background with the block of z written
+over Ω by the mask's ``slices``.
+
+The magnitude projectors also take a stack of lanes, z of shape (L, *grid),
+with a workspace of L lanes passed as ``out=``, and project each lane as they
+would that lane alone, byte for byte; the ball then takes one DC sign per
+lane.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .spectral import Workspace
 def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
     # num / mag where mag > 0, and 1 where the magnitude vanishes (or is NaN);
     # the mask is only built when some magnitude is not positive
-    if mag.min() > 0.0:
+    if np.minimum.reduce(mag, axis=None) > 0.0:  # mag.min() without its wrapper
         return np.divide(num, mag, out=out)
     nonzero = mag > 0
     np.divide(num, mag, out=out, where=nonzero)
@@ -59,8 +64,8 @@ def project_magnitude(z: np.ndarray, half_root: np.ndarray,
     """Replace spectral magnitudes with b^{1/2}, keeping the phases of z
     (of their Hermitian part on the self-mirrored lines); half_root is
     ``b.half_root`` on the grid of z."""
-    z = np.asarray(z, dtype=float)
     if out is None:
+        z = np.asarray(z, dtype=float)
         out = Workspace(z.shape)
     zhat = out.forward(z)
     out.hermitian_lines()
@@ -70,23 +75,26 @@ def project_magnitude(z: np.ndarray, half_root: np.ndarray,
 
 
 def project_magnitude_ball(z: np.ndarray, half_root: np.ndarray,
-                           dc_sign: Optional[int] = None,
+                           dc_sign: int | tuple[int, ...] | None = None,
                            out: Optional[Workspace] = None) -> np.ndarray:
     """Radially clamp spectral magnitudes to at most b^{1/2}; coefficients
-    already inside the ball are untouched. With dc_sign (+1 or -1) the DC
-    coefficient is set to exactly dc_sign * b^{1/2} at DC. half_root is as
-    for ``project_magnitude``."""
-    if dc_sign not in (None, 1, -1):
+    already inside the ball are untouched. With dc_sign (+1 or -1, or for a
+    stack a tuple of one sign per lane) the DC coefficient is set to exactly
+    dc_sign * b^{1/2} at DC. half_root is as for ``project_magnitude``."""
+    if dc_sign not in (None, 1, -1) and not (isinstance(dc_sign, tuple)
+                                             and set(dc_sign) <= {1, -1}):
         raise ValueError("dc sign must be +1 or -1")
-    z = np.asarray(z, dtype=float)
     if out is None:
+        z = np.asarray(z, dtype=float)
         out = Workspace(z.shape)
     zhat = out.forward(z)
     mag = np.abs(zhat, out=out.half_magnitude)
     scale = _divide_nonzero(half_root, mag, out=mag)
     np.multiply(zhat, np.minimum(1.0, scale, out=scale), out=zhat)
     if dc_sign is not None:
-        zhat.flat[0] = dc_sign * float(half_root.flat[0])
+        dc = float(half_root.flat[0])
+        zhat[(...,) + (0,) * len(out.shape)] = (
+            [sign * dc for sign in dc_sign] if isinstance(dc_sign, tuple) else dc_sign * dc)
     return out.inverse()
 
 

@@ -9,27 +9,34 @@ Five methods share one loop skeleton:
 * BDR1     the beta-damped background update z - beta*(ztilde - y); noise
            mode, background-consistent fixed points for every beta.
 * CBDR     same coordinate update with the convex ball projection replacing
-           the magnitude equality; it always runs as two branches that pin
-           the DC sign for real signals, keeping the branch with the smaller
-           measurement error.
+           the magnitude equality; it always runs both DC signs of a real
+           signal, as two lanes of one lockstep stack, keeping the lane with
+           the smaller measurement error.
 * HIO      classic hybrid input-output on a bare support: the BDR1 update
            with background y = 0, so inside the support take the
            magnitude-projection output, outside z - beta*P_A(z).
 
 ``run`` is the one entry point: it runs HIO as BDR1 on a zero background
-and sends CBDR to the two-branch ``cbdr_parallel_real``. Each step maps a
-plain float array z^{p-1} to z^p; ``_iterate`` is the one loop. Every run
+and sends CBDR to the two-lane ``cbdr_parallel_real``. ``_iterate`` is the
+one loop, over a stack of lanes that share a start and differ in one
+parameter (CBDR's DC sign), stepped in lockstep; PGD, BDR, BDR1 and HIO run
+one lane. A lane that meets its stop test is frozen and dropped from the
+stack. The loop returns a ``LaneRuns``, one ``SolverRun`` per lane, each the
+bytes of that lane run alone; its ``iterations_used`` sums the lanes' (the
+lane-steps computed), and ``run`` returns lane 0's. Every run
 starts from the deterministic spectral initializer
 z0 = P_B((1/prod m) * Re DFT(b^{1/2})) unless an explicit start is supplied
 (HIO starts from the unprojected transform), and stops when the step norm
 ||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
-Divergence is detected from that same step norm: a non-finite start or step
-norm raises DivergenceError rather than being clamped, so traces stay honest.
+Divergence is detected from that same step norm, one BLAS dot per lane: a
+non-finite start or step norm in any lane raises DivergenceError rather than
+being clamped, so traces stay honest.
 
-The trace is opt-in, and the solvers score nothing else: a result is scored
-by ``metrics.evaluate``. A trace row holds ``metrics.relative_error`` of the
-iterate's support values against the ground truth x_true (NaN without one)
-and ``metrics.measurement_error`` of the iterate z^p. With
+The trace is opt-in and kept per lane, and the solvers score nothing else: a
+result is scored by ``metrics.evaluate``. A trace row holds
+``metrics.relative_error`` of the iterate's support values against the
+ground truth x_true (NaN without one) and ``metrics.measurement_error`` of
+the iterate z^p. With
 ``SolverConfig.trace_every`` = s > 0 a row is recorded at every iteration p
 with p % s == 0, and always at the final iteration (once, also when it is a
 multiple of s); with s = 0, the default, no row is recorded. The ground
@@ -39,8 +46,9 @@ stride changes no iterate: estimates, ``iterations_used`` (the number of loop
 iterations, not of rows) and ``converged`` are the same for every s, s = 1
 gives a row per iteration, and the final row is the same at every s > 0.
 An untraced iteration makes the two FFTs of its magnitude projection, the
-workspace's real ``forward`` and ``inverse``; a traced one a third, the
-workspace's ``forward`` of the measurement error.
+workspace's real ``forward`` and ``inverse``, for all its lanes together; a
+traced one adds the workspace's ``forward`` of the measurement error of each
+lane.
 
 Measurements live on the object grid: ``_iterate`` rejects b whose shape is
 not that of the support mask's grid, with a ValueError. The module makes no
@@ -51,13 +59,14 @@ once for all its runs. The spectral start (1/prod m) * Re DFT(b^{1/2}) is the
 workspace's ``inverse`` of that half root. Phase 1 where a coefficient
 vanishes and the DC pin of CBDR are as on the full spectrum.
 
-Each step returns z^p as a new array and only reads z^{p-1}. Its last
-argument, ``work``, is a ``spectral.Workspace``: the real-data transform pair
-of its magnitude projection with that pair's buffers (None builds one per
-call). Each ``_iterate`` call (so each CBDR branch) builds one from the grid
-shape, which it checks once there, and computes the start and the trace's
-measurement errors in it and passes it to every step. The norm of b is
-cached on b. The caller's z0, background and measurements are only read.
+Each step returns z^p as a new array and only reads z^{p-1}, one lane as
+its grid array or several as the stack (lanes, *grid) (``_stack``). Its
+``work`` argument is a ``spectral.Workspace`` of that many lanes: the
+real-data transform pair of its magnitude projection with that pair's
+buffers (None builds one per call). Each ``_iterate`` call builds the grid's
+workspace, for the start, the trace's measurement errors and one lane's
+steps, and one per lane count of a wider stack. The norm of b is cached on
+b. The caller's z0, background and measurements are only read.
 """
 
 from __future__ import annotations
@@ -120,7 +129,8 @@ def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
     if beta != 1.0:  # 1.0 * v is v, bit for bit
         np.multiply(beta, update, out=update)
     np.subtract(z, update, out=update)
-    update[mask.slices] = ztilde[mask.slices]
+    block = (...,) + mask.slices
+    update[block] = ztilde[block]
     return update
 
 
@@ -135,48 +145,106 @@ def bdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
 
 
 def cbdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
-              mask: SupportMask, dc_sign: Optional[int] = None,
+              mask: SupportMask, dc_sign: int | tuple[int, ...] | None = None,
               work: Optional[Workspace] = None) -> np.ndarray:
     """BDR coordinate update with the convex ball projection, its DC pinned
-    to dc_sign * b^{1/2} at DC unless dc_sign is None."""
+    to dc_sign * b^{1/2} at DC unless dc_sign is None (a tuple of signs pins
+    each lane of a stack)."""
     return _dr_update(z, project_magnitude_ball(z, half_root, dc_sign, work),
                       background, mask, 1.0)
 
 
+class LaneRuns(tuple):
+    """The ``SolverRun`` of each lane of one ``_iterate`` call, in lane order.
+    ``iterations_used`` is the sum of the lanes' iterations, the lane-steps
+    computed, and ``converged`` holds when every lane converged."""
+
+    @property
+    def iterations_used(self) -> int:
+        return sum(run.iterations_used for run in self)
+
+    @property
+    def converged(self) -> bool:
+        return all(run.converged for run in self)
+
+
+def _stack(arrays: list, params) -> tuple:
+    # the form a step takes lanes in, and the key of each lane's array in it.
+    # One lane is its grid array (key ...) with its own params entry, so a
+    # 1-D grid keeps numpy's 1-D loops, which cost less; more lanes are the
+    # stack (lanes, *grid) (key: the row) with the tuple of their entries
+    if len(arrays) == 1:
+        return arrays[0], params[0], [...]
+    return np.stack(arrays), tuple(params), list(range(len(arrays)))
+
+
 def _iterate(b: IntensityMeasurements, background: np.ndarray,
              mask: SupportMask, config: SolverConfig, step: Callable,
-             final_projector: Optional[Callable], x_true=None, z0=None) -> SolverRun:
+             final_projector: Optional[Callable], x_true=None, z0=None,
+             lanes: tuple = (None,)) -> LaneRuns:
     _require_grid(b, mask)
-    # step(z, work) maps z^{p-1} to a new array z^p, transforming in the
-    # run's workspace
-    work = Workspace(mask.shape)
+    # one lane per entry of lanes, all from the same start, stepped in
+    # lockstep (see _stack). A lane that meets its stop test is frozen and
+    # dropped. step(z, work, params) maps z^{p-1} to a new array z^p,
+    # transforming in work; final_projector(z, work, params) maps the final
+    # iterates. The start, the trace rows and a one-lane stack transform in
+    # the grid's own workspace.
+    grid_work = Workspace(mask.shape)
     if z0 is None:
-        z = project_background(_spectral_start(b, work), background, mask)
+        start = project_background(_spectral_start(b, grid_work), background, mask)
     else:
-        z = np.asarray(z0, dtype=float)
-    if not np.all(np.isfinite(z)):
+        start = np.asarray(z0, dtype=float)
+    if not np.all(np.isfinite(start)):
         raise DivergenceError("non-finite start")
 
-    stride = config.trace_every
-    trace = []
-    for p in range(1, config.max_iter + 1):
-        z_new = step(z, work)
-        step_norm = l2_norm(z_new - z)
-        if not math.isfinite(step_norm):
-            raise DivergenceError(f"non-finite iterate at step {p}")
-        z = z_new
-        converged = step_norm <= config.eps
-        if stride and (p % stride == 0 or converged or p == config.max_iter):
-            x_hat = z[mask.inside]
-            rel = math.nan if x_true is None else relative_error(x_hat, x_true)
-            trace.append((rel, measurement_error(x_hat, background, mask, b, work)))
-        if converged:
-            break
+    def workspace(count):
+        return grid_work if count == 1 else Workspace(mask.shape, count)
 
+    stride, eps, max_iter = config.trace_every, config.eps, config.max_iter
+    traces = [[] for _ in lanes]
+    ends = [None] * len(lanes)  # (iterate, iterations, converged) of each stopped lane
+    z, params, keys = _stack([start] * len(lanes), lanes)
+    live = list(zip(keys, range(len(lanes))))  # (key, lane) of each lane in z
+    work = stack_work = workspace(len(lanes))
+    for p in range(1, max_iter + 1):
+        z_new = step(z, work, params)
+        diff = z_new - z
+        z = z_new
+        stopped = 0
+        for key, lane in live:
+            step_norm = l2_norm(diff[key])
+            if not math.isfinite(step_norm):
+                raise DivergenceError(f"non-finite iterate at step {p}")
+            converged = step_norm <= eps
+            if stride and (p % stride == 0 or converged or p == max_iter):
+                x_hat = z[key][mask.inside]
+                rel = math.nan if x_true is None else relative_error(x_hat, x_true)
+                traces[lane].append((rel, measurement_error(x_hat, background, mask, b,
+                                                            grid_work)))
+            if converged:
+                ends[lane] = (z[key], p, True)
+                stopped += 1
+        if stopped:
+            if stopped == len(live):
+                break
+            live = [(key, lane) for key, lane in live if ends[lane] is None]
+            z, params, keys = _stack([z[key] for key, _ in live],
+                                     [lanes[lane] for _, lane in live])
+            live = [(key, lane) for key, (_, lane) in zip(keys, live)]
+            work = workspace(len(live))
+    else:  # the lanes still live stop at the cap
+        for key, lane in live:
+            ends[lane] = (z[key], max_iter, False)
+
+    finals = [end[0] for end in ends]
     if final_projector is not None:
-        z = final_projector(z)
-    final = z[mask.inside]
-    return SolverRun(final, p, np.asarray(trace, dtype=float).reshape(-1, 2), converged)
+        z, params, keys = _stack(finals, lanes)
+        z = final_projector(z, stack_work, params)
+        finals = [z[key] for key in keys]
+    return LaneRuns(
+        SolverRun(final[mask.inside], iterations, np.asarray(trace, dtype=float).reshape(-1, 2),
+                  converged)
+        for final, (_, iterations, converged), trace in zip(finals, ends, traces))
 
 
 def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
@@ -197,29 +265,33 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
 
     half_root = b.half_root
     if method is Method.PGD:
-        step = lambda z, work: pgd_step(z, half_root, background, mask, config.lam, work)
+        step = lambda z, work, _: pgd_step(z, half_root, background, mask, config.lam, work)
         final = None
     else:  # BDR, BDR1 and HIO
         beta = 1.0 if method is Method.BDR else config.beta
-        step = lambda z, work: bdr_step(z, half_root, background, mask, beta, work)
-        final = lambda z: project_magnitude(z, half_root)
-    return _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)
+        step = lambda z, work, _: bdr_step(z, half_root, background, mask, beta, work)
+        final = lambda z, work, _: project_magnitude(z, half_root, work)
+    return _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)[0]
 
 
 def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
                        mask: SupportMask, config: SolverConfig,
                        x_true=None, z0=None) -> SolverRun:
-    """Run CBDR twice with the DC coefficient pinned to +sqrt(b_1) and
-    -sqrt(b_1); return the branch with the smaller measurement error (ties go
-    to the + branch)."""
+    """Run CBDR with the DC coefficient pinned to +sqrt(b_1) and -sqrt(b_1),
+    as two lanes of one lockstep stack; return the lane with the smaller
+    measurement error (ties go to the + lane)."""
     half_root = b.half_root
-    branches = []
-    errors = []
-    for sign in (1, -1):
-        step = lambda z, work, s=sign: cbdr_step(z, half_root, background, mask, s, work)
-        final = lambda z, s=sign: project_magnitude_ball(z, half_root, s)
-        result = _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0)
-        branches.append(result)
-        errors.append(measurement_error(result.final_estimate, background, mask, b))
-    return branches[0] if errors[0] <= errors[1] else branches[1]
+    # the half root and the background of both lanes: numpy's loops cost
+    # less on operands of one shape than on broadcast ones
+    stacked = np.stack([half_root] * 2), np.stack([background] * 2)
 
+    def step(z, work, signs):
+        root, y = stacked if z.ndim > half_root.ndim else (half_root, background)
+        return cbdr_step(z, root, y, mask, signs, work)
+
+    final = lambda z, work, signs: project_magnitude_ball(z, half_root, signs, work)
+    plus, minus = _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0,
+                           lanes=(1, -1))
+    errors = [measurement_error(branch.final_estimate, background, mask, b)
+              for branch in (plus, minus)]
+    return plus if errors[0] <= errors[1] else minus

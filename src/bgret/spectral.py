@@ -33,10 +33,11 @@ direct-summation oracle below pins down numerically.
 
 The real-data pair runs in the solver loop, twice per iteration, on grids
 where numpy's Python wrappers (``rfftn`` -> ``rfft`` -> ``_raw_fft``) cost
-more than the transforms. So a ``Workspace``, built once per solver run,
-checks its grid once and calls the pocketfft gufuncs under them,
-``numpy.fft._pocketfft_umath``, directly, once per axis, with the axis order
-and the factors ``rfftn``/``irfftn`` use, and gives the same bytes:
+more than the transforms. So a ``Workspace``, built once per solver run
+(and per lane count of its stack), checks its grid once and calls the
+pocketfft gufuncs under them, ``numpy.fft._pocketfft_umath``, directly, once
+per axis, with the axis order and the factors ``rfftn``/``irfftn`` use, and
+gives the same bytes:
 
 * ``forward(z)`` runs ``rfft_n_even`` or ``rfft_n_odd`` (factor 1) along the
   last axis of z into ``half``, then ``fft`` (factor 1) in place over the
@@ -45,6 +46,11 @@ and the factors ``rfftn``/``irfftn`` use, and gives the same bytes:
   the leading axes, from the first one to the last, then ``irfft`` with
   factor 1/m_last into ``grid``. In 2-D and above it therefore overwrites
   the half spectrum.
+
+A ``Workspace`` with ``lanes`` = L holds a stack of L arrays of the grid, the
+lane axis in front, and its gufuncs loop over that axis (their grid axes are
+counted from the end): one call transforms every lane, and each lane gets
+the bytes of a workspace of one array. CBDR's two DC-sign lanes run in one.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import Optional
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
@@ -101,31 +108,42 @@ class Workspace:
     ``grid`` of the grid. ``forward`` and ``inverse`` give the bytes of
     ``numpy.fft.rfftn(z)`` and ``numpy.fft.irfftn(half, s=shape)`` (on the
     self-mirrored entries, where ``half`` may break the Hermitian symmetry,
-    its Hermitian part) and return the buffer they fill."""
+    its Hermitian part) and return the buffer they fill.
 
-    def __init__(self, shape: tuple[int, ...]):
+    With ``lanes`` = L the buffers hold a stack of L arrays of the grid, the
+    lane axis in front, and the gufuncs loop over it: each lane gets the
+    bytes of a workspace of one array."""
+
+    def __init__(self, shape: tuple[int, ...], lanes: Optional[int] = None):
         self.shape = shape = tuple(shape)
         if not shape or min(shape) < 1:
             raise ValueError(f"{shape} is not a transform grid: it needs one axis or more, "
                              "each of length 1 or more")
-        m = shape[-1]
-        self.half = np.empty(shape[:-1] + (m // 2 + 1,), dtype=complex)
+        if lanes is not None and lanes < 1:
+            raise ValueError(f"a stack needs one lane or more, not {lanes}")
+        stack = () if lanes is None else (lanes,)
+        d, m = len(shape), shape[-1]
+        self.half = np.empty(stack + shape[:-1] + (m // 2 + 1,), dtype=complex)
         self.half_magnitude = np.empty(self.half.shape)
-        self.grid = np.empty(shape)
+        self.grid = np.empty(stack + shape)
+        self._stack_shape = self.grid.shape
         self._rfft = _pocketfft.rfft_n_odd if m % 2 else _pocketfft.rfft_n_even
         # gufunc axes of a (n),()->(m) transform along each leading axis, in
-        # irfftn's order, with its inverse factor
-        self._leading = [([(axis,), (), (axis,)], 1 / shape[axis])
-                         for axis in range(len(shape) - 1)]
+        # irfftn's order, with its inverse factor; counted from the end, so
+        # the gufunc loops over a lane axis in front
+        self._leading = [([(axis - d,), (), (axis - d,)], 1 / shape[axis])
+                         for axis in range(d - 1)]
+        self._leading_reversed = [axes for axes, _ in reversed(self._leading)]
         self._last_factor = 1 / m
         # the self-mirrored lines of the half grid and, in 2-D and above, the
         # flat indices in ``half`` of their entries and of the entries'
-        # mirrors (-i mod m_axis over every leading axis)
+        # mirrors (-i mod m_axis over every leading axis), in every lane
         self._lines = [0, m // 2] if m % 2 == 0 else [0]
         self._line_entries = self._line_mirrors = None
-        if len(shape) > 1:
+        if d > 1:
+            lane_index = [np.arange(n) for n in stack]
             def flat(leading):
-                index = np.ix_(*leading, self._lines)
+                index = np.ix_(*lane_index, *leading, self._lines)
                 return np.ravel_multi_index(index, self.half.shape).reshape(-1)
             self._line_entries = flat([np.arange(n) for n in shape[:-1]])
             self._line_mirrors = flat([-np.arange(n) % n for n in shape[:-1]])
@@ -134,24 +152,26 @@ class Workspace:
     def weights(self) -> np.ndarray:
         """The weight of each half-grid entry in a sum over the grid of a
         Hermitian real array: 2, and 1 on the self-mirrored lines."""
-        w = np.full(self.half.shape, 2.0)
+        w = np.full(self.half.shape[-len(self.shape):], 2.0)
         w[..., self._lines] = 1.0
         return w
 
     def forward(self, z: np.ndarray) -> np.ndarray:
-        """Half spectrum of the real grid array z (only read) into ``half``.
-        A z off the grid raises ValueError: the gufuncs would pad or cut it."""
-        if z.shape != self.shape:
-            raise ValueError(f"array of shape {z.shape} is not on the grid {self.shape}")
+        """Half spectrum of the real grid array z (only read) into ``half``;
+        with lanes, z is the stack. A z off the grid or with another lane
+        count raises ValueError: the gufuncs would pad, cut or broadcast it."""
+        if z.shape != self._stack_shape:
+            raise ValueError(f"array of shape {z.shape} is not on the grid {self._stack_shape}")
         half = self._rfft(z, 1, out=self.half)
-        for axes, _ in reversed(self._leading):
+        for axes in self._leading_reversed:
             _pocketfft.fft(half, 1, out=half, axes=axes)
         return half
 
     def hermitian_lines(self) -> None:
         """Replace each self-mirrored line of ``half`` by its Hermitian part
-        0.5 * (v[i] + conj(v[-i])), the mirror taken over the leading axes.
-        In 1-D those entries are real and nothing is done."""
+        0.5 * (v[i] + conj(v[-i])), the mirror taken over the leading axes
+        of the grid, in each lane. In 1-D those entries are real and nothing
+        is done."""
         if self._line_mirrors is None:
             return
         flat = self.half.reshape(-1)
@@ -161,7 +181,8 @@ class Workspace:
         flat[self._line_entries] = lines
 
     def inverse(self) -> np.ndarray:
-        """The real array of the half spectrum in ``half``, into ``grid``."""
+        """The real array of the half spectrum in ``half``, into ``grid``
+        (lane by lane)."""
         half = self.half
         for axes, factor in self._leading:
             _pocketfft.ifft(half, factor, out=half, axes=axes)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgret.analysis import (RANK_RTOL, build_linear_system, circulant,
+from bgret.analysis import (MAX_MATRIX_ENTRIES, RANK_RTOL, build_linear_system, circulant,
                             coefficient_matrix, dimension_bound,
                             enumerate_nonoverlap_shifts, frip_expectation_check,
                             frip_partial_rows, in_c2, l_nonsingular_check,
-                            least_squares_recover, mirror_shift, robustness_bound,
-                            sample_c2, stability_constants, uniqueness_certificate,
-                            verify_robustness)
+                            least_squares_recover, mirror_shift, nonoverlap_shift_count,
+                            robustness_bound, sample_c2, stability_constants,
+                            uniqueness_certificate, verify_robustness, verify_uniqueness)
 from bgret.model import SupportMask, assemble
 from bgret.spectral import autocorrelation_direct, autocorrelation_from_intensity, intensity
 
@@ -365,6 +365,15 @@ def test_robustness_bound_monte_carlo():
     assert report["c2_zero_collapse_exact"]
 
 
+def test_robustness_check_passes_without_noise():
+    # the bound is 0, and least squares recovers X up to rounding: the
+    # check's rounding floor admits that, and min_bound_ratio keeps its
+    # formula, bound / measured, which is 0 here
+    report = verify_robustness(instances=2, c1=0.0, c2=0.0)
+    assert report["passed"] and report["failures"] == 0
+    assert report["min_bound_ratio"] == 0.0
+
+
 def test_build_circulant_display_example():
     L = circulant([1.0, 2.0, 3.0])
     assert L.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
@@ -497,3 +506,28 @@ def test_frip_zero_h():
     assert report.empirical_mean == 0.0
     assert report.predicted == 0.0
     assert math.isnan(report.c1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sample=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       extra=st.lists(st.integers(0, 6), min_size=3, max_size=3))
+def test_nonoverlap_shift_count_matches_enumeration(sample, extra):
+    shape = tuple(n + e for n, e in zip(sample, extra))
+    mask = SupportMask.block(shape, sample)
+    assert nonoverlap_shift_count(sample, shape) == len(enumerate_nonoverlap_shifts(mask))
+
+
+def test_coefficient_matrix_size_guard():
+    # 4-D at the CLI defaults (n 8, k 24) would ask for 498983 x 4096 entries;
+    # the guard refuses it from the shapes, before any enumeration
+    mask = SupportMask.block((32,) * 4, (8,) * 4)
+    assert nonoverlap_shift_count(mask.sample_shape, mask.shape) == 498983
+    with pytest.raises(ValueError, match="entries"):
+        coefficient_matrix(np.zeros(mask.shape), mask)
+    # verify_uniqueness checks before it builds the mask: at d = 6 that
+    # alone would be 2^30 cells
+    for d in (4, 6):
+        with pytest.raises(ValueError, match="entries"):
+            verify_uniqueness(8, 24, d, draws=1)
+    # the default 3-D certificate stays within the cap
+    assert nonoverlap_shift_count((8,) * 3, (32,) * 3) * 8 ** 3 <= MAX_MATRIX_ENTRIES

@@ -7,6 +7,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from bgret import harness, solvers
+from bgret.model import Method
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
@@ -68,3 +73,33 @@ def test_every_name_the_benchmark_uses_resolves():
                      if not (_submodule(module, name)
                              or hasattr(importlib.import_module(module), name)))
     assert not missing, f"names the benchmark uses that bgret lacks: {missing}"
+
+
+@pytest.mark.parametrize("method", (Method.CBDR, Method.BDR))
+def test_iterate_result_carries_the_counts_the_benchmark_reads(method, monkeypatch):
+    # perfbench/run.py's TrialClock sums ``iterations_used`` of every
+    # ``solvers._iterate`` result of a trial, and perfbench/spans.py reads its
+    # ``converged``. A CBDR trial is one _iterate call over both DC-sign lanes:
+    # its count is the sum of the lanes' own counts, above the row's
+    # ``iterations`` (the chosen lane's) and at most 2 * max_iter
+    results = []
+    iterate = solvers._iterate
+
+    def recorded(*args, **kwargs):
+        results.append(iterate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "_iterate", recorded)
+    spec = harness.TrialSpec(master_seed=7, cell_id=0, trial_index=0, method=method,
+                             sample_shape=(10,), background_sizes=(60,), max_iter=400)
+    row = harness.run_trial(spec)
+    assert len(results) == 1
+    result = results[0]
+    assert isinstance(result.iterations_used, int) and isinstance(result.converged, bool)
+    assert result.converged == all(lane.converged for lane in result)
+    if method is Method.CBDR:
+        assert len(result) == 2
+        assert result.iterations_used == sum(lane.iterations_used for lane in result)
+        assert row["iterations"] < result.iterations_used <= 2 * spec.max_iter
+    else:
+        assert result.iterations_used == row["iterations"]

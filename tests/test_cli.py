@@ -464,6 +464,24 @@ def test_verify_uniqueness_cli(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_verify_uniqueness_cli_refuses_an_oversized_certificate(capsys, tmp_path):
+    # --d 4 at the default --n 8 --k 24 would need a 16 GB coefficient
+    # matrix, --d 6 a 2^30-cell grid; the size guard turns each into a data
+    # error before anything of that size is built
+    import tracemalloc
+    for d in ("4", "6"):
+        tracemalloc.start()
+        try:
+            rc = main(["verify", "uniqueness", "--d", d, "--draws", "1",
+                       "--out", str(tmp_path / "u")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_DATA
+        assert "entries" in capsys.readouterr().err
+        assert peak < 16 * 2**20
+
+
 def test_verify_failing_check_exits_3(capsys, tmp_path):
     # k far below the 1-D bound: the rank certificate fails on every draw
     rc = main(["verify", "uniqueness", "--n", "8", "--k", "2", "--d", "1",

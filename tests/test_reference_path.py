@@ -246,17 +246,41 @@ def test_run_matches_allocating_reference(grid, method):
     assert_same(solvers.run(b, y, mask, config, x_true=x), ref_run(b, y, mask, config, x))
 
 
+def cbdr_stack(b, y, mask, config, x, signs):
+    # one _iterate call with a lane per DC sign
+    half_root = hermitian_half(b.root)
+    return solvers._iterate(
+        b, y, mask, config,
+        lambda z, work, lanes: solvers.cbdr_step(z, half_root, y, mask, lanes, work),
+        lambda z, work, lanes: project_magnitude_ball(z, half_root, lanes, work), x_true=x,
+        lanes=signs)
+
+
 @pytest.mark.parametrize("sign", (1, -1))
 @pytest.mark.parametrize("grid", GRIDS)
 def test_cbdr_branch_matches_allocating_reference(grid, sign):
     x, y, mask, b = instance(grid)
     config = CONFIGS["cbdr"]
-    half_root = hermitian_half(b.root)
-    branch = solvers._iterate(
-        b, y, mask, config,
-        lambda z, work: solvers.cbdr_step(z, half_root, y, mask, sign, work),
-        lambda z: project_magnitude_ball(z, half_root, sign), x_true=x)
+    branch, = cbdr_stack(b, y, mask, config, x, (sign,))
     assert_same(branch, ref_cbdr_branch(b, y, mask, config, x, sign))
+
+
+def test_cbdr_stack_lanes_match_allocating_reference():
+    # both DC signs as two lanes of one lockstep stack: each lane is the
+    # reference branch of its sign, byte for byte, also after the other lane
+    # stopped and left the stack (2d-offset: + converges at 101, - runs on)
+    stop_apart = 0
+    for grid in GRIDS:
+        x, y, mask, b = instance(grid)
+        config = CONFIGS["cbdr"]
+        stack = cbdr_stack(b, y, mask, config, x, (1, -1))
+        assert len(stack) == 2
+        for lane, sign in zip(stack, (1, -1)):
+            assert_same(lane, ref_cbdr_branch(b, y, mask, config, x, sign))
+        assert stack.iterations_used == sum(lane.iterations_used for lane in stack)
+        assert stack.converged == all(lane.converged for lane in stack)
+        stop_apart += stack[0].iterations_used != stack[1].iterations_used
+    assert stop_apart
 
 
 def test_reference_cases_cover_both_stop_rules():

@@ -322,14 +322,76 @@ def test_cbdr_parallel_real_tie_break_is_plus_branch():
     assert b.values[0] == 0.0
     cfg = SolverConfig(method=Method.CBDR, max_iter=50)
     winner = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
-    from bgret.solvers import _iterate
-    root = b.root
-    plus_run = _iterate(b, y, mask, cfg,
-                        lambda s, work: cbdr_step(s, hermitian_half(root), y, mask, 1, work),
-                        lambda z: project_magnitude_ball(z, hermitian_half(root), 1), x_true=x)
+    plus_run, = cbdr_lanes(b, y, mask, cfg, (1,), x)
     assert np.array_equal(winner.final_estimate, plus_run.final_estimate)
     again = cbdr_parallel_real(b, y, mask, cfg, x_true=x)
     assert np.array_equal(winner.final_estimate, again.final_estimate)
+
+
+def cbdr_lanes(b, y, mask, cfg, signs, x_true=None, step=cbdr_step):
+    # the DC signs as the lanes of one lockstep _iterate call
+    half_root = b.half_root
+    return solvers._iterate(
+        b, y, mask, cfg,
+        lambda z, work, lanes: step(z, half_root, y, mask, lanes, work),
+        lambda z, work, lanes: project_magnitude_ball(z, half_root, lanes, work),
+        x_true=x_true, lanes=signs)
+
+
+@pytest.mark.parametrize("seed", (43, 52))
+def test_cbdr_lanes_stop_on_their_own(seed):
+    # one DC sign converges and the other runs to the cap (seed 43: the - lane
+    # stops first, 52: the + lane); each lane of the stack is the one-lane run
+    # of its sign, trace rows included, and the stack sums the lanes' counts
+    rng = np.random.default_rng(seed)
+    x, y, mask, b = make_instance(rng, 8, 48)
+    cfg = SolverConfig(method=Method.CBDR, max_iter=300, trace_every=7)
+    both = cbdr_lanes(b, y, mask, cfg, (1, -1), x)
+    assert sorted(lane.converged for lane in both) == [False, True]
+    assert sorted(lane.iterations_used for lane in both)[1] == 300
+    assert both[0].converged is (seed == 52)
+    for sign, lane in zip((1, -1), both):
+        alone, = cbdr_lanes(b, y, mask, cfg, (sign,), x)
+        assert lane.iterations_used == alone.iterations_used
+        assert lane.converged == alone.converged
+        assert lane.final_estimate.tobytes() == alone.final_estimate.tobytes()
+        assert lane.trace.tobytes() == alone.trace.tobytes()
+    assert both.iterations_used == sum(lane.iterations_used for lane in both)
+    assert not both.converged
+
+
+def test_a_stack_keeps_stepping_the_lanes_left():
+    # three lanes, the middle one (+) stopping first (seed 52): the other two
+    # go on as a stack of two, each still the one-lane run of its sign
+    rng = np.random.default_rng(52)
+    x, y, mask, b = make_instance(rng, 8, 48)
+    cfg = SolverConfig(method=Method.CBDR, max_iter=300)
+    lanes = cbdr_lanes(b, y, mask, cfg, (-1, 1, -1))
+    assert [lane.converged for lane in lanes] == [False, True, False]
+    for sign, lane in zip((-1, 1, -1), lanes):
+        alone, = cbdr_lanes(b, y, mask, cfg, (sign,))
+        assert lane.iterations_used == alone.iterations_used
+        assert lane.final_estimate.tobytes() == alone.final_estimate.tobytes()
+
+
+@pytest.mark.parametrize("bad_sign", (1, -1))
+def test_a_non_finite_lane_raises(bad_sign):
+    # one lane of the stack turns non-finite at step 3 while the other stays
+    # finite: the run raises, as that branch would alone
+    rng = np.random.default_rng(43)
+    x, y, mask, b = make_instance(rng, 8, 48)
+    steps = [0]
+
+    def step(z, half_root, y, mask, signs, work):
+        z_new = cbdr_step(z, half_root, y, mask, signs, work)
+        steps[0] += 1
+        if steps[0] == 3:
+            z_new[signs.index(bad_sign)] = np.inf
+        return z_new
+
+    with pytest.raises(DivergenceError, match="step 3"):
+        cbdr_lanes(b, y, mask, SolverConfig(method=Method.CBDR, max_iter=20), (1, -1),
+                   step=step)
 
 
 def test_hio_delta_full_support():
@@ -554,6 +616,19 @@ def test_untraced_iteration_makes_two_ffts(monkeypatch):
     traced = added(1, delta)
     assert sum(traced.values()) == 3 * delta
     assert traced == {"forward": 2 * delta, "inverse": delta, "complex": 0}
+
+    # while both CBDR lanes run, a lockstep iteration makes one forward and
+    # one inverse for the two lanes together
+    def cbdr_calls(max_iter):
+        calls.update(dict.fromkeys(calls, 0))
+        cfg = SolverConfig(method=Method.CBDR, max_iter=max_iter, eps=1e-300)
+        both = cbdr_lanes(b, y, mask, cfg, (1, -1))
+        assert both.iterations_used == 2 * max_iter
+        return dict(calls)
+
+    short, long = cbdr_calls(10), cbdr_calls(10 + delta)
+    assert {name: long[name] - short[name] for name in calls} == {
+        "forward": delta, "inverse": delta, "complex": 0}
 
     # no run of any method makes a complex transform, traced or not: the
     # spectral start is a workspace inverse, and CBDR's branch choice and

@@ -213,6 +213,32 @@ def test_hermitian_lines(shape, seed):
     assert np.array_equal(work.half[rest], half[rest])
 
 
+@pytest.mark.parametrize("shape", [(256, 256), (15, 13), (7, 8, 6), (701,), (400,), (1, 2)])
+def test_lane_stack_gives_each_lane_the_bytes_of_one_array(shape):
+    # a workspace of two lanes transforms both in one gufunc call each way;
+    # each lane's forward, Hermitian lines and inverse are those of a
+    # workspace of its array alone
+    rng = np.random.default_rng(len(shape))
+    z = rng.standard_normal((2,) + shape)
+    stack = Workspace(shape, 2)
+    forward = stack.forward(z).copy()
+    stack.hermitian_lines()
+    lines = stack.half.copy()
+    inverse = stack.inverse()
+    assert forward.shape == (2,) + Workspace(shape).half.shape and inverse.shape == z.shape
+    for lane in range(2):
+        one = Workspace(shape)
+        assert one.forward(z[lane]).tobytes() == forward[lane].tobytes()
+        one.hermitian_lines()
+        assert one.half.tobytes() == lines[lane].tobytes()
+        assert one.inverse().tobytes() == inverse[lane].tobytes()
+    assert stack.weights.tobytes() == Workspace(shape).weights.tobytes()
+    with pytest.raises(ValueError, match="not on the grid"):
+        stack.forward(z[0])
+    with pytest.raises(ValueError, match="lane"):
+        Workspace(shape, 0)
+
+
 def test_real_pair_rejects_arrays_off_the_grid():
     # the gufuncs would zero-fill or cut a last axis of the wrong length
     work = Workspace((4, 6))
