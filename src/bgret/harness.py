@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+# concurrent.futures imports its process pool (2 MB resident) on the first
+# access to futures.ProcessPoolExecutor, so a one-worker process never loads it
+from concurrent import futures
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -240,7 +242,7 @@ def run_cells(cells: Sequence[Sequence[TrialSpec]], workers: int = 1) -> list[li
         rows = iter([run_trial(s) for s in specs])
     else:
         chunk = max(1, len(specs) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = iter(list(pool.map(run_trial, specs, chunksize=chunk)))
     return [list(islice(rows, len(cell))) for cell in cells]
 

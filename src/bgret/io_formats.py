@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
-import hashlib
 import json
 import math
 import platform
@@ -111,6 +110,10 @@ def json_text(payload) -> str:
 
 
 def sha256_of(path) -> str:
+    # hashlib loads OpenSSL's libcrypto (3.6 MB resident); only the CLI's
+    # input digests need it, so trial processes do not import it
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -115,10 +115,14 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 def ssim(img_hat, img, peak: Optional[float] = None) -> float:
-    """Mean local SSIM with an 11x11 Gaussian window (sigma 1.5).
+    """Mean local SSIM with an 11x11 Gaussian window w (sigma 1.5).
 
-    Images smaller than the window fall back to a single global window and a
-    warning is emitted.
+    At each window position, with mu_a = sum(w * a) and
+    s_ab = sum(w * a * b) - mu_a * mu_b over the window (likewise s_aa, s_bb):
+    (2 mu_a mu_b + c1)(2 s_ab + c2) / ((mu_a^2 + mu_b^2 + c1)(s_aa + s_bb + c2)).
+    The products a*a, b*b and a*b are formed once on the image, not per
+    window. Images smaller than the window fall back to a single global
+    window and a warning is emitted.
     """
     a = np.asarray(img_hat, dtype=float)
     b = np.asarray(img, dtype=float)
@@ -143,16 +147,17 @@ def ssim(img_hat, img, peak: Optional[float] = None) -> float:
                      / ((mu1 ** 2 + mu2 ** 2 + c1) * (v1 + v2 + c2)))
 
     kernel = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
-    win_a = np.lib.stride_tricks.sliding_window_view(a, (SSIM_WINDOW, SSIM_WINDOW))
-    win_b = np.lib.stride_tricks.sliding_window_view(b, (SSIM_WINDOW, SSIM_WINDOW))
 
-    def wmean(w):
-        return np.tensordot(w, kernel, axes=([2, 3], [0, 1]))
+    def wmean(image):
+        # the kernel-weighted mean of each window of an image: tensordot copies
+        # the windows into one (windows, 121) matrix for one matrix-vector product
+        windows = np.lib.stride_tricks.sliding_window_view(image, kernel.shape)
+        return np.tensordot(windows, kernel, axes=([2, 3], [0, 1]))
 
-    mu1, mu2 = wmean(win_a), wmean(win_b)
-    s11 = wmean(win_a * win_a) - mu1 * mu1
-    s22 = wmean(win_b * win_b) - mu2 * mu2
-    s12 = wmean(win_a * win_b) - mu1 * mu2
+    mu1, mu2 = wmean(a), wmean(b)
+    s11 = wmean(a * a) - mu1 * mu1
+    s22 = wmean(b * b) - mu2 * mu2
+    s12 = wmean(a * b) - mu1 * mu2
     num = (2 * mu1 * mu2 + c1) * (2 * s12 + c2)
     den = (mu1 ** 2 + mu2 ** 2 + c1) * (s11 + s22 + c2)
     return float(np.mean(num / den))

@@ -256,14 +256,17 @@ class SolverConfig:
         object.__setattr__(self, "method", Method.parse(self.method))
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        for name, least in (("max_iter", 1), ("trace_every", 0)):
+            value = getattr(self, name)
+            # a bool is an int to Python, and range() refuses a float or a str
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(f"{name} must be an integer of at least {least}, "
+                                 f"got {value!r}")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError("beta must lie in (0, 1]")
         if not self.lam > 0:
             raise ValueError("lam must be positive")
-        if not isinstance(self.trace_every, int) or self.trace_every < 0:
-            raise ValueError("trace_every must be a nonnegative integer")
 
 
 @dataclass(frozen=True)

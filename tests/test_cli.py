@@ -113,9 +113,10 @@ INTS = ("-1", "0", "1", "2", "3", "4", "x")
 FLOATS = ("-1", "0", "0.001", "0.5", "1", "2", "3", "nan", "inf", "-inf", "x")
 SEEDS = ("0", "7", "-1", str(2**64), "x")
 OUTS = ("out", "o/deep", ".", "", "sig.csv")
-#: the values a README flag's value is replaced by; --shape and --sample take
-#: one to three of them. --d stops at 2: a 3-D certificate at the default
-#: --n and --k takes about a second per draw (criterion 17 covers d = 3).
+#: the values a README flag's value is replaced by; --shape, --sample and
+#: --support take one to three of them. --d stops at 2: a 3-D certificate at
+#: the default --n and --k takes about a second per draw (criterion 17 covers
+#: d = 3), and one at --d 4 or 6 under the size cap up to a few seconds.
 FLAG_VALUES = {
     "--type": INTS, "--n": INTS, "--k": INTS, "--d": ("-1", "0", "1", "2", "x"),
     "--draws": INTS,
@@ -125,7 +126,8 @@ FLAG_VALUES = {
     "--ratio-min": FLOATS, "--ratio-max": FLOATS, "--ratio-step": FLOATS,
     "--seed": SEEDS, "--out": OUTS, "--method": ("bdr", "pgd", "cbdr", "hio", "bdr1", "x"),
     "--signal": CASE_FILES, "--config": CASE_FILES, "--truth": CASE_FILES,
-    "--estimate": CASE_FILES,
+    "--estimate": CASE_FILES, "--spectrum": CASE_FILES, "--support": INTS,
+    "--max-iter": INTS, "--image-truth": CASE_FILES, "--image-estimate": CASE_FILES,
 }
 #: the image studies default to a 64x64 image and 300 iterations; a case
 #: gives them a small image and a few iterations
@@ -156,7 +158,7 @@ def cli_argvs(draw):
             groups.append(flag)
     for flag in groups:
         pool = FLAG_VALUES[flag]
-        count = draw(st.integers(1, 3)) if flag in ("--shape", "--sample") else 1
+        count = draw(st.integers(1, 3)) if flag in ("--shape", "--sample", "--support") else 1
         for _ in range(draw(st.sampled_from((0, 1, 1, 1, 2)))):
             argv += [flag, *draw(st.lists(st.sampled_from(pool), min_size=count,
                                           max_size=count))]

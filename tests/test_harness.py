@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,3 +397,25 @@ def test_resolve_workers_env(monkeypatch):
         monkeypatch.setenv("BGRET_WORKERS", token)
         with pytest.raises(ValueError, match="BGRET_WORKERS"):
             resolve_workers(None)
+
+
+_FOOTPRINT_CHILD = """
+import sys
+from bgret import cli, harness, metrics
+from bgret.model import Method
+spec = harness.TrialSpec(master_seed=3, cell_id=0, trial_index=0, method=Method.BDR,
+                         sample_shape=(8,), background_sizes=(16,), max_iter=20)
+[row] = harness.run_trials([spec], workers=1)
+print(sorted(m for m in ("_hashlib", "concurrent.futures.process") if m in sys.modules))
+"""
+
+
+def test_a_one_worker_trial_loads_neither_openssl_nor_the_process_pool():
+    # Every trial process pays for what it imports: OpenSSL's libcrypto
+    # (through hashlib, for the CLI's input digests only) and the process pool
+    # (for more than one worker only) load on use, not with the modules.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_CHILD], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bgret.metrics import (SUCCESS_THRESHOLD, evaluate, measurement_error, psnr,
+from bgret.metrics import (SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW, SUCCESS_THRESHOLD,
+                           _gaussian_kernel, evaluate, measurement_error, psnr,
                            relative_error, ssim, success)
 from bgret.model import SupportMask, assemble
 from bgret.spectral import dft_forward, intensity
@@ -107,6 +111,57 @@ def test_ssim_small_image_fallback_warns():
     with pytest.warns(RuntimeWarning):
         value = ssim(a, a)
     assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def _ssim_window_products(a, b, peak=None):
+    # the windowed SSIM as first written: the products a*a, b*b and a*b taken
+    # per window, three (H-10, W-10, 11, 11) arrays
+    if peak is None:
+        rng = float(max(a.max(), b.max()) - min(a.min(), b.min()))
+        peak = rng if rng > 0 else 1.0
+    c1, c2 = (SSIM_K1 * peak) ** 2, (SSIM_K2 * peak) ** 2
+    kernel = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
+    win_a = np.lib.stride_tricks.sliding_window_view(a, (SSIM_WINDOW, SSIM_WINDOW))
+    win_b = np.lib.stride_tricks.sliding_window_view(b, (SSIM_WINDOW, SSIM_WINDOW))
+
+    def wmean(w):
+        return np.tensordot(w, kernel, axes=([2, 3], [0, 1]))
+
+    mu1, mu2 = wmean(win_a), wmean(win_b)
+    s11 = wmean(win_a * win_a) - mu1 * mu1
+    s22 = wmean(win_b * win_b) - mu2 * mu2
+    s12 = wmean(win_a * win_b) - mu1 * mu2
+    num = (2 * mu1 * mu2 + c1) * (2 * s12 + c2)
+    den = (mu1 ** 2 + mu2 ** 2 + c1) * (s11 + s22 + c2)
+    return float(np.mean(num / den))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(SSIM_WINDOW, 70), st.integers(SSIM_WINDOW, 70)),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+       noise=st.floats(0.0, 2.0), peak=st.none() | st.floats(1e-2, 1e3))
+def test_ssim_matches_the_window_product_formula_bit_for_bit(shape, seed, scale, noise,
+                                                             peak):
+    # the products formed once on the image give the same (windows, 121)
+    # matrix to the same matrix-vector product, so the same bits
+    rng = np.random.default_rng(seed)
+    a = scale * rng.standard_normal(shape) + rng.uniform(-scale, scale)
+    b = a + noise * scale * rng.standard_normal(shape)
+    assert repr(ssim(a, b, peak)) == repr(_ssim_window_products(a, b, peak))
+
+
+def test_ssim_holds_at_most_one_window_matrix():
+    # a 64x64 pair has 54x54 windows of 121 pixels; only tensordot's copy of
+    # one image's windows may be live at a time
+    rng = np.random.default_rng(9)
+    a, b = rng.random((64, 64)), rng.random((64, 64))
+    tracemalloc.start()
+    try:
+        ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 54 * 54 * SSIM_WINDOW ** 2 * 8
 
 
 def test_success_strict_threshold():

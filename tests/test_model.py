@@ -175,6 +175,19 @@ def test_solver_config_validation():
         Method.parse("nope")
 
 
+@pytest.mark.parametrize("field", ["max_iter", "trace_every"])
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_solver_config_rejects_a_non_integer_count(field, value):
+    # a float or a str would fail later in range(); a bool would count as 1
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(method=Method.BDR, **{field: value})
+
+
+def test_solver_config_takes_numpy_integer_counts():
+    cfg = SolverConfig(method=Method.BDR, max_iter=np.int64(5), trace_every=np.int32(2))
+    assert cfg.max_iter == 5 and cfg.trace_every == 2
+
+
 def test_solver_run_trace_length():
     # between no row (an untraced run) and one row per iteration
     with pytest.raises(ValueError):
