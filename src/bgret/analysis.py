@@ -3,7 +3,9 @@ M vec(X) = R3 extracted from the autocorrelation, least-squares recovery and
 uniqueness certificates, stability/robustness constants, the partial
 circulant L/L1 machinery and empirical checks of its restricted-isometry
 expectation identity, and the seeded ``verify_*`` checks behind
-``bgret verify``. Transforms go through ``spectral``.
+``bgret verify``. Every transform is a ``spectral.Workspace`` transform: the
+autocorrelation is the inverse of the intensities' half grid, and C2
+membership reads the power of the half spectrum.
 
 Shift bookkeeping
 -----------------
@@ -33,8 +35,8 @@ from .model import (SupportMask, _readonly, _require_count, assemble, hermitian_
                     object_shape_for)
 from .projections import project_magnitude_ball
 from .rng import mix_seed
-from .spectral import (Autocorrelation, autocorrelation_from_intensity, dft_forward,
-                       dft_inverse, hermitian_half, intensity)
+from .spectral import (Autocorrelation, Workspace, autocorrelation_from_intensity,
+                       hermitian_half, intensity)
 
 #: Singular values below this fraction of the largest are treated as zero.
 RANK_RTOL = 1e-10
@@ -311,9 +313,10 @@ C2_RADIUS = 2.0
 
 
 def in_c2(h, tol: float = 1e-9) -> bool:
-    """Membership in C2 = {h : |DFT(h)_i| <= 2 for all i}."""
+    """Membership in C2 = {h : |DFT(h)_i| <= 2 for all i}, tested as
+    |DFT(h)_i|^2 <= (2 + tol)^2 on the half spectrum (h is real)."""
     h = np.asarray(h, dtype=float).reshape(-1)
-    return bool(np.max(np.abs(dft_forward(h))) <= C2_RADIUS + tol)
+    return bool(np.max(Workspace(h.shape).power(h)) <= (C2_RADIUS + tol) ** 2)
 
 
 def sample_c2(size: int, seed: int) -> np.ndarray:
@@ -473,6 +476,7 @@ def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
         if not 0.0 <= bound < math.inf:
             raise ValueError(f"noise bound {name} must be finite and nonnegative, got {bound}")
     mask = CHECK_MASK
+    work = Workspace(mask.shape)
     rng = np.random.default_rng(seed)
     failures = 0
     ratios = []
@@ -484,7 +488,8 @@ def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
         i_tilde = i_clean + hermitian_part(rng.uniform(-c1, c1, size=i_clean.shape))
         y_tilde = y + rng.uniform(-c2, c2, size=y.shape)
         y_tilde[mask.inside] = 0.0
-        r_tilde = Autocorrelation(dft_inverse(i_tilde).real)
+        work.half[...] = hermitian_half(i_tilde)
+        r_tilde = Autocorrelation(work.inverse())
         system = build_linear_system(y_tilde, mask, r_tilde)
         solution = least_squares_recover(system)
         measured = float(np.linalg.norm(solution.values - x.reshape(-1)))

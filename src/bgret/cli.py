@@ -199,7 +199,7 @@ def cmd_sweep(args) -> int:
     if not args.ratio_step > 0:
         raise SystemExit2("--ratio-step must be positive")
     if not args.ratio_min > 0:
-        # k = max(1, round(ratio * n)) would run k = 1 under a k_ratio it never had
+        # a usage error here; background_sizes_for would reject it as a data error
         raise SystemExit2("--ratio-min must be positive")
     if not math.isfinite(args.ratio_max):
         raise SystemExit2("--ratio-max must be finite")

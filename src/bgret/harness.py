@@ -106,10 +106,11 @@ def add_noise(b: IntensityMeasurements, sigma: float,
     sigma is quoted in the unitary-transform scale, where published noise
     levels such as 0.001 are meaningful fractions of the signal; under the
     unnormalized forward transform used here the applied standard deviation
-    is sigma * sqrt(prod m).
+    is sigma * sqrt(prod m). A sigma that is not finite and nonnegative
+    raises ValueError.
     """
-    if sigma < 0:
-        raise ValueError("noise level must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got {sigma}")
     if sigma == 0.0:
         return b
     grid = int(np.prod(b.shape))
@@ -164,11 +165,12 @@ class TrialSpec:
 def draw_instance(x: np.ndarray, mask: SupportMask, trial_seed: int,
                   noise_sigma: float) -> tuple[np.ndarray, IntensityMeasurements]:
     """Background (substream STREAM_BACKGROUND) and the intensities of the
-    combined object, noisy (substream STREAM_NOISE) when noise_sigma > 0."""
+    combined object, noisy (substream STREAM_NOISE) when noise_sigma is not
+    0; ``add_noise`` rejects a level that is negative or not finite."""
     background = gen_background(
         mask, rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_BACKGROUND)))
     b = intensity(assemble(x, background, mask))
-    if noise_sigma > 0:
+    if noise_sigma != 0:
         b = add_noise(b, noise_sigma,
                       rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_NOISE)))
     return background, b

@@ -9,8 +9,9 @@ The measurement error and the fixed-point residual are two norms of one
 intensity residual, of the intensity s = |DFT([x_hat; y])|^2 of a real
 object against the measurements b: ||s - b||_2 / ||b||_2 and
 max|s - h| / max(b), h the Hermitian part of b. s is Hermitian, so both are
-computed on the half grid, from the real transform ``Workspace.forward``
-and the half-grid arrays cached on b (see ``spectral``): r = s - h there,
+computed on the half grid, from the power ``Workspace.power`` of the real
+transform, which ``spectral.intensity`` also takes, and the half-grid
+arrays cached on b (see ``spectral``): r = s - h there,
 ||s - b||^2 is the weighted sum of r^2 (``Workspace.weights``) plus
 ``b.asymmetry`` = ||b - h||^2, and for the intensity of a real object h is
 b up to rounding. ``evaluate`` computes r once for both.
@@ -64,9 +65,8 @@ def _intensity_residual(x_hat, background, mask: SupportMask, b: IntensityMeasur
     # magnitude buffer
     if b.norm == 0.0:
         raise ValueError("measurement error undefined for zero measurements")
-    r = np.abs(work.forward(assemble(x_hat, background, mask)), out=work.half_magnitude)
-    np.square(r, out=r)
-    return np.subtract(r, b.half_values, out=r)
+    return np.subtract(work.power(assemble(x_hat, background, mask)), b.half_values,
+                       out=work.half_magnitude)
 
 
 def _residual_norm(r: np.ndarray, b: IntensityMeasurements, work: Workspace) -> float:

@@ -27,10 +27,11 @@ import numpy as np
 
 def background_sizes_for(ratio: float, sizes: Sequence[int]) -> tuple[int, ...]:
     """The one rule turning a ratio k/n into background sizes:
-    k_i = max(1, round(ratio * n_i)), rounding half to even. A ratio that is
-    not finite raises ValueError."""
-    if not math.isfinite(ratio):
-        raise ValueError(f"background ratio {ratio} is not finite")
+    k_i = max(1, round(ratio * n_i)), rounding half to even, so a small
+    positive ratio gives one cell. A ratio that is not finite and positive
+    raises ValueError."""
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"background ratio must be finite and positive, got {ratio}")
     return tuple(max(1, int(round(ratio * n))) for n in sizes)
 
 

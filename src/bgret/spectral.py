@@ -1,20 +1,23 @@
-"""Discrete Fourier transforms, the intensity forward model, and circular
+"""The real transform pair, the intensity forward model, and circular
 autocorrelation with its spectral bridge.
 
-Convention: the forward transform is unnormalized, entry i of ``dft_forward(z)``
-equals sum_t z_t exp(-2*pi*j*i*t/m); the inverse carries the 1/prod(m) factor,
-so ``dft_inverse(dft_forward(z)) == z``. Both return plain complex ndarrays.
-Multi-axis transforms factor by separability. Measurements live on the
-object grid: the known background takes the place of oversampling, so the
-combined object [x; y] of grid m = n + k is transformed on that grid, unpadded.
+Every transform bgret makes is a real-data transform of a ``Workspace``
+(``LOOP_TRANSFORMS``). Measurements live on the object grid: the known
+background takes the place of oversampling, so the combined object [x; y] of
+grid m = n + k is transformed on that grid, unpadded. The forward transform
+is unnormalized, entry i equals sum_t z_t exp(-2*pi*j*i*t/m), and the inverse
+carries the 1/prod(m) factor.
 
-The complex pair serves the forward model ``intensity``, the autocorrelation
-bridge and ``analysis``. The solvers and the metrics work on real objects,
-whose spectra are Hermitian, X[-i] = conj(X[i]), and transform only through
-the real-data pair of a ``Workspace``: ``forward`` computes the half grid of
-the spectrum, entries 0 .. m_last//2 along the last axis, and ``inverse``
-maps a half spectrum back to the real array of the grid, as the inverse of
-its Hermitian extension. A real array on the full grid that multiplies a
+A real object's spectrum is Hermitian, X[-i] = conj(X[i]), so a
+``Workspace`` holds only its half grid: ``forward`` computes the spectrum's
+entries 0 .. m_last//2 along the last axis, and ``inverse`` maps a half
+spectrum back to the real array of the grid, as the inverse of its Hermitian
+extension. ``power`` forms the intensity |X|^2 on the half grid as
+re*re + im*im, the one place bgret squares a magnitude; unlike ``np.abs`` of
+a complex array it gives the same bits at every SIMD level. The forward
+model ``intensity`` takes the half grid's power and fills the rest of the
+grid from s[-i] = s[i]; the autocorrelation is the inverse of the half grid
+of the intensities. A real array on the full grid that multiplies a
 Hermitian spectrum, or is inverted, acts through its Hermitian part cut to
 the half grid, ``hermitian_half`` (from ``model``; ``IntensityMeasurements``
 caches it for b and b^{1/2}). So the magnitude projection onto b^{1/2} takes
@@ -82,33 +85,19 @@ class Autocorrelation:
             raise ValueError(f"autocorrelation lacks circular symmetry (rel dev {dev / scale:.3e})")
         object.__setattr__(self, "values", _readonly(v, float))
 
-    @property
-    def shape(self):
-        return self.values.shape
 
-
-#: The transforms of the solver loop's magnitude projections, as recorded in
-#: every run manifest.
+#: Every transform bgret makes, as recorded in every run manifest.
 LOOP_TRANSFORMS = "numpy.fft._pocketfft_umath rfft_n_even/rfft_n_odd/fft/ifft/irfft"
-
-
-def dft_forward(z) -> np.ndarray:
-    """Unnormalized forward transform over every axis."""
-    return np.fft.fftn(np.asarray(z))
-
-
-def dft_inverse(s) -> np.ndarray:
-    """Inverse transform with the 1/prod(m) normalization."""
-    return np.fft.ifftn(np.asarray(s))
 
 
 class Workspace:
     """The real-data transform pair on one grid and its scratch: the half
-    spectrum ``half``, its magnitude ``half_magnitude`` and a real array
-    ``grid`` of the grid. ``forward`` and ``inverse`` give the bytes of
-    ``numpy.fft.rfftn(z)`` and ``numpy.fft.irfftn(half, s=shape)`` (on the
-    self-mirrored entries, where ``half`` may break the Hermitian symmetry,
-    its Hermitian part) and return the buffer they fill.
+    spectrum ``half``, a real array ``half_magnitude`` of the half grid for
+    its magnitude or ``power``, and a real array ``grid`` of the grid.
+    ``forward`` and ``inverse`` give the bytes of ``numpy.fft.rfftn(z)`` and
+    ``numpy.fft.irfftn(half, s=shape)`` (on the self-mirrored entries, where
+    ``half`` may break the Hermitian symmetry, its Hermitian part) and
+    return the buffer they fill.
 
     With ``lanes`` = L the buffers hold a stack of L arrays of the grid, the
     lane axis in front, and the gufuncs loop over it: each lane gets the
@@ -167,6 +156,12 @@ class Workspace:
             _pocketfft.fft(half, 1, out=half, axes=axes)
         return half
 
+    def power(self, z: np.ndarray) -> np.ndarray:
+        """The power |X|^2 of the half spectrum X of z (``forward``), as
+        re*re + im*im, into ``half_magnitude``."""
+        half = self.forward(z)
+        return np.add(half.real * half.real, half.imag * half.imag, out=self.half_magnitude)
+
     def hermitian_lines(self) -> None:
         """Replace each self-mirrored line of ``half`` by its Hermitian part
         0.5 * (v[i] + conj(v[-i])), the mirror taken over the leading axes
@@ -190,10 +185,19 @@ class Workspace:
 
 
 def intensity(z) -> IntensityMeasurements:
-    """Forward intensity model I = |DFT z|^2 on the grid of z."""
+    """Forward intensity model I = |DFT z|^2 of a real array z, on its grid:
+    ``Workspace.power`` on the half grid, and s[-i] = s[i] on the rest (for
+    a last-axis index j > m_last//2, -j mod m_last lies in the half grid). A
+    complex z raises ValueError."""
     a = np.asarray(z)
-    return IntensityMeasurements(np.abs(dft_forward(a)) ** 2,
-                                 conj_symmetric=bool(np.isrealobj(a)))
+    if np.iscomplexobj(a):
+        raise ValueError("the intensity model takes a real object")
+    power = Workspace(a.shape).power(a)
+    half = power.shape[-1]
+    values = np.empty(a.shape)
+    values[..., :half] = power
+    values[..., half:] = mirror_index(values)[..., half:]
+    return IntensityMeasurements(values)
 
 
 def autocorrelation_direct(z) -> Autocorrelation:
@@ -212,16 +216,11 @@ def autocorrelation_direct(z) -> Autocorrelation:
 
 
 def autocorrelation_from_intensity(measurements: IntensityMeasurements) -> Autocorrelation:
-    """Recover R from the intensities via the inverse transform.
-
-    Rejects non-symmetric measurements (a complex object or corrupted data)
-    and any inverse transform whose imaginary residue exceeds 1e-9 * max(I).
-    """
+    """Recover R from the intensities as the inverse of their half grid,
+    ``b.half_values``. Rejects measurements not marked conjugate-symmetric
+    (a complex object or corrupted data)."""
     if not measurements.conj_symmetric:
         raise ValueError("autocorrelation requires conjugate-symmetric measurements")
-    r = dft_inverse(measurements.values)
-    scale = max(float(np.max(measurements.values)), np.finfo(float).tiny)
-    residue = float(np.max(np.abs(r.imag)))
-    if residue > 1e-9 * scale:
-        raise ValueError(f"imaginary residue {residue:.3e} exceeds 1e-9 * max(I)")
-    return Autocorrelation(r.real)
+    work = Workspace(measurements.shape)
+    work.half[...] = measurements.half_values
+    return Autocorrelation(work.inverse())

@@ -443,7 +443,7 @@ def test_sample_c2_and_linear_system_bytes_frozen():
     assert _sha256(system.M) == \
         "f81f7eeb51dde356b961fa3a8a7ec9fb088f4ca5334c401575802f021863f41c"
     assert _sha256(system.rhs) == \
-        "d6465145e5947a79f195221ad7eea63ec84a2d1b30d0522bac244fcd5777889d"
+        "2a4ab9e1d64fe768034a57e1a4f6ce301c846226ac18081c87f3dfec0b6dce6d"
 
 
 def test_sample_c2_properties():

@@ -578,6 +578,17 @@ def test_sweep_cli_rejects_nonpositive_ratio(lo, hi, step, flag, tmp_path, capsy
     (["verify", "robustness", "--instances", "1", "--c1", "-1"], EXIT_DATA),
     # a guard no README example reaches: a 1-D support for a 2-D spectrum
     (["solve", "--method", "hio", "--spectrum", "img.csv", "--support", "3"], EXIT_USAGE),
+    # a noise level below 0 or NaN once ran as the noiseless sigma = 0
+    (["forward", "--signal", "sig.csv", "--noise-sigma", "-1"], EXIT_DATA),
+    (["forward", "--signal", "sig.csv", "--noise-sigma", "nan"], EXIT_DATA),
+    (["solve", "--method", "bdr", "--signal", "sig.csv", "--noise-sigma", "-1"], EXIT_DATA),
+    (["noise-bench", "--image", "img.csv", "--sigma", "nan", "--trials", "1",
+      "--max-iter", "3"], EXIT_DATA),
+    # a k/n ratio of 0 or below once ran a one-cell background
+    (["solve", "--method", "bdr", "--signal", "sig.csv", "--k-ratio", "-3"], EXIT_DATA),
+    (["solve", "--method", "bdr", "--signal", "sig.csv", "--k-ratio", "0"], EXIT_DATA),
+    (["image-bench", "--image", "img.csv", "--k-ratio", "0", "--trials", "1"], EXIT_DATA),
+    (["location-bias", "--image", "img.csv", "--k-ratio", "-1", "--trials", "1"], EXIT_DATA),
 ])
 def test_values_without_meaning_exit_with_their_code(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -687,19 +698,19 @@ def _study_bytes(out, stem):
 
 FROZEN_CLI_OUTPUTS = {
     "image-bench":
-        "7cb4e2bc425c9c67a95983f729b3ff2bc17e368f26810224fea6f74fb063fa47",
+        "36b9ad348b4ff8317fa66ce09452ad513f0f0f3e2c60731e57c11350b47047f7",
     "noise-bench":
-        "611ecccd67bd487c1b32ac34abb9fad8ea7c0dc331cd96db94faf65bd0d39f78",
+        "d651d0978d4a59bbd549a94f4e1d08cdfe75631c9479be59b4d19707c0a1aee8",
     "location-bias":
-        "f0409041b2f9c459432b590738f0dda9157e9c7cbaf1f3568ae592947b568d48",
+        "f3698740ed09f1ee3645e7ed464f611166b85a7aa8e6b08147ea71b64c5ba281",
     "solve-spectrum":
-        "e8b4a4642b6afbc34a9cd1bed5bc92c974c0d3959ae5ebee4617574b63dc1854",
+        "a3391ca40e3510e8b213cf8af7e57ff6a4c02a2ae4acbbcd5fd2459423958251",
     "verify-uniqueness":
         "e238157d9414857f612d22785de42eacdfd050b4f86069d28a0c857cc014869c",
     "verify-stability":
         "eb2e05cd9cb4f9699d6d3dc0a803db3c04aaa65b7e040d2eac2c5367697ddedf",
     "verify-robustness":
-        "3c2c17cf6caa6226c5fab1d28b6e3fd5362e7760c7f817ce88060ab15c24cc6b",
+        "8a10f33e12844357f7bd9a85dd6d5abdfe5a614b6c5765de84ca9980b70ca9d1",
     "verify-lmatrix":
         "b9c56a9e9f2342a4cf6385da0510063851a57788e26d5144a130f3069e88ee9d",
     "verify-frip":
@@ -709,13 +720,13 @@ FROZEN_CLI_OUTPUTS = {
     "gen-background":
         "6f4b722b3117a867b77dfa12e1acd90c134c9af17413772127f9204d6292276f",
     "forward":
-        "609c429497fb26aa91cdaacb0b1ae082bdea9579f9989a4d0927f31f19fa8b13",
+        "5133785bd1692c4510bbcc7c7de272d8b64bf6e30cfe40d51200a45bcdda80db",
     "solve-bdr":
-        "a0303a133811e78bab4dc99b6b8b7141f548491c01ed8f100d2115b77aa4611d",
+        "8da21d3aba0e22fa4aeb06c8bf5c674805ac8a80a309f779b4d378ce0d6de042",
     "solve-bdr1-noisy":
-        "54b18e5d746ab73439ec60a8c709affec1e19080fa056bc3b92153bf91ca5298",
+        "03a54abeb8f22d7b4eabef52fb06336102e44d24b0fb2f5106356836bc08b397",
     "sweep":
-        "af00aa2a7db6439f744d061bddcd8099c0dc33e8a70f21fa874f44f22e71b157",
+        "6300f7528103794e5c069fc9f8e1dff871394f089570643cae824f23c9930242",
 }
 
 

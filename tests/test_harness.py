@@ -64,8 +64,9 @@ def test_gen_background_zero_on_support_and_moments():
 def test_add_noise_zero_sigma_identity():
     b = IntensityMeasurements(np.array([4.0, 1.0, 1.0]))
     assert add_noise(b, 0.0, rng=Xoshiro256StarStar(0)) is b
-    with pytest.raises(ValueError):
-        add_noise(b, -0.1, rng=Xoshiro256StarStar(0))
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            add_noise(b, sigma, rng=Xoshiro256StarStar(0))
 
 
 def test_add_noise_nonnegative_and_symmetric():
@@ -131,7 +132,7 @@ def test_draw_instance_bytes_frozen():
     assert _sha256(background) == \
         "8d3f8cb262fd89e30edb35da3c7280ae73e4f1ec36ef43fc9a9419e04ccc0f1f"
     assert _sha256(b.values) == \
-        "8e66311af043c1852d9ca7688a06c1e025e1a2bd671cb72622836ed1485176d2"
+        "0ec07f063061f1d462205ecb866fa69c9b3f3a852632a3c46ae0f413ed3851db"
 
     spec = TrialSpec(master_seed=7, cell_id=0, trial_index=0, method=Method.BDR,
                      sample_shape=(100,), background_sizes=(300,))
@@ -142,7 +143,52 @@ def test_draw_instance_bytes_frozen():
     assert _sha256(background) == \
         "3504850b997d86067b8f4317efafd8f1936249454c91d87fd74d558992a2296f"
     assert _sha256(b.values) == \
-        "8e84a2f966ec9bde4316b2c30554090693a89de2959cc39d939be27dd9536890"
+        "ab4a0af2efe02d5274f850db53b67182a8ba37bd91a94ec220aa53341754eb9e"
+
+
+#: The SIMD levels above SSE4.2 that numpy dispatches to on x86-64.
+ABOVE_SSE = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+#: Prints the SIMD levels of ABOVE_SSE that are on, then the digests of the
+#: background and the intensities of test_draw_instance_bytes_frozen's two
+#: instances.
+DRAW_INSTANCES = """
+import hashlib
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from bgret.harness import STREAM_SIGNAL, draw_instance, gen_signal, synthetic_test_image
+from bgret.model import SupportMask
+from bgret.rng import Xoshiro256StarStar, mix_seed
+print(*[name for name in %r if __cpu_features__.get(name)])
+seed = mix_seed(7, 0, 0)
+image = synthetic_test_image(64).reshape(-1)
+x = gen_signal(1, 100, rng=Xoshiro256StarStar(mix_seed(seed, STREAM_SIGNAL)))
+for signal, mask, sigma in ((image, SupportMask.place((256, 256), (64, 64)), 1e-3),
+                            (x, SupportMask.place((400,), (100,)), 0.0)):
+    background, b = draw_instance(signal, mask, seed, sigma)
+    for values in (background, b.values):
+        print(hashlib.sha256(np.ascontiguousarray(values, dtype="<f8")).hexdigest())
+""" % (ABOVE_SSE,)
+
+
+def test_draw_instance_bytes_equal_at_every_simd_level():
+    # the instance path rounds the same under the default dispatch and with
+    # every level above SSE4.2 switched off
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = []
+    for disabled in (None, " ".join(ABOVE_SSE)):
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = subprocess.run([sys.executable, "-c", DRAW_INSTANCES], env=env, check=True,
+                             capture_output=True, text=True).stdout.splitlines()
+        runs.append(out)
+    (levels, *default), (sse_levels, *sse) = runs
+    if not levels:
+        pytest.skip(f"this CPU has none of {', '.join(ABOVE_SSE)}: nothing to switch off")
+    assert sse_levels == ""
+    assert len(default) == 4 and sse == default
 
 
 def _frozen_row_specs() -> list:
@@ -179,7 +225,7 @@ def test_run_trial_rows_frozen(tmp_path):
     for row in rows:
         digest.update(f"{row['converged']},{row['aborted']}\n".encode())
     assert digest.hexdigest() == \
-        "1ba32e77cac3f1760afd1802f3e4706da3bfa6175e6a01bf7e1b98027bc747de"
+        "233bd1609773a2944b6ca231e39f1d275112435bbda5671ab4c679de97616863"
 
 
 def test_run_trial_deterministic_row():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,9 @@ def test_background_sizes_rule():
     assert background_sizes_for(0.04, (10,)) == (1,)  # a small ratio rounds up to one cell
     assert background_sizes_for(0.25, (10,)) == (2,)
     assert background_sizes_for(0.5, (8, 10)) == (4, 5)
+    for ratio in (0, 0.0, -3, -0.04, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            background_sizes_for(ratio, (10,))
 
 
 def test_mask_validation():

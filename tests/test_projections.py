@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bgret.model import IntensityMeasurements, SupportMask
 from bgret.projections import (project_background, project_magnitude,
                                project_magnitude_ball)
-from bgret.spectral import dft_forward, hermitian_half, intensity
+from bgret.spectral import hermitian_half, intensity
 
 
 def reflect(z, projector):
@@ -43,7 +43,7 @@ def test_equality_magnitude_residual():
         b, z = achievable(rng, int(rng.integers(2, 40)))
         root = b.root
         out = project_magnitude(z, hermitian_half(root))
-        resid = np.abs(np.abs(dft_forward(out)) - root)
+        resid = np.abs(np.abs(np.fft.fftn(out)) - root)
         assert np.max(resid) <= 1e-10 * max(np.max(root), 1e-300)
 
 
@@ -68,7 +68,7 @@ def test_ball_idempotent_and_feasible():
         once = project_magnitude_ball(z, hermitian_half(root))
         twice = project_magnitude_ball(once, hermitian_half(root))
         assert np.max(np.abs(twice - once)) <= 1e-12
-        mags = np.abs(dft_forward(once))
+        mags = np.abs(np.fft.fftn(once))
         assert np.all(mags <= root + 1e-10)
 
 

@@ -4,7 +4,8 @@ and the half-spectrum formulas against the full-spectrum ones.
 ``solvers.run`` transforms in a per-run workspace of buffers. The
 reference below is the plain formulation: every step allocates its arrays,
 transforms through ``np.fft.rfftn``/``irfftn`` directly (for the magnitude
-projections, the spectral start and the measurement error), and recomputes
+projections, the spectral start and the measurement error, whose |X|^2 is
+re^2 + im^2 as in the program), and recomputes
 the half-grid arrays of b and the norms of b and of the ground truth on every
 trace row. Both must agree byte for byte at trace stride 1: trace, final
 estimate, iteration count and the converged flag.
@@ -121,12 +122,22 @@ def ref_relative_error(x_hat, x):
     return float(np.linalg.norm(x_hat - x)) / float(np.linalg.norm(x))
 
 
-def ref_measurement_error(x_hat, y, mask, b):
+def ref_power(zhat):
+    # |X|^2 as re^2 + im^2, which gives the same bits at every SIMD level
+    return zhat.real * zhat.real + zhat.imag * zhat.imag
+
+
+def oracle_power(zhat):
+    # the former |X|^2, np.abs squared, whose bits depend on the SIMD level
+    return np.abs(zhat) ** 2
+
+
+def ref_measurement_error(x_hat, y, mask, b, power=ref_power):
     # ||s - b||^2 = ||s - h||^2, a weighted sum on the half grid, + ||b - h||^2
     denom = float(np.linalg.norm(b.values.reshape(-1)))
     z = np.array(y, dtype=float)
     z[mask.inside] = x_hat
-    r = np.abs(np.fft.rfftn(z)) ** 2 - ref_half(b.values)
+    r = power(np.fft.rfftn(z)) - ref_half(b.values)
     off = (b.values - ref_hermitian_part(b.values)).reshape(-1)
     total = np.dot(ref_weights(z.shape).reshape(-1), (r * r).reshape(-1))
     return math.sqrt(total + float(np.dot(off, off))) / denom
@@ -281,6 +292,18 @@ def test_cbdr_stack_lanes_match_allocating_reference():
         assert stack.converged == all(lane.converged for lane in stack)
         stop_apart += stack[0].iterations_used != stack[1].iterations_used
     assert stop_apart
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_measurement_error_power_against_abs_squared(grid):
+    # the program's re^2 + im^2 is the reference's bit for bit, and the former
+    # np.abs(...) ** 2 to rounding
+    x, y, mask, b = instance(grid)
+    x_hat = x + 1e-3 * np.random.default_rng(6).standard_normal(x.shape)
+    got = metrics.measurement_error(x_hat, y, mask, b)
+    assert got == ref_measurement_error(x_hat, y, mask, b)
+    assert got == pytest.approx(ref_measurement_error(x_hat, y, mask, b, oracle_power),
+                                rel=SCORE_RTOL)
 
 
 def test_reference_cases_cover_both_stop_rules():

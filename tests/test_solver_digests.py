@@ -28,25 +28,25 @@ METHODS = {"bdr": Method.BDR, "bdr1": Method.BDR1, "cbdr": Method.CBDR,
 
 DIGESTS = {
     ("1d", "bdr"):
-        "ed518a773920a7d97ab0ef97c7ba68086cc2af132de91ab9dedc6593386381ac",
+        "df534619764a98090ca1113065ed1149a503053b46d921360ed5bc43383a575e",
     ("1d", "bdr1"):
-        "b23cdd47f46a3b2a038a2b0523858e7a0524286e2674cd2ae6565485b5dc1787",
+        "f3df76f6aaad46fff238de475906d050243378053c0bb90f1420d20dd2551cbd",
     ("1d", "cbdr"):
-        "c70a7ce2dff3a6545d28062613d1e110c04cbdeb3c150d419956c2f424f24117",
+        "db024f5fb4794c998d318510c545771b99bf73b42fd332e15a6d5850ac768f2d",
     ("1d", "pgd"):
-        "b827f14e417e3fc422bd3b0b52245be498caf25bc1fe59cc3bd7ef89cb530371",
+        "c9ee787d994e3e7f6ac4f7a4295389ec8c25634b50780652eb289446e5292f80",
     ("1d", "hio"):
-        "e5dedb2e0e9fe0f944f15a8757e4967215fd94971970b40546bce0540c5a9951",
+        "b13806ded1b5c2d2f453185b8eccd0b35959957555c70750db16685c26d48439",
     ("2d", "bdr"):
-        "3289c7959531ad478d62d7f04fa35bc61a3093291b7de5f534925d4b83db5750",
+        "d067608004ee465495002b3c15ae81d37451974a7115bef6243cb526de536ee9",
     ("2d", "bdr1"):
-        "da2f12215162ac1c2503b4fd670106ee9583cc85feaf61174f645f0feb93f223",
+        "4b75278e665bdb24140c995e3388c59190740e879c045255cda510c500b6ca91",
     ("2d", "cbdr"):
-        "3b355ecb33a7cd309603c8466f7a4be1bac3811b744cb5a085d77c3c013e28df",
+        "c14672db69f966f392545f05d1d96cff6c8e19cdb222b2aa6103e99465553366",
     ("2d", "pgd"):
-        "19401c6b8374b22b12b3f1512b31b997985f04534e6faf8e2935322291555e60",
+        "93972e9d95fb7befa2d3e192b3db11cb785e8da42a6eafceb1a282965019f59f",
     ("2d", "hio"):
-        "6fbf2ffe10a43f0f74019c8d4a09223281bea45c8e8fbe67ef73f62633db9903",
+        "8b3f81a456f179c3d1843bb824b316063c27585b2cfd9d8dd70ca50ea71e6797",
 }
 
 

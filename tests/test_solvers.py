@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bgret import metrics, solvers, spectral
+from bgret import solvers
 from bgret.metrics import measurement_error, relative_error
 from bgret.model import (IntensityMeasurements, Method, SolverConfig,
                          SupportMask, assemble)
@@ -12,7 +12,7 @@ from bgret.projections import (project_background, project_magnitude,
 from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
                            cbdr_parallel_real, init_spectral,
                            pgd_step, run)
-from bgret.spectral import Workspace, dft_forward, hermitian_half, intensity
+from bgret.spectral import Workspace, hermitian_half, intensity
 
 
 def reflect(z, projector):
@@ -23,7 +23,7 @@ def reflect(z, projector):
 
 def magnitude_objective(z, root):
     """(1/(2m)) * sum_i (|DFT(z)_i| - b_i^{1/2})^2, the PGD objective."""
-    diff = np.abs(dft_forward(np.asarray(z, dtype=float))) - root
+    diff = np.abs(np.fft.fftn(np.asarray(z, dtype=float))) - root
     return 0.5 * float(np.sum(diff * diff)) / root.size
 
 
@@ -574,15 +574,10 @@ def test_trace_stride_selects_rows_of_the_full_trace(method, max_iter):
 def test_untraced_iteration_makes_two_ffts(monkeypatch):
     # the magnitude projection's real forward and inverse transforms; a traced
     # iteration adds the measurement error's real forward transform. Counted
-    # at the workspace's pair, patched on its class, and at every complex
-    # transform a run could reach: spectral's pair and numpy.fft's functions
-    # (no module but spectral calls numpy.fft: test_only_spectral_calls_numpy_fft)
-    for module in (solvers, metrics):
-        for name in ("dft_forward", "dft_inverse"):
-            assert not hasattr(module, name), (module.__name__, name)
-    complex_transforms = {(spectral, "dft_forward"), (spectral, "dft_inverse")}
-    complex_transforms |= {(np.fft, name) for name in ("fft", "ifft", "fftn", "ifftn",
-                                                       "fft2", "ifft2")}
+    # at the workspace's pair, patched on its class, and at numpy.fft's
+    # complex functions (test_runs_make_no_numpy_fft_call patches them all)
+    complex_transforms = {(np.fft, name) for name in ("fft", "ifft", "fftn", "ifftn",
+                                                      "fft2", "ifft2")}
     calls = {"forward": 0, "inverse": 0, "complex": 0}
 
     def counted(name, fft):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bgret.model import IntensityMeasurements, SupportMask, assemble
+from bgret import analysis
+from bgret.harness import TrialSpec, run_trial
+from bgret.model import IntensityMeasurements, Method, SupportMask, assemble, mirror_index
 from bgret.spectral import (Autocorrelation, Workspace, autocorrelation_direct,
-                            autocorrelation_from_intensity, dft_forward,
-                            dft_inverse, intensity)
+                            autocorrelation_from_intensity, intensity)
 
 
 def test_only_spectral_calls_numpy_fft():
@@ -20,19 +21,25 @@ def test_only_spectral_calls_numpy_fft():
     assert offenders == []
 
 
-def test_dft_forward_two_point_values():
-    assert np.allclose(dft_forward(np.array([1.0, 0.0])), [1, 1])
-    assert np.allclose(dft_forward(np.array([1.0, 1.0])), [2, 0])
-    assert np.allclose(dft_forward(np.array([3.0, 1.0])), [4, 2])
+def test_real_pair_two_point_values():
+    work = Workspace((2,))
+    assert np.allclose(work.forward(np.array([1.0, 0.0])), [1, 1])
+    assert np.allclose(work.forward(np.array([1.0, 1.0])), [2, 0])
+    assert np.allclose(work.forward(np.array([3.0, 1.0])), [4, 2])
 
 
-def test_dft_inverse_examples_and_round_trip():
-    assert np.allclose(dft_inverse(np.array([1.0, 1.0])), [1, 0])
-    assert np.allclose(dft_inverse(np.array([2.0, 0.0])), [1, 1])
+def test_real_pair_examples_and_round_trip():
+    work = Workspace((2,))
+    work.half[...] = [1.0, 1.0]
+    assert np.allclose(work.inverse(), [1, 0])
+    work.half[...] = [2.0, 0.0]
+    assert np.allclose(work.inverse(), [1, 1])
     rng = np.random.default_rng(0)
     for _ in range(100):
         z = rng.standard_normal(rng.integers(1, 40))
-        back = dft_inverse(dft_forward(z))
+        work = Workspace(z.shape)
+        work.forward(z)
+        back = work.inverse()
         assert np.max(np.abs(back - z)) <= 1e-12 * max(1.0, np.max(np.abs(z)))
 
 
@@ -48,6 +55,65 @@ def test_intensity_of_combined_object():
     b = intensity(obj)
     assert b.conj_symmetric
     assert np.allclose(b.values, np.abs(np.fft.fft([2.0, 1.0, -1.0])) ** 2)
+
+
+def test_intensity_rejects_a_complex_object():
+    with pytest.raises(ValueError, match="real object"):
+        intensity(np.array([1.0, 1j, 0.0]))
+    with pytest.raises(ValueError, match="real object"):
+        intensity(np.zeros((3, 4), dtype=complex))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.lists(st.integers(1, 13), min_size=1, max_size=3).map(tuple),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(1,), seed=0)
+@example(shape=(2,), seed=0)
+@example(shape=(6, 7), seed=1)
+@example(shape=(5, 3, 8), seed=2)
+def test_intensity_matches_full_complex_transform(shape, seed):
+    # the half grid's power, mirrored onto the rest of the grid, against the
+    # full complex transform; off the self-mirrored lines (last-axis index 0,
+    # and m/2 when m is even) the mirror pairs are equal bit for bit
+    z = np.random.default_rng(seed).standard_normal(shape)
+    values = intensity(z).values
+    expected = np.abs(np.fft.fftn(z)) ** 2
+    assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(expected)
+    m = shape[-1]
+    off_lines = np.ones(shape, dtype=bool)
+    off_lines[..., [0, m // 2] if m % 2 == 0 else [0]] = False
+    assert np.array_equal(values[off_lines], mirror_index(values)[off_lines])
+
+
+def test_runs_make_no_numpy_fft_call(monkeypatch):
+    # every transform is a workspace transform: with each numpy.fft function
+    # raising, a trial of every method (1-D, and 2-D with noise) and every
+    # verify check still run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    for module in (np.fft, np.fft._pocketfft):
+        for name in np.fft.__all__:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError, match="numpy.fft called"):
+        np.fft.rfftn(np.zeros(4))
+    specs = [TrialSpec(master_seed=1, cell_id=0, trial_index=0, method=method,
+                       sample_shape=(6,), background_sizes=(12,), max_iter=20)
+             for method in Method]
+    specs.append(TrialSpec(master_seed=1, cell_id=0, trial_index=0, method=Method.BDR,
+                           sample_shape=(12, 12), background_sizes=(4, 4), max_iter=5,
+                           noise_sigma=1e-3))
+    for spec in specs:
+        assert not run_trial(spec)["aborted"]
+    checks = {"verify_uniqueness": dict(n=3, k=6, d=1, draws=2),
+              "verify_stability": dict(pairs=2),
+              "verify_robustness": dict(instances=2),
+              "verify_lmatrix": dict(n=4, k=8, draws=3),
+              "verify_frip": dict(n=4, k=16, draws=10, num_h=1)}
+    assert set(checks) == {name for name in dir(analysis) if name.startswith("verify_")}
+    for name, kwargs in checks.items():
+        assert getattr(analysis, name)(**kwargs)["check"]
 
 
 def test_autocorrelation_direct_examples():
@@ -97,7 +163,7 @@ def test_wiener_khinchin_residual_scale():
     rng = np.random.default_rng(3)
     for _ in range(20):
         z = rng.standard_normal((int(rng.integers(2, 16)), int(rng.integers(2, 16))))
-        lhs = dft_inverse(intensity(z).values).real
+        lhs = np.fft.ifftn(intensity(z).values).real
         rhs = autocorrelation_direct(z).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * np.sum(z * z)
 
@@ -105,18 +171,16 @@ def test_wiener_khinchin_residual_scale():
 def test_parseval():
     rng = np.random.default_rng(4)
     z = rng.standard_normal(37)
-    assert np.sum(np.abs(dft_forward(z)) ** 2) == pytest.approx(
-        37 * np.sum(z * z), rel=1e-10)
+    assert np.sum(intensity(z).values) == pytest.approx(37 * np.sum(z * z), rel=1e-10)
     z2 = rng.standard_normal((5, 7))
-    assert np.sum(np.abs(dft_forward(z2)) ** 2) == pytest.approx(
-        35 * np.sum(z2 * z2), rel=1e-10)
+    assert np.sum(intensity(z2).values) == pytest.approx(35 * np.sum(z2 * z2), rel=1e-10)
 
 
 def test_inverse_realness_for_symmetric_spectra():
     rng = np.random.default_rng(5)
     z = rng.standard_normal(24)
     spec = intensity(z).values  # conj-symmetric by construction
-    back = dft_inverse(spec)
+    back = np.fft.ifftn(spec)
     assert np.max(np.abs(back.imag)) <= 1e-10 * np.max(np.abs(spec))
 
 
@@ -129,7 +193,7 @@ def test_autocorrelation_type_rejects_asymmetry():
 @given(m=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
 def test_wiener_khinchin_property(m, seed):
     z = np.random.default_rng(seed).standard_normal(m)
-    lhs = dft_inverse(intensity(z).values).real
+    lhs = np.fft.ifftn(intensity(z).values).real
     rhs = autocorrelation_direct(z).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(np.sum(z * z), 1e-30)
 
@@ -138,7 +202,7 @@ def test_wiener_khinchin_property(m, seed):
 @given(m=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 def test_parseval_property(m, seed):
     z = np.random.default_rng(seed).standard_normal(m)
-    lhs = float(np.sum(np.abs(dft_forward(z)) ** 2))
+    lhs = float(np.sum(intensity(z).values))
     assert lhs == pytest.approx(m * float(np.sum(z * z)), rel=1e-10, abs=1e-12)
 
 
