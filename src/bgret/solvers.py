@@ -9,9 +9,12 @@ Five methods share one loop skeleton:
 * BDR1     the beta-damped background update z - beta*(ztilde - y); noise
            mode, background-consistent fixed points for every beta.
 * CBDR     same coordinate update with the convex ball projection replacing
-           the magnitude equality; it always runs both DC signs of a real
-           signal, as two lanes of one lockstep stack, keeping the lane with
-           the smaller measurement error.
+           the magnitude equality; it runs both DC signs of a real signal,
+           as two lanes of one lockstep stack, keeping the lane with the
+           smaller measurement error. When the first lane converges, at
+           iteration p below the cap, the measurement errors of both lanes'
+           iterates at p are compared once, and the other lane stops at p if
+           its error is above R = PART_RATIO = 100 times the converged one's.
 * HIO      classic hybrid input-output on a bare support: the BDR1 update
            with background y = 0, so inside the support take the
            magnitude-projection output, outside z - beta*P_A(z).
@@ -22,8 +25,13 @@ one loop, over a stack of lanes that share a start and differ in one
 parameter (CBDR's DC sign), stepped in lockstep; PGD, BDR, BDR1 and HIO run
 one lane. A lane that meets its stop test is frozen and dropped from the
 stack. The loop returns a ``LaneRuns``, one ``SolverRun`` per lane, each the
-bytes of that lane run alone; its ``iterations_used`` sums the lanes' (the
-lane-steps computed), and ``run`` returns lane 0's. Every run
+bytes of that lane run alone up to where it stopped; its ``iterations_used``
+sums the lanes' (the lane-steps computed), and ``run`` returns lane 0's. A
+lane CBDR stops at p reports p iterations, not converged, with the iterate
+of p as its final iterate. The branch choice after the loop is unchanged, so
+CBDR returns what running both lanes to their own end returns unless the
+stopped lane, run on, would have won; at k/n = 6 the losing lane runs to the
+cap unconverged, and stopping it saves those solo iterations. Every run
 starts from the deterministic spectral initializer
 z0 = P_B((1/prod m) * Re DFT(b^{1/2})) unless an explicit start is supplied
 (HIO starts from the unprojected transform), and stops when the step norm
@@ -39,7 +47,8 @@ ground truth x_true (NaN without one) and ``metrics.measurement_error`` of
 the iterate z^p. With
 ``SolverConfig.trace_every`` = s > 0 a row is recorded at every iteration p
 with p % s == 0, and always at the final iteration (once, also when it is a
-multiple of s); with s = 0, the default, no row is recorded. The ground
+multiple of s; for a lane CBDR stops, at the iteration it stopped); with
+s = 0, the default, no row is recorded. The ground
 truth is not validated up front: a wrong shape or a zero truth raises
 ValueError at the first traced row, and an untraced run never reads it. The
 stride changes no iterate: estimates, ``iterations_used`` (the number of loop
@@ -48,7 +57,8 @@ gives a row per iteration, and the final row is the same at every s > 0.
 An untraced iteration makes the two FFTs of its magnitude projection, the
 workspace's real ``forward`` and ``inverse``, for all its lanes together; a
 traced one adds the workspace's ``forward`` of the measurement error of each
-lane.
+lane. CBDR's comparison at the first convergence adds one ``forward`` per
+lane compared, once per run, and its branch choice one per branch.
 
 Measurements live on the object grid: ``_iterate`` rejects b whose shape is
 not that of the support mask's grid, with a ValueError. The module makes no
@@ -64,9 +74,10 @@ its grid array or several as the stack (lanes, *grid) (``_stack``). Its
 ``work`` argument is a ``spectral.Workspace`` of that many lanes: the
 real-data transform pair of its magnitude projection with that pair's
 buffers (None builds one per call). Each ``_iterate`` call builds the grid's
-workspace, for the start, the trace's measurement errors and one lane's
-steps, and one per lane count of a wider stack. The norm of b is cached on
-b. The caller's z0, background and measurements are only read.
+workspace, for the start, the measurement errors of the trace and of CBDR's
+comparison, and one lane's steps, and one per lane count of a wider stack;
+``cbdr_parallel_real`` builds one more for its branch choice. The norm of b
+is cached on b. The caller's z0, background and measurements are only read.
 """
 
 from __future__ import annotations
@@ -80,6 +91,9 @@ from .metrics import l2_norm, measurement_error, relative_error
 from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask
 from .projections import project_background, project_magnitude, project_magnitude_ball
 from .spectral import Workspace
+
+
+PART_RATIO = 100.0  # CBDR stops a running lane this many times worse than a converged one
 
 
 class DivergenceError(RuntimeError):
@@ -181,14 +195,17 @@ def _stack(arrays: list, params) -> tuple:
 def _iterate(b: IntensityMeasurements, background: np.ndarray,
              mask: SupportMask, config: SolverConfig, step: Callable,
              final_projector: Optional[Callable], x_true=None, z0=None,
-             lanes: tuple = (None,)) -> LaneRuns:
+             lanes: tuple = (None,), part: bool = False) -> LaneRuns:
     _require_grid(b, mask)
     # one lane per entry of lanes, all from the same start, stepped in
     # lockstep (see _stack). A lane that meets its stop test is frozen and
     # dropped. step(z, work, params) maps z^{p-1} to a new array z^p,
     # transforming in work; final_projector(z, work, params) maps the final
     # iterates. The start, the trace rows and a one-lane stack transform in
-    # the grid's own workspace.
+    # the grid's own workspace. With part, the first iteration p < max_iter
+    # at which a lane converges also stops, at p, every lane still running
+    # whose measurement error is above PART_RATIO times the smallest of the
+    # lanes converging at p.
     grid_work = Workspace(mask.shape)
     if z0 is None:
         start = project_background(_spectral_start(b, grid_work), background, mask)
@@ -206,6 +223,14 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
     z, params, keys = _stack([start] * len(lanes), lanes)
     live = list(zip(keys, range(len(lanes))))  # (key, lane) of each lane in z
     work = stack_work = workspace(len(lanes))
+
+    def error(key):
+        return measurement_error(z[key][mask.inside], background, mask, b, grid_work)
+
+    def trace_row(key, lane, error_value):
+        rel = math.nan if x_true is None else relative_error(z[key][mask.inside], x_true)
+        traces[lane].append((rel, error_value))
+
     for p in range(1, max_iter + 1):
         z_new = step(z, work, params)
         diff = z_new - z
@@ -217,13 +242,21 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
                 raise DivergenceError(f"non-finite iterate at step {p}")
             converged = step_norm <= eps
             if stride and (p % stride == 0 or converged or p == max_iter):
-                x_hat = z[key][mask.inside]
-                rel = math.nan if x_true is None else relative_error(x_hat, x_true)
-                traces[lane].append((rel, measurement_error(x_hat, background, mask, b,
-                                                            grid_work)))
+                trace_row(key, lane, error(key))
             if converged:
                 ends[lane] = (z[key], p, True)
                 stopped += 1
+        if stopped and part and p < max_iter:
+            part = False  # once per run
+            errors = {lane: error(key) for key, lane in live}
+            bound = PART_RATIO * min(errors[lane] for _, lane in live
+                                     if ends[lane] is not None)
+            for key, lane in live:
+                if ends[lane] is None and errors[lane] > bound:
+                    ends[lane] = (z[key], p, False)
+                    stopped += 1
+                    if stride and p % stride:  # its final row, once
+                        trace_row(key, lane, errors[lane])
         if stopped:
             if stopped == len(live):
                 break
@@ -279,7 +312,9 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
                        x_true=None, z0=None) -> SolverRun:
     """Run CBDR with the DC coefficient pinned to +sqrt(b_1) and -sqrt(b_1),
     as two lanes of one lockstep stack; return the lane with the smaller
-    measurement error (ties go to the + lane)."""
+    measurement error (ties go to the + lane). When the first lane converges,
+    the other stops there if its measurement error is above PART_RATIO times
+    the converged one's."""
     half_root = b.half_root
     # the half root and the background of both lanes: numpy's loops cost
     # less on operands of one shape than on broadcast ones
@@ -291,7 +326,8 @@ def cbdr_parallel_real(b: IntensityMeasurements, background: np.ndarray,
 
     final = lambda z, work, signs: project_magnitude_ball(z, half_root, signs, work)
     plus, minus = _iterate(b, background, mask, config, step, final, x_true=x_true, z0=z0,
-                           lanes=(1, -1))
-    errors = [measurement_error(branch.final_estimate, background, mask, b)
+                           lanes=(1, -1), part=True)
+    work = Workspace(mask.shape)
+    errors = [measurement_error(branch.final_estimate, background, mask, b, work)
               for branch in (plus, minus)]
     return plus if errors[0] <= errors[1] else minus

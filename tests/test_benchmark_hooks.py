@@ -75,13 +75,19 @@ def test_every_name_the_benchmark_uses_resolves():
     assert not missing, f"names the benchmark uses that bgret lacks: {missing}"
 
 
-@pytest.mark.parametrize("method", (Method.CBDR, Method.BDR))
-def test_iterate_result_carries_the_counts_the_benchmark_reads(method, monkeypatch):
+@pytest.mark.parametrize("method, n, k, max_iter", (
+    pytest.param(Method.CBDR, 10, 60, 400, id="cbdr"),
+    pytest.param(Method.CBDR, 100, 600, 1000, id="cbdr-pool"),
+    pytest.param(Method.BDR, 10, 60, 400, id="bdr")))
+def test_iterate_result_carries_the_counts_the_benchmark_reads(method, n, k, max_iter,
+                                                               monkeypatch):
     # perfbench/run.py's TrialClock sums ``iterations_used`` of every
     # ``solvers._iterate`` result of a trial, and perfbench/spans.py reads its
     # ``converged``. A CBDR trial is one _iterate call over both DC-sign lanes:
     # its count is the sum of the lanes' own counts, above the row's
-    # ``iterations`` (the chosen lane's) and at most 2 * max_iter
+    # ``iterations`` (the chosen lane's) and at most 2 * max_iter. At
+    # cbdr_pool's geometry (n = 100 inside k = 600, cap 1000) the lanes part:
+    # the other lane stops where the chosen one converges
     results = []
     iterate = solvers._iterate
 
@@ -91,7 +97,7 @@ def test_iterate_result_carries_the_counts_the_benchmark_reads(method, monkeypat
 
     monkeypatch.setattr(solvers, "_iterate", recorded)
     spec = harness.TrialSpec(master_seed=7, cell_id=0, trial_index=0, method=method,
-                             sample_shape=(10,), background_sizes=(60,), max_iter=400)
+                             sample_shape=(n,), background_sizes=(k,), max_iter=max_iter)
     row = harness.run_trial(spec)
     assert len(results) == 1
     result = results[0]
@@ -101,5 +107,9 @@ def test_iterate_result_carries_the_counts_the_benchmark_reads(method, monkeypat
         assert len(result) == 2
         assert result.iterations_used == sum(lane.iterations_used for lane in result)
         assert row["iterations"] < result.iterations_used <= 2 * spec.max_iter
+        if n == 100:
+            assert row["converged"] and not result.converged
+            assert [lane.iterations_used for lane in result] == [row["iterations"]] * 2
+            assert row["iterations"] < max_iter
     else:
         assert result.iterations_used == row["iterations"]

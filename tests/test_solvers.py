@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bgret import solvers
+from bgret import harness, solvers
 from bgret.metrics import measurement_error, relative_error
 from bgret.model import (IntensityMeasurements, Method, SolverConfig,
                          SupportMask, assemble)
@@ -328,14 +330,123 @@ def test_cbdr_parallel_real_tie_break_is_plus_branch():
     assert np.array_equal(winner.final_estimate, again.final_estimate)
 
 
-def cbdr_lanes(b, y, mask, cfg, signs, x_true=None, step=cbdr_step):
+def cbdr_lanes(b, y, mask, cfg, signs, x_true=None, step=cbdr_step, part=False):
     # the DC signs as the lanes of one lockstep _iterate call
     half_root = b.half_root
     return solvers._iterate(
         b, y, mask, cfg,
         lambda z, work, lanes: step(z, half_root, y, mask, lanes, work),
         lambda z, work, lanes: project_magnitude_ball(z, half_root, lanes, work),
-        x_true=x_true, lanes=signs)
+        x_true=x_true, lanes=signs, part=part)
+
+
+def cbdr_oracle(b, y, mask, cfg, x_true=None):
+    # both DC-sign lanes run to their own end, neither stopped for the other,
+    # then the branch choice: the smaller measurement error, ties to the + lane
+    plus, minus = cbdr_lanes(b, y, mask, cfg, (1, -1), x_true)
+    errors = [measurement_error(lane.final_estimate, y, mask, b) for lane in (plus, minus)]
+    return plus if errors[0] <= errors[1] else minus
+
+
+def assert_same_run(got, want):
+    assert got.final_estimate.tobytes() == want.final_estimate.tobytes()
+    assert got.iterations_used == want.iterations_used
+    assert got.converged == want.converged
+    assert got.trace.tobytes() == want.trace.tobytes()
+
+
+def test_cbdr_choice_equals_the_full_run_on_criterion_9():
+    # criterion 9's 50 trials (the acceptance seed, n = 100 inside k = 600,
+    # 1000 iterations), each instance as run_trial draws it: stopping the
+    # losing lane when the other converges keeps the full run's choice
+    runs = []
+    parallel, iterate = solvers.cbdr_parallel_real, solvers._iterate
+
+    def recorded(b, y, mask, cfg, **kwargs):
+        runs.append((b, y, mask, cfg, parallel(b, y, mask, cfg, **kwargs)))
+        return runs[-1][-1]
+
+    lane_runs = []
+
+    def counted(*args, **kwargs):
+        lane_runs.append(iterate(*args, **kwargs))
+        return lane_runs[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "cbdr_parallel_real", recorded)
+        patch.setattr(solvers, "_iterate", counted)
+        for t in range(50):
+            harness.run_trial(harness.TrialSpec(
+                master_seed=20260808, cell_id=0, trial_index=t, method=Method.CBDR,
+                sample_shape=(100,), background_sizes=(600,), max_iter=1000))
+    assert len(runs) == 50
+    for b, y, mask, cfg, got in runs:
+        assert_same_run(got, cbdr_oracle(b, y, mask, cfg))
+    parted = [lanes for lanes in lane_runs
+              if any(lane.converged for lane in lanes) and not lanes.converged]
+    assert parted and all(lanes[0].iterations_used == lanes[1].iterations_used < 1000
+                          for lanes in parted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), two_d=st.booleans(), n=st.integers(4, 12),
+       ratio=st.sampled_from((3.0, 3.5, 4.0, 5.0, 6.0)), grid=st.sampled_from(
+           ((3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4), (4, 5), (4, 6))),
+       stride=st.sampled_from((0, 1, 7)))
+@example(seed=47, two_d=False, n=6, ratio=3.0, grid=(3, 3), stride=1)
+@example(seed=2, two_d=True, n=4, ratio=3.0, grid=(3, 3), stride=7)
+def test_cbdr_choice_equals_the_full_run(seed, two_d, n, ratio, grid, stride):
+    # k/n from 3 to 6: 1-D n inside k = ratio * n, or a 3x3 sample inside a
+    # 6x6 to 7x9 grid. The two examples are draws where the first lane to
+    # converge is the worse fixed point (the cases of the test below)
+    rng = np.random.default_rng(seed)
+    if two_d:
+        x, y, mask, b = make_instance(rng, (3, 3), grid, two_d=True)
+    else:
+        x, y, mask, b = make_instance(rng, n, round(ratio * n))
+    cfg = SolverConfig(method=Method.CBDR, max_iter=300, trace_every=stride)
+    assert_same_run(cbdr_parallel_real(b, y, mask, cfg, x_true=x),
+                    cbdr_oracle(b, y, mask, cfg, x_true=x))
+
+
+@pytest.mark.parametrize("seed, n, k, two_d", ((47, 6, 18, False), (2, (3, 3), (3, 3), True)))
+def test_cbdr_keeps_the_later_lane_when_the_first_converged_is_worse(seed, n, k, two_d):
+    # the first lane to converge has the larger measurement error, so the other
+    # is not stopped: it runs on, and the choice keeps it
+    x, y, mask, b = make_instance(np.random.default_rng(seed), n, k, two_d)
+    cfg = SolverConfig(method=Method.CBDR, max_iter=300)
+    lanes = cbdr_lanes(b, y, mask, cfg, (1, -1), part=True)
+    first = min((lane for lane in lanes if lane.converged), key=lambda r: r.iterations_used)
+    later, = (lane for lane in lanes if lane is not first)
+    assert later.iterations_used > first.iterations_used
+    errors = [measurement_error(lane.final_estimate, y, mask, b) for lane in (first, later)]
+    assert errors[1] < errors[0]
+    assert_same_run(cbdr_parallel_real(b, y, mask, cfg), later)
+    assert_same_run(cbdr_oracle(b, y, mask, cfg), later)
+
+
+@pytest.mark.parametrize("seed", (43, 52))
+def test_cbdr_lanes_part_where_the_first_converges(seed):
+    # seed 43: the - lane converges at 85 and the + lane stops there; 52: the +
+    # lane at 70, a multiple of the stride 7. The stopped lane reports the
+    # parting iteration, not converged, and the same iterates at every stride;
+    # its trace ends with a row at that iteration, recorded once
+    x, y, mask, b = make_instance(np.random.default_rng(seed), 8, 48)
+    full = cbdr_lanes(b, y, mask, SolverConfig(method=Method.CBDR, max_iter=300,
+                                               trace_every=1), (1, -1), x, part=True)
+    parting = full[0].iterations_used
+    assert parting == full[1].iterations_used == {43: 85, 52: 70}[seed]
+    assert [lane.converged for lane in full] == [seed == 52, seed == 43]
+    for lane in full:
+        assert lane.trace.shape == (parting, 2)
+    for stride in (0, 1, 7):
+        cfg = SolverConfig(method=Method.CBDR, max_iter=300, trace_every=stride)
+        for lane, whole in zip(cbdr_lanes(b, y, mask, cfg, (1, -1), x, part=True), full):
+            assert lane.iterations_used == parting
+            assert lane.converged == whole.converged
+            assert lane.final_estimate.tobytes() == whole.final_estimate.tobytes()
+            expected = whole.trace[_stride_rows(parting, stride)]
+            assert lane.trace.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("seed", (43, 52))
@@ -624,6 +735,27 @@ def test_untraced_iteration_makes_two_ffts(monkeypatch):
     short, long = cbdr_calls(10), cbdr_calls(10 + delta)
     assert {name: long[name] - short[name] for name in calls} == {
         "forward": delta, "inverse": delta, "complex": 0}
+
+    # a run whose lane converges at p below the cap against the same run capped
+    # at p, where the loop ends at p anyway: CBDR's comparison adds one forward
+    # per lane compared (its two lanes part at p, seed 43), once per run; the
+    # one-lane methods compare nothing
+    def counted_run(args, method, max_iter):
+        calls.update(dict.fromkeys(calls, 0))
+        return run(*args, SolverConfig(method=method, max_iter=max_iter)), dict(calls)
+
+    _, y43, mask43, b43 = make_instance(np.random.default_rng(43), 8, 48)
+    spike = np.zeros(6)
+    spike[0] = 2.0  # HIO converges on a spike in a full support
+    for method in Method:
+        args = ((intensity(spike), np.zeros(6), SupportMask.block((6,), (6,)))
+                if method is Method.HIO else (b43, y43, mask43))
+        stopped, at_p = counted_run(args, method, 300)
+        capped, at_cap = counted_run(args, method, stopped.iterations_used)
+        assert stopped.converged and stopped.iterations_used < 300, method
+        assert stopped.final_estimate.tobytes() == capped.final_estimate.tobytes(), method
+        extra = 2 if method is Method.CBDR else 0
+        assert at_p == {**at_cap, "forward": at_cap["forward"] + extra}, method
 
     # no run of any method makes a complex transform, traced or not: the
     # spectral start is a workspace inverse, and CBDR's branch choice and
