@@ -185,7 +185,10 @@ def cmd_solve(args) -> int:
 
         def score(estimate):
             return metrics.evaluate(estimate, x.reshape(-1), y, mask, b)
-    result = solvers.run(b, y, mask, config)
+    # an iterate that overflows raises DivergenceError, a data error of its
+    # own; numpy's overflow warnings on the way there add nothing to it
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = solvers.run(b, y, mask, config)
     out = _out_dir(args)
     _write_array(out / "recovered.csv", mask.to_block(result.final_estimate))
     _emit({"method": method.value, "iterations": result.iterations_used,
@@ -349,10 +352,10 @@ def build_parser() -> _Parser:
                    help="background size ratio k/n (default 3.0)")
     p.add_argument("--noise-sigma", type=float, default=None,
                    help="measurement noise level (default 0)")
-    p.add_argument("--eps", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=300)
-    p.add_argument("--beta", type=float, default=0.9)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--eps", type=float, default=SolverConfig.eps)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--beta", type=float, default=SolverConfig.beta)
+    p.add_argument("--lam", type=float, default=SolverConfig.lam)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[output, pool], help="phase-transition sweep")
@@ -366,7 +369,7 @@ def build_parser() -> _Parser:
     p.add_argument("--image", help="PGM/CSV image (default: synthetic)")
     p.add_argument("--k-ratio", type=float, default=0.6)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--max-iter", type=int, default=300)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.set_defaults(func=cmd_image_bench)
 
     p = sub.add_parser("location-bias", parents=[study], help="support-offset study")
@@ -374,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-ratio", type=float, default=2.0)
     p.add_argument("--positions", type=int, default=17)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--max-iter", type=int, default=300)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.set_defaults(func=cmd_location_bias)
 
     p = sub.add_parser("noise-bench", parents=[study], help="noisy-measurement study")
@@ -382,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma", type=float, default=0.001)
     p.add_argument("--k-ratio", type=float, default=3.0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-iter", type=int, default=300)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p.set_defaults(func=cmd_noise_bench)
 
     p = sub.add_parser("verify", help="analysis-module checks")
@@ -425,7 +428,9 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:  # DataFormatError is a ValueError
+    # DataFormatError is a ValueError; a solve whose iterate turns non-finite
+    # is a data error too, as run_trial's diverged row is
+    except (OSError, ValueError, solvers.DivergenceError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

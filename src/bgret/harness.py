@@ -90,8 +90,9 @@ def gen_background(mask: SupportMask, mu: float = 0.0, sigma: float = 1.0, *,
     One normal is drawn per grid cell in row-major order and the support
     cells are then zeroed, so the stream layout is shape-only.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(mu) and 0 < sigma < math.inf):
+        raise ValueError(f"the background needs a finite mu and a finite positive sigma, "
+                         f"got mu={mu!r}, sigma={sigma!r}")
     values = rng.normal(int(np.prod(mask.shape)), mu, sigma).reshape(mask.shape)
     values[mask.inside] = 0.0
     return values
@@ -146,10 +147,10 @@ class TrialSpec:
     method: Method
     sample_shape: tuple[int, ...]
     background_sizes: tuple[int, ...]
-    eps: float = 1e-12
-    max_iter: int = 300
-    beta: float = 0.9
-    lam: float = 1.0
+    eps: float = SolverConfig.eps
+    max_iter: int = SolverConfig.max_iter
+    beta: float = SolverConfig.beta
+    lam: float = SolverConfig.lam
     noise_sigma: float = 0.0
     signal: Optional[np.ndarray] = None  # None: the Gaussian signal of the trial seed
     offset: Optional[tuple[int, ...]] = None  # None: SupportMask.place's rule
@@ -395,7 +396,7 @@ def default_bias_offsets(sample_shape: Sequence[int], k_ratio: float,
 def location_bias_study(image: np.ndarray, k_ratio: float,
                         offsets: Sequence[tuple[int, ...]], trials: int,
                         method: Method = Method.BDR, seed: int = 0,
-                        max_iter: int = 300, workers: int = 1) -> dict:
+                        max_iter: int = SolverConfig.max_iter, workers: int = 1) -> dict:
     """Mean PSNR/SSIM/relative error per support offset. Every offset is
     computed in full; position symmetry is never used as a shortcut."""
     _require_count("positions", len(offsets))
@@ -421,7 +422,8 @@ def location_bias_study(image: np.ndarray, k_ratio: float,
 
 def noise_benchmark(image: np.ndarray, sigma: float, k_ratio: float, trials: int,
                     methods: Sequence[Method] = (Method.PGD, Method.BDR, Method.BDR1),
-                    seed: int = 0, max_iter: int = 300, workers: int = 1) -> dict:
+                    seed: int = 0, max_iter: int = SolverConfig.max_iter,
+                    workers: int = 1) -> dict:
     """The 2-D benchmark: repeated recovery of one centered image over random
     backgrounds, with measurement noise of level sigma (none at sigma = 0).
     Per trial all methods share the same background and noise draw, so rows

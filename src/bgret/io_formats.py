@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .model import Method
+from .model import Method, SolverConfig
 from .rng import check_seed
 from .spectral import LOOP_TRANSFORMS
 
@@ -229,10 +229,10 @@ class ExperimentConfig:
     trials: int
     seed: int
     k_ratio: Optional[float] = None
-    eps: float = 1e-12
-    max_iter: int = 300
-    beta: float = 0.9
-    lam: float = 1.0
+    eps: float = SolverConfig.eps
+    max_iter: int = SolverConfig.max_iter
+    beta: float = SolverConfig.beta
+    lam: float = SolverConfig.lam
     noise_sigma: float = 0.0
     signal_type: int = 1
     paths: dict = field(default_factory=dict)
@@ -248,20 +248,9 @@ class ExperimentConfig:
             raise DataFormatError(f"signal_type {self.signal_type} is 1-D; n must have one axis")
 
     def echo(self) -> dict:
-        return {
-            "method": self.method.value,
-            "n": list(self.n),
-            "k_ratio": self.k_ratio,
-            "trials": self.trials,
-            "seed": self.seed,
-            "eps": self.eps,
-            "max_iter": self.max_iter,
-            "beta": self.beta,
-            "lambda": self.lam,
-            "noise_sigma": self.noise_sigma,
-            "signal_type": self.signal_type,
-            "paths": dict(self.paths),
-        }
+        fields = dataclasses.asdict(self)
+        fields["lambda"] = fields.pop("lam")  # the config file's key
+        return fields
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

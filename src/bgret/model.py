@@ -255,8 +255,8 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method.parse(self.method))
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
         for name, least in (("max_iter", 1), ("trace_every", 0)):
             value = getattr(self, name)
             # a bool is an int to Python, and range() refuses a float or a str
@@ -266,8 +266,8 @@ class SolverConfig:
                                  f"got {value!r}")
         if not (0.0 < self.beta <= 1.0):
             raise ValueError("beta must lie in (0, 1]")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
 
 
 @dataclass(frozen=True)

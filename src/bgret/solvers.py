@@ -23,12 +23,14 @@ Five methods share one loop skeleton:
 and sends CBDR to the two-lane ``cbdr_parallel_real``. ``_iterate`` is the
 one loop, over a stack of lanes that share a start and differ in one
 parameter (CBDR's DC sign), stepped in lockstep; PGD, BDR, BDR1 and HIO run
-one lane. A lane that meets its stop test is frozen and dropped from the
-stack. The loop returns a ``LaneRuns``, one ``SolverRun`` per lane, each the
-bytes of that lane run alone up to where it stopped; its ``iterations_used``
-sums the lanes' (the lane-steps computed), and ``run`` returns lane 0's. A
-lane CBDR stops at p reports p iterations, not converged, with the iterate
-of p as its final iterate. The branch choice after the loop is unchanged, so
+one lane. A lane stops at its stop test, at the cap, or where CBDR parts
+it, and ends there in one place: its last trace row, its final projection
+and its ``SolverRun``; then it leaves the stack. The loop returns a
+``LaneRuns``, one ``SolverRun`` per lane, each the bytes of that lane run
+alone up to where it stopped; its ``iterations_used`` sums the lanes' (the
+lane-steps computed), and ``run`` returns lane 0's. A lane CBDR stops at p
+reports p iterations, not converged, with the iterate of p as its final
+iterate. The branch choice after the loop is unchanged, so
 CBDR returns what running both lanes to their own end returns unless the
 stopped lane, run on, would have won; at k/n = 6 the losing lane runs to the
 cap unconverged, and stopping it saves those solo iterations. Every run
@@ -57,8 +59,10 @@ gives a row per iteration, and the final row is the same at every s > 0.
 An untraced iteration makes the two FFTs of its magnitude projection, the
 workspace's real ``forward`` and ``inverse``, for all its lanes together; a
 traced one adds the workspace's ``forward`` of the measurement error of each
-lane. CBDR's comparison at the first convergence adds one ``forward`` per
-lane compared, once per run, and its branch choice one per branch.
+lane. A lane's end adds the ``forward`` and ``inverse`` of its final
+projection (none for PGD), one lane at a time. CBDR's comparison at the
+first convergence adds one ``forward`` per lane compared, once per run, and
+its branch choice one per branch.
 
 Measurements live on the object grid: ``_iterate`` rejects b whose shape is
 not that of the support mask's grid, with a ValueError. The module makes no
@@ -70,12 +74,13 @@ workspace's ``inverse`` of that half root. Phase 1 where a coefficient
 vanishes and the DC pin of CBDR are as on the full spectrum.
 
 Each step returns z^p as a new array and only reads z^{p-1}, one lane as
-its grid array or several as the stack (lanes, *grid) (``_stack``). Its
+its grid array or several as the stack (lanes, *grid). Its
 ``work`` argument is a ``spectral.Workspace`` of that many lanes: the
 real-data transform pair of its magnitude projection with that pair's
 buffers (None builds one per call). Each ``_iterate`` call builds the grid's
 workspace, for the start, the measurement errors of the trace and of CBDR's
-comparison, and one lane's steps, and one per lane count of a wider stack;
+comparison, the final projections and one lane's steps, and one per lane
+count of a wider stack;
 ``cbdr_parallel_real`` builds one more for its branch choice. The norm of b
 is cached on b. The caller's z0, background and measurements are only read.
 """
@@ -182,27 +187,17 @@ class LaneRuns(tuple):
         return all(run.converged for run in self)
 
 
-def _stack(arrays: list, params) -> tuple:
-    # the form a step takes lanes in, and the key of each lane's array in it.
-    # One lane is its grid array (key ...) with its own params entry, so a
-    # 1-D grid keeps numpy's 1-D loops, which cost less; more lanes are the
-    # stack (lanes, *grid) (key: the row) with the tuple of their entries
-    if len(arrays) == 1:
-        return arrays[0], params[0], [...]
-    return np.stack(arrays), tuple(params), list(range(len(arrays)))
-
-
 def _iterate(b: IntensityMeasurements, background: np.ndarray,
              mask: SupportMask, config: SolverConfig, step: Callable,
              final_projector: Optional[Callable], x_true=None, z0=None,
              lanes: tuple = (None,), part: bool = False) -> LaneRuns:
     _require_grid(b, mask)
     # one lane per entry of lanes, all from the same start, stepped in
-    # lockstep (see _stack). A lane that meets its stop test is frozen and
-    # dropped. step(z, work, params) maps z^{p-1} to a new array z^p,
-    # transforming in work; final_projector(z, work, params) maps the final
-    # iterates. The start, the trace rows and a one-lane stack transform in
-    # the grid's own workspace. With part, the first iteration p < max_iter
+    # lockstep: step(z, work, params) maps z^{p-1} to a new array z^p,
+    # transforming in work. A lane that stops (its stop test, the cap, or
+    # part) ends at once: its last trace row, its final iterate mapped by
+    # final_projector(z, work, param) in the grid's own workspace, its run;
+    # then it leaves the stack. With part, the first iteration p < max_iter
     # at which a lane converges also stops, at p, every lane still running
     # whose measurement error is above PART_RATIO times the smallest of the
     # lanes converging at p.
@@ -214,70 +209,63 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
     if not np.all(np.isfinite(start)):
         raise DivergenceError("non-finite start")
 
-    def workspace(count):
-        return grid_work if count == 1 else Workspace(mask.shape, count)
-
     stride, eps, max_iter = config.trace_every, config.eps, config.max_iter
     traces = [[] for _ in lanes]
-    ends = [None] * len(lanes)  # (iterate, iterations, converged) of each stopped lane
-    z, params, keys = _stack([start] * len(lanes), lanes)
-    live = list(zip(keys, range(len(lanes))))  # (key, lane) of each lane in z
-    work = stack_work = workspace(len(lanes))
+    runs = [None] * len(lanes)
+    live = list(range(len(lanes)))  # the lane of each row of the stack
 
-    def error(key):
-        return measurement_error(z[key][mask.inside], background, mask, b, grid_work)
+    def stack(rows):
+        # one lane steps its grid array with its own lanes entry, so a 1-D
+        # grid keeps numpy's 1-D loops, which cost less; more lanes step as
+        # the stack (lanes, *grid) with the tuple of their entries
+        if len(live) == 1:
+            return rows[0], lanes[live[0]], grid_work, False
+        return (np.stack(rows), tuple(lanes[lane] for lane in live),
+                Workspace(mask.shape, len(live)), True)
 
-    def trace_row(key, lane, error_value):
-        rel = math.nan if x_true is None else relative_error(z[key][mask.inside], x_true)
-        traces[lane].append((rel, error_value))
+    def error(z):
+        return measurement_error(z[mask.inside], background, mask, b, grid_work)
 
+    def trace_row(lane, z, error_value=None):
+        rel = math.nan if x_true is None else relative_error(z[mask.inside], x_true)
+        traces[lane].append((rel, error(z) if error_value is None else error_value))
+
+    z, params, work, stacked = stack([start] * len(lanes))
     for p in range(1, max_iter + 1):
         z_new = step(z, work, params)
         diff = z_new - z
         z = z_new
-        stopped = 0
-        for key, lane in live:
-            step_norm = l2_norm(diff[key])
+        ends = {}  # row: converged, of each lane that stops at p
+        for row, lane in enumerate(live):
+            step_norm = l2_norm(diff[row] if stacked else diff)
             if not math.isfinite(step_norm):
                 raise DivergenceError(f"non-finite iterate at step {p}")
-            converged = step_norm <= eps
-            if stride and (p % stride == 0 or converged or p == max_iter):
-                trace_row(key, lane, error(key))
-            if converged:
-                ends[lane] = (z[key], p, True)
-                stopped += 1
-        if stopped and part and p < max_iter:
-            part = False  # once per run
-            errors = {lane: error(key) for key, lane in live}
-            bound = PART_RATIO * min(errors[lane] for _, lane in live
-                                     if ends[lane] is not None)
-            for key, lane in live:
-                if ends[lane] is None and errors[lane] > bound:
-                    ends[lane] = (z[key], p, False)
-                    stopped += 1
-                    if stride and p % stride:  # its final row, once
-                        trace_row(key, lane, errors[lane])
-        if stopped:
-            if stopped == len(live):
+            if stride and p % stride == 0:
+                trace_row(lane, z[row] if stacked else z)
+            if step_norm <= eps or p == max_iter:
+                ends[row] = step_norm <= eps
+        if ends:
+            rows = z if stacked else (z,)
+            errors = {}
+            if part and p < max_iter:
+                part = False  # once per run
+                errors = {row: error(rows[row]) for row in range(len(live))}
+                bound = PART_RATIO * min(errors[row] for row in ends)
+                ends.update((row, False) for row in errors
+                            if row not in ends and errors[row] > bound)
+            for row, converged in ends.items():
+                lane, final = live[row], rows[row]
+                if stride and p % stride:  # its final row, once
+                    trace_row(lane, final, errors.get(row))
+                if final_projector is not None:
+                    final = final_projector(final, grid_work, lanes[lane])
+                runs[lane] = SolverRun(final[mask.inside], p, traces[lane], converged)
+            kept = [row for row in range(len(live)) if row not in ends]
+            if not kept:
                 break
-            live = [(key, lane) for key, lane in live if ends[lane] is None]
-            z, params, keys = _stack([z[key] for key, _ in live],
-                                     [lanes[lane] for _, lane in live])
-            live = [(key, lane) for key, (_, lane) in zip(keys, live)]
-            work = workspace(len(live))
-    else:  # the lanes still live stop at the cap
-        for key, lane in live:
-            ends[lane] = (z[key], max_iter, False)
-
-    finals = [end[0] for end in ends]
-    if final_projector is not None:
-        z, params, keys = _stack(finals, lanes)
-        z = final_projector(z, stack_work, params)
-        finals = [z[key] for key in keys]
-    return LaneRuns(
-        SolverRun(final[mask.inside], iterations, np.asarray(trace, dtype=float).reshape(-1, 2),
-                  converged)
-        for final, (_, iterations, converged), trace in zip(finals, ends, traces))
+            live = [live[row] for row in kept]
+            z, params, work, stacked = stack([rows[row] for row in kept])
+    return LaneRuns(runs)
 
 
 def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,

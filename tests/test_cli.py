@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgret.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -128,6 +128,7 @@ FLAG_VALUES = {
     "--signal": CASE_FILES, "--config": CASE_FILES, "--truth": CASE_FILES,
     "--estimate": CASE_FILES, "--spectrum": CASE_FILES, "--support": INTS,
     "--max-iter": INTS, "--image-truth": CASE_FILES, "--image-estimate": CASE_FILES,
+    "--eps": FLOATS, "--beta": FLOATS, "--lam": FLOATS, "--mu": FLOATS,
 }
 #: the image studies default to a 64x64 image and 300 iterations; a case
 #: gives them a small image and a few iterations
@@ -174,6 +175,9 @@ def test_every_readme_flag_has_generated_values():
 
 @settings(max_examples=300, deadline=None)
 @given(argv=cli_argvs())
+# a draw that random search meets about once in 50000 (6000 draws missed it):
+# PGD at an infinite step once escaped main as a DivergenceError traceback
+@example(argv=["solve", "--method", "pgd", "--signal", "sig.csv", "--lam", "inf"])
 def test_cli_returns_a_documented_exit_code(argv, tmp_path_factory):
     # main returns 0-3 for any such argv and raises nothing; each case runs
     # in a directory of its own
@@ -589,12 +593,41 @@ def test_sweep_cli_rejects_nonpositive_ratio(lo, hi, step, flag, tmp_path, capsy
     (["solve", "--method", "bdr", "--signal", "sig.csv", "--k-ratio", "0"], EXIT_DATA),
     (["image-bench", "--image", "img.csv", "--k-ratio", "0", "--trials", "1"], EXIT_DATA),
     (["location-bias", "--image", "img.csv", "--k-ratio", "-1", "--trials", "1"], EXIT_DATA),
+    # a solver setting that is not finite once ran, and PGD's step at lam = inf
+    # escaped main as a DivergenceError traceback
+    (["solve", "--method", "pgd", "--signal", "sig.csv", "--lam", "inf"], EXIT_DATA),
+    (["solve", "--method", "bdr", "--signal", "sig.csv", "--eps", "nan"], EXIT_DATA),
+    (["solve", "--method", "bdr", "--signal", "sig.csv", "--eps", "inf"], EXIT_DATA),
 ])
 def test_values_without_meaning_exit_with_their_code(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write_case_files(tmp_path)
     assert main(argv) == code
     capsys.readouterr()
+
+
+def test_a_diverging_solve_is_one_data_error_line(tmp_path, monkeypatch, capsys):
+    # PGD's step at lam = 1e300 overflows, which once escaped main as a
+    # traceback: one line on stderr, no output files
+    monkeypatch.chdir(tmp_path)
+    _write_case_files(tmp_path)
+    argv = ["solve", "--method", "pgd", "--signal", "sig.csv", "--lam", "1e300"]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: non-finite iterate") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--sigma", "inf"),
+                                         ("--sigma", "0"), ("--mu", "nan"), ("--mu", "inf")])
+def test_gen_background_writes_no_file_for_a_level_without_meaning(flag, value, tmp_path,
+                                                                   capsys):
+    # a level that is not finite once wrote nan or inf into background.csv
+    out = tmp_path / "bg"
+    assert main(["gen-background", "--shape", "12", "--sample", "4", flag, value,
+                 "--out", str(out)]) == EXIT_DATA
+    assert f"{flag[2:]}=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -173,6 +173,10 @@ def test_solver_config_validation():
         SolverConfig(method=Method.BDR, max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(method=Method.BDR, lam=0.0)
+    for name in ("eps", "lam"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SolverConfig(method=Method.PGD, **{name: value})
     for stride in (-1, 1.5):
         with pytest.raises(ValueError):
             SolverConfig(method=Method.BDR, trace_every=stride)

@@ -485,6 +485,61 @@ def test_a_stack_keeps_stepping_the_lanes_left():
         assert lane.final_estimate.tobytes() == alone.final_estimate.tobytes()
 
 
+def beta_lanes(b, y, mask, cfg, betas, x_true):
+    # the BDR1 update with one beta per lane: a number for one lane, a column
+    # of the lanes' betas for a stack. The update is elementwise, so a lane of
+    # the stack computes the bytes of its beta alone
+    half_root, block = b.half_root, (...,) + mask.slices
+
+    def step(z, work, beta):
+        if isinstance(beta, tuple):
+            beta = np.reshape(beta, (-1,) + (1,) * len(mask.shape))
+        ztilde = project_magnitude(z, half_root, work)
+        update = z - beta * (ztilde - y)
+        update[block] = ztilde[block]
+        return update
+
+    return solvers._iterate(b, y, mask, cfg, step,
+                            lambda z, work, _: project_magnitude(z, half_root, work),
+                            x_true=x_true, lanes=tuple(betas))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 10), ratio=st.integers(1, 4),
+       betas=st.lists(st.sampled_from((0.5, 0.8, 1.0)), min_size=1, max_size=3),
+       eps=st.sampled_from((1e-12, 1e-3, 1e-1)), max_iter=st.integers(1, 40),
+       stride=st.sampled_from((0, 1, 7)))
+def test_each_lane_ends_as_its_run_alone(seed, n, ratio, betas, eps, max_iter, stride):
+    # lanes that stop at their stop test or at the cap, at different
+    # iterations: each lane's run is the one-lane run of its beta, byte for byte
+    x, y, mask, b = make_instance(np.random.default_rng(seed), n, ratio * n)
+    cfg = SolverConfig(method=Method.BDR1, eps=eps, max_iter=max_iter, trace_every=stride)
+    stack = beta_lanes(b, y, mask, cfg, betas, x)
+    assert len(stack) == len(betas)
+    for beta, lane in zip(betas, stack):
+        alone, = beta_lanes(b, y, mask, cfg, (beta,), x)
+        assert_same_run(lane, alone)
+    assert stack.iterations_used == sum(lane.iterations_used for lane in stack)
+
+
+@pytest.mark.parametrize("stride", (0, 1, 7))
+@pytest.mark.parametrize("seed", (43, 52))
+def test_a_parted_lane_is_its_run_capped_where_it_parted(seed, stride):
+    # CBDR's lanes part at 85 (seed 43) or 70 (52): the lane stopped there is
+    # the one-lane run of its sign capped at that iteration, and the lane that
+    # converged there the one-lane run of its own sign
+    x, y, mask, b = make_instance(np.random.default_rng(seed), 8, 48)
+    cfg = SolverConfig(method=Method.CBDR, max_iter=300, trace_every=stride)
+    lanes = cbdr_lanes(b, y, mask, cfg, (1, -1), x, part=True)
+    parted, = (lane for lane in lanes if not lane.converged)
+    assert parted.iterations_used == {43: 85, 52: 70}[seed]
+    for sign, lane in zip((1, -1), lanes):
+        capped = SolverConfig(method=Method.CBDR, max_iter=parted.iterations_used,
+                              trace_every=stride)
+        alone, = cbdr_lanes(b, y, mask, capped if lane is parted else cfg, (sign,), x)
+        assert_same_run(lane, alone)
+
+
 @pytest.mark.parametrize("bad_sign", (1, -1))
 def test_a_non_finite_lane_raises(bad_sign):
     # one lane of the stack turns non-finite at step 3 while the other stays
