@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import (SupportMask, _readonly, _require_count, assemble, hermitian_part,
-                    object_shape_for)
+from .model import (SupportMask, _readonly, assemble, hermitian_part, object_shape_for,
+                    require_count, require_level)
 from .projections import project_magnitude_ball
 from .rng import mix_seed
 from .spectral import (Autocorrelation, Workspace, autocorrelation_from_intensity,
@@ -42,9 +42,9 @@ from .spectral import (Autocorrelation, Workspace, autocorrelation_from_intensit
 RANK_RTOL = 1e-10
 
 #: The most entries a coefficient matrix may have: 2**24 float64 entries are
-#: 128 MiB, and building them takes a few times that in index arrays. It
-#: admits the default ``bgret verify uniqueness --d 3`` (7.5e6 entries) and
-#: refuses ``--d 4`` (2.0e9).
+#: 128 MiB, and building them peaks at about twice that. It admits the
+#: default ``bgret verify uniqueness --d 3`` (7.5e6 entries) and refuses
+#: ``--d 4`` (2.0e9).
 MAX_MATRIX_ENTRIES = 2 ** 24
 
 #: The rounding floor of the robustness check, relative to ||X||_F: least
@@ -147,16 +147,17 @@ def coefficient_matrix(background: np.ndarray, mask: SupportMask
     anything is built."""
     _require_matrix_size(mask.sample_shape, mask.shape)
     shifts = enumerate_nonoverlap_shifts(mask)
-    # flat indices of (q + l) mod m and (q - l) mod m, one row per shift l
-    # and one column per q in Omega (row-major, as z[mask.inside] reads it)
+    # row l: the sample-shaped windows of Y, wrap-padded by n_i - 1 per axis,
+    # at offset + l and offset - l (mod m), each in Omega's row-major order
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(background, [(0, n - 1) for n in mask.sample_shape], mode="wrap"),
+        mask.sample_shape)
     l = np.array(shifts, dtype=np.intp).reshape(len(shifts), background.ndim)
-    q = np.nonzero(mask.inside)
-    ahead, behind = (np.ravel_multi_index(
-        tuple((q[i] + sign * l[:, i, None]) % m for i, m in enumerate(mask.shape)),
-        mask.shape) for sign in (1, -1))
-    y = background.reshape(-1)
-    factors = np.array([_pair_factor(shift, mask.shape) for shift in shifts])
-    return factors[:, None] * (y[ahead] + y[behind]), shifts
+    ahead, behind = (windows[tuple(((np.array(mask.offset) + sign * l) % mask.shape).T)]
+                     .reshape(len(shifts), mask.sample_count) for sign in (1, -1))
+    ahead += behind
+    ahead *= np.array([_pair_factor(shift, mask.shape) for shift in shifts])[:, None]
+    return ahead, shifts
 
 
 def build_linear_system(background: np.ndarray, mask: SupportMask,
@@ -230,12 +231,10 @@ class DimensionBound:
 def dimension_bound(sizes: Sequence[int], backgrounds: Sequence[int]) -> DimensionBound:
     """Counting bound prod(n_i+k_i) >= 2 prod(n_i) + prod(2n_i - 1) in any d, with the
     symmetric k/n factors 2^((d+1)/d) - 1 (the abstract's) and (2 + 2^d)^(1/d) - 1."""
-    n = [int(v) for v in sizes]
-    k = [int(v) for v in backgrounds]
+    n = [int(require_count("sample size", v)) for v in sizes]
+    k = [int(require_count("background size", v, 0)) for v in backgrounds]
     if len(n) != len(k) or not n:
         raise ValueError("sizes and backgrounds must be equal-length and nonempty")
-    if any(v < 1 for v in n) or any(v < 0 for v in k):
-        raise ValueError("need positive sample sizes and nonnegative backgrounds")
     d = len(n)
     lhs = math.prod(ni + ki for ni, ki in zip(n, k))
     rhs = 2 * math.prod(n) + math.prod(2 * ni - 1 for ni in n)
@@ -265,8 +264,8 @@ def robustness_bound(system_corrupted: LinearSystem, c1: float, c2: float,
     2*c2*sqrt(n1*n2*(||vec(I~)||_1 + c1*m1*m2)). With c2 = 0 the bound
     collapses to c1*delta1*delta2.
     """
-    if c1 < 0 or c2 < 0:
-        raise ValueError("noise levels must be nonnegative")
+    require_level("c1", c1, zero=True)
+    require_level("c2", c2, zero=True)
     consts = stability_constants(system_corrupted)
     i_l1 = float(np.sum(np.abs(np.asarray(intensity_tilde, dtype=float))))
     y_l1 = float(np.sum(np.abs(np.asarray(background_tilde, dtype=float))))
@@ -293,19 +292,16 @@ def l_nonsingular_check(x, y_draws: Iterable) -> float:
     """Fraction of background draws for which L = circ([x; y]) is numerically
     nonsingular (2-norm condition below COND_LIMIT)."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size < 1:
-        raise ValueError("need 1 <= n < n + k")
+    require_count("sample size", x.size)
     total = 0
     good = 0
     for y in y_draws:
         y = np.asarray(y, dtype=float).reshape(-1)
-        if y.size < 1:
-            raise ValueError("background draws must be nonempty")
+        require_count("background size", y.size)
         total += 1
         if np.linalg.cond(circulant(np.concatenate([x, y]))) < COND_LIMIT:
             good += 1
-    if total == 0:
-        raise ValueError("no background draws supplied")
+    require_count("background draws", total)
     return good / total
 
 
@@ -323,7 +319,7 @@ def sample_c2(size: int, seed: int) -> np.ndarray:
     """Draw a random real vector and clamp its spectrum radially to magnitude
     at most 2: the ball projection onto |DFT h| <= 2 (conjugate symmetry is
     preserved by the radial clamp)."""
-    _require_count("size", size)
+    require_count("size", size)
     rng = np.random.default_rng(seed)
     h0 = rng.standard_normal(size) * (C2_RADIUS / math.sqrt(size))
     return project_magnitude_ball(h0, hermitian_half(np.full(size, C2_RADIUS)))
@@ -375,8 +371,7 @@ def frip_expectation_check(x, h, num_draws: int, seed: int) -> FripReport:
     h = np.asarray(h, dtype=float).reshape(-1)
     if not in_c2(h):
         raise ValueError("h is not in C2 (spectral magnitude exceeds 2)")
-    if num_draws < 2:
-        raise ValueError("need at least two draws for a standard error")
+    require_count("num_draws", num_draws, 2)  # for a standard error
     m = h.size
     n = x.size
     k = m - n
@@ -412,8 +407,8 @@ def _gaussian_background(mask: SupportMask, rng: np.random.Generator) -> np.ndar
 
 def verify_uniqueness(n: int, k: int, d: int, draws: int, seed: int = 0) -> dict:
     """Rank certificate pass rate over Gaussian backgrounds, sample (n,)*d at the corner."""
-    _require_count("d", d)
-    _require_count("draws", draws)
+    for name, value, least in (("n", n, 1), ("k", k, 0), ("d", d, 1), ("draws", draws, 1)):
+        require_count(name, value, least)
     sizes = (n,) * d
     ks = (k,) * d
     # before the mask and the backgrounds, which are as large as the grid
@@ -441,7 +436,7 @@ def verify_stability(pairs: int = 100, seed: int = 0) -> dict:
     """Direct evaluation of the stability inequality
     ||X1-X2||_F <= delta1*delta2/(m1*m2) * ||vec(I1-I2)||_1 on random pairs
     on CHECK_MASK."""
-    _require_count("pairs", pairs)
+    require_count("pairs", pairs)
     mask = CHECK_MASK
     rng = np.random.default_rng(seed)
     violations = 0
@@ -471,10 +466,9 @@ def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
     |eps2| <= c2; checks measured error <= bound every time, up to the
     rounding floor ROBUSTNESS_ROUNDING * ||X||_F, and the exact c2=0
     collapse. A bound that is negative or not finite raises ValueError."""
-    _require_count("instances", instances)
-    for name, bound in (("c1", c1), ("c2", c2)):
-        if not 0.0 <= bound < math.inf:
-            raise ValueError(f"noise bound {name} must be finite and nonnegative, got {bound}")
+    require_count("instances", instances)
+    require_level("c1", c1, zero=True)
+    require_level("c2", c2, zero=True)
     mask = CHECK_MASK
     work = Workspace(mask.shape)
     rng = np.random.default_rng(seed)
@@ -520,7 +514,7 @@ def verify_lmatrix(n: int = 8, k: int = 24, draws: int = 100, seed: int = 0) -> 
 
 def verify_frip(n: int = 16, k: int = 256, draws: int = 2000, num_h: int = 5,
                 seed: int = 0) -> dict:
-    _require_count("num_h", num_h)  # draws below 2 fail in frip_expectation_check
+    require_count("num_h", num_h)  # draws below 2 fail in frip_expectation_check
     rng = np.random.default_rng(mix_seed(seed, 10_000))
     x = rng.standard_normal(n)
     reports = []

@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, harness, metrics, solvers
-from .io_formats import (ExperimentConfig, json_text, manifest_now, read_config,
-                         read_image, read_signal_csv, sha256_of, shape_token, write_image,
-                         write_lines, write_manifest, write_results, write_signal_csv)
+from .io_formats import (ExperimentConfig, json_text, manifest_now, parse_float, parse_int,
+                         read_config, read_image, read_signal_csv, sha256_of, shape_token,
+                         write_image, write_lines, write_manifest, write_results,
+                         write_signal_csv)
 from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
                     background_sizes_for, object_shape_for)
 from .rng import Xoshiro256StarStar, check_seed, mix_seed
@@ -185,10 +186,7 @@ def cmd_solve(args) -> int:
 
         def score(estimate):
             return metrics.evaluate(estimate, x.reshape(-1), y, mask, b)
-    # an iterate that overflows raises DivergenceError, a data error of its
-    # own; numpy's overflow warnings on the way there add nothing to it
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = solvers.run(b, y, mask, config)
+    result = solvers.run(b, y, mask, config)
     out = _out_dir(args)
     _write_array(out / "recovered.csv", mask.to_block(result.final_estimate))
     _emit({"method": method.value, "iterations": result.iterations_used,
@@ -308,35 +306,37 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"bgret {__version__}")
     # each subcommand takes only the shared flags it reads
     output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--seed", type=int, default=None, help="64-bit master seed")
+    output.add_argument("--seed", type=parse_int, default=None, help="64-bit master seed")
     output.add_argument("--out", default="out", help="output directory")
     pool = argparse.ArgumentParser(add_help=False)
-    pool.add_argument("--workers", type=int, default=None,
+    pool.add_argument("--workers", type=parse_int, default=None,
                       help="worker processes (default: BGRET_WORKERS or 1)")
     study = argparse.ArgumentParser(add_help=False, parents=[output, pool])
     study.add_argument("--preset", choices=sorted(PRESETS), default="desk")
+    study.add_argument("--image", help="PGM/CSV image (default: synthetic)")
+    study.add_argument("--max-iter", type=parse_int, default=SolverConfig.max_iter)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-signal", parents=[output], help="write a test signal CSV")
-    p.add_argument("--type", type=int, choices=(1, 2, 3), default=1)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--type", type=parse_int, choices=(1, 2, 3), default=1)
+    p.add_argument("--n", type=parse_int, required=True)
     p.add_argument("--input", help="CSV source for type 3")
     p.set_defaults(func=cmd_gen_signal)
 
     p = sub.add_parser("gen-background", parents=[output], help="write a background draw")
-    p.add_argument("--shape", type=int, nargs="+", required=True)
-    p.add_argument("--sample", type=int, nargs="+", required=True)
+    p.add_argument("--shape", type=parse_int, nargs="+", required=True)
+    p.add_argument("--sample", type=parse_int, nargs="+", required=True)
     p.add_argument("--placement", choices=("corner", "center"), default="corner")
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--mu", type=parse_float, default=0.0)
+    p.add_argument("--sigma", type=parse_float, default=1.0)
     p.set_defaults(func=cmd_gen_background)
 
     p = sub.add_parser("forward", parents=[output], help="generate measurements")
     p.add_argument("--signal", help="1-D signal CSV")
     p.add_argument("--image", help="2-D PGM/CSV image")
-    p.add_argument("--k-ratio", type=float, default=3.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--k-ratio", type=parse_float, default=3.0)
+    p.add_argument("--noise-sigma", type=parse_float, default=0.0)
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser("solve", parents=[output], help="run one reconstruction")
@@ -344,48 +344,42 @@ def build_parser() -> _Parser:
     p.add_argument("--signal", help="1-D signal CSV (ground truth)")
     p.add_argument("--image", help="2-D PGM/CSV image (ground truth)")
     p.add_argument("--spectrum", help="measured intensity PGM/CSV (HIO only)")
-    p.add_argument("--support", type=int, nargs="+",
+    p.add_argument("--support", type=parse_int, nargs="+",
                    help="support extents for --spectrum mode")
     # None marks a flag not given: --spectrum mode rejects them, the other
     # mode reads them as 3.0 and 0
-    p.add_argument("--k-ratio", type=float, default=None,
+    p.add_argument("--k-ratio", type=parse_float, default=None,
                    help="background size ratio k/n (default 3.0)")
-    p.add_argument("--noise-sigma", type=float, default=None,
+    p.add_argument("--noise-sigma", type=parse_float, default=None,
                    help="measurement noise level (default 0)")
-    p.add_argument("--eps", type=float, default=SolverConfig.eps)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    p.add_argument("--beta", type=float, default=SolverConfig.beta)
-    p.add_argument("--lam", type=float, default=SolverConfig.lam)
+    p.add_argument("--eps", type=parse_float, default=SolverConfig.eps)
+    p.add_argument("--max-iter", type=parse_int, default=SolverConfig.max_iter)
+    p.add_argument("--beta", type=parse_float, default=SolverConfig.beta)
+    p.add_argument("--lam", type=parse_float, default=SolverConfig.lam)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[output, pool], help="phase-transition sweep")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--ratio-min", type=float, default=1.0)
-    p.add_argument("--ratio-max", type=float, default=7.0)
-    p.add_argument("--ratio-step", type=float, default=0.1)
+    p.add_argument("--ratio-min", type=parse_float, default=1.0)
+    p.add_argument("--ratio-max", type=parse_float, default=7.0)
+    p.add_argument("--ratio-step", type=parse_float, default=0.1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("image-bench", parents=[study], help="2-D PGD vs BDR benchmark")
-    p.add_argument("--image", help="PGM/CSV image (default: synthetic)")
-    p.add_argument("--k-ratio", type=float, default=0.6)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--k-ratio", type=parse_float, default=0.6)
+    p.add_argument("--trials", type=parse_int, default=None)
     p.set_defaults(func=cmd_image_bench)
 
     p = sub.add_parser("location-bias", parents=[study], help="support-offset study")
-    p.add_argument("--image", help="PGM/CSV image (default: synthetic)")
-    p.add_argument("--k-ratio", type=float, default=2.0)
-    p.add_argument("--positions", type=int, default=17)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--k-ratio", type=parse_float, default=2.0)
+    p.add_argument("--positions", type=parse_int, default=17)
+    p.add_argument("--trials", type=parse_int, default=10)
     p.set_defaults(func=cmd_location_bias)
 
     p = sub.add_parser("noise-bench", parents=[study], help="noisy-measurement study")
-    p.add_argument("--image", help="PGM/CSV image (default: synthetic)")
-    p.add_argument("--sigma", type=float, default=0.001)
-    p.add_argument("--k-ratio", type=float, default=3.0)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--sigma", type=parse_float, default=0.001)
+    p.add_argument("--k-ratio", type=parse_float, default=3.0)
+    p.add_argument("--trials", type=parse_int, default=20)
     p.set_defaults(func=cmd_noise_bench)
 
     p = sub.add_parser("verify", help="analysis-module checks")
@@ -393,11 +387,11 @@ def build_parser() -> _Parser:
     # each target takes only the flags it reads
     targets = p.add_subparsers(dest="what", required=True)
     flags = {
-        "--n": dict(type=int, default=8), "--k": dict(type=int, default=24),
-        "--d": dict(type=int, default=1), "--draws": dict(type=int, default=100),
-        "--pairs": dict(type=int, default=100), "--instances": dict(type=int, default=100),
-        "--c1": dict(type=float, default=1e-3), "--c2": dict(type=float, default=1e-3),
-        "--num-h": dict(type=int, default=5),
+        "--n": dict(type=parse_int, default=8), "--k": dict(type=parse_int, default=24),
+        "--d": dict(type=parse_int, default=1), "--draws": dict(type=parse_int, default=100),
+        "--pairs": dict(type=parse_int, default=100), "--num-h": dict(type=parse_int, default=5),
+        "--instances": dict(type=parse_int, default=100),
+        "--c1": dict(type=parse_float, default=1e-3), "--c2": dict(type=parse_float, default=1e-3),
     }
     for what, check, names in (
             ("uniqueness", analysis.verify_uniqueness, ("--n", "--k", "--d", "--draws")),

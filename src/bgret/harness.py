@@ -39,9 +39,9 @@ import numpy as np
 from . import solvers
 from .io_formats import (ExperimentConfig, format_float, manifest_now, parse_int,
                          shape_token, write_lines, write_results)
-from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask,
-                    _require_count, assemble, background_sizes_for, hermitian_part,
-                    object_shape_for)
+from .model import (IntensityMeasurements, Method, SolverConfig, SupportMask, assemble,
+                    background_sizes_for, hermitian_part, object_shape_for, require_count,
+                    require_level)
 from .rng import Xoshiro256StarStar, mix_seed
 from .spectral import intensity
 from .metrics import evaluate
@@ -65,8 +65,7 @@ def gen_signal(signal_type: int, n: int, rng: Optional[Xoshiro256StarStar] = Non
                values: Optional[np.ndarray] = None) -> np.ndarray:
     """Type 1: iid standard normal; type 2: the harmonic test signal;
     type 3: caller-supplied values (loaded from CSV)."""
-    if n < 1:
-        raise ValueError("signal length must be positive")
+    require_count("signal length", n)
     if signal_type == SIGNAL_GAUSSIAN:
         if rng is None:
             raise ValueError("signal type 1 needs an rng")
@@ -107,11 +106,9 @@ def add_noise(b: IntensityMeasurements, sigma: float,
     sigma is quoted in the unitary-transform scale, where published noise
     levels such as 0.001 are meaningful fractions of the signal; under the
     unnormalized forward transform used here the applied standard deviation
-    is sigma * sqrt(prod m). A sigma that is not finite and nonnegative
-    raises ValueError.
+    is sigma * sqrt(prod m). sigma is a level of at least 0.
     """
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"noise level must be finite and nonnegative, got {sigma}")
+    require_level("noise level", sigma, zero=True)
     if sigma == 0.0:
         return b
     grid = int(np.prod(b.shape))
@@ -124,8 +121,7 @@ def add_noise(b: IntensityMeasurements, sigma: float,
 def synthetic_test_image(n: int = 64) -> np.ndarray:
     """Deterministic structured stand-in for the photographic test images:
     illumination gradient, bright disc, dark rectangle, sinusoidal texture."""
-    if n < 8:
-        raise ValueError("test image needs n >= 8")
+    require_count("test image size", n, 8)
     yy, xx = np.mgrid[0:n, 0:n] / (n - 1.0)
     img = 0.35 + 0.30 * xx + 0.15 * yy
     img[(yy - 0.35) ** 2 + (xx - 0.30) ** 2 < 0.04] = 0.90
@@ -184,14 +180,10 @@ def run_trial(spec: TrialSpec) -> dict:
     (stop_reason "diverged", residual NaN), not crashes."""
     trial_seed = mix_seed(spec.master_seed, spec.cell_id, spec.trial_index)
     mask = spec.make_mask()
-    n_total = int(np.prod(spec.sample_shape))
-
-    if spec.signal is not None:
+    if spec.signal is not None:  # assemble checks its size
         x = np.asarray(spec.signal, dtype=float).reshape(-1)
-        if x.size != n_total:
-            raise ValueError("fixed signal does not match the sample shape")
     else:
-        x = gen_signal(SIGNAL_GAUSSIAN, n_total,
+        x = gen_signal(SIGNAL_GAUSSIAN, mask.sample_count,
                        rng=Xoshiro256StarStar(mix_seed(trial_seed, STREAM_SIGNAL)))
     background, b = draw_instance(x, mask, trial_seed, spec.noise_sigma)
 
@@ -231,9 +223,7 @@ def resolve_workers(requested: Optional[int] = None) -> int:
             return resolve_workers(parse_int(os.environ.get("BGRET_WORKERS") or "1"))
         except ValueError as exc:
             raise ValueError(f"BGRET_WORKERS: {exc}") from None
-    if requested < 1:
-        raise ValueError(f"worker count must be at least 1, got {requested}")
-    return requested
+    return require_count("worker count", requested)
 
 
 def run_cells(cells: Sequence[Sequence[TrialSpec]], workers: int = 1) -> list[list[dict]]:
@@ -399,8 +389,8 @@ def location_bias_study(image: np.ndarray, k_ratio: float,
                         max_iter: int = SolverConfig.max_iter, workers: int = 1) -> dict:
     """Mean PSNR/SSIM/relative error per support offset. Every offset is
     computed in full; position symmetry is never used as a shortcut."""
-    _require_count("positions", len(offsets))
-    _require_count("trials", trials)
+    require_count("positions", len(offsets))
+    require_count("trials", trials)
     fields, method = _image_fields(image, k_ratio), Method.parse(method)
     cells = [[TrialSpec(master_seed=seed, cell_id=cell_id, trial_index=trial, method=method,
                         max_iter=max_iter, offset=tuple(int(v) for v in offset), **fields)
@@ -430,7 +420,7 @@ def noise_benchmark(image: np.ndarray, sigma: float, k_ratio: float, trials: int
     pair exactly. Per method the summary gives the median and 25/75
     quantiles of PSNR/SSIM plus timing; ``pairwise_wins`` counts the trials
     where one method's relative error is below another's."""
-    _require_count("trials", trials)
+    require_count("trials", trials)
     fields = _image_fields(image, k_ratio)
     methods = [Method.parse(m) for m in methods]
     # one cell per trial: its methods, which share the trial's instance

@@ -14,7 +14,7 @@ each rule stated once:
   (UTF-8, or ASCII for a PGM) raise DataFormatError;
 - numbers: an integer token matches ``-?[0-9]+`` (``parse_int``) and a float
   token is ASCII without ``_`` (``parse_float``), in PGM images, CSV
-  matrices and result CSVs alike;
+  matrices, result CSVs, the CLI's numeric flags and BGRET_WORKERS alike;
 - results: ``RESULT_CELLS`` gives each result column its (format, parse)
   pair, in file order.
 
@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .model import Method, SolverConfig
+from .model import Method, SolverConfig, require_count, require_level
 from .rng import check_seed
 from .spectral import LOOP_TRANSFORMS
 
@@ -222,7 +222,8 @@ _CONFIG_TYPES = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep's settings; n is the sample shape. A sweep takes k from its
-    ratios, so k_ratio is only echoed into the manifest."""
+    ratios, so k_ratio is only echoed into the manifest. A value a trial's
+    ``SolverConfig`` or model's number rules refuse raises DataFormatError."""
 
     method: Method
     n: tuple[int, ...]
@@ -238,10 +239,13 @@ class ExperimentConfig:
     paths: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise DataFormatError("trials must be at least 1")
-        if self.noise_sigma < 0:
-            raise DataFormatError("noise_sigma must be nonnegative")
+        try:
+            require_count("trials", self.trials)
+            require_level("noise_sigma", self.noise_sigma, zero=True)
+            require_level("lambda", self.lam)  # SolverConfig's lam, by its config key
+            SolverConfig(self.method, self.eps, self.max_iter, self.beta, self.lam)
+        except ValueError as exc:
+            raise DataFormatError(str(exc)) from None
         if self.signal_type not in (1, 2, 3):
             raise DataFormatError("signal_type must be 1, 2 or 3")
         if self.signal_type != 1 and len(self.n) != 1:

@@ -12,6 +12,9 @@ Conventions used by every module
   ``z[mask.inside]`` reads the sample back.
 * Value types are frozen dataclasses holding read-only arrays, safe to share
   across workers.
+* ``require_count`` (an integer of at least a bound) and ``require_level`` (a
+  finite number above 0, or at least 0) own the range of every count and
+  level a user supplies; each raises ValueError naming the number.
 """
 
 from __future__ import annotations
@@ -25,13 +28,29 @@ from typing import Optional, Sequence
 import numpy as np
 
 
+def require_count(name: str, value, least: int = 1):
+    """Return value if it is an int or numpy integer of at least least, else
+    raise ValueError naming it (a bool is an int to Python, but no count)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
+def require_level(name: str, value, zero: bool = False):
+    """Return value if it is a finite real number (no bool) above 0, or at
+    least 0 with zero, else raise ValueError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (0 <= value < math.inf if zero else 0 < value < math.inf)):
+        raise ValueError(f"{name} must be finite and {'nonnegative' if zero else 'positive'}"
+                         f", got {value!r}")
+    return value
+
+
 def background_sizes_for(ratio: float, sizes: Sequence[int]) -> tuple[int, ...]:
     """The one rule turning a ratio k/n into background sizes:
     k_i = max(1, round(ratio * n_i)), rounding half to even, so a small
-    positive ratio gives one cell. A ratio that is not finite and positive
-    raises ValueError."""
-    if not 0.0 < ratio < math.inf:
-        raise ValueError(f"background ratio must be finite and positive, got {ratio}")
+    positive ratio gives one cell. The ratio is a level above 0."""
+    require_level("background ratio", ratio)
     return tuple(max(1, int(round(ratio * n))) for n in sizes)
 
 
@@ -39,12 +58,6 @@ def object_shape_for(sample_shape: Sequence[int],
                      background_sizes: Sequence[int]) -> tuple[int, ...]:
     """The object grid of a sample and its background: n_i + k_i per axis."""
     return tuple(n + k for n, k in zip(sample_shape, background_sizes))
-
-
-def _require_count(name: str, value: int) -> None:
-    # an empty loop would pass vacuously or fail with an unrelated error
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _readonly(a, dtype=None) -> np.ndarray:
@@ -65,6 +78,15 @@ def mirror_index(values: np.ndarray) -> np.ndarray:
 def hermitian_part(values: np.ndarray) -> np.ndarray:
     """The Hermitian part 0.5 * (v[i] + v[-i]) of a real array."""
     return 0.5 * (values + mirror_index(values))
+
+
+def require_mirror_symmetric(values: np.ndarray, rtol: float, message: str) -> None:
+    """ValueError with message when max|v - v[-i]| exceeds rtol * max|v|: the
+    symmetry test of measurements and autocorrelations."""
+    dev = np.max(np.abs(values - mirror_index(values)))
+    scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
+    if dev > rtol * scale:
+        raise ValueError(f"{message} (relative deviation {dev / scale:.3e})")
 
 
 def hermitian_half(values) -> np.ndarray:
@@ -177,11 +199,8 @@ class IntensityMeasurements:
         if np.any(v < 0.0):
             raise ValueError("intensity measurements must be nonnegative")
         if self.conj_symmetric:
-            dev = np.max(np.abs(v - mirror_index(v)))
-            scale = max(float(np.max(v)), np.finfo(float).tiny)
-            if dev > self.SYMMETRY_RTOL * scale:
-                raise ValueError(
-                    f"measurements not conjugate-symmetric (relative deviation {dev / scale:.3e})")
+            require_mirror_symmetric(v, self.SYMMETRY_RTOL,
+                                     "measurements not conjugate-symmetric")
         object.__setattr__(self, "values", _readonly(v, float))
 
     @property
@@ -255,19 +274,12 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "method", Method.parse(self.method))
-        if not 0 < self.eps < math.inf:
-            raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
-        for name, least in (("max_iter", 1), ("trace_every", 0)):
-            value = getattr(self, name)
-            # a bool is an int to Python, and range() refuses a float or a str
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < least):
-                raise ValueError(f"{name} must be an integer of at least {least}, "
-                                 f"got {value!r}")
+        require_level("eps", self.eps)
+        require_count("max_iter", self.max_iter)
+        require_count("trace_every", self.trace_every, 0)
         if not (0.0 < self.beta <= 1.0):
             raise ValueError("beta must lie in (0, 1]")
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be finite and positive, got {self.lam!r}")
+        require_level("lam", self.lam)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,8 @@ import math
 
 import numpy as np
 
+from .model import require_count
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -185,8 +187,7 @@ class Xoshiro256StarStar:
     def _block(self, count: int) -> np.ndarray:
         """The next `count` outputs of next_u64 as uint64, in stream order,
         computed in jump-ahead lanes (see module docs)."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        require_count("count", count, 0)
         if count == 0:
             return np.empty(0, dtype=np.uint64)
         level = round(math.log2(count) / 2)
@@ -220,8 +221,7 @@ class Xoshiro256StarStar:
         return u
 
     def normal(self, count: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be nonnegative")
+        require_count("count", count, 0)
         pairs = -(-count // 2)
         x = self._block(2 * pairs)
         x >>= 11

@@ -40,7 +40,9 @@ z0 = P_B((1/prod m) * Re DFT(b^{1/2})) unless an explicit start is supplied
 ||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
 Divergence is detected from that same step norm, one BLAS dot per lane: a
 non-finite start or step norm in any lane raises DivergenceError rather than
-being clamped, so traces stay honest.
+being clamped, so traces stay honest. The loop ignores numpy's overflow
+warnings (``np.errstate``), so that error is the one way a solve fails on a
+non-finite iterate, under any warnings filter.
 
 The trace is opt-in and kept per lane, and the solvers score nothing else: a
 result is scored by ``metrics.evaluate``. A trace row holds
@@ -93,7 +95,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .metrics import l2_norm, measurement_error, relative_error
-from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask
+from .model import (IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask,
+                    require_level)
 from .projections import project_background, project_magnitude, project_magnitude_ball
 from .spectral import Workspace
 
@@ -129,8 +132,7 @@ def pgd_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
              work: Optional[Workspace] = None) -> np.ndarray:
     """Projected gradient step; the subgradient of the magnitude objective is
     z - P_A(z), so lam=1 reduces to the alternating projection P_B(P_A(z))."""
-    if not lam > 0:
-        raise ValueError("learning rate must be positive")
+    require_level("learning rate", lam)
     ztilde = project_magnitude(z, half_root, work)
     if lam != 1.0:
         # z - lam * (z - ztilde), formed in the projection's own buffer
@@ -231,40 +233,41 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
         traces[lane].append((rel, error(z) if error_value is None else error_value))
 
     z, params, work, stacked = stack([start] * len(lanes))
-    for p in range(1, max_iter + 1):
-        z_new = step(z, work, params)
-        diff = z_new - z
-        z = z_new
-        ends = {}  # row: converged, of each lane that stops at p
-        for row, lane in enumerate(live):
-            step_norm = l2_norm(diff[row] if stacked else diff)
-            if not math.isfinite(step_norm):
-                raise DivergenceError(f"non-finite iterate at step {p}")
-            if stride and p % stride == 0:
-                trace_row(lane, z[row] if stacked else z)
-            if step_norm <= eps or p == max_iter:
-                ends[row] = step_norm <= eps
-        if ends:
-            rows = z if stacked else (z,)
-            errors = {}
-            if part and p < max_iter:
-                part = False  # once per run
-                errors = {row: error(rows[row]) for row in range(len(live))}
-                bound = PART_RATIO * min(errors[row] for row in ends)
-                ends.update((row, False) for row in errors
-                            if row not in ends and errors[row] > bound)
-            for row, converged in ends.items():
-                lane, final = live[row], rows[row]
-                if stride and p % stride:  # its final row, once
-                    trace_row(lane, final, errors.get(row))
-                if final_projector is not None:
-                    final = final_projector(final, grid_work, lanes[lane])
-                runs[lane] = SolverRun(final[mask.inside], p, traces[lane], converged)
-            kept = [row for row in range(len(live)) if row not in ends]
-            if not kept:
-                break
-            live = [live[row] for row in kept]
-            z, params, work, stacked = stack([rows[row] for row in kept])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(1, max_iter + 1):
+            z_new = step(z, work, params)
+            diff = z_new - z
+            z = z_new
+            ends = {}  # row: converged, of each lane that stops at p
+            for row, lane in enumerate(live):
+                step_norm = l2_norm(diff[row] if stacked else diff)
+                if not math.isfinite(step_norm):
+                    raise DivergenceError(f"non-finite iterate at step {p}")
+                if stride and p % stride == 0:
+                    trace_row(lane, z[row] if stacked else z)
+                if step_norm <= eps or p == max_iter:
+                    ends[row] = step_norm <= eps
+            if ends:
+                rows = z if stacked else (z,)
+                errors = {}
+                if part and p < max_iter:
+                    part = False  # once per run
+                    errors = {row: error(rows[row]) for row in range(len(live))}
+                    bound = PART_RATIO * min(errors[row] for row in ends)
+                    ends.update((row, False) for row in errors
+                                if row not in ends and errors[row] > bound)
+                for row, converged in ends.items():
+                    lane, final = live[row], rows[row]
+                    if stride and p % stride:  # its final row, once
+                        trace_row(lane, final, errors.get(row))
+                    if final_projector is not None:
+                        final = final_projector(final, grid_work, lanes[lane])
+                    runs[lane] = SolverRun(final[mask.inside], p, traces[lane], converged)
+                kept = [row for row in range(len(live)) if row not in ends]
+                if not kept:
+                    break
+                live = [live[row] for row in kept]
+                z, params, work, stacked = stack([rows[row] for row in kept])
     return LaneRuns(runs)
 
 

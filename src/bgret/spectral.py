@@ -66,7 +66,8 @@ from typing import Optional
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .model import IntensityMeasurements, _readonly, hermitian_half, mirror_index
+from .model import (IntensityMeasurements, _readonly, hermitian_half, mirror_index,
+                    require_count, require_mirror_symmetric)
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,8 @@ class Autocorrelation:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        dev = np.max(np.abs(v - mirror_index(v)))
-        scale = max(float(np.max(np.abs(v))), np.finfo(float).tiny)
-        if dev > self.SYMMETRY_RTOL * scale:
-            raise ValueError(f"autocorrelation lacks circular symmetry (rel dev {dev / scale:.3e})")
+        require_mirror_symmetric(v, self.SYMMETRY_RTOL,
+                                 "autocorrelation lacks circular symmetry")
         object.__setattr__(self, "values", _readonly(v, float))
 
 
@@ -108,8 +107,8 @@ class Workspace:
         if not shape or min(shape) < 1:
             raise ValueError(f"{shape} is not a transform grid: it needs one axis or more, "
                              "each of length 1 or more")
-        if lanes is not None and lanes < 1:
-            raise ValueError(f"a stack needs one lane or more, not {lanes}")
+        if lanes is not None:
+            require_count("lanes", lanes)
         stack = () if lanes is None else (lanes,)
         d, m = len(shape), shape[-1]
         self.half = np.empty(stack + shape[:-1] + (m // 2 + 1,), dtype=complex)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -531,3 +532,17 @@ def test_coefficient_matrix_size_guard():
             verify_uniqueness(8, 24, d, draws=1)
     # the default 3-D certificate stays within the cap
     assert nonoverlap_shift_count((8,) * 3, (32,) * 3) * 8 ** 3 <= MAX_MATRIX_ENTRIES
+
+
+def test_coefficient_matrix_peaks_at_a_few_times_its_size():
+    # M is gathered as two windows per row of the wrap-padded background and
+    # summed in place, not through index arrays of M's size per axis and sign
+    mask = SupportMask.block((6,) * 5, (3,) * 5)
+    y = gaussian_background(mask, np.random.default_rng(4))
+    tracemalloc.start()
+    try:
+        M, _ = coefficient_matrix(y, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.nbytes > 4e6 and peak <= 3 * M.nbytes

@@ -1,9 +1,12 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,9 +16,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bgret.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
-from bgret.io_formats import (read_image, read_results, read_signal_csv, write_image,
-                              write_signal_csv)
+from bgret.cli import (EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, SystemExit2,
+                       build_parser, main)
+from bgret.harness import resolve_workers
+from bgret.io_formats import (parse_float, parse_int, read_image, read_results,
+                              read_signal_csv, write_image, write_signal_csv)
 from bgret.metrics import measurement_error
 from bgret.model import IntensityMeasurements, Method, SolverConfig, SupportMask, assemble
 from bgret.solvers import cbdr_parallel_real, run
@@ -109,14 +114,17 @@ def test_readme_cli_examples_parse():
 # valid small inputs, files of the wrong kind or content, a directory and a
 # missing path.
 CASE_FILES = ("sig.csv", "img.csv", "cfg.json", "bad.csv", "bad.json", "dir", "missing.csv")
-INTS = ("-1", "0", "1", "2", "3", "4", "x")
-FLOATS = ("-1", "0", "0.001", "0.5", "1", "2", "3", "nan", "inf", "-inf", "x")
+# "1_0" and "+5" are tokens Python's int or float reads and the number rule
+# of files and flags refuses
+INTS = ("-1", "0", "1", "2", "3", "4", "x", "1_0", "+5")
+FLOATS = ("-1", "0", "0.001", "0.5", "1", "2", "3", "nan", "inf", "-inf", "x", "1_0")
 SEEDS = ("0", "7", "-1", str(2**64), "x")
 OUTS = ("out", "o/deep", ".", "", "sig.csv")
 #: the values a README flag's value is replaced by; --shape, --sample and
 #: --support take one to three of them. --d stops at 2: a 3-D certificate at
-#: the default --n and --k takes about a second per draw (criterion 17 covers
-#: d = 3), and one at --d 4 or 6 under the size cap up to a few seconds.
+#: the default --n and --k takes about 0.4 s and 160 MB per draw (criterion 17
+#: covers d = 3), and one at --d 6 under the size cap (--n 3 --k 3) 0.7 s and
+#: 220 MB.
 FLAG_VALUES = {
     "--type": INTS, "--n": INTS, "--k": INTS, "--d": ("-1", "0", "1", "2", "x"),
     "--draws": INTS,
@@ -852,3 +860,75 @@ def test_cli_outputs_frozen(tmp_path, capsys):
     capsys.readouterr()
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == FROZEN_CLI_OUTPUTS
+
+
+def _typed_flags() -> list:
+    """(subcommand path, flag, type) of every flag of build_parser() that
+    converts its value."""
+    found = []
+
+    def walk(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, path + [name])
+            elif action.type is not None:
+                found.append((path, action.option_strings[0], action.type))
+
+    walk(build_parser(), [])
+    return found
+
+
+#: tokens Python's int reads that the number rule of files refuses (an int
+#: token is ASCII digits with an optional '-'); "٣" is the Arabic-Indic
+#: digit three. A float token is ASCII without '_', so it may carry a sign or
+#: a space.
+LOOSE_INTS = ("1_0", "+5", " 5", "٣")
+LOOSE_FLOATS = ("1_0", "٣")
+
+
+def test_every_numeric_flag_reads_its_value_by_the_file_token_rule(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    flags = _typed_flags()
+    assert len(flags) > 30 and {kind for _, _, kind in flags} == {parse_int, parse_float}
+    for path, flag, kind in flags:
+        for token in LOOSE_INTS if kind is parse_int else LOOSE_FLOATS:
+            assert main([*path, flag, token]) == EXIT_USAGE, (path, flag, token)
+            assert f"argument {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # no command ran
+
+
+@pytest.mark.parametrize("token", ["1", "2", "02", "0", "-1", "1_0", "+2", " 3", "2.0", "x",
+                                   "٣", "1e1"])
+def test_workers_flag_and_variable_take_the_same_tokens(token, monkeypatch):
+    def accepted(read) -> bool:
+        try:
+            read()
+            return True
+        except (SystemExit2, ValueError):
+            return False
+
+    monkeypatch.setenv("BGRET_WORKERS", token)
+    from_variable = accepted(lambda: resolve_workers(None))
+    monkeypatch.delenv("BGRET_WORKERS")
+    from_flag = accepted(lambda: resolve_workers(build_parser().parse_args(
+        ["sweep", "--config", "c.json", "--workers", token]).workers))
+    assert from_flag == from_variable == (token in ("1", "2", "02"))
+
+
+def test_a_diverging_sweep_is_aborted_rows_with_warnings_as_errors(tmp_path):
+    # PGD at lambda = 1e300 overflows in every trial: numpy's overflow
+    # warnings once ended a sweep run under -W error in a traceback
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "method": "pgd", "n": 6, "trials": 3, "seed": 2, "lambda": 1e300, "max_iter": 20}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bgret.cli", "sweep", "--config", "cfg.json",
+         "--ratio-min", "2", "--ratio-max", "3", "--ratio-step", "1", "--workers", "2"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = read_results(tmp_path / "out" / "trials.csv")
+    assert len(rows) == 6 and all(r["stop_reason"] == "diverged" for r in rows)
+    assert proc.stdout.count("aborted 3)") == 2

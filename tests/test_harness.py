@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +448,7 @@ def test_resolve_workers_env(monkeypatch):
 
 _FOOTPRINT_CHILD = """
 import sys
+import warnings
 from bgret import cli, harness, metrics
 from bgret.model import Method
 spec = harness.TrialSpec(master_seed=3, cell_id=0, trial_index=0, method=Method.BDR,
@@ -465,3 +467,14 @@ def test_a_one_worker_trial_loads_neither_openssl_nor_the_process_pool():
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_diverging_trial_is_a_row_under_any_warning_filter():
+    # PGD's step at lam = 1e300 overflows; numpy's overflow warnings, errors
+    # under pytest's filter, once escaped run_trial instead of its row
+    spec = TrialSpec(master_seed=3, cell_id=0, trial_index=0, method=Method.PGD,
+                     sample_shape=(8,), background_sizes=(24,), max_iter=5, lam=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = run_trial(spec)
+    assert row["stop_reason"] == "diverged" and row["aborted"]

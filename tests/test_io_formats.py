@@ -399,3 +399,16 @@ def test_readers_return_data_or_raise_data_errors(name, edits, tmp_path_factory)
         assert all(type(row[c]) is _RESULT_TYPES[c] for row in value for c in RESULT_COLUMNS)
     else:
         assert value.size and np.all(np.isfinite(value))
+
+
+@pytest.mark.parametrize("edit, key", [({"eps": -1}, "eps"), ({"beta": 2}, "beta"),
+                                       ({"max_iter": 0}, "max_iter"), ({"lambda": 0}, "lambda"),
+                                       ({"trials": 0}, "trials"),
+                                       ({"noise_sigma": -1e-3}, "noise_sigma")])
+def test_read_config_refuses_what_a_trial_would(edit, key, tmp_path):
+    # each trial builds a SolverConfig from these; a sweep once failed there,
+    # inside its first trial, rather than on reading its config
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"method": "pgd", "n": 6, "trials": 1, "seed": 1, **edit}))
+    with pytest.raises(DataFormatError, match=key):
+        read_config(path)

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgret import analysis, harness, solvers
+from bgret.io_formats import DataFormatError, ExperimentConfig
 from bgret.model import (IntensityMeasurements, Method, SolverConfig, SolverRun,
                          SupportMask, assemble, background_sizes_for, mirror_index)
+from bgret.rng import Xoshiro256StarStar
+from bgret.spectral import Workspace, autocorrelation_from_intensity, intensity
 
 
 def test_assemble_1d_example():
@@ -214,3 +218,69 @@ def test_types_are_read_only():
         b.values[0] = 9.0
     with pytest.raises(ValueError):
         mask.inside[0] = False
+
+
+def _small_system():
+    # a linear system of a 2-sample on a grid of 8, for robustness_bound
+    rng = np.random.default_rng(0)
+    mask = SupportMask.block((8,), (2,))
+    y = rng.standard_normal(8)
+    y[mask.inside] = 0.0
+    return analysis.build_linear_system(y, mask, autocorrelation_from_intensity(
+        intensity(assemble(rng.standard_normal(2), y, mask))))
+
+
+def _meaningless_numbers():
+    """(call, the field its error names, error type): each entry point of a
+    user-supplied count or level, given a value without meaning."""
+    def config(**fields):
+        return lambda: ExperimentConfig(Method.BDR, (8,), **{"trials": 1, "seed": 0, **fields})
+
+    b = IntensityMeasurements(np.array([4.0, 1.0, 1.0]))
+    cases = [(config(noise_sigma=value), "noise_sigma") for value in (math.nan, -1.0, math.inf)]
+    cases += [(config(trials=value), "trials") for value in (2.5, True, 0)]
+    cases += [(config(eps=math.nan), "eps"), (config(max_iter=0), "max_iter"),
+              (config(lam=0.0), "lambda"), (config(beta=2.0), "beta")]
+    cases = [(call, field, DataFormatError) for call, field in cases]
+    cases += [(call, field, ValueError) for call, field in [
+        (lambda: background_sizes_for(True, (10,)), "background ratio"),
+        (lambda: SolverConfig(Method.BDR, eps=True), "eps"),
+        (lambda: SolverConfig(Method.PGD, lam="1"), "lam"),
+        (lambda: harness.gen_signal(2, 2.5), "signal length"),
+        (lambda: harness.gen_signal(2, True), "signal length"),
+        (lambda: harness.add_noise(b, math.nan, Xoshiro256StarStar(0)), "noise level"),
+        (lambda: harness.add_noise(b, True, Xoshiro256StarStar(0)), "noise level"),
+        (lambda: harness.resolve_workers(2.5), "worker count"),
+        (lambda: harness.resolve_workers(True), "worker count"),
+        (lambda: harness.synthetic_test_image(8.0), "test image size"),
+        (lambda: harness.noise_benchmark(np.ones((8, 8)), 0.0, 1.0, 2.5), "trials"),
+        (lambda: analysis.verify_uniqueness(3, 3, True, 1), "d"),
+        (lambda: analysis.verify_uniqueness(3, -1, 1, 1), "k"),
+        (lambda: analysis.verify_uniqueness(3.0, 3, 1, 1), "n"),
+        (lambda: analysis.verify_robustness(1, c1=math.inf), "c1"),
+        (lambda: analysis.verify_robustness(1, c2=-1e-3), "c2"),
+        (lambda: analysis.robustness_bound(_small_system(), math.nan, 0.0, b.values,
+                                           np.zeros(3)), "c1"),
+        (lambda: analysis.dimension_bound((True,), (3,)), "sample size"),
+        (lambda: analysis.sample_c2(2.5, 0), "size"),
+        (lambda: analysis.frip_expectation_check(np.ones(2), np.zeros(8), True, 0),
+         "num_draws"),
+        (lambda: Xoshiro256StarStar(0).normal(2.5), "count"),
+        (lambda: Workspace((4,), True), "lanes"),
+        (lambda: solvers.pgd_step(np.zeros(3), b.half_root, np.zeros(3),
+                                  SupportMask.block((3,), (1,)), lam=math.nan),
+         "learning rate"),
+    ]]
+    return cases
+
+
+MEANINGLESS = _meaningless_numbers()
+
+
+@pytest.mark.parametrize("call, field, error", MEANINGLESS,
+                         ids=[field for _, field, _ in MEANINGLESS])
+def test_a_meaningless_count_or_level_names_its_field(call, field, error):
+    # a bool, a fraction, NaN, an infinity or a value out of range is refused
+    # by model's count and level rules wherever it enters
+    with pytest.raises(error, match=f"^{field} must"):
+        call()
