@@ -43,11 +43,26 @@ PRESETS = {
 }
 
 
+def _argument_type(parse):
+    # argparse reports a type function's ValueError as "invalid <function
+    # name> value", and an ArgumentTypeError by its own message
+    def read(token: str):
+        try:
+            return parse(token)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
 class _Parser(argparse.ArgumentParser):
     # no prefix matching: a flag is read only when spelled in full, so one
     # a subcommand does not take is never read as one it does (--d as --draws)
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # a flag's type stays parse_int or parse_float; argparse calls the
+        # function registered for it, which reports the token rule's message
+        for parse in (parse_int, parse_float):
+            self.register("type", parse, _argument_type(parse))
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -17,6 +17,10 @@ rounding, the one the full complex transform and ``.real`` give, for any
 nonnegative root; so is the ball projection for the root of a real object,
 which is symmetric.
 
+The equality projection forms phase × root as X * (1/|X|) * root, with one
+real division: the bytes of the complex division X / |X| times the root,
+apart from the sign of an exact zero.
+
 When a spectral coefficient vanishes the magnitude projection is not unique;
 phase 1 is used where the computed magnitude is exactly 0, which keeps runs
 reproducible. A coefficient that vanishes only up to rounding keeps the
@@ -48,15 +52,17 @@ from .model import SupportMask
 from .spectral import Workspace
 
 
-def _divide_nonzero(num: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # num / mag where mag > 0, and 1 where the magnitude vanishes (or is NaN);
+def _divide_nonzero(num, mag: np.ndarray, out: np.ndarray) -> Optional[np.ndarray]:
+    # out = num / mag where mag > 0, and 1 where the magnitude vanishes (or is
+    # NaN); returns the mask of those entries, or None when there are none:
     # the mask is only built when some magnitude is not positive
     if np.minimum.reduce(mag, axis=None) > 0.0:  # mag.min() without its wrapper
-        return np.divide(num, mag, out=out)
-    nonzero = mag > 0
-    np.divide(num, mag, out=out, where=nonzero)
-    out[~nonzero] = 1.0
-    return out
+        np.divide(num, mag, out=out)
+        return None
+    vanishing = ~(mag > 0)
+    np.divide(num, mag, out=out, where=~vanishing)
+    out[vanishing] = 1.0
+    return vanishing
 
 
 def project_magnitude(z: np.ndarray, half_root: np.ndarray,
@@ -69,8 +75,15 @@ def project_magnitude(z: np.ndarray, half_root: np.ndarray,
         out = Workspace(z.shape)
     zhat = out.forward(z)
     out.hermitian_lines()
-    phase = _divide_nonzero(zhat, np.abs(zhat, out=out.half_magnitude), out=zhat)
-    np.multiply(half_root, phase, out=zhat)
+    # phase * root as X * (1/|X|) * root: the bytes of X / |X| (numpy divides
+    # by the complex |X| + 0j as (re * s, im * s) with s = 1/|X|) without the
+    # complex division; a vanishing |X| takes phase 1
+    reciprocal = np.abs(zhat, out=out.half_magnitude)
+    vanishing = _divide_nonzero(1.0, reciprocal, out=reciprocal)
+    if vanishing is not None:
+        zhat[vanishing] = 1.0
+    np.multiply(zhat, reciprocal, out=zhat)
+    np.multiply(zhat, half_root, out=zhat)
     return out.inverse()
 
 
@@ -88,8 +101,8 @@ def project_magnitude_ball(z: np.ndarray, half_root: np.ndarray,
         z = np.asarray(z, dtype=float)
         out = Workspace(z.shape)
     zhat = out.forward(z)
-    mag = np.abs(zhat, out=out.half_magnitude)
-    scale = _divide_nonzero(half_root, mag, out=mag)
+    scale = np.abs(zhat, out=out.half_magnitude)
+    _divide_nonzero(half_root, scale, out=scale)
     np.multiply(zhat, np.minimum(1.0, scale, out=scale), out=zhat)
     if dc_sign is not None:
         dc = float(half_root.flat[0])

@@ -899,6 +899,17 @@ def test_every_numeric_flag_reads_its_value_by_the_file_token_rule(tmp_path, mon
     assert not any(tmp_path.iterdir())  # no command ran
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen-signal", "--n", "1_0"], "argument --n: malformed integer '1_0'"),
+    (["noise-bench", "--sigma", "1_0"], "argument --sigma: malformed float '1_0'")])
+def test_a_malformed_number_flag_gives_the_token_rules_message(argv, message, tmp_path,
+                                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("token", ["1", "2", "02", "0", "-1", "1_0", "+2", " 3", "2.0", "x",
                                    "٣", "1e1"])
 def test_workers_flag_and_variable_take_the_same_tokens(token, monkeypatch):

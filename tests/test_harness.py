@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bgret import harness
 from bgret.analysis import verify_frip, verify_lmatrix, verify_stability, verify_uniqueness
 from bgret.harness import (STREAM_SIGNAL, TrialSpec, add_noise, default_bias_offsets,
                            draw_instance, gen_background, gen_signal, harmonic_signal, location_bias_study,
@@ -190,6 +192,103 @@ def test_draw_instance_bytes_equal_at_every_simd_level():
         pytest.skip(f"this CPU has none of {', '.join(ABOVE_SSE)}: nothing to switch off")
     assert sse_levels == ""
     assert len(default) == 4 and sse == default
+
+
+def _count_normals(monkeypatch) -> list:
+    """Patch Xoshiro256StarStar.normal to count the normals drawn, and drop
+    the held instance, so that no earlier test's draw is returned."""
+    drawn = []
+    normal = Xoshiro256StarStar.normal
+
+    def counted(self, n, *args, **kwargs):
+        drawn.append(n)
+        return normal(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "normal", counted)
+    monkeypatch.setattr(harness, "_held", None, raising=False)
+    return drawn
+
+
+def test_noise_study_methods_share_one_instance_draw(monkeypatch):
+    # 64x64 in 256x256: a draw is 65536 background and 65536 noise normals,
+    # one draw per trial for its three methods
+    drawn = _count_normals(monkeypatch)
+    result = noise_benchmark(synthetic_test_image(64), 1e-3, 3.0, 2, seed=5, max_iter=1)
+    assert len(result["rows"]) == 6
+    assert sum(drawn) == 2 * 131072
+
+
+def _held_case(seed=3, sigma=1e-3, signal=None, offset=(2, 3), grid=(14, 15)):
+    x = np.arange(1.0, 21.0).reshape(4, 5) if signal is None else signal
+    return x, SupportMask(grid, (4, 5), offset), seed, sigma
+
+
+def _instance_bytes(instance) -> tuple:
+    background, b = instance
+    return background.tobytes(), b.values.tobytes()
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 4}, {"sigma": 2e-3}, {"sigma": 0.0},
+    {"signal": np.arange(1.0, 21.0).reshape(4, 5) + np.eye(4, 5)},
+    {"offset": (3, 3)}, {"grid": (14, 16)}])
+def test_a_changed_instance_is_a_fresh_cold_draw(change, monkeypatch):
+    drawn = _count_normals(monkeypatch)
+    cold = _instance_bytes(draw_instance(*_held_case(**change)))
+    first = draw_instance(*_held_case())
+    count = len(drawn)
+    held = draw_instance(*_held_case())
+    assert held[0] is first[0] and held[1] is first[1] and len(drawn) == count
+    again = draw_instance(*_held_case(**change))
+    assert len(drawn) > count
+    assert again[0] is not first[0] and again[1] is not first[1]
+    assert _instance_bytes(again) == cold
+
+
+def test_the_held_background_is_read_only(monkeypatch):
+    monkeypatch.setattr(harness, "_held", None, raising=False)
+    background, _ = draw_instance(*_held_case())
+    assert not background.flags.writeable
+    with pytest.raises(ValueError):
+        background[0, 0] = 1.0
+
+
+def test_a_new_draw_releases_the_held_instance_first(monkeypatch):
+    # two successive, different 2-D draws peak no higher than one: the held
+    # instance is released before the next one is drawn
+    mask = SupportMask.place((256, 256), (64, 64))
+    image = synthetic_test_image(64).reshape(-1)
+    draw_instance(image, mask, 1, 1e-3)  # fills the generator's jump tables
+    monkeypatch.setattr(harness, "_held", None, raising=False)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        draw_instance(image, mask, 2, 1e-3)
+        one = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        draw_instance(image, mask, 3, 1e-3)
+        two = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert two <= 1.1 * one, (one, two)
+
+
+def test_noise_study_rows_are_those_of_cold_draws_at_every_worker_count(monkeypatch):
+    img = synthetic_test_image(12)
+    rows = {w: noise_benchmark(img, 1e-3, 2.0, 2, seed=8, max_iter=40, workers=w)["rows"]
+            for w in (1, 2)}
+    specs = [TrialSpec(master_seed=8, cell_id=0, trial_index=t, method=m, max_iter=40,
+                       noise_sigma=1e-3, sample_shape=(12, 12), signal=img.reshape(-1),
+                       background_sizes=(24, 24))
+             for t in range(2) for m in (Method.PGD, Method.BDR, Method.BDR1)]
+    cold = []
+    for spec in specs:
+        monkeypatch.setattr(harness, "_held", None, raising=False)
+        cold.append(run_trial(spec))
+    assert len(rows[1]) == len(rows[2]) == len(cold) == 6
+    for a, b, c in zip(rows[1], rows[2], cold):
+        rows_equal_except_timing(a, b)
+        rows_equal_except_timing(a, c)
 
 
 def _frozen_row_specs() -> list:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +11,7 @@ from hypothesis import strategies as st
 from bgret.model import IntensityMeasurements, SupportMask
 from bgret.projections import (project_background, project_magnitude,
                                project_magnitude_ball)
-from bgret.spectral import hermitian_half, intensity
+from bgret.spectral import Workspace, hermitian_half, intensity
 
 
 def reflect(z, projector):
@@ -155,3 +160,92 @@ def test_reflect_through_affine_set_is_involution(seed):
     z = rng.standard_normal(7)
     proj = lambda w: project_background(w, y, mask)
     assert np.max(np.abs(reflect(reflect(z, proj), proj) - z)) <= 1e-12
+
+
+def complex_division_oracle(z, half_root, work):
+    """The equality projection by the complex division X / |X| where |X| > 0
+    and phase 1 elsewhere, then root * phase."""
+    zhat = work.forward(z)
+    work.hermitian_lines()
+    mag = np.abs(zhat)
+    phase = np.ones_like(zhat)
+    np.divide(zhat, mag, out=phase, where=mag > 0)
+    np.multiply(half_root, phase, out=zhat)
+    return work.inverse().copy()
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.integers(1, 3), lanes=st.integers(1, 3),
+       zeros_in_root=st.booleans(), start=st.sampled_from(("random", "alternating", "zero")),
+       data=st.data())
+def test_equality_projection_has_the_complex_divisions_bytes(seed, dims, lanes, zeros_in_root,
+                                                             start, data):
+    # the grid: 1-3 axes, the last odd or even; one lane as the grid array,
+    # more as a stack
+    shape = tuple(data.draw(st.lists(st.integers(1, 7), min_size=dims - 1, max_size=dims - 1),
+                            label="leading")) + (data.draw(st.integers(1, 9), label="last"),)
+    rng = np.random.default_rng(seed)
+    stack = () if lanes == 1 else (lanes,)
+    if start == "random":
+        z = rng.standard_normal(stack + shape)
+    else:  # exact zeros in the spectrum: the alternating signal, or none at all
+        sign = np.indices(shape).sum(axis=0) % 2
+        z = np.broadcast_to(np.where(sign, -1.0, 1.0) if start == "alternating" else
+                            np.zeros(shape), stack + shape).copy()
+    work = Workspace(shape, lanes if stack else None)
+    half_root = np.abs(rng.standard_normal(work.half.shape[len(stack):]))
+    if zeros_in_root:  # as a clipped noisy root has
+        half_root[rng.random(half_root.shape) < 0.3] = 0.0
+    got = project_magnitude(z, half_root, work).copy()
+    want = complex_division_oracle(z, half_root, Workspace(shape, lanes if stack else None))
+    differ = _bits(got) != _bits(want)
+    # the only difference allowed is the sign of an exact zero
+    assert np.all(got[differ] == 0.0) and np.all(want[differ] == 0.0)
+    if start == "random" and not zeros_in_root:
+        assert not differ.any()
+
+
+#: Prints whether numpy dispatches above SSE4.2, then whether the equality
+#: projection of a 256x256 case has the complex division's bytes.
+PROJECT_256 = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+sys.path.insert(0, %r)
+from test_projections import complex_division_oracle
+from bgret.projections import project_magnitude
+from bgret.spectral import Workspace
+print(*[name for name in %r if __cpu_features__.get(name)])
+rng = np.random.default_rng(7)
+z = rng.standard_normal((256, 256))
+half_root = np.maximum(0.0, rng.standard_normal((256, 129)))
+got = project_magnitude(z, half_root)
+want = complex_division_oracle(z, half_root, Workspace((256, 256)))
+print(got.tobytes() == want.tobytes())
+"""
+
+
+def test_equality_projection_bytes_at_every_simd_level():
+    # the same 256x256 comparison under the default dispatch and with every
+    # level above SSE4.2 switched off
+    from test_harness import ABOVE_SSE
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = []
+    for disabled in (None, " ".join(ABOVE_SSE)):
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        runs.append(subprocess.run([sys.executable, "-c", PROJECT_256 % (str(tests), ABOVE_SSE)],
+                                   env=env, check=True, capture_output=True,
+                                   text=True).stdout.splitlines())
+    (levels, default), (sse_levels, sse) = runs
+    if not levels:
+        pytest.skip(f"this CPU has none of {', '.join(ABOVE_SSE)}: nothing to switch off")
+    assert sse_levels == ""
+    assert default == sse == "True"
