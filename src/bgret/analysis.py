@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import (SupportMask, _readonly, assemble, hermitian_part, object_shape_for,
-                    require_count, require_level)
+from .model import (SupportMask, _readonly, assemble, hermitian_part, mirror,
+                    object_shape_for, require_count, require_level)
 from .projections import project_magnitude_ball
 from .rng import mix_seed
 from .spectral import (Autocorrelation, Workspace, autocorrelation_from_intensity,
@@ -52,6 +52,10 @@ MAX_MATRIX_ENTRIES = 2 ** 24
 #: 5e-15 ||X||_F (300 draws, cond(M) at most 21), so a measured error
 #: within the bound plus this floor is no violation.
 ROBUSTNESS_ROUNDING = 1e-12
+
+#: F-RIP's Monte Carlo mean passes within this many standard errors of the
+#: prediction.
+FRIP_STDERR_MULTIPLE = 3.0
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,6 @@ class StabilityConstants:
     bound_factor: float
 
 
-def mirror_shift(shift: Sequence[int], shape: Sequence[int]) -> tuple[int, ...]:
-    return tuple((-s) % m for s, m in zip(shift, shape))
-
-
 def enumerate_nonoverlap_shifts(mask: SupportMask) -> list[tuple[int, ...]]:
     """All nonzero circular shifts l with (Omega + l) disjoint from Omega,
     deduplicated under l <-> -l (the lexicographically smaller is kept).
@@ -108,13 +108,13 @@ def enumerate_nonoverlap_shifts(mask: SupportMask) -> list[tuple[int, ...]]:
     translate when one axis does; the offset plays no part."""
     shape, sample_shape = mask.shape, mask.sample_shape
     return [shift for shift in product(*(range(m) for m in shape))
-            if shift <= mirror_shift(shift, shape)
+            if shift <= mirror(shape, shift)
             and any(n <= l <= m - n for l, n, m in zip(shift, sample_shape, shape))]
 
 
 def _pair_factor(shift: tuple[int, ...], shape: Sequence[int]) -> float:
     """1 for a self-mirrored shift, 2 for one carrying its merged mirror."""
-    return 1.0 if mirror_shift(shift, shape) == shift else 2.0
+    return 1.0 if mirror(shape, shift) == shift else 2.0
 
 
 def nonoverlap_shift_count(sample_shape: Sequence[int], shape: Sequence[int]) -> int:
@@ -340,7 +340,7 @@ class FripReport:
 
     @property
     def within(self) -> bool:
-        return self.deviation <= 3.0 * self.stderr
+        return self.deviation <= FRIP_STDERR_MULTIPLE * self.stderr
 
 
 def frip_partial_rows(x, h) -> tuple[np.ndarray, np.ndarray]:
@@ -459,12 +459,18 @@ def verify_stability(pairs: int = 100, seed: int = 0) -> dict:
             "min_margin": float(min(margins)), "passed": violations == 0}
 
 
+def robustness_violated(measured: float, bound: float, x) -> bool:
+    """The robustness verdict on one recovery of the sample x: an error above
+    the bound plus the rounding floor ROBUSTNESS_ROUNDING * ||X||_F."""
+    return measured > bound + ROBUSTNESS_ROUNDING * float(np.linalg.norm(x))
+
+
 def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
                       seed: int = 0) -> dict:
     """Bounded-noise recovery against the certificate on CHECK_MASK: uniform
     measurement noise |eps1| <= c1 (its Hermitian part) and background bias
     |eps2| <= c2; checks measured error <= bound every time, up to the
-    rounding floor ROBUSTNESS_ROUNDING * ||X||_F, and the exact c2=0
+    rounding floor (``robustness_violated``), and the exact c2=0
     collapse. A bound that is negative or not finite raises ValueError."""
     require_count("instances", instances)
     require_level("c1", c1, zero=True)
@@ -489,7 +495,7 @@ def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
         measured = float(np.linalg.norm(solution.values - x.reshape(-1)))
         bound = robustness_bound(system, c1, c2, i_tilde, y_tilde)
         ratios.append(bound / measured if measured > 0 else math.inf)
-        failures += int(measured > bound + ROBUSTNESS_ROUNDING * float(np.linalg.norm(x)))
+        failures += int(robustness_violated(measured, bound, x))
 
         clean_system = build_linear_system(y, mask, r_tilde)
         consts = stability_constants(clean_system)

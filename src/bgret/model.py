@@ -12,9 +12,12 @@ Conventions used by every module
   ``z[mask.inside]`` reads the sample back.
 * Value types are frozen dataclasses holding read-only arrays, safe to share
   across workers.
-* ``require_count`` (an integer of at least a bound) and ``require_level`` (a
-  finite number above 0, or at least 0) own the range of every count and
-  level a user supplies; each raises ValueError naming the number.
+* ``require_count`` (an integer of at least a bound), ``require_level`` (a
+  finite number above 0, or at least 0) and ``require_beta`` (a number in
+  (0, 1]) own the range of every count and level a user supplies; each
+  raises ValueError naming the number.
+* ``mirror`` owns the mirror map i -> -i mod m of a grid, which intensities,
+  half spectra and the theory's shift pairs l, -l share.
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ def require_level(name: str, value, zero: bool = False):
     return value
 
 
+def require_beta(value):
+    """Return beta if it is a level of at most 1, else raise ValueError."""
+    if require_level("beta", value) > 1:
+        raise ValueError(f"beta must lie in (0, 1], got {value!r}")
+    return value
+
+
 def background_sizes_for(ratio: float, sizes: Sequence[int]) -> tuple[int, ...]:
     """The one rule turning a ratio k/n into background sizes:
     k_i = max(1, round(ratio * n_i)), rounding half to even, so a small
@@ -66,13 +76,19 @@ def _readonly(a, dtype=None) -> np.ndarray:
     return out
 
 
+def mirror(shape: Sequence[int], index=None) -> tuple:
+    """The mirror map i -> -i mod m_axis on the grid shape, axis by axis: of
+    the index tuple index (ints or integer arrays) or, without one, of every
+    index of each axis (one integer array per axis)."""
+    if index is None:
+        index = [np.arange(m) for m in shape]
+    return tuple(-i % m for i, m in zip(index, shape))
+
+
 def mirror_index(values: np.ndarray) -> np.ndarray:
-    """Return values at the mirrored index (m - i) mod m along every axis."""
-    out = np.asarray(values)
-    for axis in range(out.ndim):
-        out = np.flip(out, axis=axis)
-        out = np.roll(out, 1, axis=axis)
-    return out
+    """values at the mirrored index -i mod m along every axis, gathered."""
+    values = np.asarray(values)
+    return values[np.ix_(*mirror(values.shape))]
 
 
 def hermitian_part(values: np.ndarray) -> np.ndarray:
@@ -80,10 +96,11 @@ def hermitian_part(values: np.ndarray) -> np.ndarray:
     return 0.5 * (values + mirror_index(values))
 
 
-def require_mirror_symmetric(values: np.ndarray, rtol: float, message: str) -> None:
-    """ValueError with message when max|v - v[-i]| exceeds rtol * max|v|: the
-    symmetry test of measurements and autocorrelations."""
-    dev = np.max(np.abs(values - mirror_index(values)))
+def require_mirror_symmetric(values: np.ndarray, mirrored: np.ndarray, rtol: float,
+                             message: str) -> None:
+    """ValueError with message when max|v - v[-i]| exceeds rtol * max|v|, v[-i]
+    being mirrored: the symmetry test of measurements and autocorrelations."""
+    dev = np.max(np.abs(values - mirrored))
     scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
     if dev > rtol * scale:
         raise ValueError(f"{message} (relative deviation {dev / scale:.3e})")
@@ -182,8 +199,13 @@ def assemble(x, background, mask: SupportMask) -> np.ndarray:
 @dataclass(frozen=True)
 class IntensityMeasurements:
     """Nonnegative Fourier intensities; conj_symmetric marks real-object data.
-    The solvers and metrics read b on the half grid (``half_root``,
-    ``half_values``, ``asymmetry``), each computed once and read-only."""
+    The solvers and metrics read b through ``half_values``, h =
+    hermitian_half(b), the nearest intensity a real object can match;
+    ``asymmetry``, ||b - h||^2 over the grid (for the intensity s of a real
+    object s - h and b - h are orthogonal, so ||s - b||^2 = ||s - h||^2 +
+    ||b - h||^2); and ``half_root``, hermitian_half(b^{1/2}), the root of the
+    magnitude projections and the spectral start. The constructor mirrors b
+    once, for its symmetry test, h and the asymmetry."""
 
     values: np.ndarray
     conj_symmetric: bool = True
@@ -191,17 +213,22 @@ class IntensityMeasurements:
     SYMMETRY_RTOL = 1e-10
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _readonly(self.values, float)
         if v.ndim < 1:
             raise ValueError("measurements need at least one axis")
         if not np.all(np.isfinite(v)):
             raise ValueError("intensity measurements must be finite")
         if np.any(v < 0.0):
             raise ValueError("intensity measurements must be nonnegative")
+        mirrored = mirror_index(v)
         if self.conj_symmetric:
-            require_mirror_symmetric(v, self.SYMMETRY_RTOL,
+            require_mirror_symmetric(v, mirrored, self.SYMMETRY_RTOL,
                                      "measurements not conjugate-symmetric")
-        object.__setattr__(self, "values", _readonly(v, float))
+        h = 0.5 * (v + mirrored)
+        d = (v - h).reshape(-1)
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "half_values", _readonly(h[..., : v.shape[-1] // 2 + 1]))
+        object.__setattr__(self, "asymmetry", float(d.dot(d)))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -219,25 +246,7 @@ class IntensityMeasurements:
 
     @cached_property
     def half_root(self) -> np.ndarray:
-        """hermitian_half(b^{1/2}): the root the magnitude projections and
-        the spectral start take."""
         return _readonly(hermitian_half(self.root))
-
-    @cached_property
-    def half_values(self) -> np.ndarray:
-        """h = hermitian_half(b): the Hermitian part of b, the nearest
-        intensity a real object can match, on the half grid."""
-        return _readonly(hermitian_half(self.values))
-
-    @cached_property
-    def asymmetry(self) -> float:
-        """||b - h||^2 over the grid, h the Hermitian part of b: 0 up to
-        rounding for the intensity of a real object. For the intensity s of
-        a real object, s - h is symmetric under i -> -i and b - h
-        antisymmetric, so the two are orthogonal and
-        ||s - b||^2 = ||s - h||^2 + ||b - h||^2."""
-        d = (self.values - hermitian_part(self.values)).reshape(-1)
-        return float(d.dot(d))
 
 
 class Method(str, Enum):
@@ -277,8 +286,7 @@ class SolverConfig:
         require_level("eps", self.eps)
         require_count("max_iter", self.max_iter)
         require_count("trace_every", self.trace_every, 0)
-        if not (0.0 < self.beta <= 1.0):
-            raise ValueError("beta must lie in (0, 1]")
+        require_beta(self.beta)
         require_level("lam", self.lam)
 
 

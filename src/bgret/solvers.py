@@ -96,7 +96,7 @@ import numpy as np
 
 from .metrics import l2_norm, measurement_error, relative_error
 from .model import (IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask,
-                    require_level)
+                    require_beta, require_level)
 from .projections import project_background, project_magnitude, project_magnitude_ball
 from .spectral import Workspace
 
@@ -160,8 +160,7 @@ def bdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
              work: Optional[Workspace] = None) -> np.ndarray:
     """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1,
     and on a zero background it is the HIO step."""
-    if not (0.0 < beta <= 1.0):
-        raise ValueError("beta must lie in (0, 1]")
+    require_beta(beta)
     return _dr_update(z, project_magnitude(z, half_root, work), background, mask, beta)
 
 

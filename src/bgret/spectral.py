@@ -31,8 +31,7 @@ rounding; ``Workspace.hermitian_lines`` makes them Hermitian (2-D and above;
 in 1-D their entries are real).
 
 For real z the intensity |DFT z|^2 and the circular autocorrelation
-R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair, which the
-direct-summation oracle below pins down numerically.
+R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair.
 
 The real-data pair runs in the solver loop, twice per iteration, on grids
 where numpy's Python wrappers (``rfftn`` -> ``rfft`` -> ``_raw_fft``) cost
@@ -60,13 +59,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Optional
 
 import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .model import (IntensityMeasurements, _readonly, hermitian_half, mirror_index,
+from .model import (IntensityMeasurements, _readonly, hermitian_half, mirror, mirror_index,
                     require_count, require_mirror_symmetric)
 
 
@@ -80,7 +78,7 @@ class Autocorrelation:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        require_mirror_symmetric(v, self.SYMMETRY_RTOL,
+        require_mirror_symmetric(v, mirror_index(v), self.SYMMETRY_RTOL,
                                  "autocorrelation lacks circular symmetry")
         object.__setattr__(self, "values", _readonly(v, float))
 
@@ -123,10 +121,10 @@ class Workspace:
                          for axis in range(d - 1)]
         self._leading_reversed = [axes for axes, _ in reversed(self._leading)]
         self._last_factor = 1 / m
-        # the self-mirrored lines of the half grid and, in 2-D and above, the
-        # flat indices in ``half`` of their entries and of the entries'
-        # mirrors (-i mod m_axis over every leading axis), in every lane
-        self._lines = [0, m // 2] if m % 2 == 0 else [0]
+        # the self-mirrored lines (last-axis j = -j mod m) of the half grid and,
+        # in 2-D and above, the flat indices in ``half`` of their entries and
+        # of the entries' mirrors over every leading axis, in every lane
+        self._lines = np.flatnonzero(mirror((m,))[0] == np.arange(m))
         self._line_entries = self._line_mirrors = None
         if d > 1:
             lane_index = [np.arange(n) for n in stack]
@@ -134,7 +132,7 @@ class Workspace:
                 index = np.ix_(*lane_index, *leading, self._lines)
                 return np.ravel_multi_index(index, self.half.shape).reshape(-1)
             self._line_entries = flat([np.arange(n) for n in shape[:-1]])
-            self._line_mirrors = flat([-np.arange(n) % n for n in shape[:-1]])
+            self._line_mirrors = flat(mirror(shape[:-1]))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -197,21 +195,6 @@ def intensity(z) -> IntensityMeasurements:
     values[..., :half] = power
     values[..., half:] = mirror_index(values)[..., half:]
     return IntensityMeasurements(values)
-
-
-def autocorrelation_direct(z) -> Autocorrelation:
-    """Circular autocorrelation by direct summation, R[l] = sum_p z_p z_{p+l}.
-
-    This is the independent O(m^2) oracle against the spectral route; it never
-    touches the FFT. Requires m_i = n_i + k_i (shifts live on the object grid).
-    """
-    a = np.asarray(z, dtype=float)
-    out = np.empty(a.shape, dtype=float)
-    axes = tuple(range(a.ndim))
-    for lag in product(*(range(s) for s in a.shape)):
-        shifted = np.roll(a, tuple(-l for l in lag), axis=axes)
-        out[lag] = float(np.sum(a * shifted))
-    return Autocorrelation(out)
 
 
 def autocorrelation_from_intensity(measurements: IntensityMeasurements) -> Autocorrelation:

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgret.analysis import (MAX_MATRIX_ENTRIES, RANK_RTOL, build_linear_system, circulant,
+from bgret.analysis import (CHECK_MASK, MAX_MATRIX_ENTRIES, RANK_RTOL,
+                            FripReport, build_linear_system, circulant,
                             coefficient_matrix, dimension_bound,
                             enumerate_nonoverlap_shifts, frip_expectation_check,
                             frip_partial_rows, in_c2, l_nonsingular_check,
-                            least_squares_recover, mirror_shift, nonoverlap_shift_count,
-                            robustness_bound, sample_c2, stability_constants,
-                            uniqueness_certificate, verify_robustness, verify_uniqueness)
-from bgret.model import SupportMask, assemble
-from bgret.spectral import autocorrelation_direct, autocorrelation_from_intensity, intensity
+                            least_squares_recover, nonoverlap_shift_count,
+                            robustness_bound, robustness_violated, sample_c2,
+                            stability_constants, uniqueness_certificate, verify_robustness,
+                            verify_uniqueness)
+from bgret.model import IntensityMeasurements, SupportMask, assemble, hermitian_part, mirror
+from bgret.spectral import autocorrelation_from_intensity, intensity
+from test_spectral import autocorrelation_direct
 
 
 def circulant_apply(z, h):
@@ -79,7 +82,7 @@ def test_nonoverlap_shifts_match_brute_force():
             moved = {tuple((p[i] + shift[i]) % shape[i] for i in range(2)) for p in omega}
             if moved & omega:
                 continue
-            if shift <= mirror_shift(shift, shape):
+            if shift <= mirror(shape, shift):
                 expected.add(shift)
         assert got == expected
 
@@ -89,7 +92,7 @@ def test_nonoverlap_count_closed_form():
     for (n1, n2, k1, k2) in [(2, 3, 5, 6), (3, 3, 9, 9), (1, 2, 3, 4)]:
         mask = SupportMask.block((n1 + k1, n2 + k2), (n1, n2))
         kept = enumerate_nonoverlap_shifts(mask)
-        self_mirror = sum(1 for s in kept if mirror_shift(s, mask.shape) == s)
+        self_mirror = sum(1 for s in kept if mirror(mask.shape, s) == s)
         total = 2 * len(kept) - self_mirror
         m1, m2 = n1 + k1, n2 + k2
         assert total == m1 * m2 - (2 * n1 - 1) * (2 * n2 - 1)
@@ -135,7 +138,7 @@ def test_linear_system_consistency_oracle_random():
         # rows against the literal expansion of the autocorrelation sum
         for i, shift in enumerate(system.shifts[:4]):
             cross, bg = brute_force_r3(obj, mask, shift)
-            factor = 1.0 if mirror_shift(shift, mask.shape) == shift else 2.0
+            factor = 1.0 if mirror(mask.shape, shift) == shift else 2.0
             assert system.M[i] @ x == pytest.approx(factor * cross, rel=1e-9, abs=1e-9)
             assert system.rhs[i] == pytest.approx(
                 factor * (r.values[shift] - bg), rel=1e-9, abs=1e-9)
@@ -375,6 +378,24 @@ def test_robustness_check_passes_without_noise():
     assert report["min_bound_ratio"] == 0.0
 
 
+def test_robustness_verdict_flags_noise_the_stated_levels_omit():
+    # negative control: with c1 = c2 = 0 stated the bound is 0, so 1e-9 of
+    # actual intensity noise, which least squares turns into an error of
+    # about 2e-11, is a violation; the same recovery without noise is none
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(CHECK_MASK.sample_shape)
+    y = gaussian_background(CHECK_MASK, rng)
+    i_clean = intensity(assemble(x, y, CHECK_MASK)).values
+    for noise, violated in ((1e-9, True), (0.0, False)):
+        i_tilde = i_clean + hermitian_part(rng.uniform(-noise, noise, size=i_clean.shape))
+        system = build_linear_system(y, CHECK_MASK, autocorrelation_from_intensity(
+            IntensityMeasurements(i_tilde)))
+        measured = float(np.linalg.norm(least_squares_recover(system).values - x.reshape(-1)))
+        bound = robustness_bound(system, 0.0, 0.0, i_tilde, y)
+        assert bound == 0.0
+        assert robustness_violated(measured, bound, x) is violated
+
+
 def test_build_circulant_display_example():
     L = circulant([1.0, 2.0, 3.0])
     assert L.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
@@ -423,6 +444,19 @@ def test_l_nonsingular_check():
     frac2 = l_nonsingular_check(rng.standard_normal(8),
                                 (rng.standard_normal(24) for _ in range(100)))
     assert frac2 >= 0.99
+
+
+def test_l_nonsingular_check_flags_a_near_zero_dft_coefficient():
+    # negative control: the singular values of circ(z) are the moduli of
+    # DFT(z); with every modulus 1 but one at 1e-14 the condition is about
+    # 1e14, so [x; y] = z counts as singular, and with that one at 1 it does not
+    rng = np.random.default_rng(15)
+    spectrum = np.exp(2j * np.pi * rng.uniform(size=17))
+    spectrum[-1] = 1.0  # the Nyquist entry of a real z is real
+    for dc, nonsingular in ((1e-14, 0.0), (1.0, 1.0)):
+        spectrum[0] = dc
+        z = np.fft.irfft(spectrum, n=32)
+        assert l_nonsingular_check(z[:8], [z[8:]]) == nonsingular
 
 
 def _sha256(values):
@@ -487,6 +521,17 @@ def test_frip_expectation_with_sample():
     k, n = 36, 12
     assert report.c1 >= (k - n) / k - 1e-12
     assert report.c1 <= 1.0 + 1e-12
+
+
+def test_frip_report_within_is_the_stated_stderr_multiple():
+    # negative control: a prediction 5 standard errors off is not within,
+    # one 2 standard errors off is
+    def report(off):
+        return FripReport(empirical_mean=1.0 + off * 0.01, predicted=1.0, stderr=0.01,
+                          c1=0.5, phi_term=0.0, num_draws=100)
+
+    assert not report(5.0).within
+    assert report(2.0).within
 
 
 def test_frip_rejects_bad_h():

@@ -943,3 +943,21 @@ def test_a_diverging_sweep_is_aborted_rows_with_warnings_as_errors(tmp_path):
     rows = read_results(tmp_path / "out" / "trials.csv")
     assert len(rows) == 6 and all(r["stop_reason"] == "diverged" for r in rows)
     assert proc.stdout.count("aborted 3)") == 2
+
+
+def test_a_d6_uniqueness_draw_peaks_below_250_mb(tmp_path):
+    # one certificate draw at --d 6 (a 729-column coefficient matrix on a 6^6
+    # grid) peaked at 216 MB resident, and at 731 MB before its rows were
+    # gathered as windows; the child reports its own peak after cli.main
+    script = ("import resource\n"
+              "from bgret import cli\n"
+              "code = cli.main(['verify', 'uniqueness', '--n', '3', '--k', '3', '--d', '6',"
+              " '--draws', '1'])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split()[-2:])  # ru_maxrss is in KiB on Linux
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert peak_kib <= 250 * 1024

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgret import analysis, harness, solvers
+from bgret import analysis, harness, model, solvers
 from bgret.io_formats import DataFormatError, ExperimentConfig
 from bgret.model import (IntensityMeasurements, Method, SolverConfig, SolverRun,
-                         SupportMask, assemble, background_sizes_for, mirror_index)
+                         SupportMask, assemble, background_sizes_for, mirror, mirror_index)
 from bgret.rng import Xoshiro256StarStar
 from bgret.spectral import Workspace, autocorrelation_from_intensity, intensity
 
@@ -165,6 +165,63 @@ def test_mirror_index():
             assert mb[i, j] == b[(-i) % 2, (-j) % 3]
 
 
+def ref_mirror_index(values, axes=None):
+    """The flip-and-roll oracle of the mirror map: values at -i mod m along
+    each of axes, every axis by default."""
+    out = np.asarray(values)
+    for axis in range(out.ndim) if axes is None else axes:
+        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+       lanes=st.sampled_from([None, 1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_mirror_map_matches_flip_and_roll(shape, lanes, seed):
+    # model's mirror map against the flip-and-roll oracle, bit for bit: the
+    # gather of mirror_index, the mirror of one index tuple, and the
+    # self-mirrored lines of a Workspace and their mirrors
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape)
+    got, expected = mirror_index(values), ref_mirror_index(values)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    numbered = np.arange(values.size).reshape(shape)
+    index = tuple(int(rng.integers(m)) for m in shape)
+    assert numbered[mirror(shape, index)] == ref_mirror_index(numbered)[index]
+
+    work = Workspace(shape, lanes)
+    m = shape[-1]
+    lines = [j for j in range(m // 2 + 1) if ref_mirror_index(np.arange(m))[j] == j]
+    assert work._lines.tolist() == lines
+    if len(shape) == 1:
+        assert work._line_mirrors is None
+        return
+    # the flat index of each entry of ``half`` on the lines, a lane axis in front
+    flat = np.arange(work.half.size).reshape(work.half.shape)[..., lines]
+    leading = range(flat.ndim - len(shape), flat.ndim - 1)
+    assert work._line_entries.tolist() == flat.reshape(-1).tolist()
+    assert work._line_mirrors.tolist() == ref_mirror_index(flat, leading).reshape(-1).tolist()
+
+
+def test_intensity_measurements_mirror_values_once(monkeypatch):
+    # the symmetry test, half_values and asymmetry share one mirror of b;
+    # half_root mirrors the root
+    values = intensity(np.random.default_rng(3).standard_normal((5, 6))).values
+    mirrored = []
+    gather = model.mirror_index
+
+    def counting(v):
+        mirrored.append(v)
+        return gather(v)
+
+    monkeypatch.setattr(model, "mirror_index", counting)
+    b = IntensityMeasurements(values)
+    assert b.half_values.shape == (5, 4) and b.asymmetry >= 0.0
+    assert len(mirrored) == 1 and np.array_equal(mirrored[0], values)
+    b.half_root
+    assert len(mirrored) == 2
+
+
 def test_solver_config_validation():
     cfg = SolverConfig(method="bdr")
     assert cfg.method is Method.BDR and cfg.eps == 1e-12 and cfg.max_iter == 300
@@ -240,12 +297,18 @@ def _meaningless_numbers():
     cases = [(config(noise_sigma=value), "noise_sigma") for value in (math.nan, -1.0, math.inf)]
     cases += [(config(trials=value), "trials") for value in (2.5, True, 0)]
     cases += [(config(eps=math.nan), "eps"), (config(max_iter=0), "max_iter"),
-              (config(lam=0.0), "lambda"), (config(beta=2.0), "beta")]
+              (config(lam=0.0), "lambda"), (config(beta=2.0), "beta"),
+              (config(beta=True), "beta")]
     cases = [(call, field, DataFormatError) for call, field in cases]
     cases += [(call, field, ValueError) for call, field in [
         (lambda: background_sizes_for(True, (10,)), "background ratio"),
         (lambda: SolverConfig(Method.BDR, eps=True), "eps"),
         (lambda: SolverConfig(Method.PGD, lam="1"), "lam"),
+        (lambda: SolverConfig(Method.BDR1, beta=True), "beta"),
+        (lambda: SolverConfig(Method.BDR1, beta="0.5"), "beta"),
+        (lambda: SolverConfig(Method.BDR1, beta=math.nan), "beta"),
+        (lambda: solvers.bdr_step(np.zeros(3), b.half_root, np.zeros(3),
+                                  SupportMask.block((3,), (1,)), beta=True), "beta"),
         (lambda: harness.gen_signal(2, 2.5), "signal length"),
         (lambda: harness.gen_signal(2, True), "signal length"),
         (lambda: harness.add_noise(b, math.nan, Xoshiro256StarStar(0)), "noise level"),

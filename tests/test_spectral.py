@@ -1,4 +1,5 @@
 import re
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,18 @@ from hypothesis import strategies as st
 from bgret import analysis
 from bgret.harness import TrialSpec, run_trial
 from bgret.model import IntensityMeasurements, Method, SupportMask, assemble, mirror_index
-from bgret.spectral import (Autocorrelation, Workspace, autocorrelation_direct,
-                            autocorrelation_from_intensity, intensity)
+from bgret.spectral import Autocorrelation, Workspace, autocorrelation_from_intensity, intensity
+
+
+def autocorrelation_direct(z) -> Autocorrelation:
+    """Circular autocorrelation by direct summation, R[l] = sum_p z_p z_{p+l}:
+    the independent O(m^2) oracle against the spectral route, with no FFT."""
+    a = np.asarray(z, dtype=float)
+    out = np.empty(a.shape)
+    axes = tuple(range(a.ndim))
+    for lag in product(*(range(s) for s in a.shape)):
+        out[lag] = float(np.sum(a * np.roll(a, tuple(-l for l in lag), axis=axes)))
+    return Autocorrelation(out)
 
 
 def test_only_spectral_calls_numpy_fft():
@@ -85,22 +96,12 @@ def test_intensity_matches_full_complex_transform(shape, seed):
     assert np.array_equal(values[off_lines], mirror_index(values)[off_lines])
 
 
-def test_runs_make_no_numpy_fft_call(monkeypatch):
-    # every transform is a workspace transform: with each numpy.fft function
-    # raising, a trial of every method (1-D, and 2-D with noise) and every
-    # verify check still run
-    def forbidden(*args, **kwargs):
-        raise AssertionError("numpy.fft called")
-
-    for module in (np.fft, np.fft._pocketfft):
-        for name in np.fft.__all__:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
-    with pytest.raises(AssertionError, match="numpy.fft called"):
-        np.fft.rfftn(np.zeros(4))
+def run_trials_and_every_check(methods):
+    """A 1-D trial of each of methods, a noisy 2-D BDR trial and every verify
+    check, each on a small input."""
     specs = [TrialSpec(master_seed=1, cell_id=0, trial_index=0, method=method,
                        sample_shape=(6,), background_sizes=(12,), max_iter=20)
-             for method in Method]
+             for method in methods]
     specs.append(TrialSpec(master_seed=1, cell_id=0, trial_index=0, method=Method.BDR,
                            sample_shape=(12, 12), background_sizes=(4, 4), max_iter=5,
                            noise_sigma=1e-3))
@@ -114,6 +115,39 @@ def test_runs_make_no_numpy_fft_call(monkeypatch):
     assert set(checks) == {name for name in dir(analysis) if name.startswith("verify_")}
     for name, kwargs in checks.items():
         assert getattr(analysis, name)(**kwargs)["check"]
+
+
+def test_runs_make_no_numpy_fft_call(monkeypatch):
+    # every transform is a workspace transform: with each numpy.fft function
+    # raising, a trial of every method (1-D, and 2-D with noise) and every
+    # verify check still run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    for module in (np.fft, np.fft._pocketfft):
+        for name in np.fft.__all__:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError, match="numpy.fft called"):
+        np.fft.rfftn(np.zeros(4))
+    run_trials_and_every_check(Method)
+
+
+def test_runs_mirror_only_through_model(monkeypatch):
+    # model.mirror owns i -> -i mod m: with np.roll and np.flip raising, a
+    # 1-D BDR and a CBDR trial, a noisy 2-D trial and every verify check
+    # still run; no module calls them, and only model negates an index mod m
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.roll or np.flip called")
+
+    monkeypatch.setattr(np, "roll", forbidden)
+    monkeypatch.setattr(np, "flip", forbidden)
+    run_trials_and_every_check([Method.BDR, Method.CBDR])
+    package = Path(__file__).resolve().parent.parent / "src" / "bgret"
+    texts = {p.name: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    assert [name for name, text in texts.items() if re.search(r"\b(roll|flip)\(", text)] == []
+    assert [name for name, text in texts.items()
+            if re.search(r"-[\w.]+(\(\w*\))?\)? ?%", text)] == ["model.py"]
 
 
 def test_autocorrelation_direct_examples():
