@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import (SupportMask, _readonly, assemble, hermitian_part, mirror,
+from .model import (SupportMask, _readonly, assemble, hermitian_part, l2_norm, mirror,
                     object_shape_for, require_count, require_level)
 from .projections import project_magnitude_ball
 from .rng import mix_seed
@@ -56,6 +56,13 @@ ROBUSTNESS_ROUNDING = 1e-12
 #: F-RIP's Monte Carlo mean passes within this many standard errors of the
 #: prediction.
 FRIP_STDERR_MULTIPLE = 3.0
+
+#: F-RIP's c1 passes at or above its lower bound (k - n)/k less this slack.
+FRIP_C1_SLACK = 1e-12
+
+#: A property of almost every random draw (a unique solution, a nonsingular
+#: L) passes its check when it holds on at least this share of the draws.
+PASS_RATE = 0.99
 
 
 @dataclass(frozen=True)
@@ -401,7 +408,7 @@ def frip_expectation_check(x, h, num_draws: int, seed: int) -> FripReport:
 
 def _gaussian_background(mask: SupportMask, rng: np.random.Generator) -> np.ndarray:
     y = rng.standard_normal(mask.shape)
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     return y
 
 
@@ -424,7 +431,7 @@ def verify_uniqueness(n: int, k: int, d: int, draws: int, seed: int = 0) -> dict
     return {"check": "uniqueness", "n": n, "k": k, "d": d, "draws": draws,
             "unique": unique, "rate": rate,
             "count_bound_satisfied": bound.satisfied,
-            "passed": rate >= 0.99}
+            "passed": rate >= PASS_RATE}
 
 
 #: The geometry of the 2-D stability and robustness checks: a 6x6 sample
@@ -451,18 +458,24 @@ def verify_stability(pairs: int = 100, seed: int = 0) -> dict:
         x2 = rng.standard_normal(mask.sample_shape)
         i1 = intensity(assemble(x1, y, mask)).values
         i2 = intensity(assemble(x2, y, mask)).values
-        lhs = float(np.linalg.norm(x1 - x2))
+        lhs = l2_norm(x1 - x2)
         rhs = consts.bound_factor * float(np.sum(np.abs(i1 - i2)))
         margins.append(rhs / lhs)
-        violations += int(lhs > rhs)
+        violations += int(stability_violated(lhs, rhs))
     return {"check": "stability", "pairs": pairs, "violations": violations,
             "min_margin": float(min(margins)), "passed": violations == 0}
+
+
+def stability_violated(lhs: float, rhs: float) -> bool:
+    """The stability verdict on one pair: ||X1-X2||_F (lhs) above the bound
+    delta1*delta2/(m1*m2) * ||vec(I1-I2)||_1 (rhs), without slack."""
+    return lhs > rhs
 
 
 def robustness_violated(measured: float, bound: float, x) -> bool:
     """The robustness verdict on one recovery of the sample x: an error above
     the bound plus the rounding floor ROBUSTNESS_ROUNDING * ||X||_F."""
-    return measured > bound + ROBUSTNESS_ROUNDING * float(np.linalg.norm(x))
+    return measured > bound + ROBUSTNESS_ROUNDING * l2_norm(x)
 
 
 def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
@@ -487,12 +500,12 @@ def verify_robustness(instances: int = 100, c1: float = 1e-3, c2: float = 1e-3,
         i_clean = intensity(assemble(x, y, mask)).values
         i_tilde = i_clean + hermitian_part(rng.uniform(-c1, c1, size=i_clean.shape))
         y_tilde = y + rng.uniform(-c2, c2, size=y.shape)
-        y_tilde[mask.inside] = 0.0
+        y_tilde[mask.slices] = 0.0
         work.half[...] = hermitian_half(i_tilde)
         r_tilde = Autocorrelation(work.inverse())
         system = build_linear_system(y_tilde, mask, r_tilde)
         solution = least_squares_recover(system)
-        measured = float(np.linalg.norm(solution.values - x.reshape(-1)))
+        measured = l2_norm(solution.values - x.reshape(-1))
         bound = robustness_bound(system, c1, c2, i_tilde, y_tilde)
         ratios.append(bound / measured if measured > 0 else math.inf)
         failures += int(robustness_violated(measured, bound, x))
@@ -515,7 +528,7 @@ def verify_lmatrix(n: int = 8, k: int = 24, draws: int = 100, seed: int = 0) -> 
     fraction = l_nonsingular_check(
         x, (rng.standard_normal(k) for _ in range(draws)))
     return {"check": "lmatrix", "n": n, "k": k, "draws": draws,
-            "fraction_nonsingular": fraction, "passed": fraction >= 0.99}
+            "fraction_nonsingular": fraction, "passed": fraction >= PASS_RATE}
 
 
 def verify_frip(n: int = 16, k: int = 256, draws: int = 2000, num_h: int = 5,
@@ -528,7 +541,7 @@ def verify_frip(n: int = 16, k: int = 256, draws: int = 2000, num_h: int = 5,
     for j in range(num_h):
         h = sample_c2(n + k, mix_seed(seed, j))
         rep = frip_expectation_check(x, h, draws, mix_seed(seed, 100 + j))
-        c1_ok = rep.c1 >= (k - n) / k - 1e-12
+        c1_ok = rep.c1 >= (k - n) / k - FRIP_C1_SLACK
         all_ok = all_ok and rep.within and c1_ok
         reports.append({"empirical": rep.empirical_mean, "predicted": rep.predicted,
                         "stderr": rep.stderr, "deviation": rep.deviation,

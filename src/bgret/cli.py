@@ -183,9 +183,11 @@ def cmd_solve(args) -> int:
         if not args.support:
             raise SystemExit2("--spectrum needs --support N1 [N2]")
         values = read_image(args.spectrum)
+        support = tuple(args.support)
+        if len(support) == 1 and values.shape[0] == 1:
+            values = values[0]  # a 1-D spectrum, which forward writes as one row
         b = IntensityMeasurements(np.asarray(values, dtype=float),
                                   conj_symmetric=False)
-        support = tuple(args.support)
         if len(support) != b.values.ndim:
             raise SystemExit2("--support dimension must match the spectrum")
         mask = SupportMask.centered(b.values.shape, support)

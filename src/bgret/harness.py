@@ -95,7 +95,7 @@ def gen_background(mask: SupportMask, mu: float = 0.0, sigma: float = 1.0, *,
         raise ValueError(f"the background needs a finite mu and a finite positive sigma, "
                          f"got mu={mu!r}, sigma={sigma!r}")
     values = rng.normal(int(np.prod(mask.shape)), mu, sigma).reshape(mask.shape)
-    values[mask.inside] = 0.0
+    values[mask.slices] = 0.0
     return values
 
 

@@ -14,7 +14,8 @@ transform, which ``spectral.intensity`` also takes, and the half-grid
 arrays cached on b (see ``spectral``): r = s - h there,
 ||s - b||^2 is the weighted sum of r^2 (``Workspace.weights``) plus
 ``b.asymmetry`` = ||b - h||^2, and for the intensity of a real object h is
-b up to rounding. ``evaluate`` computes r once for both.
+b up to rounding. ``evaluate`` computes r once for both. Every 2-norm and
+sum of squares here is ``model.inner``'s.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import IntensityMeasurements, SupportMask, assemble
+from .model import IntensityMeasurements, SupportMask, assemble, inner, l2_norm
 from .spectral import Workspace
 
 #: Relative errors strictly below this threshold count as successful recovery.
@@ -37,14 +38,6 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-
-def l2_norm(v: np.ndarray) -> float:
-    """sqrt(v . v) over the flattened float array: the arithmetic of
-    np.linalg.norm for a vector (one BLAS dot), without its argument handling."""
-    if v.ndim != 1:
-        v = v.reshape(-1)
-    return math.sqrt(v.dot(v))
 
 
 def relative_error(x_hat, x) -> float:
@@ -71,7 +64,7 @@ def _intensity_residual(x_hat, background, mask: SupportMask, b: IntensityMeasur
 
 def _residual_norm(r: np.ndarray, b: IntensityMeasurements, work: Workspace) -> float:
     # ||s - b||_2 over the grid from r = s - h on the half grid
-    return math.sqrt(work.weights.reshape(-1).dot(np.square(r).reshape(-1)) + b.asymmetry)
+    return math.sqrt(inner(work.weights, np.square(r)) + b.asymmetry)
 
 
 def measurement_error(x_hat, background, mask: SupportMask, b: IntensityMeasurements,

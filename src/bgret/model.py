@@ -5,11 +5,10 @@ Conventions used by every module
 --------------------------------
 * Arrays are real float64 on the object grid of shape (n_i + k_i) per axis
   (``object_shape_for``), in any number d >= 1 of axes.
-* Vectorization is row-major everywhere, and boolean masks index in the
-  same order.
+* Vectorization is row-major everywhere.
 * The combined object [x; y] is a plain array on the object grid:
   ``assemble`` places a sample on the support Ω inside its background, and
-  ``z[mask.inside]`` reads the sample back.
+  ``z[mask.slices].reshape(-1)`` reads the sample back as its Ω vector.
 * Value types are frozen dataclasses holding read-only arrays, safe to share
   across workers.
 * ``require_count`` (an integer of at least a bound), ``require_level`` (a
@@ -18,6 +17,9 @@ Conventions used by every module
   raises ValueError naming the number.
 * ``mirror`` owns the mirror map i -> -i mod m of a grid, which intensities,
   half spectra and the theory's shift pairs l, -l share.
+* ``inner`` owns the one BLAS inner product whose value reaches a result
+  row, a stop test or a verify JSON: every 2-norm (``l2_norm``) and sum of
+  squares in the package is one call of it.
 """
 
 from __future__ import annotations
@@ -70,6 +72,21 @@ def object_shape_for(sample_shape: Sequence[int],
     return tuple(n + k for n, k in zip(sample_shape, background_sizes))
 
 
+def inner(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v over the flattened float arrays, one BLAS dot: the arithmetic of
+    np.linalg.norm's sum of squares, without its argument handling."""
+    if u.ndim != 1:
+        u = u.reshape(-1)
+    if v.ndim != 1:
+        v = v.reshape(-1)
+    return float(u.dot(v))
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """sqrt(v . v), the 2-norm of the flattened array: np.linalg.norm's bits."""
+    return math.sqrt(inner(v, v))
+
+
 def _readonly(a, dtype=None) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -117,12 +134,11 @@ def hermitian_half(values) -> np.ndarray:
 class SupportMask:
     """The sample support Ω: a block of ``sample_shape`` whose top-left
     corner sits at ``offset`` on the object grid of shape ``shape``. The
-    three are validated once, here; two views of Ω on the grid are derived
-    from them: ``inside``, its read-only boolean mask, and ``slices``, the
-    tuple of slices that cuts the block out of a grid array (``z[slices]``
-    is the sample block, ``z[inside]`` its row-major vector). ``block`` puts
-    the block at the corner, ``centered`` in the middle and ``place`` by the
-    experiments' rule.
+    three are validated once, here; ``slices``, the tuple of slices that
+    cuts the block out of a grid array, is the one view of Ω on the grid:
+    ``z[slices]`` is the sample block and ``z[slices].reshape(-1)`` its
+    row-major vector. ``block`` puts the block at the corner, ``centered``
+    in the middle and ``place`` by the experiments' rule.
     """
 
     shape: tuple[int, ...]
@@ -140,12 +156,8 @@ class SupportMask:
         for n, m, o in zip(sample_shape, shape, offset):
             if n < 1 or o < 0 or o + n > m:
                 raise ValueError(f"block {sample_shape}@{offset} does not fit in {shape}")
-        slices = tuple(slice(o, o + n) for o, n in zip(offset, sample_shape))
-        inside = np.zeros(shape, dtype=bool)
-        inside[slices] = True
-        inside.setflags(write=False)
-        object.__setattr__(self, "inside", inside)
-        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "slices",
+                           tuple(slice(o, o + n) for o, n in zip(offset, sample_shape)))
 
     @classmethod
     def block(cls, object_shape: Sequence[int], sample_shape: Sequence[int],
@@ -186,13 +198,13 @@ def assemble(x, background, mask: SupportMask) -> np.ndarray:
     y = np.asarray(background, dtype=float)
     if y.shape != mask.shape:
         raise ValueError(f"background shape {y.shape} does not match mask {mask.shape}")
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = np.asarray(x, dtype=float)
     if x.size != mask.sample_count:
         raise ValueError(f"sample has {x.size} entries, support has {mask.sample_count}")
-    if np.any(y[mask.inside] != 0.0):
+    if np.any(y[mask.slices] != 0.0):
         raise ValueError("background must be exactly zero on the support")
     z = y.copy()
-    z[mask.inside] = x
+    z[mask.slices] = mask.to_block(x)
     return z
 
 
@@ -225,10 +237,10 @@ class IntensityMeasurements:
             require_mirror_symmetric(v, mirrored, self.SYMMETRY_RTOL,
                                      "measurements not conjugate-symmetric")
         h = 0.5 * (v + mirrored)
-        d = (v - h).reshape(-1)
+        d = v - h
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "half_values", _readonly(h[..., : v.shape[-1] // 2 + 1]))
-        object.__setattr__(self, "asymmetry", float(d.dot(d)))
+        object.__setattr__(self, "asymmetry", inner(d, d))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -242,7 +254,7 @@ class IntensityMeasurements:
     @cached_property
     def norm(self) -> float:
         """||b||_2, the measurement error's denominator, computed once."""
-        return float(np.linalg.norm(self.values.reshape(-1)))
+        return l2_norm(self.values)
 
     @cached_property
     def half_root(self) -> np.ndarray:

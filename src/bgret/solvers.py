@@ -38,11 +38,11 @@ starts from the deterministic spectral initializer
 z0 = P_B((1/prod m) * Re DFT(b^{1/2})) unless an explicit start is supplied
 (HIO starts from the unprojected transform), and stops when the step norm
 ||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
-Divergence is detected from that same step norm, one BLAS dot per lane: a
-non-finite start or step norm in any lane raises DivergenceError rather than
-being clamped, so traces stay honest. The loop ignores numpy's overflow
-warnings (``np.errstate``), so that error is the one way a solve fails on a
-non-finite iterate, under any warnings filter.
+Divergence is detected from that same step norm, one ``model.l2_norm`` per
+lane: a non-finite start or step norm in any lane raises DivergenceError
+rather than being clamped, so traces stay honest. The loop ignores numpy's
+overflow warnings (``np.errstate``), so that error is the one way a solve
+fails on a non-finite iterate, under any warnings filter.
 
 The trace is opt-in and kept per lane, and the solvers score nothing else: a
 result is scored by ``metrics.evaluate``. A trace row holds
@@ -84,7 +84,9 @@ workspace, for the start, the measurement errors of the trace and of CBDR's
 comparison, the final projections and one lane's steps, and one per lane
 count of a wider stack;
 ``cbdr_parallel_real`` builds one more for its branch choice. The norm of b
-is cached on b. The caller's z0, background and measurements are only read.
+is cached on b. The loop writes each step's difference z^p - z^{p-1} into
+z^{p-1}'s buffer, which it owns: it copies a caller's z0 once, so the
+caller's z0, background and measurements are only read.
 """
 
 from __future__ import annotations
@@ -94,9 +96,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .metrics import l2_norm, measurement_error, relative_error
+from .metrics import measurement_error, relative_error
 from .model import (IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask,
-                    require_beta, require_level)
+                    l2_norm, require_beta, require_level)
 from .projections import project_background, project_magnitude, project_magnitude_ball
 from .spectral import Workspace
 
@@ -206,7 +208,7 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
     if z0 is None:
         start = project_background(_spectral_start(b, grid_work), background, mask)
     else:
-        start = np.asarray(z0, dtype=float)
+        start = np.array(z0, dtype=float)  # the loop writes into its iterates
     if not np.all(np.isfinite(start)):
         raise DivergenceError("non-finite start")
 
@@ -224,18 +226,21 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
         return (np.stack(rows), tuple(lanes[lane] for lane in live),
                 Workspace(mask.shape, len(live)), True)
 
+    def omega(z):
+        return z[mask.slices].reshape(-1)
+
     def error(z):
-        return measurement_error(z[mask.inside], background, mask, b, grid_work)
+        return measurement_error(omega(z), background, mask, b, grid_work)
 
     def trace_row(lane, z, error_value=None):
-        rel = math.nan if x_true is None else relative_error(z[mask.inside], x_true)
+        rel = math.nan if x_true is None else relative_error(omega(z), x_true)
         traces[lane].append((rel, error(z) if error_value is None else error_value))
 
     z, params, work, stacked = stack([start] * len(lanes))
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(1, max_iter + 1):
             z_new = step(z, work, params)
-            diff = z_new - z
+            diff = np.subtract(z_new, z, out=z)  # z^{p-1} is read no more
             z = z_new
             ends = {}  # row: converged, of each lane that stops at p
             for row, lane in enumerate(live):
@@ -261,7 +266,7 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
                         trace_row(lane, final, errors.get(row))
                     if final_projector is not None:
                         final = final_projector(final, grid_work, lanes[lane])
-                    runs[lane] = SolverRun(final[mask.inside], p, traces[lane], converged)
+                    runs[lane] = SolverRun(omega(final), p, traces[lane], converged)
                 kept = [row for row in range(len(live)) if row not in ends]
                 if not kept:
                     break

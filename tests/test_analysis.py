@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgret import analysis
 from bgret.analysis import (CHECK_MASK, MAX_MATRIX_ENTRIES, RANK_RTOL,
                             FripReport, build_linear_system, circulant,
                             coefficient_matrix, dimension_bound,
@@ -15,10 +18,11 @@ from bgret.analysis import (CHECK_MASK, MAX_MATRIX_ENTRIES, RANK_RTOL,
                             frip_partial_rows, in_c2, l_nonsingular_check,
                             least_squares_recover, nonoverlap_shift_count,
                             robustness_bound, robustness_violated, sample_c2,
-                            stability_constants, uniqueness_certificate, verify_robustness,
-                            verify_uniqueness)
+                            stability_constants, uniqueness_certificate, verify_frip,
+                            verify_robustness, verify_uniqueness)
 from bgret.model import IntensityMeasurements, SupportMask, assemble, hermitian_part, mirror
 from bgret.spectral import autocorrelation_from_intensity, intensity
+from test_reference_path import ref_omega
 from test_spectral import autocorrelation_direct
 
 
@@ -29,7 +33,7 @@ def circulant_apply(z, h):
 
 def gaussian_background(mask, rng):
     y = rng.standard_normal(mask.shape)
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     return y
 
 
@@ -39,11 +43,11 @@ def brute_force_r3(z, mask, shift):
     m = z.shape
     cross = 0.0
     background = 0.0
-    it = np.ndindex(*m)
-    for p in it:
+    omega = ref_omega(mask)
+    for p in np.ndindex(*m):
         q = tuple((pi + si) % mi for pi, si, mi in zip(p, shift, m))
         term = z[p] * z[q]
-        if mask.inside[p] or mask.inside[q]:
+        if omega[p] or omega[q]:
             cross += term
         else:
             background += term
@@ -74,7 +78,7 @@ def test_nonoverlap_shifts_match_brute_force():
         off = (int(rng.integers(0, k[0] + 1)), int(rng.integers(0, k[1] + 1)))
         mask = SupportMask.block(shape, n, off)
         got = set(enumerate_nonoverlap_shifts(mask))
-        omega = {tuple(p) for p in np.argwhere(mask.inside)}
+        omega = {tuple(p) for p in np.argwhere(ref_omega(mask))}
         expected = set()
         for shift in product(range(shape[0]), range(shape[1])):
             if shift == (0, 0):
@@ -471,7 +475,7 @@ def test_sample_c2_and_linear_system_bytes_frozen():
     rng = np.random.default_rng(11)
     mask = SupportMask.block((10, 10), (4, 4))
     y = rng.standard_normal(mask.shape)
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     x = rng.standard_normal(mask.sample_count)
     system = build_linear_system(
         y, mask, autocorrelation_from_intensity(intensity(assemble(x, y, mask))))
@@ -532,6 +536,48 @@ def test_frip_report_within_is_the_stated_stderr_multiple():
 
     assert not report(5.0).within
     assert report(2.0).within
+
+
+def test_frip_fails_on_a_c1_below_its_lower_bound(monkeypatch):
+    # negative control: c1 >= (k - n)/k is a theorem for h in C2, so feed
+    # verify_frip reports whose c1 sits 1e-9 below the bound (the F-RIP mean
+    # itself within its stderr) through the real check
+    real = analysis.frip_expectation_check
+    n, k = 4, 12
+
+    def c1_at(offset):
+        monkeypatch.setattr(analysis, "frip_expectation_check", lambda *args: dataclasses.replace(
+            real(*args), c1=(k - n) / k + offset))
+        return verify_frip(n=n, k=k, draws=50, num_h=2)
+
+    low = c1_at(-1e-9)
+    assert all(r["within_3_stderr"] for r in low["reports"])
+    assert not low["passed"]
+    assert not any(r["c1_above_lower_bound"] for r in low["reports"])
+    assert c1_at(-0.5 * analysis.FRIP_C1_SLACK)["passed"]
+
+
+def test_stability_verdict_is_lhs_above_rhs():
+    # negative control: the stability theorem leaves no valid pair to break
+    # it, so the verdict rule is pinned on crafted values: an error 1.5x its
+    # bound is a violation, one at the bound is none
+    assert analysis.stability_violated(1.5, 1.0)
+    assert analysis.stability_violated(1.0 + 1e-12, 1.0)
+    assert not analysis.stability_violated(1.0, 1.0)
+    assert not analysis.stability_violated(0.5, 1.0)
+
+
+def test_uniqueness_pass_rate_is_the_stated_share(monkeypatch):
+    # negative control: certificates that hold on 98 of 100 draws fail the
+    # check, and on 99 of 100 pass it
+    def pass_on(unique):
+        verdicts = iter([True] * unique + [False] * (100 - unique))
+        monkeypatch.setattr(analysis, "uniqueness_certificate",
+                            lambda y, mask: SimpleNamespace(unique=next(verdicts)))
+        return verify_uniqueness(2, 4, 1, 100)
+
+    assert not pass_on(98)["passed"]
+    assert pass_on(99)["passed"]
 
 
 def test_frip_rejects_bad_h():

@@ -348,6 +348,23 @@ def test_solve_cli_spectrum_reports_the_recovered_point(tmp_path, capsys):
                                                              mask, b)
 
 
+def test_forward_then_solve_round_trips_a_1d_spectrum(tmp_path, capsys):
+    # forward writes a 1-D spectrum as one row; solve --spectrum with one
+    # --support extent reads it back as 1-D, the measurements forward drew
+    sig = tmp_path / "sig.csv"
+    write_signal_csv(sig, np.random.default_rng(2).random(10) + 0.5)
+    out = tmp_path / "out"
+    assert main(["forward", "--signal", str(sig), "--k-ratio", "3", "--seed", "7",
+                 "--out", str(out)]) == EXIT_OK
+    assert main(["solve", "--method", "hio", "--spectrum", str(out / "measurements.csv"),
+                 "--support", "10", "--max-iter", "50", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    b = IntensityMeasurements(read_image(out / "measurements.csv")[0], conj_symmetric=False)
+    direct = run(b, np.zeros(40), SupportMask.centered((40,), (10,)),
+                 SolverConfig(method=Method.HIO, max_iter=50))
+    assert read_signal_csv(out / "recovered.csv").tobytes() == direct.final_estimate.tobytes()
+
+
 def test_solve_cli_data_error(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     rc = main(["solve", "--method", "bdr", "--signal", str(missing)])

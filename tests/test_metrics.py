@@ -34,7 +34,7 @@ def test_measurement_error_zero_on_truth():
     rng = np.random.default_rng(1)
     mask = SupportMask.block((12,), (4,))
     y = rng.standard_normal(12)
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     x = rng.standard_normal(4)
     b = intensity(assemble(x, y, mask))
     assert measurement_error(x, y, mask, b) <= 1e-12
@@ -51,7 +51,7 @@ def test_measurement_error_matches_recomputation_oracle():
     rng = np.random.default_rng(2)
     mask = SupportMask.centered((6, 6), (2, 2))
     y = rng.standard_normal((6, 6))
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     x = rng.standard_normal(4)
     b = intensity(assemble(x, y, mask))
     x_hat = x + 0.1 * rng.standard_normal(4)
@@ -175,7 +175,7 @@ def test_evaluate_bundles():
     rng = np.random.default_rng(8)
     mask = SupportMask.centered((8, 8), (4, 4))
     y = rng.standard_normal((8, 8))
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     x = rng.random(16)
     b = intensity(assemble(x, y, mask))
     with pytest.warns(RuntimeWarning, match="SSIM window"):
@@ -184,7 +184,7 @@ def test_evaluate_bundles():
     assert math.isinf(report["psnr"])
     mask1d = SupportMask.block((24,), (6,))
     y1d = rng.standard_normal(24)
-    y1d[mask1d.inside] = 0.0
+    y1d[mask1d.slices] = 0.0
     x1d = rng.random(6)
     report1d = evaluate(x1d, x1d, y1d, mask1d, intensity(assemble(x1d, y1d, mask1d)))
     assert math.isnan(report1d["psnr"]) and math.isnan(report1d["ssim"])

@@ -115,14 +115,14 @@ def test_project_background_minimality_brute_force():
     rng = np.random.default_rng(6)
     mask = SupportMask.block((5,), (2,))
     y = rng.standard_normal(5)
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     for _ in range(20):
         z = rng.standard_normal(5)
         p = project_background(z, y, mask)
         base = np.linalg.norm(p - z)
         for _ in range(50):
             other = y.copy()
-            other[mask.inside] = rng.standard_normal(2)
+            other[mask.slices] = rng.standard_normal(2)
             assert np.linalg.norm(other - z) >= base - 1e-12
 
 
@@ -130,7 +130,7 @@ def test_project_background_idempotent_and_affine_exact():
     rng = np.random.default_rng(7)
     mask = SupportMask.centered((6, 6), (2, 2))
     y = rng.standard_normal((6, 6))
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     u = rng.standard_normal((6, 6))
     v = rng.standard_normal((6, 6))
     pu = project_background(u, y, mask)
@@ -156,7 +156,7 @@ def test_reflect_through_affine_set_is_involution(seed):
     rng = np.random.default_rng(seed)
     mask = SupportMask.block((7,), (3,))
     y = rng.standard_normal(7)
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     z = rng.standard_normal(7)
     proj = lambda w: project_background(w, y, mask)
     assert np.max(np.abs(reflect(reflect(z, proj), proj) - z)) <= 1e-12

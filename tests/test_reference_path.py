@@ -108,14 +108,23 @@ def oracle_project_ball(z, root, sign):
     return np.fft.ifftn(what).real
 
 
+def ref_omega(mask):
+    """The boolean Ω of a block mask on its grid, built from the mask's shape,
+    offset and sample shape alone: o_i <= j_i < o_i + n_i on every axis."""
+    index = np.indices(mask.shape)
+    return np.logical_and.reduce([(j >= o) & (j < o + n) for j, o, n
+                                  in zip(index, mask.offset, mask.sample_shape)])
+
+
 def ref_project_background(z, y, mask):
     out = y.copy()
-    out[mask.inside] = z[mask.inside]
+    omega = ref_omega(mask)
+    out[omega] = z[omega]
     return out
 
 
 def ref_dr_update(z, ztilde, y, mask, beta):
-    return np.where(mask.inside, ztilde, z - beta * (ztilde - y))
+    return np.where(ref_omega(mask), ztilde, z - beta * (ztilde - y))
 
 
 def ref_relative_error(x_hat, x):
@@ -136,7 +145,7 @@ def ref_measurement_error(x_hat, y, mask, b, power=ref_power):
     # ||s - b||^2 = ||s - h||^2, a weighted sum on the half grid, + ||b - h||^2
     denom = float(np.linalg.norm(b.values.reshape(-1)))
     z = np.array(y, dtype=float)
-    z[mask.inside] = x_hat
+    z[ref_omega(mask)] = x_hat
     r = power(np.fft.rfftn(z)) - ref_half(b.values)
     off = (b.values - ref_hermitian_part(b.values)).reshape(-1)
     total = np.dot(ref_weights(z.shape).reshape(-1), (r * r).reshape(-1))
@@ -149,6 +158,7 @@ def ref_start(b):
 
 
 def ref_iterate(b, y, mask, config, step, final, x, z):
+    omega = ref_omega(mask)
     trace = []
     converged = False
     for _ in range(config.max_iter):
@@ -156,14 +166,14 @@ def ref_iterate(b, y, mask, config, step, final, x, z):
         step_norm = float(np.linalg.norm((z_new - z).reshape(-1)))
         assert math.isfinite(step_norm)
         z = z_new
-        x_hat = z[mask.inside]
+        x_hat = z[omega]
         trace.append((ref_relative_error(x_hat, x), ref_measurement_error(x_hat, y, mask, b)))
         if step_norm <= config.eps:
             converged = True
             break
     if final is not None:
         z = final(z)
-    return z[mask.inside], len(trace), np.asarray(trace, dtype=float).reshape(-1, 2), converged
+    return z[omega], len(trace), np.asarray(trace, dtype=float).reshape(-1, 2), converged
 
 
 def ref_cbdr_branch(b, y, mask, config, x, sign):
@@ -187,7 +197,7 @@ def ref_run(b, y, mask, config, x):
         zeros = np.zeros(mask.shape)
         return ref_iterate(
             b, zeros, mask, config,
-            lambda z: np.where(mask.inside, project(z), z - config.beta * project(z)),
+            lambda z: np.where(ref_omega(mask), project(z), z - config.beta * project(z)),
             project, x, ref_start(b))
     z0 = ref_project_background(ref_start(b), y, mask)
     if method is Method.PGD:
@@ -234,7 +244,7 @@ def instance(grid, seed=3):
         mask = SupportMask.block(shape, sample, placement)
     x = rng.standard_normal(mask.sample_count)
     y = rng.standard_normal(shape)
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     if oversampled:
         y = np.pad(y, [(0, s - 1) for s in shape])
         mask = SupportMask.block(y.shape, sample, mask.offset)
@@ -508,7 +518,7 @@ def scoring_cases(draw):
     mask = SupportMask.block(shape, sample)
     x = rng.standard_normal(mask.sample_count)
     y = rng.standard_normal(shape)
-    y[mask.inside] = 0.0
+    y[mask.slices] = 0.0
     b = intensity(assemble(x, y, mask))
     if draw(st.booleans()):
         b = IntensityMeasurements(rng.random(shape) * np.max(b.values), conj_symmetric=False)
