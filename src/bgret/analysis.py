@@ -3,9 +3,7 @@ M vec(X) = R3 extracted from the autocorrelation, least-squares recovery and
 uniqueness certificates, stability/robustness constants, the partial
 circulant L/L1 machinery and empirical checks of its restricted-isometry
 expectation identity, and the seeded ``verify_*`` checks behind
-``bgret verify``. Every transform is a ``spectral.Workspace`` transform: the
-autocorrelation is the inverse of the intensities' half grid, and C2
-membership reads the power of the half spectrum.
+``bgret verify``. C2 membership reads the power of the half spectrum.
 
 Shift bookkeeping
 -----------------

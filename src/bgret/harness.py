@@ -5,22 +5,17 @@ theory checks behind ``bgret verify`` live in ``analysis``.
 
 One trial path: ``draw_instance`` turns a sample, its mask and a trial seed
 into the background and the measured intensities (``run_trial`` and the CLI's
-forward/solve both use it; the process holds the last instance, so the
-methods of one noise-study trial share one draw), ``SupportMask.place`` is
-the placement rule, ``solvers.run`` is the only solver call (untraced,
-without the ground truth)
-and ``metrics.evaluate`` gives every metric column of a row, the fixed-point
-residual among them. A trial without a fixed signal draws the Gaussian one
-from its seed. ``run_cells`` is the one trial dispatcher: a study is a list
-of cells, each the specs it summarises together, and gets each cell's rows
-back in order.
+forward/solve both use it), ``SupportMask.place`` is the placement rule,
+``solvers.run`` is the only solver call (untraced, without the ground truth)
+and ``metrics.evaluate`` gives every metric column of a row. A trial without
+a fixed signal draws the Gaussian one from its seed. ``run_cells`` is the
+one trial dispatcher: a study is a list of cells, each the specs it
+summarises together, and gets each cell's rows back in order.
 
 Determinism contract: a sweep is a pure function of (config, master seed),
-independent of the worker count. Per-trial seeds are
-mix_seed(master_seed, cell_index, trial_index) and the generator substreams
-hang off the trial seed (0 signal, 1 background, 2 measurement noise), so any
-worker can recompute any trial. Wall-clock columns are the only
-nondeterministic output.
+independent of the worker count, since any worker can recompute any trial
+from its seed (README, Reproducibility protocol). Wall-clock columns are
+the only nondeterministic output.
 """
 
 from __future__ import annotations
@@ -174,9 +169,9 @@ def draw_instance(x: np.ndarray, mask: SupportMask, trial_seed: int,
 
     The background is read-only. The process holds the last instance drawn
     and returns it again, the same objects, for the same trial seed, grid,
-    support, noise level and signal values: the methods of a noise-study
-    trial solve one draw. A different instance releases the held one before
-    it is drawn."""
+    support, noise level and signal values, until ``run_cells`` returns: the
+    methods of a noise-study trial solve one draw within one dispatcher
+    call. A different instance releases the held one before it is drawn."""
     global _held
     x = np.asarray(x)
     key = (trial_seed, mask.shape, mask.slices, noise_sigma)
@@ -250,14 +245,19 @@ def resolve_workers(requested: Optional[int] = None) -> int:
 def run_cells(cells: Sequence[Sequence[TrialSpec]], workers: int = 1) -> list[list[dict]]:
     """The one trial dispatcher: each cell's rows, in cell and spec order, for
     any worker count. Every row is one ``run_trial`` call; the cells' specs
-    share one process pool, created here."""
+    share one process pool, created here. It releases the instance its
+    process holds when it returns."""
+    global _held
     specs = [spec for cell in cells for spec in cell]
-    if workers <= 1 or len(specs) <= 1:
-        rows = iter([run_trial(s) for s in specs])
-    else:
-        chunk = max(1, len(specs) // (workers * 8))
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = iter(list(pool.map(run_trial, specs, chunksize=chunk)))
+    try:
+        if workers <= 1 or len(specs) <= 1:
+            rows = iter([run_trial(s) for s in specs])
+        else:
+            chunk = max(1, len(specs) // (workers * 8))
+            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = iter(list(pool.map(run_trial, specs, chunksize=chunk)))
+    finally:
+        _held = None
     return [list(islice(rows, len(cell))) for cell in cells]
 
 

@@ -2,27 +2,14 @@
 experiment configs, result tables and run manifests.
 
 This module owns how bgret turns values into text and text into values,
-each rule stated once:
-
-- writing: ``write_lines`` is the one text writer, UTF-8 with every line
-  ended by ``"\n"``; ``json_text`` is the one JSON text (sorted keys,
-  indent 2, numpy scalars as floats, a NaN or infinity as null), and
-  ``write_manifest`` puts a run's manifest at ``<path>.manifest.json``.
-  Floats are written with 17 significant digits (binary64 round-trip), so
-  identical inputs give identical bytes;
-- decoding: ``read_text`` is the one text reader; bytes that do not decode
-  (UTF-8, or ASCII for a PGM) raise DataFormatError;
-- numbers: an integer token matches ``-?[0-9]+`` (``parse_int``) and a float
-  token is ASCII without ``_`` (``parse_float``), in PGM images, CSV
-  matrices, result CSVs, the CLI's numeric flags and BGRET_WORKERS alike;
-- results: ``RESULT_CELLS`` gives each result column its (format, parse)
-  pair, in file order.
-
-Every reader fails with DataFormatError on input it cannot read. Every
-result file gets a sidecar manifest recording the config echo, software
-version, seed, input digests, and the Python and numpy versions and the
-transforms of the solver loop; re-running with an identical manifest
-reproduces the result files byte-for-byte apart from timestamps.
+each rule stated once (README, File formats): ``write_lines`` is the one
+text writer, ``json_text`` the one JSON text, ``read_text`` the one text
+reader, ``parse_int``/``parse_float`` the number rule, and ``RESULT_CELLS``
+gives each result column its (format, parse) pair, in file order. Floats are
+written with 17 significant digits (binary64 round-trip), so identical
+inputs give identical bytes. Every reader fails with DataFormatError on
+input it cannot read, and ``write_manifest`` puts a run's manifest at
+``<path>.manifest.json``.
 """
 
 from __future__ import annotations

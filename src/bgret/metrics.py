@@ -5,17 +5,10 @@ No trivial-ambiguity matching (sign/shift/phase) is performed anywhere: the
 background model pins the solution exactly and the metrics must expose any
 failure to do so.
 
-The measurement error and the fixed-point residual are two norms of one
-intensity residual, of the intensity s = |DFT([x_hat; y])|^2 of a real
-object against the measurements b: ||s - b||_2 / ||b||_2 and
-max|s - h| / max(b), h the Hermitian part of b. s is Hermitian, so both are
-computed on the half grid, from the power ``Workspace.power`` of the real
-transform, which ``spectral.intensity`` also takes, and the half-grid
-arrays cached on b (see ``spectral``): r = s - h there,
-||s - b||^2 is the weighted sum of r^2 (``Workspace.weights``) plus
-``b.asymmetry`` = ||b - h||^2, and for the intensity of a real object h is
-b up to rounding. ``evaluate`` computes r once for both. Every 2-norm and
-sum of squares here is ``model.inner``'s.
+The measurement error ||s - b||_2 / ||b||_2 and the fixed-point residual
+max|s - h| / max(b), for the intensity s of [x_hat; y] and h the Hermitian
+part of b, are two norms of one half-grid residual r = s - h, which
+``evaluate`` computes once for both (README Conventions).
 """
 
 from __future__ import annotations
@@ -108,15 +101,9 @@ def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 def ssim(img_hat, img, peak: Optional[float] = None) -> float:
-    """Mean local SSIM with an 11x11 Gaussian window w (sigma 1.5).
-
-    At each window position, with mu_a = sum(w * a) and
-    s_ab = sum(w * a * b) - mu_a * mu_b over the window (likewise s_aa, s_bb):
-    (2 mu_a mu_b + c1)(2 s_ab + c2) / ((mu_a^2 + mu_b^2 + c1)(s_aa + s_bb + c2)).
-    The products a*a, b*b and a*b are formed once on the image, not per
-    window. Images smaller than the window fall back to a single global
-    window and a warning is emitted.
-    """
+    """Mean local SSIM with an 11x11 Gaussian window (sigma 1.5), as the
+    README Conventions state it; images smaller than the window fall back to
+    a single global window and a warning is emitted."""
     a = np.asarray(img_hat, dtype=float)
     b = np.asarray(img, dtype=float)
     if a.shape != b.shape:

@@ -1,25 +1,8 @@
 """Shared data model: the support block, the combined object, intensity
-measurements and solver configuration.
-
-Conventions used by every module
---------------------------------
-* Arrays are real float64 on the object grid of shape (n_i + k_i) per axis
-  (``object_shape_for``), in any number d >= 1 of axes.
-* Vectorization is row-major everywhere.
-* The combined object [x; y] is a plain array on the object grid:
-  ``assemble`` places a sample on the support Ω inside its background, and
-  ``z[mask.slices].reshape(-1)`` reads the sample back as its Ω vector.
-* Value types are frozen dataclasses holding read-only arrays, safe to share
-  across workers.
-* ``require_count`` (an integer of at least a bound), ``require_level`` (a
-  finite number above 0, or at least 0) and ``require_beta`` (a number in
-  (0, 1]) own the range of every count and level a user supplies; each
-  raises ValueError naming the number.
-* ``mirror`` owns the mirror map i -> -i mod m of a grid, which intensities,
-  half spectra and the theory's shift pairs l, -l share.
-* ``inner`` owns the one BLAS inner product whose value reaches a result
-  row, a stop test or a verify JSON: every 2-norm (``l2_norm``) and sum of
-  squares in the package is one call of it.
+measurements and solver configuration, with the rules every module shares:
+the count and level rules (``require_count``, ``require_level``,
+``require_beta``), the mirror map (``mirror``) and the one inner product
+(``inner``). The README Conventions state them.
 """
 
 from __future__ import annotations

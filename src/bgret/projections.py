@@ -1,45 +1,17 @@
 """Projectors onto the magnitude sets and the affine background set.
 
-The magnitude set is given by the root intensity b^{1/2} (``b.root``) on the
-object grid: ``project_magnitude`` projects onto the equality set
-|DFT z| = b^{1/2}, ``project_magnitude_ball`` onto the convex ball
-|DFT z| <= b^{1/2}, optionally with the DC coefficient pinned to
-dc_sign * b^{1/2} at DC. The root is validated where it is measured, in
-``IntensityMeasurements``.
+``project_magnitude`` projects onto the equality set |DFT z| = b^{1/2} and
+``project_magnitude_ball`` onto the convex ball |DFT z| <= b^{1/2},
+optionally with the DC coefficient pinned to dc_sign * b^{1/2} at DC. Both
+take the half root ``b.half_root`` and work on the half spectrum of the real
+iterate (README Conventions). Phase 1 is used where a computed magnitude is
+exactly 0, so a vanishing coefficient keeps runs reproducible.
 
-Both work on the half spectrum of the real iterate: the workspace's
-``forward`` to the (..., m_last//2+1) half grid, the phase or clamp there in
-place, and its ``inverse`` back to the real grid of z. They take the root as
-the half root ``b.half_root`` (``hermitian_half(b.root)``, cached on b). The
-inverse of a half spectrum is the real part of the inverse of its Hermitian
-extension, so with that half root the equality projection is, up to
-rounding, the one the full complex transform and ``.real`` give, for any
-nonnegative root; so is the ball projection for the root of a real object,
-which is symmetric.
-
-The equality projection forms phase × root as X * (1/|X|) * root, with one
-real division: the bytes of the complex division X / |X| times the root,
-apart from the sign of an exact zero.
-
-When a spectral coefficient vanishes the magnitude projection is not unique;
-phase 1 is used where the computed magnitude is exactly 0, which keeps runs
-reproducible. A coefficient that vanishes only up to rounding keeps the
-phase of its rounding error; on the self-mirrored lines of the half grid
-(2-D and above) the equality projection takes the phase of the line's
-Hermitian part (``Workspace.hermitian_lines``), so it lands on the magnitude
-set there too.
-
-The magnitude projectors transform through a ``spectral.Workspace`` of the
-grid of z, passed as ``out=`` (with an array z on its grid) or else built for
-the call, and return its real grid buffer: with a caller's workspace the
-projection is valid until that workspace's next use. ``project_background``
-returns a new array: a copy of the background with the block of z written
-over Ω by the mask's ``slices``.
-
-The magnitude projectors also take a stack of lanes, z of shape (L, *grid),
-with a workspace of L lanes passed as ``out=``, and project each lane as they
-would that lane alone, byte for byte; the ball then takes one DC sign per
-lane.
+The magnitude projectors transform in the ``spectral.Workspace`` passed as
+``out=`` (z on its grid, or a stack (L, *grid) of its L lanes), or else in
+one built for the call, and return its grid buffer, valid until that
+workspace's next use. Each lane of a stack is projected as it would be
+alone, byte for byte, and the ball takes one DC sign per lane.
 """
 
 from __future__ import annotations
@@ -113,7 +85,8 @@ def project_magnitude_ball(z: np.ndarray, half_root: np.ndarray,
 
 def project_background(z: np.ndarray, background: np.ndarray,
                        mask: SupportMask) -> np.ndarray:
-    """Nearest point of the affine set B: keep z on Ω, restore y elsewhere."""
+    """Nearest point of the affine set B, as a new array: keep z on Ω,
+    restore y elsewhere."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(background, dtype=float)
     if z.shape != mask.shape or y.shape != mask.shape:

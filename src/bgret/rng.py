@@ -24,29 +24,24 @@ xoshiro256** + Box-Muller
         z0 = sqrt(-2 ln u1) cos(2 pi u2), z1 = sqrt(-2 ln u1) sin(2 pi u2);
     emitted in order z0, z1; an odd request drops the trailing z1.
 
-Test vectors live in tests/test_rng.py and the README.
+Test vectors live in tests/test_rng.py and the README, and the one-step
+scalar update is the tests' reference.
 
 Evaluation in jump-ahead lanes
-    `next_u64` is the one-step scalar update above. `uniform` and `normal`
-    return the same doubles, and leave the same state, as a loop over it,
-    but evaluate the stream in lanes: a request for N outputs splits it into
-    L = ceil(N / S) runs of S = 2^round(log2(N) / 2) outputs (S is about
-    sqrt(N)), seeds lane i with the state i*S steps ahead, steps all lanes
-    together in numpy uint64 arithmetic and reads their outputs back in
-    stream order.
-
-    The state step is linear over GF(2): a 256x256 bit matrix T. The lane
-    states come from a doubling tree: lanes [2^p, 2^(p+1)) are lanes
-    [0, 2^p) moved on by T^(S 2^p), and moving a state by a matrix is the
-    XOR of the matrix columns its set bits pick. The jump tables T, T^2,
-    T^4, ... are built by repeated squaring on first use and cached for the
-    life of the process, each packed as 256 columns of four uint64 words:
-    8 KB a level, 136 KB for the 17 levels a 2^17-output request needs.
+    `uniform` and `normal` return the same doubles, and leave the same
+    state, as stepping next() one output at a time, but a request for N
+    outputs splits the stream into L = ceil(N / S) runs of S =
+    2^round(log2(N) / 2) outputs, seeds lane i with the state i*S steps
+    ahead, steps all lanes together in numpy uint64 arithmetic and reads
+    their outputs back in stream order. The state step is linear over
+    GF(2), a 256x256 bit matrix T: lanes [2^p, 2^(p+1)) are lanes [0, 2^p)
+    moved on by T^(S 2^p), the XOR of the matrix columns a state's set bits
+    pick. The jump tables T^(2^j) are built by squaring on first use and
+    kept for the life of the process, 8 KB a level.
 
     Box-Muller keeps math.log, math.cos and math.sin, mapped over chunks of
     4096 pairs: numpy's log and cos round a small fraction of values
-    differently. The other operations (shifts, int-to-double conversion,
-    products, sqrt) round identically in numpy and in Python.
+    differently.
 """
 
 from __future__ import annotations
@@ -102,10 +97,6 @@ def mix_seed(*parts: int) -> int:
     for p in parts:
         h = scramble64(((h + GOLDEN) & MASK64) ^ (int(p) & MASK64))
     return h
-
-
-def _rotl(x: int, r: int) -> int:
-    return ((x << r) | (x >> (64 - r))) & MASK64
 
 
 # -- jump-ahead lanes ----------------------------------------------------------
@@ -171,21 +162,8 @@ class Xoshiro256StarStar:
         # odd) and scramble64 is a bijection, so at most one output is 0
         self._s = splitmix64_stream(seed, 4)
 
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
-        t = (s1 << 17) & MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
-
     def _block(self, count: int) -> np.ndarray:
-        """The next `count` outputs of next_u64 as uint64, in stream order,
+        """The next `count` outputs of next() as uint64, in stream order,
         computed in jump-ahead lanes (see module docs)."""
         require_count("count", count, 0)
         if count == 0:

@@ -1,92 +1,36 @@
-"""Iterative reconstruction methods.
+"""Iterative reconstruction methods: five updates on one loop.
 
-Five methods share one loop skeleton:
+With ztilde = P_A(z^{p-1}) the magnitude projection and y the background:
 
-* PGD      z^p = P_B(z^{p-1} - lam*(z^{p-1} - P_A(z^{p-1}))); lam=1 is P_B.P_A.
-* BDR      with ztilde = P_A(z^{p-1}): keep ztilde on the support, and update
-           the background coordinates as z - ztilde + y. For beta=1 this is
+* PGD      z^p = P_B(z^{p-1} - lam*(z^{p-1} - ztilde)); lam=1 is P_B.P_A.
+* BDR      ztilde on the support, z^{p-1} - ztilde + y off it: for beta=1
            the operator (R_B R_A + I)/2 applied to z^{p-1}.
-* BDR1     the beta-damped background update z - beta*(ztilde - y); noise
-           mode, background-consistent fixed points for every beta.
-* CBDR     same coordinate update with the convex ball projection replacing
-           the magnitude equality; it runs both DC signs of a real signal,
-           as two lanes of one lockstep stack, keeping the lane with the
-           smaller measurement error. When the first lane converges, at
-           iteration p below the cap, the measurement errors of both lanes'
-           iterates at p are compared once, and the other lane stops at p if
-           its error is above R = PART_RATIO = 100 times the converged one's.
-* HIO      classic hybrid input-output on a bare support: the BDR1 update
-           with background y = 0, so inside the support take the
-           magnitude-projection output, outside z - beta*P_A(z).
+* BDR1     the beta-damped background update z^{p-1} - beta*(ztilde - y);
+           noise mode, background-consistent fixed points for every beta.
+* CBDR     the BDR update with the convex ball projection for P_A, run for
+           both DC signs of a real signal; the one with the smaller
+           measurement error is kept.
+* HIO      the BDR1 update on a bare support, with y = 0.
 
-``run`` is the one entry point: it runs HIO as BDR1 on a zero background
-and sends CBDR to the two-lane ``cbdr_parallel_real``. ``_iterate`` is the
-one loop, over a stack of lanes that share a start and differ in one
-parameter (CBDR's DC sign), stepped in lockstep; PGD, BDR, BDR1 and HIO run
-one lane. A lane stops at its stop test, at the cap, or where CBDR parts
-it, and ends there in one place: its last trace row, its final projection
-and its ``SolverRun``; then it leaves the stack. The loop returns a
-``LaneRuns``, one ``SolverRun`` per lane, each the bytes of that lane run
-alone up to where it stopped; its ``iterations_used`` sums the lanes' (the
-lane-steps computed), and ``run`` returns lane 0's. A lane CBDR stops at p
-reports p iterations, not converged, with the iterate of p as its final
-iterate. The branch choice after the loop is unchanged, so
-CBDR returns what running both lanes to their own end returns unless the
-stopped lane, run on, would have won; at k/n = 6 the losing lane runs to the
-cap unconverged, and stopping it saves those solo iterations. Every run
-starts from the deterministic spectral initializer
-z0 = P_B((1/prod m) * Re DFT(b^{1/2})) unless an explicit start is supplied
-(HIO starts from the unprojected transform), and stops when the step norm
-||z^p - z^{p-1}|| is at most eps or the iteration cap is reached.
-Divergence is detected from that same step norm, one ``model.l2_norm`` per
-lane: a non-finite start or step norm in any lane raises DivergenceError
-rather than being clamped, so traces stay honest. The loop ignores numpy's
-overflow warnings (``np.errstate``), so that error is the one way a solve
-fails on a non-finite iterate, under any warnings filter.
+``run`` is the one entry point. A run starts from the spectral start
+z0 = P_B((1/prod m) * Re DFT(b^{1/2})) unless given one (HIO starts from
+the unprojected transform), and stops when the step norm ||z^p - z^{p-1}||
+is at most eps or at the iteration cap. A non-finite start or step norm
+raises DivergenceError: the loop ignores numpy's overflow warnings, so that
+is how a solve fails on a non-finite iterate under any warnings filter.
 
-The trace is opt-in and kept per lane, and the solvers score nothing else: a
-result is scored by ``metrics.evaluate``. A trace row holds
-``metrics.relative_error`` of the iterate's support values against the
-ground truth x_true (NaN without one) and ``metrics.measurement_error`` of
-the iterate z^p. With
-``SolverConfig.trace_every`` = s > 0 a row is recorded at every iteration p
-with p % s == 0, and always at the final iteration (once, also when it is a
-multiple of s; for a lane CBDR stops, at the iteration it stopped); with
-s = 0, the default, no row is recorded. The ground
-truth is not validated up front: a wrong shape or a zero truth raises
-ValueError at the first traced row, and an untraced run never reads it. The
-stride changes no iterate: estimates, ``iterations_used`` (the number of loop
-iterations, not of rows) and ``converged`` are the same for every s, s = 1
-gives a row per iteration, and the final row is the same at every s > 0.
-An untraced iteration makes the two FFTs of its magnitude projection, the
-workspace's real ``forward`` and ``inverse``, for all its lanes together; a
-traced one adds the workspace's ``forward`` of the measurement error of each
-lane. A lane's end adds the ``forward`` and ``inverse`` of its final
-projection (none for PGD), one lane at a time. CBDR's comparison at the
-first convergence adds one ``forward`` per lane compared, once per run, and
-its branch choice one per branch.
+``_iterate`` steps a stack of lanes that share a start and differ in one
+parameter, CBDR's DC sign, in lockstep; the other methods run one lane. A
+lane stops at its stop test, at the cap, or where CBDR parts it, takes its
+last trace row, final projection and ``SolverRun`` there, and leaves the
+stack, so each lane gets the bytes of its run alone. When the first CBDR
+lane converges below the cap, the other stops at that iteration if its
+measurement error is above PART_RATIO times the converged one's, and
+reports that iteration, not converged.
 
-Measurements live on the object grid: ``_iterate`` rejects b whose shape is
-not that of the support mask's grid, with a ValueError. The module makes no
-complex transform: everything runs on the half spectrum (see ``spectral``
-and ``projections``). The steps take the half root ``b.half_root``, the
-Hermitian part of the root intensity cut to the half grid, which b computes
-once for all its runs. The spectral start (1/prod m) * Re DFT(b^{1/2}) is the
-workspace's ``inverse`` of that half root. Phase 1 where a coefficient
-vanishes and the DC pin of CBDR are as on the full spectrum.
-
-Each step returns z^p as a new array and only reads z^{p-1}, one lane as
-its grid array or several as the stack (lanes, *grid). Its
-``work`` argument is a ``spectral.Workspace`` of that many lanes: the
-real-data transform pair of its magnitude projection with that pair's
-buffers (None builds one per call). Each ``_iterate`` call builds the grid's
-workspace, for the start, the measurement errors of the trace and of CBDR's
-comparison, the final projections and one lane's steps, and one per lane
-count of a wider stack;
-``cbdr_parallel_real`` builds one more for its branch choice. The norm of b
-is cached on b. The loop writes each step's difference z^p - z^{p-1} into
-z^{p-1}'s buffer, which it owns: it copies a caller's z0 once, so the
-caller's z0, background and measurements are only read.
+The steps take the half root ``b.half_root`` and trust lam and beta, which
+``SolverConfig`` checked; the README Conventions give the half grid, the
+trace rows and the buffers a step reads and writes.
 """
 
 from __future__ import annotations
@@ -97,8 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .metrics import measurement_error, relative_error
-from .model import (IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask,
-                    l2_norm, require_beta, require_level)
+from .model import IntensityMeasurements, Method, SolverConfig, SolverRun, SupportMask, l2_norm
 from .projections import project_background, project_magnitude, project_magnitude_ball
 from .spectral import Workspace
 
@@ -123,18 +66,12 @@ def _spectral_start(b: IntensityMeasurements, work: Workspace) -> np.ndarray:
     return work.inverse()
 
 
-def init_spectral(b: IntensityMeasurements, background: np.ndarray,
-                  mask: SupportMask) -> np.ndarray:
-    """Deterministic start z0 = P_B((1/prod m) * Re DFT(b^{1/2}))."""
-    return project_background(_spectral_start(b, Workspace(mask.shape)), background, mask)
-
-
 def pgd_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
              mask: SupportMask, lam: float = 1.0,
              work: Optional[Workspace] = None) -> np.ndarray:
     """Projected gradient step; the subgradient of the magnitude objective is
-    z - P_A(z), so lam=1 reduces to the alternating projection P_B(P_A(z))."""
-    require_level("learning rate", lam)
+    z - P_A(z), so lam=1 reduces to the alternating projection P_B(P_A(z)).
+    lam is trusted: ``SolverConfig`` checked it."""
     ztilde = project_magnitude(z, half_root, work)
     if lam != 1.0:
         # z - lam * (z - ztilde), formed in the projection's own buffer
@@ -146,8 +83,7 @@ def pgd_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
 
 def _dr_update(z: np.ndarray, ztilde: np.ndarray, background: np.ndarray,
                mask: SupportMask, beta: float) -> np.ndarray:
-    # beta damps the background correction; fixed points keep ztilde = y off
-    # the support for every beta in (0, 1], and beta = 1 is z - ztilde + y.
+    # z - beta * (ztilde - y) off the support, ztilde on it
     update = np.subtract(ztilde, background)
     if beta != 1.0:  # 1.0 * v is v, bit for bit
         np.multiply(beta, update, out=update)
@@ -161,8 +97,8 @@ def bdr_step(z: np.ndarray, half_root: np.ndarray, background: np.ndarray,
              mask: SupportMask, beta: float = 1.0,
              work: Optional[Workspace] = None) -> np.ndarray:
     """Background Douglas-Rachford step (beta=1); beta<1 is the relaxed BDR1,
-    and on a zero background it is the HIO step."""
-    require_beta(beta)
+    and on a zero background it is the HIO step. beta is trusted:
+    ``SolverConfig`` checked it."""
     return _dr_update(z, project_magnitude(z, half_root, work), background, mask, beta)
 
 
@@ -195,15 +131,11 @@ def _iterate(b: IntensityMeasurements, background: np.ndarray,
              final_projector: Optional[Callable], x_true=None, z0=None,
              lanes: tuple = (None,), part: bool = False) -> LaneRuns:
     _require_grid(b, mask)
-    # one lane per entry of lanes, all from the same start, stepped in
-    # lockstep: step(z, work, params) maps z^{p-1} to a new array z^p,
-    # transforming in work. A lane that stops (its stop test, the cap, or
-    # part) ends at once: its last trace row, its final iterate mapped by
-    # final_projector(z, work, param) in the grid's own workspace, its run;
-    # then it leaves the stack. With part, the first iteration p < max_iter
-    # at which a lane converges also stops, at p, every lane still running
-    # whose measurement error is above PART_RATIO times the smallest of the
-    # lanes converging at p.
+    # one lane per entry of lanes (module docs): step(z, work, params) maps
+    # z^{p-1} to a new array z^p, transforming in work, and a lane that stops
+    # ends with final_projector(z, work, param) in the grid's own workspace.
+    # part parts the lanes at the first convergence below the cap, against
+    # the smallest error of the lanes converging there.
     grid_work = Workspace(mask.shape)
     if z0 is None:
         start = project_background(_spectral_start(b, grid_work), background, mask)
@@ -281,7 +213,9 @@ def run(b: IntensityMeasurements, background: np.ndarray, mask: SupportMask,
     iteration cap; the returned estimate is the support part of the final
     magnitude-projection output (constraint-feasible at fixed points), except
     for PGD whose iterate is already background-feasible. HIO ignores the
-    background: it runs BDR1 on y = 0 from the unprojected spectral start."""
+    background: it runs BDR1 on y = 0 from the unprojected spectral start.
+    Only trace rows read x_true: a wrong shape or a zero truth raises
+    ValueError at the first one."""
     method = config.method
     if method is Method.CBDR:
         return cbdr_parallel_real(b, background, mask, config, x_true=x_true, z0=z0)

@@ -2,57 +2,16 @@
 autocorrelation with its spectral bridge.
 
 Every transform bgret makes is a real-data transform of a ``Workspace``
-(``LOOP_TRANSFORMS``). Measurements live on the object grid: the known
-background takes the place of oversampling, so the combined object [x; y] of
-grid m = n + k is transformed on that grid, unpadded. The forward transform
-is unnormalized, entry i equals sum_t z_t exp(-2*pi*j*i*t/m), and the inverse
-carries the 1/prod(m) factor.
+(``LOOP_TRANSFORMS``) on the half grid of a real object's Hermitian
+spectrum; the README Conventions give the transform pair, the half grid and
+its self-mirrored lines. For real z the intensity |DFT z|^2 and the circular
+autocorrelation R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair.
 
-A real object's spectrum is Hermitian, X[-i] = conj(X[i]), so a
-``Workspace`` holds only its half grid: ``forward`` computes the spectrum's
-entries 0 .. m_last//2 along the last axis, and ``inverse`` maps a half
-spectrum back to the real array of the grid, as the inverse of its Hermitian
-extension. ``power`` forms the intensity |X|^2 on the half grid as
-re*re + im*im, the one place bgret squares a magnitude; unlike ``np.abs`` of
-a complex array it gives the same bits at every SIMD level. The forward
-model ``intensity`` takes the half grid's power and fills the rest of the
-grid from s[-i] = s[i]; the autocorrelation is the inverse of the half grid
-of the intensities. A real array on the full grid that multiplies a
-Hermitian spectrum, or is inverted, acts through its Hermitian part cut to
-the half grid, ``hermitian_half`` (from ``model``; ``IntensityMeasurements``
-caches it for b and b^{1/2}). So the magnitude projection onto b^{1/2} takes
-the half root, the spectral start (1/prod m) * Re DFT(b^{1/2}) is the
-inverse of the half root, and a sum over the grid of a Hermitian real array
-is a sum over its half grid weighted by ``Workspace.weights``: 1 on the
-self-mirrored lines (last-axis index 0, and m_last/2 when m_last is even),
-which hold both entries of each mirror pair, and 2 elsewhere. On those lines
-the computed half spectrum of a real array is Hermitian only up to
-rounding; ``Workspace.hermitian_lines`` makes them Hermitian (2-D and above;
-in 1-D their entries are real).
-
-For real z the intensity |DFT z|^2 and the circular autocorrelation
-R[l] = sum_p z[p] z[(p+l) mod m] are a transform pair.
-
-The real-data pair runs in the solver loop, twice per iteration, on grids
-where numpy's Python wrappers (``rfftn`` -> ``rfft`` -> ``_raw_fft``) cost
-more than the transforms. So a ``Workspace``, built once per solver run
-(and per lane count of its stack), checks its grid once and calls the
-pocketfft gufuncs under them, ``numpy.fft._pocketfft_umath``, directly, once
-per axis, with the axis order and the factors ``rfftn``/``irfftn`` use, and
-gives the same bytes:
-
-* ``forward(z)`` runs ``rfft_n_even`` or ``rfft_n_odd`` (factor 1) along the
-  last axis of z into ``half``, then ``fft`` (factor 1) in place over the
-  leading axes, from the last one to the first;
-* ``inverse()`` runs ``ifft`` with factor 1/m_axis in place in ``half`` over
-  the leading axes, from the first one to the last, then ``irfft`` with
-  factor 1/m_last into ``grid``. In 2-D and above it therefore overwrites
-  the half spectrum.
-
-A ``Workspace`` with ``lanes`` = L holds a stack of L arrays of the grid, the
-lane axis in front, and its gufuncs loop over that axis (their grid axes are
-counted from the end): one call transforms every lane, and each lane gets
-the bytes of a workspace of one array. CBDR's two DC-sign lanes run in one.
+On the solvers' grids numpy's Python wrappers (``rfftn`` -> ``rfft`` ->
+``_raw_fft``) cost more than the transforms, so a ``Workspace`` checks its
+grid once and calls the pocketfft gufuncs under them,
+``numpy.fft._pocketfft_umath``, directly, once per axis, with the axis order
+and the factors ``rfftn``/``irfftn`` use, and gives their bytes.
 """
 
 from __future__ import annotations
@@ -174,7 +133,7 @@ class Workspace:
 
     def inverse(self) -> np.ndarray:
         """The real array of the half spectrum in ``half``, into ``grid``
-        (lane by lane)."""
+        (lane by lane); in 2-D and above it overwrites ``half``."""
         half = self.half
         for axes, factor in self._leading:
             _pocketfft.ifft(half, factor, out=half, axes=axes)

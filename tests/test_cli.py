@@ -631,6 +631,25 @@ def test_values_without_meaning_exit_with_their_code(argv, code, tmp_path, monke
     capsys.readouterr()
 
 
+SOLVER_EDGE_VALUES = [(flag, value) for flag in ("--lam", "--beta", "--eps")
+                      for value in ("0", "-1", "nan", "inf", "1e308")] + [("--beta", "2")]
+
+
+@pytest.mark.parametrize("flag, value", SOLVER_EDGE_VALUES)
+@pytest.mark.parametrize("method", [m.value for m in Method])
+def test_solver_edge_values_exit_0_or_2_for_every_method(method, flag, value, tmp_path,
+                                                         monkeypatch, capsys):
+    # the steps trust lam and beta, so every method's solve meets each edge
+    # value at SolverConfig or runs it: a data error or a result, no traceback
+    monkeypatch.chdir(tmp_path)
+    _write_case_files(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--method", method, "--signal", "sig.csv", flag, value])
+    assert code in (EXIT_OK, EXIT_DATA)
+    capsys.readouterr()
+
+
 def test_a_diverging_solve_is_one_data_error_line(tmp_path, monkeypatch, capsys):
     # PGD's step at lam = 1e300 overflows, which once escaped main as a
     # traceback: one line on stderr, no output files

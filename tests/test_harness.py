@@ -219,6 +219,28 @@ def test_noise_study_methods_share_one_instance_draw(monkeypatch):
     assert sum(drawn) == 2 * 131072
 
 
+def test_the_held_instance_lasts_one_dispatcher_call(monkeypatch):
+    # run_cells releases the held instance when it returns, so a second,
+    # identical study draws its background again and writes the same rows
+    monkeypatch.setattr(harness, "_held", None, raising=False)
+    drawn = []
+
+    def counted(*args, **kwargs):
+        drawn.append(1)
+        return gen_background(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "gen_background", counted)
+    draws, rows = [], []
+    for _ in range(2):
+        before = len(drawn)
+        rows.append(noise_benchmark(synthetic_test_image(16), 1e-3, 1.0, 1, seed=3)["rows"])
+        draws.append(len(drawn) - before)
+        assert harness._held is None
+    assert draws == [1, 1]
+    for a, b in zip(*rows):
+        rows_equal_except_timing(a, b)
+
+
 def _held_case(seed=3, sigma=1e-3, signal=None, offset=(2, 3), grid=(14, 15)):
     x = np.arange(1.0, 21.0).reshape(4, 5) if signal is None else signal
     return x, SupportMask(grid, (4, 5), offset), seed, sigma

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgret import analysis, harness, model, solvers
+from bgret import analysis, harness, model
 from bgret.io_formats import DataFormatError, ExperimentConfig
 from bgret.model import (IntensityMeasurements, Method, SolverConfig, SolverRun,
                          SupportMask, assemble, background_sizes_for, mirror, mirror_index)
@@ -310,8 +310,6 @@ def _meaningless_numbers():
         (lambda: SolverConfig(Method.BDR1, beta=True), "beta"),
         (lambda: SolverConfig(Method.BDR1, beta="0.5"), "beta"),
         (lambda: SolverConfig(Method.BDR1, beta=math.nan), "beta"),
-        (lambda: solvers.bdr_step(np.zeros(3), b.half_root, np.zeros(3),
-                                  SupportMask.block((3,), (1,)), beta=True), "beta"),
         (lambda: harness.gen_signal(2, 2.5), "signal length"),
         (lambda: harness.gen_signal(2, True), "signal length"),
         (lambda: harness.add_noise(b, math.nan, Xoshiro256StarStar(0)), "noise level"),
@@ -333,9 +331,6 @@ def _meaningless_numbers():
          "num_draws"),
         (lambda: Xoshiro256StarStar(0).normal(2.5), "count"),
         (lambda: Workspace((4,), True), "lanes"),
-        (lambda: solvers.pgd_step(np.zeros(3), b.half_root, np.zeros(3),
-                                  SupportMask.block((3,), (1,)), lam=math.nan),
-         "learning rate"),
     ]]
     return cases
 

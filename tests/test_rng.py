@@ -29,8 +29,27 @@ _TWO53_INV = 2.0 ** -53
 # The per-output definitions of the module docstring, one next_u64 at a time:
 # the reference the lane evaluation inside uniform/normal must reproduce.
 
+def _rotl(x: int, r: int) -> int:
+    return ((x << r) | (x >> (64 - r))) & MASK64
+
+
+def next_u64(g: Xoshiro256StarStar) -> int:
+    """One scalar xoshiro256** step of g's state: the module docstring's next()."""
+    s0, s1, s2, s3 = g._s
+    result = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
+    t = (s1 << 17) & MASK64
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s3 = _rotl(s3, 45)
+    g._s = [s0, s1, s2, s3]
+    return result
+
+
 def ref_uniform(g: Xoshiro256StarStar, count: int) -> np.ndarray:
-    return np.array([(g.next_u64() >> 11) * _TWO53_INV for _ in range(count)])
+    return np.array([(next_u64(g) >> 11) * _TWO53_INV for _ in range(count)])
 
 
 def ref_normal(g: Xoshiro256StarStar, count: int, mu: float = 0.0,
@@ -38,8 +57,8 @@ def ref_normal(g: Xoshiro256StarStar, count: int, mu: float = 0.0,
     out = np.empty(count)
     i = 0
     while i < count:
-        u1 = ((g.next_u64() >> 11) + 1) * _TWO53_INV
-        u2 = (g.next_u64() >> 11) * _TWO53_INV
+        u1 = ((next_u64(g) >> 11) + 1) * _TWO53_INV
+        u2 = (next_u64(g) >> 11) * _TWO53_INV
         r = math.sqrt(-2.0 * math.log(u1))
         theta = 2.0 * math.pi * u2
         out[i] = r * math.cos(theta)
@@ -63,7 +82,7 @@ def assert_same_stream(seed: int, calls: list) -> None:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), call
     assert lanes._s == scalar._s
-    assert lanes.next_u64() == scalar.next_u64()
+    assert next_u64(lanes) == next_u64(scalar)
 
 
 def test_splitmix64_stream_vectors():
@@ -73,7 +92,7 @@ def test_splitmix64_stream_vectors():
 
 def test_xoshiro_u64_vectors():
     g = Xoshiro256StarStar(42)
-    assert [g.next_u64() for _ in range(5)] == XOSHIRO_SEED42_U64
+    assert [next_u64(g) for _ in range(5)] == XOSHIRO_SEED42_U64
 
 
 def test_mix_seed_vectors_and_distinctness():
@@ -88,7 +107,7 @@ def test_mix_seed_vectors_and_distinctness():
 def test_outputs_fit_in_64_bits():
     g = Xoshiro256StarStar(123)
     for _ in range(100):
-        v = g.next_u64()
+        v = next_u64(g)
         assert 0 <= v <= MASK64
     assert 0 <= scramble64(GOLDEN) <= MASK64
 

@@ -15,11 +15,9 @@ from bgret.model import (IntensityMeasurements, Method, SolverConfig,
                          SupportMask, assemble)
 from bgret.projections import (project_background, project_magnitude,
                                project_magnitude_ball)
-from bgret.solvers import (DivergenceError, bdr_step, cbdr_step,
-                           cbdr_parallel_real, init_spectral,
-                           pgd_step, run)
+from bgret.solvers import DivergenceError, bdr_step, cbdr_step, cbdr_parallel_real, pgd_step, run
 from bgret.spectral import Workspace, hermitian_half, intensity
-from test_reference_path import ref_omega
+from test_reference_path import init_spectral, ref_omega
 
 
 def reflect(z, projector):
@@ -654,13 +652,14 @@ def test_divergence_guard(monkeypatch):
     assert row["relative_error"] == math.inf
 
 
-def test_run_rejects_unknown_beta_lambda():
-    rng = np.random.default_rng(20)
-    x, y, mask, b = make_instance(rng, 4, 8)
-    with pytest.raises(ValueError):
-        bdr_step(np.zeros(12), hermitian_half(b.root), y, mask, beta=0.0)
-    with pytest.raises(ValueError):
-        pgd_step(np.zeros(12), hermitian_half(b.root), y, mask, lam=0.0)
+@pytest.mark.parametrize("field, value", [("beta", 0.0), ("beta", True), ("lam", 0.0),
+                                          ("lam", math.nan)])
+@pytest.mark.parametrize("method", [m.value for m in Method])
+def test_solver_config_refuses_the_levels_the_steps_trust(method, field, value):
+    # pgd_step and bdr_step take lam and beta unchecked: the SolverConfig that
+    # every run is given refuses these, for every method
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        SolverConfig(method, **{field: value})
 
 
 def test_run_never_writes_inputs_or_aliases_results():
