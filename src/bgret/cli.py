@@ -214,11 +214,11 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    if not args.ratio_step > 0:
-        raise SystemExit2("--ratio-step must be positive")
-    if not args.ratio_min > 0:
+    if not 0 < args.ratio_step < math.inf:
+        raise SystemExit2("--ratio-step must be positive and finite")
+    if not 0 < args.ratio_min < math.inf:
         # a usage error here; background_sizes_for would reject it as a data error
-        raise SystemExit2("--ratio-min must be positive")
+        raise SystemExit2("--ratio-min must be positive and finite")
     if not math.isfinite(args.ratio_max):
         raise SystemExit2("--ratio-max must be finite")
     # ratio i from its index rather than a running sum, whose drift

@@ -186,6 +186,7 @@ def test_every_readme_flag_has_generated_values():
 # a draw that random search meets about once in 50000 (6000 draws missed it):
 # PGD at an infinite step once escaped main as a DivergenceError traceback
 @example(argv=["solve", "--method", "pgd", "--signal", "sig.csv", "--lam", "inf"])
+@example(argv=["sweep", "--config", "cfg.json", "--ratio-min", "inf"])
 def test_cli_returns_a_documented_exit_code(argv, tmp_path_factory):
     # main returns 0-3 for any such argv and raises nothing; each case runs
     # in a directory of its own
@@ -581,6 +582,10 @@ def test_sweep_cli_rejects_empty_ratio_range(tmp_path, capsys):
     pytest.param("0", "0", "0.1", "--ratio-min", id="0-0"),
     pytest.param("2", "3", "0", "--ratio-step", id="step-0"),
     pytest.param("2", "3", "-0.1", "--ratio-step", id="step--0.1"),
+    # an infinite --ratio-min once raised OverflowError out of main; an
+    # infinite step would give an empty grid
+    pytest.param("inf", "7", "0.1", "--ratio-min", id="inf-7"),
+    pytest.param("2", "3", "inf", "--ratio-step", id="step-inf"),
 ])
 def test_sweep_cli_rejects_nonpositive_ratio(lo, hi, step, flag, tmp_path, capsys):
     # k = max(1, round(ratio * n)) would run k = 1 and report k_ratio lo; a
